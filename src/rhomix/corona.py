@@ -31,8 +31,9 @@ from .grid import (
     enumerate_cubes,
     integrate,
 )
+from .extrapolation import ladder_exponent
 from .lorentz import WeightedMeasure, weak_norm
-from .maximal import default_family, loc_glob_split, m_dyadic, m_rho_sigma
+from .maximal import default_family, loc_glob_split, m_dyadic
 from .weights import ainf_epsilon_form, ap_characteristic
 
 __all__ = [
@@ -638,6 +639,11 @@ class MixedDyadicReport:
     upper_le_terms: bool             # sum_upper <= I + II (exact chain)
     level_rows: tuple[dict, ...]     # per-level ledger for dumps
     empty: bool
+    # the stopping-time build behind the ledger, None when empty; kept for
+    # callers that audit the same cubes further, never serialized
+    classified: ClassifiedLevels | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 def mixed_verify_dyadic(
@@ -713,6 +719,7 @@ def mixed_verify_dyadic(
         upper_le_terms=sum_upper <= term_I + term_II + slack,
         level_rows=tuple(rows),
         empty=False,
+        classified=classified,
     )
 
 
@@ -754,7 +761,7 @@ def mixed_verify_global(
 
     family = cubes if cubes is not None else default_family(f.domain)
     if theta is None:
-        theta = _pick_theta(u, rho, family)
+        theta = ladder_exponent(u, rho, family)
     if rho.is_classical:
         n0 = 1
         n1 = 0.0
@@ -771,8 +778,8 @@ def mixed_verify_global(
             sigma = (n1 + theta + 1.0) * (n0 + 1)
 
     fv = GridFunction(f.domain, f.values * v.values)
-    m_vals = m_rho_sigma(fv, rho, sigma, 1.0, family).values
-    T = GridFunction(f.domain, m_vals / v.values)
+    split = loc_glob_split(fv, rho, sigma, family)
+    T = GridFunction(f.domain, split.m.values / v.values)
     uv = WeightedMeasure(GridFunction(f.domain, u.values * v.values))
     integral = integrate(
         GridFunction(f.domain, np.abs(f.values) * u.values * v.values)
@@ -787,7 +794,6 @@ def mixed_verify_global(
         grid_sup = max(grid_sup, t * uv.mass(T.values > t))
     grid_const = grid_sup / integral if integral > 0 else math.inf
 
-    split = loc_glob_split(fv, rho, sigma, family)
     with np.errstate(invalid="ignore"):
         loc_T = GridFunction(f.domain, split.loc.values / v.values)
         glob_T = GridFunction(f.domain, split.glob.values / v.values)
@@ -807,19 +813,3 @@ def mixed_verify_global(
         covering_cubes=cover_count,
     )
 
-
-def _pick_theta(u: GridFunction, rho: RhoSpec, family: CubeFamily) -> float:
-    """Smallest ladder exponent whose characteristic has stabilized
-    (within 25% of the most forgiving ladder value)."""
-    from .weights import THETA_LADDER
-
-    if rho.is_classical:
-        return 0.0
-    chars = {
-        th: ap_characteristic(u, 1.0, th, rho, family).value for th in THETA_LADDER
-    }
-    floor_val = chars[THETA_LADDER[-1]]
-    for th in THETA_LADDER:
-        if chars[th] <= 1.25 * floor_val:
-            return th
-    return THETA_LADDER[-1]

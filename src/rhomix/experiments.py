@@ -23,8 +23,6 @@ import numpy as np
 from .corona import (
     build_forests,
     claim_audits,
-    classify,
-    level_decomposition,
     mixed_verify_dyadic,
     mixed_verify_global,
 )
@@ -259,12 +257,12 @@ def _exp_maximal_eval(config):
     measured, passes, tables = {}, {}, []
     bad = 0
     for i, f in enumerate(bundle.fs):
-        m = m_rho_sigma(f, bundle.rho, sigma, q, fam)
+        split = loc_glob_split(f, bundle.rho, sigma, fam)
+        m = split.m if q == 1.0 else m_rho_sigma(f, bundle.rho, sigma, q, fam)
         arg = int(np.argmax(m.values))
         tables.append({
             "f": i, "max": float(m.values.max()), "argmax_cell": arg,
         })
-        split = loc_glob_split(f, bundle.rho, sigma, fam)
         bad += int(split.max_upper_violation > 1e-12)
         bad += int(split.max_lower_violation > 1e-12)
     measured["sandwich_violations"] = bad
@@ -299,13 +297,8 @@ def _exp_corona_run(config):
             })
             if rep.empty:
                 continue
-            g = GridFunction(f.domain, np.abs(f.values) * pair.v.values)
-            decomp = level_decomposition(g, R, a)
-            if decomp.empty:
-                continue
-            cls = classify(decomp, pair.v)
-            forests = build_forests(cls, pair.u)
-            claims = claim_audits(forests, cls, pair.u)
+            forests = build_forests(rep.classified, pair.u)
+            claims = claim_audits(forests, rep.classified, pair.u)
             h1_bad += sum(claims.h1_violations.values())
     measured["worst_ratio"] = worst_ratio
     measured["h1_violations"] = h1_bad
@@ -315,16 +308,26 @@ def _exp_corona_run(config):
     return measured, passes, {}, tables
 
 
+def _refine(g: GridFunction) -> GridFunction:
+    """g on the next level: every cell split into its 2^dim children."""
+    vals = g.values
+    for ax in range(g.domain.dim):
+        vals = np.repeat(vals, 2, axis=ax)
+    return GridFunction(g.domain.refine(), vals)
+
+
 def _exp_mixed_m(config):
     bundle = _suite(config)
+    fam = default_family(bundle.domain)
     tol = config.get("tolerances", {}).get("refinement", 0.25)
     measured, passes, tables = {}, {}, []
     deltas = {}
     finite = True
     first = None
     for i, pair in enumerate(bundle.pairs):
+        theta = ladder_exponent(pair.u, bundle.rho, fam)
         for j, f in enumerate(bundle.fs[:4]):
-            rep = mixed_verify_global(f, pair.u, pair.v, bundle.rho)
+            rep = mixed_verify_global(f, pair.u, pair.v, bundle.rho, theta=theta)
             finite &= math.isfinite(rep.constant_exact)
             tables.append({
                 "pair": i, "f": j, "constant": rep.constant_exact,
@@ -337,12 +340,8 @@ def _exp_mixed_m(config):
     measured["theta"] = first[2].theta if first else 0.0
     if first is not None:
         pair, f, rep = first
-        fine = bundle.domain.refine()
-        up = lambda w: GridFunction(fine, np.repeat(
-            np.repeat(w.values, 2, axis=0), 2, axis=1
-        ) if fine.dim == 2 else np.repeat(w.values, 2, axis=0))
         rep2 = mixed_verify_global(
-            up(f), up(pair.u), up(pair.v), bundle.rho,
+            _refine(f), _refine(pair.u), _refine(pair.v), bundle.rho,
             sigma=rep.sigma, theta=rep.theta,
         )
         drift = abs(rep2.constant_exact - rep.constant_exact) / rep.constant_exact
@@ -379,15 +378,9 @@ def _exp_coifman(config):
     tol = config.get("tolerances", {}).get("refinement", 0.5)
     w = bundle.pairs[0].u
     rep = coifman_check(kernel, w, p, theta, list(bundle.fs))
-    fine = bundle.domain.refine()
-
-    def up(g):
-        vals = g.values
-        for ax in range(fine.dim):
-            vals = np.repeat(vals, 2, axis=ax)
-        return GridFunction(fine, vals)
-
-    rep2 = coifman_check(kernel, up(w), p, theta, [up(f) for f in bundle.fs])
+    rep2 = coifman_check(
+        kernel, _refine(w), p, theta, [_refine(f) for f in bundle.fs]
+    )
     drift = (
         abs(rep2.ratio_max - rep.ratio_max) / rep.ratio_max
         if rep.ratio_max > 0

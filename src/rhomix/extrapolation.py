@@ -57,19 +57,23 @@ class K0TooSmallError(RuntimeError):
 # ---------------------------------------------------------------------------
 # the auxiliary operator
 
+def _first_stable(ladder: tuple[float, ...], char) -> float:
+    """First ladder value whose characteristic char(value) has stabilized:
+    within 25% of the floor, the characteristic at the last, most forgiving
+    value (which is returned when no earlier one qualifies)."""
+    chars = {x: char(x) for x in ladder}
+    floor_val = chars[ladder[-1]]
+    return next((x for x in ladder if chars[x] <= 1.25 * floor_val), ladder[-1])
+
+
 def ladder_exponent(u: GridFunction, rho: RhoSpec, cubes: CubeFamily) -> float:
     """Smallest growth exponent on the standard ladder at which u's
     A_1-type characteristic has stabilized (within 25% of the floor)."""
     if rho.is_classical:
         return 0.0
-    chars = {
-        th: ap_characteristic(u, 1.0, th, rho, cubes).value for th in THETA_LADDER
-    }
-    floor_val = chars[THETA_LADDER[-1]]
-    for th in THETA_LADDER:
-        if chars[th] <= 1.25 * floor_val:
-            return th
-    return THETA_LADDER[-1]
+    return _first_stable(
+        THETA_LADDER, lambda th: ap_characteristic(u, 1.0, th, rho, cubes).value
+    )
 
 
 def s_operator(
@@ -137,10 +141,8 @@ def estimate_K0(
         raise ValueError("empty suite")
     fam = cubes if cubes is not None else default_family(u.domain)
     theta = ladder_exponent(v, rho, fam)
-    chars = {t: ap_characteristic(v, t, theta, rho, fam).value for t in T_LADDER}
-    floor_val = chars[T_LADDER[-1]]
-    t = next(
-        (tt for tt in T_LADDER if chars[tt] <= 1.25 * floor_val), T_LADDER[-1]
+    t = _first_stable(
+        T_LADDER, lambda tt: ap_characteristic(v, tt, theta, rho, fam).value
     )
     eps = ainf_epsilon_form(v, theta, rho, fam).eps
     p0 = 1.0 + 2.0 * (t - 1.0) / eps

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 __all__ = [
     "ALL_CELL_ALIGNED",
@@ -269,10 +270,17 @@ class CubeFamily:
     """Deterministic enumeration of cubes, grouped by side for vector sweeps.
 
     Policies:
-      * ALL_CELL_ALIGNED (dim 1 only): every anchored interval, n(n+1)/2 total.
-      * DYADIC_SIDES: side_cells in {1, 2, 4, ..., n}, anchors on the stride
-        lattice of the same granularity (disjoint tiles per side).
-      * DYADIC_GRID_OF: recursive bisection tree of a root cube.
+      * ALL_CELL_ALIGNED (dim 1 only): every cell-aligned interval inside the
+        root, or inside the box when no root is given; m(m+1)/2 of them on m
+        cells.
+      * DYADIC_SIDES (dims 1-3): side_cells in {1, 2, 4, ..., n}, anchors on
+        the stride lattice of the same granularity (disjoint tiles per side).
+      * DYADIC_GRID_OF (dims 1-3): recursive bisection tree of a root cube.
+
+    Every sweep goes through sweep(), cube_extreme() and cell_max().  The
+    sliding-window filters serve ALL_CELL_ALIGNED; the two dyadic policies
+    view the covered region as one (tile, cell-in-tile) pair of axes per
+    dimension, so one reshape serves every dim.
     """
 
     domain: Domain
@@ -284,45 +292,39 @@ class CubeFamily:
             raise ValueError(f"unknown cube family policy {self.policy!r}")
         if self.policy == ALL_CELL_ALIGNED and self.domain.dim != 1:
             raise ValueError("ALL_CELL_ALIGNED is only supported in dim 1")
+        if self.root is not None and self.root.domain != self.domain:
+            raise DomainMismatchError("root cube on a different domain")
         if self.policy == DYADIC_GRID_OF:
             if self.root is None:
                 raise ValueError("DYADIC_GRID_OF needs a root cube")
-            if self.root.domain != self.domain:
-                raise DomainMismatchError("root cube on a different domain")
             if self.root.side_cells & (self.root.side_cells - 1):
                 raise ValueError("DYADIC_GRID_OF root side_cells must be a power of 2")
-        elif self.root is not None:
-            raise ValueError("root is only meaningful for DYADIC_GRID_OF")
+        elif self.policy == DYADIC_SIDES and self.root is not None:
+            raise ValueError("DYADIC_SIDES tiles the whole box and takes no root")
+
+    def _span(self) -> int:
+        return self.root.side_cells if self.root is not None else self.domain.n
+
+    def region(self) -> tuple[slice, ...]:
+        """The cells the family's cubes cover: the root, else the whole box."""
+        if self.root is not None:
+            return self.root.slices()
+        return (slice(None),) * self.domain.dim
 
     def side_cells_list(self) -> list[int]:
-        n = self.domain.n
+        span = self._span()
         if self.policy == ALL_CELL_ALIGNED:
-            return list(range(1, n + 1))
-        if self.policy == DYADIC_SIDES:
-            return [1 << k for k in range(self.domain.level + 1)]
-        sides = []
-        s = 1
-        while s <= self.root.side_cells:
-            sides.append(s)
-            s *= 2
-        return sides
+            return list(range(1, span + 1))
+        return [1 << k for k in range(span.bit_length())]
 
     def anchors(self, side_cells: int) -> np.ndarray:
         """(m, dim) int array of anchors for this side, lexicographic order."""
+        lo = self.root.anchor if self.root is not None else (0,) * self.domain.dim
+        span = self._span()
         if self.policy == ALL_CELL_ALIGNED:
-            starts = np.arange(self.domain.n - side_cells + 1)
-            return starts[:, None]
-        if self.policy == DYADIC_SIDES:
-            starts = np.arange(0, self.domain.n, side_cells)
-        else:
-            root = self.root
-            starts = None  # per-axis below
-            per_axis = [
-                np.arange(a, a + root.side_cells, side_cells) for a in root.anchor
-            ]
-            mesh = np.meshgrid(*per_axis, indexing="ij")
-            return np.stack([m.ravel() for m in mesh], axis=-1)
-        mesh = np.meshgrid(*([starts] * self.domain.dim), indexing="ij")
+            return np.arange(lo[0], lo[0] + span - side_cells + 1)[:, None]
+        per_axis = [np.arange(a, a + span, side_cells) for a in lo]
+        mesh = np.meshgrid(*per_axis, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def count(self) -> int:
@@ -332,6 +334,66 @@ class CubeFamily:
         for s in self.side_cells_list():
             for anchor in self.anchors(s):
                 yield Cube(self.domain, tuple(int(a) for a in anchor), s)
+
+    def sweep(self, *values: np.ndarray):
+        """Per side, smallest first: (side, anchors, avgs).
+
+        avgs holds one array per input: its average over every cube of the
+        side, in anchors order, read from a BoxSums table of the covered
+        region.
+        """
+        region = self.region()
+        tables = [BoxSums(np.asarray(v, dtype=np.float64)[region]) for v in values]
+        origin = None if self.root is None else np.asarray(self.root.anchor)
+        for s in self.side_cells_list():
+            anchors = self.anchors(s)
+            local = anchors if origin is None else anchors - origin
+            cells = s**self.domain.dim
+            yield s, anchors, [t.box_sum(local, s) / cells for t in tables]
+
+    def centers_radius(self, s: int, anchors: np.ndarray) -> tuple[np.ndarray, float]:
+        """Centers (one row per anchor) and radius of the cubes of side s."""
+        h = self.domain.cell_width
+        return (anchors + s / 2.0) * h, math.sqrt(self.domain.dim) * s * h / 2.0
+
+    def _tiles(self, region: np.ndarray, s: int) -> np.ndarray:
+        """View of a region as (tile, cell-in-tile) axis pairs, one per dim."""
+        k = region.shape[0] // s
+        return region.reshape((k, s) * self.domain.dim)
+
+    def cube_extreme(self, values: np.ndarray, s: int, kind: str) -> np.ndarray:
+        """Min or max (kind) of values over each cube of side s, anchors order."""
+        vals = np.asarray(values, dtype=np.float64)[self.region()]
+        if self.policy == ALL_CELL_ALIGNED:
+            if s == 1:
+                return vals
+            filt = minimum_filter1d if kind == "min" else maximum_filter1d
+            out = filt(vals, size=s, mode="nearest")
+            n = vals.shape[0]
+            return out[s // 2 : s // 2 + (n - s + 1)]
+        op = np.min if kind == "min" else np.max
+        tiles = self._tiles(vals, s)
+        return op(tiles, axis=tuple(range(1, tiles.ndim, 2))).ravel()
+
+    def cell_max(self, scores: np.ndarray, s: int, out: np.ndarray) -> None:
+        """Spread each cube's score (anchors order) onto the cells the cube
+        covers, keeping the running max in out (a grid-shaped array)."""
+        view = out[self.region()]
+        if self.policy == ALL_CELL_ALIGNED:
+            n = view.shape[0]
+            if s > 1:
+                padded = np.full(n, -np.inf)
+                padded[: n - s + 1] = scores
+                # origin (s-1)//2 ends the length-s window at the output cell
+                # for both parities, so anchor a reaches exactly [a, a+s-1]
+                scores = maximum_filter1d(
+                    padded, size=s, mode="constant", cval=-np.inf, origin=(s - 1) // 2
+                )
+            np.maximum(view, scores, out=view)
+            return
+        tiles = self._tiles(view, s)
+        k = view.shape[0] // s
+        np.maximum(tiles, scores.reshape((k, 1) * self.domain.dim), out=tiles)
 
 
 def enumerate_cubes(

@@ -6,14 +6,16 @@ The central object is
                     (1 + r0/rho(x0))^(-sigma) * avg_Q |f|,
 
 with the sup running over a cube family: every cell-aligned interval in
-dim 1 (exact within the discretization), dyadic-side tiles in dim 2 (the
-fixed dimensional gap to the full sup cancels in like-vs-like audits).
-Localized and dyadic variants restrict the family to one root cube, and the
-local/global split separates subcritical cubes (r <= rho) from the rest.
+dim 1 (exact within the discretization), dyadic-side tiles in dims 2 and 3
+(the fixed dimensional gap to the full sup cancels in like-vs-like audits),
+or the bisection tree of a root cube in any dim.  Cells that no cube of the
+family covers read 0, the zero-extension convention.  Localized and dyadic
+variants restrict the family to one root cube, and the local/global split
+separates subcritical cubes (r <= rho) from the rest.
 
-Sweeps cost O(n log n) to O(n^2): one prefix-sum table gives every cube
-average in O(1) and a sliding max-filter turns per-anchor values into
-per-cell suprema.
+Sweeps cost O(n log n) to O(n^2): CubeFamily.sweep gives every cube
+average in O(1) from one prefix-sum table, and CubeFamily.cell_max turns
+per-anchor values into per-cell suprema.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .critical import RhoSpec, growth_factor, rho_values
 from .grid import (
@@ -55,52 +56,10 @@ def default_family(domain: Domain) -> CubeFamily:
     return enumerate_cubes(domain, policy)
 
 
-def _anchor_max_to_cells(vals: np.ndarray, s: int, n: int) -> np.ndarray:
-    """out[c] = max over anchors a in [c-s+1, c] of vals[a] (dim 1).
-
-    vals has one entry per valid anchor (n - s + 1 of them); invalid anchor
-    slots are padded with -inf so the filter window never sees them.
-    """
-    if s == 1:
-        return vals
-    padded = np.full(n, -np.inf)
-    padded[: n - s + 1] = vals
-    # origin (s-1)//2 ends the length-s window at the output cell for both
-    # parities, so anchor a reaches exactly the cells [a, a+s-1]
-    return maximum_filter1d(
-        padded, size=s, mode="constant", cval=-np.inf, origin=(s - 1) // 2
-    )
-
-
-def _tile_to_cells(vals: np.ndarray, s: int) -> np.ndarray:
-    """Upsample per-tile values back to cells (dim 2 disjoint tiles)."""
-    return np.repeat(np.repeat(vals, s, axis=0), s, axis=1)
-
-
-def _sweep_max(
-    family: CubeFamily,
-    per_cube,
-) -> np.ndarray:
-    """Cellwise sup over the family of a per-cube score.
-
-    per_cube(side, anchors) returns one score per anchor; the sweep spreads
-    each cube's score onto the cells it covers and keeps the running max.
-    """
-    domain = family.domain
-    n = domain.n
-    out = np.full(domain.shape, -np.inf)
-    for s in family.side_cells_list():
-        anchors = family.anchors(s)
-        scores = per_cube(s, anchors)
-        if domain.dim == 1:
-            if family.policy == ALL_CELL_ALIGNED:
-                layer = _anchor_max_to_cells(scores, s, n)
-            else:
-                layer = np.repeat(scores, s)
-            np.maximum(out, layer, out=out)
-        else:
-            m = n // s
-            np.maximum(out, _tile_to_cells(scores.reshape(m, m), s), out=out)
+def _cell_floor(family: CubeFamily) -> np.ndarray:
+    """Start of a cellwise sup: -inf where the family has cubes, 0 off them."""
+    out = np.zeros(family.domain.shape)
+    out[family.region()] = -np.inf
     return out
 
 
@@ -115,25 +74,32 @@ def m_rho_sigma(
 
     With q > 1 this is (M[sigma](|f|^q))^(1/q).  Monotone decreasing in
     sigma cellwise; sigma = 0 over ALL_CELL_ALIGNED in dim 1 is the exact
-    discrete uncentered maximal function.
+    discrete uncentered maximal function.  Cells no cube of the family
+    covers (off a root) read 0.
     """
     if sigma < 0 or q < 1:
         raise ValueError("need sigma >= 0 and q >= 1")
     family = cubes if cubes is not None else default_family(f.domain)
-    domain = f.domain
-    h = domain.cell_width
-    table = BoxSums(np.abs(f.values) ** q)
+    out = _cell_floor(family)
+    for s, anchors, (avg,) in family.sweep(np.abs(f.values) ** q):
+        if sigma != 0.0 and not rho.is_classical:
+            centers, radius = family.centers_radius(s, anchors)
+            avg = avg * growth_factor(rho, centers, radius) ** (-sigma)
+        family.cell_max(avg, s, out)
+    return GridFunction(f.domain, out ** (1.0 / q) if q != 1.0 else out)
 
-    def per_cube(s: int, anchors: np.ndarray) -> np.ndarray:
-        avg = table.box_sum(anchors, s) / s**domain.dim
-        if sigma == 0.0 or rho.is_classical:
-            return avg
-        centers = (anchors + s / 2.0) * h
-        radius = math.sqrt(domain.dim) * s * h / 2.0
-        return avg * growth_factor(rho, centers, radius) ** (-sigma)
 
-    out = _sweep_max(family, per_cube)
-    return GridFunction(domain, out ** (1.0 / q) if q != 1.0 else out)
+def _pyramid_max(block: np.ndarray) -> np.ndarray:
+    """Cellwise max of every dyadic block average of a cubical power-of-two
+    array, the averages read from its pairwise child-sum pyramid."""
+    dim = block.ndim
+    out = np.zeros_like(block)
+    for j, sums in enumerate(dyadic_sum_pyramid(block)):
+        avg = sums / float((1 << j) ** dim)
+        for ax in range(dim):
+            avg = np.repeat(avg, 1 << j, axis=ax)
+        np.maximum(out, avg, out=out)
+    return out
 
 
 def m_dyadic(f: GridFunction, R: Cube) -> GridFunction:
@@ -146,24 +112,15 @@ def m_dyadic(f: GridFunction, R: Cube) -> GridFunction:
         raise ValueError("root cube on a different domain")
     if R.side_cells & (R.side_cells - 1):
         raise ValueError("dyadic root needs a power-of-two side")
-    dim = f.domain.dim
-    block = np.abs(f.values[R.slices()])
-    levels = dyadic_sum_pyramid(block)
-    out = np.zeros_like(block)
-    for j, sums in enumerate(levels):
-        avg = sums / float((1 << j) ** dim)
-        for ax in range(dim):
-            avg = np.repeat(avg, 1 << j, axis=ax)
-        np.maximum(out, avg, out=out)
     full = np.zeros(f.domain.shape)
-    full[R.slices()] = out
+    full[R.slices()] = _pyramid_max(np.abs(f.values[R.slices()]))
     return GridFunction(f.domain, full)
 
 
 def m_localized(f: GridFunction, R: Cube) -> GridFunction:
     """Maximal function over cubes contained in R (zero off R).
 
-    Dim 1 scans every cell-aligned interval inside R; dim 2 takes the
+    Dim 1 scans every cell-aligned interval inside R; dims 2 and 3 take the
     dyadic-sides tiles contained in R together with the bisection tree of
     R (R's own average when an odd side leaves no tree), so the localized
     sup always dominates the dyadic one.
@@ -172,17 +129,9 @@ def m_localized(f: GridFunction, R: Cube) -> GridFunction:
         raise ValueError("root cube on a different domain")
     domain = f.domain
     if domain.dim == 1:
-        sub = np.abs(f.values[R.slices()])
-        m = sub.shape[0]
-        table = BoxSums(sub)
-        out = np.full(m, -np.inf)
-        for s in range(1, m + 1):
-            anchors = np.arange(m - s + 1)[:, None]
-            avg = table.box_sum(anchors, s) / s
-            np.maximum(out, _anchor_max_to_cells(avg, s, m), out=out)
-        full = np.zeros(domain.shape)
-        full[R.slices()] = out
-        return GridFunction(domain, full)
+        return m_rho_sigma(
+            f, RhoSpec.classical(), cubes=enumerate_cubes(domain, ALL_CELL_ALIGNED, R)
+        )
 
     if R.side_cells & (R.side_cells - 1) == 0:
         out = m_dyadic(f, R).values.copy()
@@ -191,7 +140,6 @@ def m_localized(f: GridFunction, R: Cube) -> GridFunction:
         out = np.zeros(domain.shape)
         out[R.slices()] = np.mean(np.abs(f.values[R.slices()]))
     table = BoxSums(np.abs(f.values))
-    n = domain.n
     s = 1
     while s <= R.side_cells:
         # dyadic-sides tiles of the full grid that fit inside R
@@ -217,6 +165,7 @@ def m_localized(f: GridFunction, R: Cube) -> GridFunction:
 class LocGlobReport:
     loc: GridFunction
     glob: GridFunction
+    m: GridFunction               # M[sigma] f over the same family
     sigma: float
     max_upper_violation: float   # M - (loc + glob), positive means broken
     max_lower_violation: float   # 2^-sigma max(loc, glob) - M
@@ -235,56 +184,48 @@ def loc_glob_split(
 
         M[sigma] f <= loc + glob,   M[sigma] f >= 2^-sigma max(loc, glob).
 
-    Empty pieces are zero by the zero-extension convention.
+    One sweep yields loc, glob and M[sigma] f itself, bit-identical to
+    m_rho_sigma(f, rho, sigma, 1.0, cubes).  Empty pieces are zero by the
+    zero-extension convention.
     """
     family = cubes if cubes is not None else default_family(f.domain)
     domain = f.domain
-    h = domain.cell_width
-    table = BoxSums(np.abs(f.values))
-    counts = [0, 0]
-
-    def split_scores(s, anchors, want_loc):
-        avg = table.box_sum(anchors, s) / s**domain.dim
-        radius = math.sqrt(domain.dim) * s * h / 2.0
+    m_vals, loc_vals, glob_vals = (_cell_floor(family) for _ in range(3))
+    sub_count = sup_count = 0
+    for s, anchors, (avg,) in family.sweep(np.abs(f.values)):
         if rho.is_classical:
-            sub = np.ones(len(anchors), dtype=bool)
-            rv = None
-        else:
-            rv = rho_values(rho, (anchors + s / 2.0) * h)
-            sub = radius <= rv
-        if want_loc:
-            return np.where(sub, avg, -np.inf)
-        if rv is None:
-            return np.full(len(anchors), -np.inf)
+            sub_count += len(avg)
+            family.cell_max(avg, s, m_vals)
+            family.cell_max(avg, s, loc_vals)
+            continue
+        centers, radius = family.centers_radius(s, anchors)
+        rv = rho_values(rho, centers)
+        # growth_factor's floats, so M matches m_rho_sigma bit for bit
+        m = avg if sigma == 0.0 else avg * (1.0 + radius / rv) ** (-sigma)
+        family.cell_max(m, s, m_vals)
+        sub = radius <= rv
+        n_sub = int(np.count_nonzero(sub))
+        sub_count += n_sub
+        sup_count += len(sub) - n_sub
+        family.cell_max(np.where(sub, avg, -np.inf), s, loc_vals)
         ratio = rv / radius
         ratio[sub] = 1.0  # discarded below; keeps the power from overflowing
-        scores = avg * ratio**sigma
-        scores[sub] = -np.inf
-        return scores
-
-    def loc_cube(s, anchors):
-        scores = split_scores(s, anchors, True)
-        counts[0] += int(np.sum(scores > -np.inf))
-        return scores
-
-    def glob_cube(s, anchors):
-        scores = split_scores(s, anchors, False)
-        counts[1] += int(np.sum(scores > -np.inf))
-        return scores
-
-    loc_vals = np.maximum(_sweep_max(family, loc_cube), 0.0)
-    glob_vals = np.maximum(_sweep_max(family, glob_cube), 0.0)
-    m_vals = m_rho_sigma(f, rho, sigma, 1.0, family).values
+        glob = avg * ratio**sigma
+        glob[sub] = -np.inf
+        family.cell_max(glob, s, glob_vals)
+    np.maximum(loc_vals, 0.0, out=loc_vals)
+    np.maximum(glob_vals, 0.0, out=glob_vals)
     upper = float(np.max(m_vals - (loc_vals + glob_vals)))
     lower = float(np.max(2.0**-sigma * np.maximum(loc_vals, glob_vals) - m_vals))
     return LocGlobReport(
         loc=GridFunction(domain, loc_vals),
         glob=GridFunction(domain, glob_vals),
+        m=GridFunction(domain, m_vals),
         sigma=sigma,
         max_upper_violation=upper,
         max_lower_violation=lower,
-        subcritical_cubes=counts[0],
-        supercritical_cubes=counts[1],
+        subcritical_cubes=sub_count,
+        supercritical_cubes=sup_count,
     )
 
 
@@ -353,14 +294,7 @@ def _dyadic_max_on_window(
         for ax in range(dim)
     )
     pad[sl] = fq
-    levels = dyadic_sum_pyramid(pad)
-    out = np.zeros_like(pad)
-    for j, sums in enumerate(levels):
-        avg = sums / float((1 << j) ** dim)
-        for ax in range(dim):
-            avg = np.repeat(avg, 1 << j, axis=ax)
-        np.maximum(out, avg, out=out)
-    return out[sl]
+    return _pyramid_max(pad)[sl]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ rho-adapted ones: the defining ratio of each cube Q = Q(x, r) is discounted
 by the growth factor (1 + r/rho(x))^theta, so membership is monotone in
 theta and theta = 0 (or a CLASSICAL rho) recovers the classical classes.
 
-Characteristics are exact suprema over the requested cube family, computed
-with prefix-sum tables (O(1) per cube average) and sliding-window extrema,
-so a full dim-1 sweep over all n(n+1)/2 intervals costs O(n^2).
+Characteristics are exact suprema over the requested cube family, in any
+dim the family supports (every interval in dim 1; dyadic-side tiles or a
+bisection tree in dims 1-3).  CubeFamily.sweep reads every cube average
+from a prefix-sum table in O(1) and CubeFamily.cube_extreme supplies the
+cube minima and maxima, so a full dim-1 sweep over all n(n+1)/2 intervals
+costs O(n^2).
 """
 
 from __future__ import annotations
@@ -16,12 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .critical import RhoSpec, growth_factor
 from .grid import (
-    ALL_CELL_ALIGNED,
-    BoxSums,
     Cube,
     CubeFamily,
     GridFunction,
@@ -57,78 +57,26 @@ class WeightCharacteristic:
     policy: str
 
 
-def _window_extreme(vals: np.ndarray, size: int, kind: str) -> np.ndarray:
-    """Per-anchor min/max of vals over forward windows [a, a + size)."""
-    if size == 1:
-        return vals
-    filt = minimum_filter1d if kind == "min" else maximum_filter1d
-    out = filt(vals, size=size, mode="nearest")
-    n = vals.shape[0]
-    return out[size // 2 : size // 2 + (n - size + 1)]
+def _sup(
+    cubes: CubeFamily, rho: RhoSpec, theta: float, values: tuple, score
+) -> tuple[float, Cube]:
+    """Sup over the family of score(avgs, side) / factor^theta, with witness.
 
-
-def _tile_extreme(vals: np.ndarray, size: int, kind: str) -> np.ndarray:
-    """Min/max over the disjoint size^dim tiles of a dim-2 grid, flattened."""
-    n = vals.shape[0]
-    blocks = vals.reshape(n // size, size, n // size, size)
-    op = np.min if kind == "min" else np.max
-    return op(blocks, axis=(1, 3)).ravel()
-
-
-def _cube_extremes(w: np.ndarray, family: CubeFamily, s: int, kind: str) -> np.ndarray:
-    if family.domain.dim == 1:
-        if family.policy == ALL_CELL_ALIGNED:
-            return _window_extreme(w, s, kind)
-        n = w.shape[0]
-        op = np.min if kind == "min" else np.max
-        return op(w.reshape(n // s, s), axis=1)
-    if family.policy != "dyadic_sides":
-        raise ValueError("extreme sweep supports ALL_CELL_ALIGNED or DYADIC_SIDES")
-    return _tile_extreme(w, s, kind)
-
-
-def _sweep(
-    family: CubeFamily,
-    tables: dict[str, BoxSums],
-    extremes: tuple[str, str] | None,
-    rho: RhoSpec,
-    theta: float,
-    numer,
-):
-    """Generic sup over the family of numer(avgs, extreme) / factor^theta.
-
-    numer receives dict side -> per-cube averages for each table plus the
-    per-cube extreme array (or None) and returns the raw ratio array.
+    score receives the cube averages of each array in values for one side
+    and returns the raw ratio per cube.
     """
-    domain = family.domain
-    h = domain.cell_width
     best = -math.inf
     witness = None
-    for s in family.side_cells_list():
-        anchors = family.anchors(s)
-        cells = s**domain.dim
-        avgs = {k: t.box_sum(anchors, s) / cells for k, t in tables.items()}
-        ext = None
-        if extremes is not None:
-            key, kind = extremes
-            ext = _cube_extremes(tables[key].source, family, s, kind)
-        raw = numer(avgs, ext)
-        centers = (anchors + s / 2.0) * h
-        radius = math.sqrt(domain.dim) * s * h / 2.0
-        ratio = raw / growth_factor(rho, centers, radius) ** theta
+    for s, anchors, avgs in cubes.sweep(*values):
+        ratio = score(avgs, s)
+        if theta != 0.0 and not rho.is_classical:
+            centers, radius = cubes.centers_radius(s, anchors)
+            ratio = ratio / growth_factor(rho, centers, radius) ** theta
         i = int(np.argmax(ratio))
         if ratio[i] > best:
             best = float(ratio[i])
-            witness = Cube(domain, tuple(int(a) for a in anchors[i]), s)
+            witness = Cube(cubes.domain, tuple(int(a) for a in anchors[i]), s)
     return best, witness
-
-
-class _SourceSums(BoxSums):
-    """BoxSums that keeps the raw value array around for extreme sweeps."""
-
-    def __init__(self, values: np.ndarray):
-        super().__init__(values)
-        self.source = np.asarray(values, dtype=np.float64)
 
 
 def ap_characteristic(
@@ -151,30 +99,24 @@ def ap_characteristic(
     vals = w.values
 
     if p == math.inf:
-        tables = {"w": _SourceSums(vals), "logw": _SourceSums(np.log(vals))}
+        def score(avgs, _s):
+            return avgs[0] * np.exp(-avgs[1])
 
-        def numer(avgs, _ext):
-            return avgs["w"] * np.exp(-avgs["logw"])
-
-        value, witness = _sweep(cubes, tables, None, rho, theta, numer)
+        value, witness = _sup(cubes, rho, theta, (vals, np.log(vals)), score)
     elif p == 1:
-        tables = {"w": _SourceSums(vals)}
+        def score(avgs, s):
+            return avgs[0] / cubes.cube_extreme(vals, s, "min")
 
-        def numer(avgs, ext):
-            return avgs["w"] / ext
-
-        value, witness = _sweep(cubes, tables, ("w", "min"), rho, theta, numer)
+        value, witness = _sup(cubes, rho, theta, (vals,), score)
     else:
         pprime = p / (p - 1.0)
-        tables = {
-            "w": _SourceSums(vals),
-            "dual": _SourceSums(vals ** (1.0 - pprime)),
-        }
 
-        def numer(avgs, _ext):
-            return avgs["w"] ** (1.0 / p) * avgs["dual"] ** (1.0 / pprime)
+        def score(avgs, _s):
+            return avgs[0] ** (1.0 / p) * avgs[1] ** (1.0 / pprime)
 
-        value, witness = _sweep(cubes, tables, None, rho, theta, numer)
+        value, witness = _sup(
+            cubes, rho, theta, (vals, vals ** (1.0 - pprime)), score
+        )
     return WeightCharacteristic(value, witness, p, theta, cubes.policy)
 
 
@@ -193,19 +135,15 @@ def rh_characteristic(
     vals = w.values
 
     if s == math.inf:
-        tables = {"w": _SourceSums(vals)}
+        def score(avgs, side):
+            return cubes.cube_extreme(vals, side, "max") / avgs[0]
 
-        def numer(avgs, ext):
-            return ext / avgs["w"]
-
-        value, witness = _sweep(cubes, tables, ("w", "max"), rho, theta, numer)
+        value, witness = _sup(cubes, rho, theta, (vals,), score)
     else:
-        tables = {"w": _SourceSums(vals), "ws": _SourceSums(vals**s)}
+        def score(avgs, _side):
+            return avgs[1] ** (1.0 / s) / avgs[0]
 
-        def numer(avgs, _ext):
-            return avgs["ws"] ** (1.0 / s) / avgs["w"]
-
-        value, witness = _sweep(cubes, tables, None, rho, theta, numer)
+        value, witness = _sup(cubes, rho, theta, (vals, vals**s), score)
     return WeightCharacteristic(value, witness, s, theta, cubes.policy)
 
 

@@ -6,18 +6,6 @@ import pytest
 from rhomix import Cube, GridFunction
 
 
-def iter_cubes(fam):
-    """Yield every Cube in a family, smallest side first."""
-    for s in fam.side_cells_list():
-        for anchor in fam.anchors(s):
-            yield Cube(fam.root.domain if fam.root else fam_domain(fam), tuple(int(a) for a in anchor), s)
-
-
-def fam_domain(fam):
-    # families built by enumerate_cubes always carry a domain via some anchor
-    raise AssertionError("family without root needs an explicit domain")
-
-
 def cubes_of(domain, fam):
     """Materialize a family as a list of Cubes on a known domain."""
     out = []

@@ -14,6 +14,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from rhomix import (
     Cube,
@@ -268,6 +269,7 @@ def _mixed_constant(f, u, v, rho, sigma, fam) -> float:
     return lorentz_norm(ratio, mu, 1.0, math.inf) / denom
 
 
+@pytest.mark.slow
 def test_05_mixed_constant_stable_under_refinement():
     t0 = time.time()
     from rhomix import standard_suite_spec
@@ -468,6 +470,7 @@ def test_08_rearrangement_and_indicator_closed_forms():
     )
 
 
+@pytest.mark.slow
 def test_09_interpolation_with_measured_constants():
     t0 = time.time()
     rng = np.random.default_rng(109)
@@ -501,6 +504,7 @@ def test_09_interpolation_with_measured_constants():
     )
 
 
+@pytest.mark.slow
 def test_10_majorant_algorithm_certificates():
     t0 = time.time()
     from rhomix import standard_suite_spec

@@ -134,6 +134,45 @@ def test_dyadic_tree_of_subcube():
     assert [tuple(a) for a in tree.anchors(2)] == [(4,), (6,)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_family_primitives_match_cube_loop(data):
+    """cell_max and cube_extreme agree exactly with a plain loop over the
+    family's cubes, for every policy, dim, level and root."""
+    policy = data.draw(st.sampled_from([ALL_CELL_ALIGNED, DYADIC_SIDES, DYADIC_GRID_OF]))
+    dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 3))
+    level = data.draw(st.integers(1, 3 if dim == 3 else 4))
+    dom = Domain(dim, 4.0, level)
+    root = None
+    if policy == DYADIC_GRID_OF or (policy == ALL_CELL_ALIGNED and data.draw(st.booleans())):
+        if policy == DYADIC_GRID_OF:
+            side = 1 << data.draw(st.integers(0, level))
+        else:
+            side = data.draw(st.integers(1, dom.n))
+        anchor = tuple(data.draw(st.integers(0, dom.n - side)) for _ in range(dim))
+        root = Cube(dom, anchor, side)
+    fam = enumerate_cubes(dom, policy, root)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vals = rng.normal(size=dom.shape)
+
+    by_side: dict[int, list[Cube]] = {}
+    for Q in fam:
+        by_side.setdefault(Q.side_cells, []).append(Q)
+    assert sorted(by_side) == fam.side_cells_list()
+    got = np.full(dom.shape, -np.inf)
+    want = np.full(dom.shape, -np.inf)
+    for s, cubes in by_side.items():
+        scores = rng.normal(size=len(cubes))
+        fam.cell_max(scores, s, got)
+        for Q, score in zip(cubes, scores):
+            sl = Q.slices()
+            want[sl] = np.maximum(want[sl], score)
+        for kind, op in (("min", np.min), ("max", np.max)):
+            ext = fam.cube_extreme(vals, s, kind)
+            assert np.array_equal(ext, [op(vals[Q.slices()]) for Q in cubes])
+    assert np.array_equal(got, want)
+
+
 def test_pyramid_levels_conserve_mass():
     rng = np.random.default_rng(7)
     for dim in (1, 2):

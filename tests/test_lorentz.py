@@ -199,6 +199,7 @@ def test_interpolation_identity_operator():
     assert rep.bound_constant > 1.0
 
 
+@pytest.mark.slow
 def test_interpolation_negative_control_fires():
     rng = np.random.default_rng(69)
     dom = Domain(1, 8.0, 6)

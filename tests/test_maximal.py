@@ -1,5 +1,6 @@
 """Maximal operators: sup sweeps, dyadic variants, splits, shifted grids."""
 
+import itertools
 import math
 
 import numpy as np
@@ -77,19 +78,69 @@ def test_power_mean_variant_matches_brute_force():
     assert np.allclose(got, want, rtol=1e-12)
 
 
-def test_dim2_matches_brute_force_tiles():
-    rng = np.random.default_rng(44)
-    dom = Domain(2, 4.0, 3)
-    f = GridFunction(dom, rng.normal(0, 1, dom.shape))
-    got = m_rho_sigma(f, CL).values
+def _tree(Q):
+    """Q and every cube of its bisection tree, by explicit recursion."""
+    yield Q
+    if Q.side_cells > 1:
+        for kid in Q.children():
+            yield from _tree(kid)
+
+
+def _dyadic_tiles(dom):
+    """Every dyadic-side tile of the box, by explicit nested loops."""
+    s = 1
+    while s <= dom.n:
+        for anchor in itertools.product(range(0, dom.n, s), repeat=dom.dim):
+            yield Cube(dom, anchor, s)
+        s *= 2
+
+
+def brute_m_cubes(f, cubes, rho, sigma):
+    """Per-cube sup with plain numpy means; zero where no cube reaches."""
     vals = np.abs(f.values)
-    want = np.zeros(dom.shape)
-    for s in (1, 2, 4, 8):
-        for i in range(0, dom.n, s):
-            for j in range(0, dom.n, s):
-                avg = vals[i : i + s, j : j + s].mean()
-                want[i : i + s, j : j + s] = np.maximum(want[i : i + s, j : j + s], avg)
-    assert np.allclose(got, want, rtol=1e-12)
+    out = np.zeros(f.domain.shape)
+    for Q in cubes:
+        avg = float(vals[Q.slices()].mean())
+        if sigma > 0 and not rho.is_classical:
+            center = Q.center()[None, :]
+            avg *= (1.0 + Q.radius / rho_values(rho, center)[0]) ** (-sigma)
+        sl = Q.slices()
+        out[sl] = np.maximum(out[sl], avg)
+    return out
+
+
+def test_dim2_matches_brute_force_tiles():
+    """Dyadic-side tiles in dims 2 and 3, and bisection trees of sub-box
+    roots in dims 1-3, against explicit cube loops."""
+    rng = np.random.default_rng(44)
+    rho = RhoSpec.constant(1.5)
+    cases = [
+        (Domain(2, 4.0, 3), None),
+        (Domain(3, 4.0, 2), None),
+        (Domain(1, 4.0, 4), (4,)),
+        (Domain(2, 4.0, 3), (4, 0)),
+        (Domain(3, 4.0, 3), (2, 4, 0)),
+    ]
+    for dom, anchor in cases:
+        f = GridFunction(dom, rng.normal(0, 1, dom.shape))
+        if anchor is None:
+            fam, cubes = default_family(dom), list(_dyadic_tiles(dom))
+        else:
+            R = Cube(dom, anchor, dom.n // 2)
+            fam, cubes = enumerate_cubes(dom, DYADIC_GRID_OF, R), list(_tree(R))
+        for rr, sigma in ((CL, 0.0), (rho, 1.0)):
+            got = m_rho_sigma(f, rr, sigma, 1.0, fam).values
+            want = brute_m_cubes(f, cubes, rr, sigma)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-15), (dom, anchor, sigma)
+            if anchor is not None:
+                assert np.all(got[~R.mask()] == 0.0)
+
+
+def test_dim3_domain_regression():
+    # m_rho_sigma on Domain(3, 8.0, 3) used to raise a reshape error
+    dom = Domain(3, 8.0, 3)
+    m = m_rho_sigma(GridFunction.constant(dom, 1.0), CL)
+    assert np.array_equal(m.values, np.ones(dom.shape))
 
 
 def test_dominates_absolute_value_at_sigma_zero():
@@ -219,6 +270,29 @@ def test_loc_glob_sandwich():
         assert np.all(
             m >= (2.0 ** -sigma) * np.maximum(rep.loc.values, rep.glob.values) - 1e-12
         )
+
+
+def test_loc_glob_m_equals_m_rho_sigma():
+    """The split's own M is m_rho_sigma bit for bit, on every family."""
+    rng = np.random.default_rng(55)
+    d1, d2, d3 = Domain(1, 8.0, 5), Domain(2, 8.0, 3), Domain(3, 8.0, 2)
+    families = [
+        default_family(d1),
+        default_family(d2),
+        default_family(d3),
+        enumerate_cubes(d1, DYADIC_GRID_OF, Cube(d1, (8,), 16)),
+        enumerate_cubes(d2, DYADIC_GRID_OF, Cube(d2, (1, 3), 4)),
+    ]
+    rhos = (CL, RhoSpec.constant(0.75), RhoSpec.analytic(lambda x: 1.0 + x[:, 0]))
+    for fam in families:
+        f = GridFunction(fam.domain, rng.normal(0, 1, fam.domain.shape))
+        for rho in rhos:
+            for sigma in (0.0, 1.5):
+                rep = loc_glob_split(f, rho, sigma, fam)
+                m = m_rho_sigma(f, rho, sigma, q=1.0, cubes=fam)
+                assert np.array_equal(rep.m.values, m.values), (fam, rho, sigma)
+                assert rep.max_upper_violation <= 1e-12
+                assert rep.max_lower_violation <= 1e-12
 
 
 def test_shift_set_parents_contain_their_cube():

@@ -179,6 +179,25 @@ def test_experiments_pass_and_rerun_identically():
         assert rep1.canonical_json() == rep2.canonical_json()
 
 
+def test_corona_run_dim2_regression():
+    # every dim-2 corona-run used to raise: its A_1 sweep over the root's
+    # bisection tree rejected DYADIC_GRID_OF families in dim 2
+    cfg = default_config("corona-run", dim=2, level=4, seed=7)
+    rep = run_experiment(cfg)
+    assert rep.ok, rep.passes
+    assert rep.tables and rep.measured["h1_violations"] == 0
+
+
+def test_mixed_m_runs_in_dim3():
+    cfg = default_config("mixed-M", dim=3, level=2, seed=7)
+    cfg["suite"].update(pair_count=1, f_count=2)
+    cfg["suite"]["rho"] = {"kind": "analytic", "name": "inv_one_plus_dist"}
+    rep = run_experiment(cfg)
+    assert rep.passes["all_finite"]
+    assert "refinement" in rep.deltas
+    assert rep.canonical_json() == run_experiment(cfg).canonical_json()
+
+
 def test_canonical_json_excludes_wall_clock():
     rep = run_experiment(_small("lorentz", instances=10))
     assert rep.wall_clock_s > 0.0

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from rhomix import (
     ALL_CELL_ALIGNED,
+    DYADIC_GRID_OF,
     DYADIC_SIDES,
+    Cube,
     Domain,
     GridFunction,
     InvalidWeightError,
@@ -70,13 +72,42 @@ def test_ap_matches_brute_force_oracle():
         assert got == pytest.approx(want, rel=1e-10), p
 
 
+# families past dim-1 intervals: dyadic-side tiles in dims 2 and 3, and
+# bisection trees of sub-box roots (not at the origin) in dims 1-3
+def _more_families():
+    d1, d2, d3 = Domain(1, 4.0, 4), Domain(2, 4.0, 3), Domain(3, 4.0, 3)
+    return [
+        _fam(d2),
+        _fam(Domain(3, 4.0, 2)),
+        enumerate_cubes(d1, DYADIC_GRID_OF, Cube(d1, (4,), 8)),
+        enumerate_cubes(d2, DYADIC_GRID_OF, Cube(d2, (4, 0), 4)),
+        enumerate_cubes(d3, DYADIC_GRID_OF, Cube(d3, (2, 4, 0), 4)),
+    ]
+
+
 def test_ap_dim2_matches_brute_force_oracle():
     rng = np.random.default_rng(32)
-    dom = Domain(2, 4.0, 3)
-    fam = _fam(dom)
-    w = GridFunction(dom, np.exp(rng.normal(0, 0.5, dom.shape)))
-    got = ap_characteristic(w, 2.0, 0.0, CL, fam).value
-    assert got == pytest.approx(brute_ap(w, 2.0, fam, dom), rel=1e-10)
+    for fam in _more_families():
+        dom = fam.domain
+        w = GridFunction(dom, np.exp(rng.normal(0, 0.5, dom.shape)))
+        for p in (1.0, 2.0, math.inf):
+            got = ap_characteristic(w, p, 0.0, CL, fam)
+            assert got.value == pytest.approx(brute_ap(w, p, fam, dom), rel=1e-10), (fam, p)
+            assert got.witness in set(cubes_of(dom, fam))
+
+
+def test_ap_one_on_dyadic_trees_regression():
+    # the p = 1 sweep used to reject every DYADIC_GRID_OF family in dim 2
+    # and to fail in dim 1 when the root is smaller than the box
+    d = Domain(1, 8.0, 4)
+    w = GridFunction.constant(d, 3.0)
+    fam = enumerate_cubes(d, DYADIC_GRID_OF, Cube(d, (0,), 8))
+    assert ap_characteristic(w, 1.0, 0.0, RhoSpec.classical(), fam).value == 1.0
+    d2 = Domain(2, 8.0, 3)
+    w2 = GridFunction.constant(d2, 3.0)
+    for R in (Cube(d2, (0, 0), 8), Cube(d2, (4, 2), 4)):
+        fam2 = enumerate_cubes(d2, DYADIC_GRID_OF, R)
+        assert ap_characteristic(w2, 1.0, 0.0, CL, fam2).value == 1.0
 
 
 def test_two_valued_weight_closed_form():
@@ -139,22 +170,22 @@ def test_characteristic_cross_exponent_bounds():
 
 def test_rh_matches_brute_force():
     rng = np.random.default_rng(37)
-    dom = Domain(1, 4.0, 4)
-    fam = _fam(dom)
-    w = GridFunction(dom, np.exp(rng.normal(0, 0.7, dom.shape)))
-    for s in (2.0, 4.0):
-        got = rh_characteristic(w, s, 0.0, CL, fam).value
-        want = max(
-            np.mean(w.values[Q.slices()] ** s) ** (1 / s) / np.mean(w.values[Q.slices()])
+    for fam in [_fam(Domain(1, 4.0, 4))] + _more_families():
+        dom = fam.domain
+        w = GridFunction(dom, np.exp(rng.normal(0, 0.7, dom.shape)))
+        for s in (2.0, 4.0):
+            got = rh_characteristic(w, s, 0.0, CL, fam).value
+            want = max(
+                np.mean(w.values[Q.slices()] ** s) ** (1 / s) / np.mean(w.values[Q.slices()])
+                for Q in cubes_of(dom, fam)
+            )
+            assert got == pytest.approx(want, rel=1e-10), (fam, s)
+        ginf = rh_characteristic(w, math.inf, 0.0, CL, fam).value
+        winf = max(
+            w.values[Q.slices()].max() / np.mean(w.values[Q.slices()])
             for Q in cubes_of(dom, fam)
         )
-        assert got == pytest.approx(want, rel=1e-10)
-    ginf = rh_characteristic(w, math.inf, 0.0, CL, fam).value
-    winf = max(
-        w.values[Q.slices()].max() / np.mean(w.values[Q.slices()])
-        for Q in cubes_of(dom, fam)
-    )
-    assert ginf == pytest.approx(winf, rel=1e-12)
+        assert ginf == pytest.approx(winf, rel=1e-12), fam
 
 
 def test_parameter_validation():
