@@ -91,6 +91,7 @@ from .lorentz import (
     interpolation_audit,
     lorentz_norm,
     rearrangement,
+    t_grid_sup,
     weak_norm,
 )
 from .maximal import (

@@ -32,7 +32,7 @@ from .grid import (
     integrate,
 )
 from .extrapolation import ladder_exponent
-from .lorentz import WeightedMeasure, weak_norm
+from .lorentz import WeightedMeasure, t_grid_sup, weak_norm
 from .maximal import default_family, loc_glob_split, m_dyadic
 from .weights import ainf_epsilon_form, ap_characteristic
 
@@ -786,12 +786,7 @@ def mixed_verify_global(
     )
     exact = weak_norm(T, uv) / integral if integral > 0 else math.inf
 
-    tmax = float(np.max(T.values))
-    if t_grid is None:
-        t_grid = np.geomspace(max(tmax * 1e-6, 1e-300), tmax, 64)
-    grid_sup = 0.0
-    for t in t_grid:
-        grid_sup = max(grid_sup, t * uv.mass(T.values > t))
+    grid_sup, t_grid = t_grid_sup(T, uv, t_grid)
     grid_const = grid_sup / integral if integral > 0 else math.inf
 
     with np.errstate(invalid="ignore"):
@@ -809,7 +804,7 @@ def mixed_verify_global(
         loc_constant=float(loc_c),
         glob_constant=float(glob_c),
         integral=float(integral),
-        t_grid=tuple(float(t) for t in t_grid),
+        t_grid=t_grid,
         covering_cubes=cover_count,
     )
 

@@ -283,6 +283,7 @@ def critical_covering(
     pts = domain.cell_centers()
     m = pts.shape[0]
     covered = np.zeros(m, dtype=bool)
+    counts = np.zeros((len(sigmas), m), dtype=np.int64)
     diag_cap = math.sqrt(domain.dim) * domain.side
     centers: list[np.ndarray] = []
     radii: list[float] = []
@@ -295,21 +296,16 @@ def critical_covering(
         if r > diag_cap:
             r = diag_cap
             capped = True
-        half = r / math.sqrt(domain.dim)
-        hit = np.max(np.abs(pts - x), axis=1) <= half * slack
-        covered |= hit
+        dist = np.max(np.abs(pts - x), axis=1)
+        covered |= dist <= (r / math.sqrt(domain.dim)) * slack
         covered[i] = True  # a sub-cell radius still covers its own cell
+        for row, s in zip(counts, sigmas):
+            row += dist <= (s * r / math.sqrt(domain.dim)) * slack
         centers.append(x)
         radii.append(r)
     cen = np.array(centers)
     rad = np.array(radii)
-
-    overlap: dict[float, int] = {}
-    for s in sigmas:
-        counts = np.zeros(m, dtype=np.int64)
-        for x, r in zip(cen, rad):
-            counts += np.max(np.abs(pts - x), axis=1) <= (s * r / math.sqrt(domain.dim)) * slack
-        overlap[float(s)] = int(counts.max())
+    overlap = {float(s): int(row.max()) for row, s in zip(counts, sigmas)}
 
     logs = np.log(np.asarray(sigmas, dtype=float))
     logn = np.log(np.array([overlap[float(s)] for s in sigmas], dtype=float))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .critical import RhoSpec, growth_factor, rho_values
 from .grid import CubeFamily, Domain, GridFunction, integrate, require_weight
-from .lorentz import WeightedMeasure, lorentz_norm, weak_norm
+from .lorentz import WeightedMeasure, lorentz_norm, t_grid_sup, weak_norm
 from .maximal import default_family, m_rho_sigma
 from .weights import THETA_LADDER, ainf_epsilon_form, ap_characteristic
 
@@ -182,6 +182,27 @@ def estimate_K0(
     )
 
 
+def _iterate(h, u, rho, sigma, K0, depth, fam) -> tuple[GridFunction, GridFunction]:
+    """(Rh, S^depth h), validated and growth-checked as rdf_iterate says."""
+    if np.any(h.values < 0):
+        raise ValueError("iteration needs h >= 0")
+    if not (K0 > 0 and depth >= 1):
+        raise ValueError("need K0 > 0 and depth >= 1")
+    total = h.values.copy()
+    term = h
+    first_sup = float(h.values.max())
+    scale = 1.0
+    last_sup = first_sup
+    for _ in range(depth):
+        term = s_operator(term, u, rho, sigma, fam)
+        scale /= 2.0 * K0
+        total += term.values * scale
+        last_sup = float(term.values.max()) * scale
+    if first_sup > 0 and last_sup > first_sup:
+        raise K0TooSmallError((last_sup / first_sup) ** (1.0 / depth))
+    return GridFunction(h.domain, total), term
+
+
 def rdf_iterate(
     h: GridFunction,
     u: GridFunction,
@@ -197,24 +218,8 @@ def rdf_iterate(
     scaled terms grow from first to last (the geometric certificate is
     then worthless).
     """
-    if np.any(h.values < 0):
-        raise ValueError("iteration needs h >= 0")
-    if not (K0 > 0 and depth >= 1):
-        raise ValueError("need K0 > 0 and depth >= 1")
     fam = cubes if cubes is not None else default_family(h.domain)
-    total = h.values.copy()
-    term = h
-    first_sup = float(h.values.max())
-    scale = 1.0
-    last_sup = first_sup
-    for _ in range(depth):
-        term = s_operator(term, u, rho, sigma, fam)
-        scale /= 2.0 * K0
-        total += term.values * scale
-        last_sup = float(term.values.max()) * scale
-    if first_sup > 0 and last_sup > first_sup:
-        raise K0TooSmallError((last_sup / first_sup) ** (1.0 / depth))
-    return GridFunction(h.domain, total)
+    return _iterate(h, u, rho, sigma, K0, depth, fam)[0]
 
 
 @dataclass(frozen=True)
@@ -248,12 +253,8 @@ def rdf_audit(
     penalized average of a sum the operator itself dominates.
     """
     fam = cubes if cubes is not None else default_family(h.domain)
-    rh = rdf_iterate(h, u, rho, sigma, K0, depth, fam)
+    rh, term = _iterate(h, u, rho, sigma, K0, depth, fam)
     minorant = bool(np.all(h.values <= rh.values))
-
-    term = h
-    for _ in range(depth):
-        term = s_operator(term, u, rho, sigma, fam)
     tail_bound = 2.0 * float(term.values.max()) / (2.0 * K0) ** depth
 
     srh = s_operator(rh, u, rho, sigma, fam)
@@ -521,16 +522,7 @@ def mixed_for_T(
     )
     weak_T = weak_norm(T, uv)
     weak_M = weak_norm(M, uv)
-    tmax = float(T.values.max())
-    if t_grid is None:
-        t_grid = (
-            np.geomspace(max(tmax * 1e-6, 1e-300), tmax, 64)
-            if tmax > 0
-            else np.array([1.0])
-        )
-    sup = 0.0
-    for t in t_grid:
-        sup = max(sup, t * uv.mass(T.values > t))
+    sup, t_grid = t_grid_sup(T, uv, t_grid)
     return MixedTReport(
         constant=float(sup / integral) if integral > 0 else 0.0,
         weak_T=float(weak_T),
@@ -538,5 +530,5 @@ def mixed_for_T(
         comparison_C=float(weak_T / weak_M) if weak_M > 0 else 0.0,
         sigma=float(sigma),
         integral=float(integral),
-        t_grid=tuple(float(t) for t in t_grid),
+        t_grid=t_grid,
     )

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 __all__ = [
@@ -277,10 +278,10 @@ class CubeFamily:
         the stride lattice of the same granularity (disjoint tiles per side).
       * DYADIC_GRID_OF (dims 1-3): recursive bisection tree of a root cube.
 
-    Every sweep goes through sweep(), cube_extreme() and cell_max().  The
-    sliding-window filters serve ALL_CELL_ALIGNED; the two dyadic policies
-    view the covered region as one (tile, cell-in-tile) pair of axes per
-    dimension, so one reshape serves every dim.
+    Every sweep goes through sweep(), cube_cells(), cube_extreme() and
+    cell_max().  Sliding windows serve ALL_CELL_ALIGNED; the two dyadic
+    policies view the covered region as one (tile, cell-in-tile) pair of
+    axes per dimension, so one reshape serves every dim.
     """
 
     domain: Domain
@@ -360,6 +361,16 @@ class CubeFamily:
         """View of a region as (tile, cell-in-tile) axis pairs, one per dim."""
         k = region.shape[0] // s
         return region.reshape((k, s) * self.domain.dim)
+
+    def cube_cells(self, values: np.ndarray, s: int) -> np.ndarray:
+        """(cubes, s**dim) array: row i holds the cell values of the i-th cube
+        of side s (anchors order), each row in the cube's row-major order."""
+        vals = np.asarray(values, dtype=np.float64)[self.region()]
+        if self.policy == ALL_CELL_ALIGNED:
+            return sliding_window_view(vals, s)
+        dim = self.domain.dim
+        order = tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))
+        return self._tiles(vals, s).transpose(order).reshape(-1, s**dim)
 
     def cube_extreme(self, values: np.ndarray, s: int, kind: str) -> np.ndarray:
         """Min or max (kind) of values over each cube of side s, anchors order."""

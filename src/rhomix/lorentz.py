@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Domain, DomainMismatchError, GridFunction
+from .grid import Domain, DomainMismatchError, GridFunction, weighted_measure
 
 __all__ = [
     "RearrangementTable",
@@ -25,6 +25,7 @@ __all__ = [
     "interpolation_audit",
     "lorentz_norm",
     "rearrangement",
+    "t_grid_sup",
     "weak_norm",
 ]
 
@@ -48,10 +49,7 @@ class WeightedMeasure:
         return cls(GridFunction.constant(domain, 1.0))
 
     def mass(self, mask: np.ndarray) -> float:
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != self.domain.shape:
-            raise DomainMismatchError("mask shape does not match the grid")
-        return float(self.density.values[m].sum()) * self.domain.cell_volume
+        return weighted_measure(self.density, mask)
 
     def total(self) -> float:
         return float(self.density.values.sum()) * self.domain.cell_volume
@@ -154,6 +152,21 @@ def lorentz_norm(
 def weak_norm(f: GridFunction, mu: WeightedMeasure, p: float = 1.0) -> float:
     """||f||_{L^{p,inf}(mu)} = sup_t t^(1/p) f*(t), exact."""
     return lorentz_norm(f, mu, p, math.inf)
+
+
+def t_grid_sup(
+    T: GridFunction, mu: WeightedMeasure, t_grid: np.ndarray | None = None
+) -> tuple[float, tuple[float, ...]]:
+    """sup over t in t_grid of t mu({T > t}), and the grid it ran on; the
+    default grid is 64 geometric steps up to max T, or t = 1 when T <= 0."""
+    if t_grid is None:
+        tmax = float(T.values.max())
+        lo = max(tmax * 1e-6, 1e-300)
+        t_grid = np.geomspace(lo, tmax, 64) if tmax > 0 else [1.0]
+    sup = 0.0
+    for t in t_grid:
+        sup = max(sup, t * mu.mass(T.values > t))
+    return sup, tuple(float(t) for t in t_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ separates subcritical cubes (r <= rho) from the rest.
 
 Sweeps cost O(n log n) to O(n^2): CubeFamily.sweep gives every cube
 average in O(1) from one prefix-sum table, and CubeFamily.cell_max turns
-per-anchor values into per-cell suprema.
+per-anchor values into per-cell suprema; m_localized runs on them too.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 from .critical import RhoSpec, growth_factor, rho_values
 from .grid import (
     ALL_CELL_ALIGNED,
-    BoxSums,
     Cube,
     CubeFamily,
     DYADIC_SIDES,
@@ -120,10 +119,10 @@ def m_dyadic(f: GridFunction, R: Cube) -> GridFunction:
 def m_localized(f: GridFunction, R: Cube) -> GridFunction:
     """Maximal function over cubes contained in R (zero off R).
 
-    Dim 1 scans every cell-aligned interval inside R; dims 2 and 3 take the
-    dyadic-sides tiles contained in R together with the bisection tree of
-    R (R's own average when an odd side leaves no tree), so the localized
-    sup always dominates the dyadic one.
+    Dim 1 scans every cell-aligned interval inside R.  Dims 2 and 3 take
+    one DYADIC_SIDES sweep of |f|, in which tiles not inside R score -inf,
+    together with the bisection tree of R (R's own average when an odd side
+    leaves no tree), so the localized sup always dominates the dyadic one.
     """
     if R.domain != f.domain:
         raise ValueError("root cube on a different domain")
@@ -139,22 +138,13 @@ def m_localized(f: GridFunction, R: Cube) -> GridFunction:
         # no bisection tree for an odd-sided cube; R itself still competes
         out = np.zeros(domain.shape)
         out[R.slices()] = np.mean(np.abs(f.values[R.slices()]))
-    table = BoxSums(np.abs(f.values))
-    s = 1
-    while s <= R.side_cells:
-        # dyadic-sides tiles of the full grid that fit inside R
-        lo = [-(-a // s) * s for a in R.anchor]          # first tile anchor >= a
-        hi = [((a + R.side_cells) // s) * s for a in R.anchor]
-        if all(l + s <= h for l, h in zip(lo, hi)):
-            per_axis = [np.arange(l, h - s + 1, s) for l, h in zip(lo, hi)]
-            mesh = np.meshgrid(*per_axis, indexing="ij")
-            anchors = np.stack([g.ravel() for g in mesh], axis=-1)
-            avg = table.box_sum(anchors, s) / s**domain.dim
-            for a_row, val in zip(anchors, avg):
-                sl = tuple(slice(a, a + s) for a in a_row)
-                region = out[sl]
-                np.maximum(region, val, out=region)
-        s *= 2
+    lo = np.asarray(R.anchor)
+    family = enumerate_cubes(domain, DYADIC_SIDES)
+    for s, anchors, (avg,) in family.sweep(np.abs(f.values)):
+        if s > R.side_cells:
+            break
+        inside = np.all((anchors >= lo) & (anchors + s <= lo + R.side_cells), axis=1)
+        family.cell_max(np.where(inside, avg, -np.inf), s, out)
     return GridFunction(domain, out)
 
 

@@ -10,7 +10,7 @@ dim the family supports (every interval in dim 1; dyadic-side tiles or a
 bisection tree in dims 1-3).  CubeFamily.sweep reads every cube average
 from a prefix-sum table in O(1) and CubeFamily.cube_extreme supplies the
 cube minima and maxima, so a full dim-1 sweep over all n(n+1)/2 intervals
-costs O(n^2).
+costs O(n^2).  The A_infty epsilon form runs per side on CubeFamily too.
 """
 
 from __future__ import annotations
@@ -158,34 +158,6 @@ class EpsilonForm:
     sample_count: int
 
 
-def _subset_samples(w_cells: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fraction/mass-ratio pairs for the extremal subsets of one cube.
-
-    For fixed cardinality k the subset maximizing w(E) is the k largest-w
-    cells, so the top-k packs dominate every subset of the same size; the
-    bottom-k packs (equivalently complements of top packs) pin the small-y
-    side.  Dyadic halves are covered by the packs up to ordering, so value
-    packs are the whole sample.
-    """
-    flat = np.sort(w_cells.ravel())
-    m = flat.size
-    total = flat.sum()
-    ks: set[int] = set()
-    k = 1
-    while k < m:
-        ks.add(k)
-        ks.add(m - k)
-        k *= 2
-    ks.add(m)
-    karr = np.array(sorted(ks))
-    csum = np.concatenate([[0.0], np.cumsum(flat)])
-    bottom = csum[karr]
-    top = total - csum[m - karr]
-    x = np.concatenate([karr, karr]) / m
-    y = np.concatenate([bottom, top]) / total
-    return x, y
-
-
 def ainf_epsilon_form(
     w: GridFunction,
     theta: float,
@@ -196,26 +168,43 @@ def ainf_epsilon_form(
 ) -> EpsilonForm:
     """Fit (C, eps) with w(E)/w(Q) <= C factor^theta (|E|/|Q|)^eps on samples.
 
-    Samples are the extremal cell packs of every cube in the family.  The
-    fit walks an eps grid downward and takes the largest eps whose implied
-    C = max y / x^eps stays below C_cap (Pareto point: max eps, then min C);
-    zero sample violations hold by construction and residual reports the
-    recomputed max violation.
+    Samples are the top-k and bottom-k cell packs of every cube (the top
+    packs dominate every subset of the same size), built per side from
+    CubeFamily.cube_cells.  The cubes of a side share the fractions x, and
+    C = max y / x^eps and the residual are monotone in y at fixed x, so the
+    fit runs on each side's upper envelope of y with the same floats;
+    sample_count counts every sample.  The fit walks an eps grid downward
+    and takes the largest eps whose implied C stays below C_cap (Pareto
+    point: max eps, then min C); zero sample violations hold by
+    construction and residual reports the recomputed max violation.
     """
     require_weight(w)
     if eps_grid is None:
         eps_grid = np.linspace(1.0, 0.05, 39)
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
-    for cube in cubes:
-        if cube.cell_count == 1:
+    count = 0
+    for s in cubes.side_cells_list():
+        m = s**w.domain.dim
+        if m == 1:
             continue
-        x, y = _subset_samples(w.values[cube.slices()], w.domain.dim)
-        fac = float(
-            growth_factor(rho, cube.center()[None, :], cube.radius)[0]
-        )
-        xs.append(x)
-        ys.append(y / fac**theta)
+        rows = np.sort(cubes.cube_cells(w.values, s), axis=1)
+        total = rows.sum(axis=1)  # pairwise per row, not csum[:, -1]
+        csum = np.pad(np.cumsum(rows, axis=1), ((0, 0), (1, 0)))
+        k = 1 << np.arange((m - 1).bit_length())
+        karr = np.unique(np.concatenate([k, m - k, [m]]))
+        bottom = csum[:, karr]
+        top = total[:, None] - csum[:, m - karr]
+        y = np.concatenate([bottom, top], axis=1) / total[:, None]
+        if theta != 0.0 and not rho.is_classical:
+            centers, radius = cubes.centers_radius(s, cubes.anchors(s))
+            # Python's float pow: numpy's SIMD power can differ from it in
+            # the last bit, which would move C and the residual
+            fac = growth_factor(rho, centers, radius).astype(object) ** theta
+            y = y / fac.astype(np.float64)[:, None]
+        xs.append(np.concatenate([karr, karr]) / m)
+        ys.append(y.max(axis=0))
+        count += y.size
     if not xs:
         return EpsilonForm(1.0, 1.0, 0.0, 0)
     x = np.concatenate(xs)
@@ -232,7 +221,7 @@ def ainf_epsilon_form(
         chosen = (max(float(np.max(y / x**eps)), 1.0), eps)
     C, eps = chosen
     residual = max(0.0, float(np.max(y - C * x**eps)))
-    return EpsilonForm(C, eps, residual, int(x.size))
+    return EpsilonForm(C, eps, residual, count)
 
 
 def factor_build(u: GridFunction, v: GridFunction, p: float) -> GridFunction:

@@ -372,6 +372,19 @@ def test_mixed_global_sigma_recipe_nonclassical():
     assert rep.covering_cubes >= 1
 
 
+def test_mixed_global_zero_function_regression():
+    # f = 0 used to raise "Geometric sequence cannot include zero" while
+    # building the default t grid
+    rng = np.random.default_rng(82)
+    dom = Domain(1, 8.0, 5)
+    u = make_weight(dom, {"kind": "smooth_random", "amp": 0.4}, rng)
+    v = make_weight(dom, {"kind": "power", "alpha": 1.5}, rng)
+    rep = mixed_verify_global(GridFunction.constant(dom, 0.0), u, v, RhoSpec.classical())
+    assert rep.t_grid == (1.0,)
+    assert rep.integral == 0.0
+    assert rep.constant_grid == math.inf
+
+
 def test_lemma_audits_report_shape():
     f, v, g, R = _spiky_instance()
     rng = np.random.default_rng(81)

@@ -158,6 +158,21 @@ def test_covering_overlap_growth():
     assert math.isfinite(cover.fit_residual)
 
 
+def test_covering_overlap_matches_per_sigma_recount():
+    """N(sigma) recounted with one plain loop over the cover per sigma."""
+    spec = RhoSpec.analytic(INV_DIST)
+    for dom in (Domain(1, 8.0, 6), Domain(2, 8.0, 4), Domain(3, 4.0, 2)):
+        sigmas = (1.0, 1.5, 2.0, 4.0)
+        cover = critical_covering(spec, dom, sigmas=sigmas)
+        pts = dom.cell_centers()
+        for s in sigmas:
+            counts = np.zeros(pts.shape[0], dtype=np.int64)
+            for x, r in zip(cover.centers, cover.radii):
+                reach = (s * r / math.sqrt(dom.dim)) * (1.0 + 1e-12)
+                counts += np.max(np.abs(pts - x), axis=1) <= reach
+            assert cover.overlap[s] == counts.max(), (dom, s)
+
+
 def test_covering_rejects_classical():
     with pytest.raises(ValueError):
         critical_covering(RhoSpec.classical(), Domain(1, 4.0, 3))

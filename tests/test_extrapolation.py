@@ -144,6 +144,21 @@ def test_rdf_audit_three_properties():
     assert rep.tail_bound >= 0.0
 
 
+def test_rdf_audit_tail_bound_is_the_last_term():
+    """tail_bound = 2 max(S^depth h) / (2 K0)^depth, recomputed with a
+    plain loop of S, bit for bit."""
+    dom, u, v, suite = _setup(level=6)
+    rho = RhoSpec.analytic(lambda pts: 1.0 / (1.0 + np.linalg.norm(pts, axis=1)))
+    h = suite[0].abs()
+    fam = default_family(dom)
+    K0, depth = 3.0, 5
+    term = h
+    for _ in range(depth):
+        term = s_operator(term, u, rho, 1.0, fam)
+    rep = rdf_audit(h, u, rho, 1.0, K0, depth)
+    assert rep.tail_bound == 2.0 * float(term.values.max()) / (2.0 * K0) ** depth
+
+
 def test_rdf_weight_ladder_shape():
     dom, u, v, suite = _setup(level=6)
     rho = RhoSpec.classical()

@@ -137,8 +137,8 @@ def test_dyadic_tree_of_subcube():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_family_primitives_match_cube_loop(data):
-    """cell_max and cube_extreme agree exactly with a plain loop over the
-    family's cubes, for every policy, dim, level and root."""
+    """cell_max, cube_extreme and cube_cells agree exactly with a plain loop
+    over the family's cubes, for every policy, dim, level and root."""
     policy = data.draw(st.sampled_from([ALL_CELL_ALIGNED, DYADIC_SIDES, DYADIC_GRID_OF]))
     dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 3))
     level = data.draw(st.integers(1, 3 if dim == 3 else 4))
@@ -170,6 +170,10 @@ def test_family_primitives_match_cube_loop(data):
         for kind, op in (("min", np.min), ("max", np.max)):
             ext = fam.cube_extreme(vals, s, kind)
             assert np.array_equal(ext, [op(vals[Q.slices()]) for Q in cubes])
+        rows = fam.cube_cells(vals, s)
+        assert rows.shape == (len(cubes), s**dim)
+        for row, Q in zip(rows, cubes):
+            assert np.array_equal(row, vals[Q.slices()].ravel())
     assert np.array_equal(got, want)
 
 

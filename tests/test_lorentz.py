@@ -11,6 +11,7 @@ from rhomix import (
     ALL_CELL_ALIGNED,
     Cube,
     Domain,
+    DomainMismatchError,
     GridFunction,
     RhoSpec,
     WeightedMeasure,
@@ -118,6 +119,16 @@ def test_generalized_inverse():
     for s in rng.uniform(0, np.abs(f.values).max() * 1.2, 50):
         lam = distribution(f, mu, float(s))
         assert float(table.f_star(lam)) <= s + 1e-12
+
+
+def test_measure_mass_rejects_a_foreign_mask():
+    dom = Domain(2, 4.0, 2)
+    mu = WeightedMeasure(GridFunction(dom, np.arange(1.0, 17.0)))
+    cells = np.zeros(dom.shape, dtype=bool)
+    cells[1, 2:] = True
+    assert mu.mass(cells) == (7.0 + 8.0) * dom.cell_volume
+    with pytest.raises(DomainMismatchError):
+        mu.mass(np.ones(8, dtype=bool))
 
 
 def test_indicator_norm_closed_form():

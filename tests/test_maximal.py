@@ -255,6 +255,30 @@ def test_localized_full_box_equals_global_dim1():
     assert np.allclose(m_localized(f, R).values, m_rho_sigma(f, CL).values, rtol=1e-12)
 
 
+def test_localized_dims_2_3_match_brute_force():
+    """Dims 2 and 3: the dyadic-side tiles inside R plus R's bisection tree
+    (R alone when its side is odd), against explicit cube loops.  Integer
+    values keep every cube sum exact, so any summation order gives the same
+    floats and the comparison is exact."""
+    rng = np.random.default_rng(54)
+    cases = [
+        (Domain(2, 4.0, 4), (3, 5), 7),    # odd side, anchor off every tile
+        (Domain(2, 4.0, 4), (1, 6), 8),    # dyadic side, anchor off the tiles
+        (Domain(2, 4.0, 4), (4, 8), 8),
+        (Domain(2, 4.0, 3), (0, 0), 8),
+        (Domain(3, 4.0, 3), (1, 2, 3), 5),
+        (Domain(3, 4.0, 3), (0, 4, 0), 4),
+        (Domain(3, 4.0, 3), (3, 1, 2), 4),
+    ]
+    for dom, anchor, side in cases:
+        f = GridFunction(dom, rng.integers(-9, 10, dom.shape).astype(float))
+        R = Cube(dom, anchor, side)
+        tiles = [Q for Q in _dyadic_tiles(dom) if R.contains_cube(Q)]
+        tree = list(_tree(R)) if side & (side - 1) == 0 else [R]
+        want = brute_m_cubes(f, tiles + tree, CL, 0.0)
+        assert np.array_equal(m_localized(f, R).values, want), (dom, anchor, side)
+
+
 def test_loc_glob_sandwich():
     rng = np.random.default_rng(53)
     dom = Domain(1, 8.0, 6)

@@ -13,6 +13,7 @@ from rhomix import (
     DYADIC_SIDES,
     Cube,
     Domain,
+    EpsilonForm,
     GridFunction,
     InvalidWeightError,
     RhoSpec,
@@ -21,6 +22,7 @@ from rhomix import (
     enumerate_cubes,
     epsilon_power_audit,
     factor_build,
+    growth_factor,
     rh_characteristic,
     weighted_measure,
 )
@@ -218,6 +220,87 @@ def test_epsilon_form_certifies_its_samples():
         lhs = cell[idx].sum() / cell.sum()
         rhs = form.C * (k / cell.size) ** form.eps
         assert lhs <= rhs * (1 + 1e-9)
+
+
+def _pack_samples_ref(w_cells):
+    """Top-k and bottom-k pack samples of one cube, one sort per cube."""
+    flat = np.sort(w_cells.ravel())
+    m = flat.size
+    total = flat.sum()
+    ks = set()
+    k = 1
+    while k < m:
+        ks.add(k)
+        ks.add(m - k)
+        k *= 2
+    ks.add(m)
+    karr = np.array(sorted(ks))
+    csum = np.concatenate([[0.0], np.cumsum(flat)])
+    bottom = csum[karr]
+    top = total - csum[m - karr]
+    x = np.concatenate([karr, karr]) / m
+    y = np.concatenate([bottom, top]) / total
+    return x, y
+
+
+def ainf_epsilon_form_ref(w, theta, rho, cubes, eps_grid=None, C_cap=8.0):
+    """Per-cube reference: every sample of every cube, one growth factor
+    per cube, the fit on the full sample."""
+    if eps_grid is None:
+        eps_grid = np.linspace(1.0, 0.05, 39)
+    xs, ys = [], []
+    for cube in cubes:
+        if cube.cell_count == 1:
+            continue
+        x, y = _pack_samples_ref(w.values[cube.slices()])
+        fac = float(growth_factor(rho, cube.center()[None, :], cube.radius)[0])
+        xs.append(x)
+        ys.append(y / fac**theta)
+    if not xs:
+        return EpsilonForm(1.0, 1.0, 0.0, 0)
+    x = np.concatenate(xs)
+    y = np.concatenate(ys)
+    chosen = None
+    for eps in eps_grid:
+        C = float(np.max(y / x**eps))
+        if C <= C_cap:
+            chosen = (max(C, 1.0), float(eps))
+            break
+    if chosen is None:
+        eps = float(eps_grid[-1])
+        chosen = (max(float(np.max(y / x**eps)), 1.0), eps)
+    C, eps = chosen
+    residual = max(0.0, float(np.max(y - C * x**eps)))
+    return EpsilonForm(C, eps, residual, int(x.size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_epsilon_form_matches_per_cube_reference(data):
+    """The per-side envelope fit equals the per-cube fit bit for bit, for
+    every policy, dim, level, root, rho kind and theta."""
+    policy = data.draw(st.sampled_from([ALL_CELL_ALIGNED, DYADIC_SIDES, DYADIC_GRID_OF]))
+    dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 3))
+    level = data.draw(st.integers(1, 2 if dim == 3 else 4))
+    dom = Domain(dim, data.draw(st.sampled_from([1.0, 8.0])), level)
+    root = None
+    if policy == DYADIC_GRID_OF or (policy == ALL_CELL_ALIGNED and data.draw(st.booleans())):
+        if policy == DYADIC_GRID_OF:
+            side = 1 << data.draw(st.integers(0, level))
+        else:
+            side = data.draw(st.integers(1, dom.n))
+        anchor = tuple(data.draw(st.integers(0, dom.n - side)) for _ in range(dim))
+        root = Cube(dom, anchor, side)
+    fam = enumerate_cubes(dom, policy, root)
+    rho = data.draw(st.sampled_from([
+        CL,
+        RhoSpec.constant(0.3),
+        RhoSpec.analytic(lambda pts: 1.0 / (1.0 + np.linalg.norm(pts, axis=1))),
+    ]))
+    theta = data.draw(st.sampled_from([0.0, 0.5, 2.0, 0.37]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w = GridFunction(dom, np.exp(rng.normal(0, data.draw(st.sampled_from([0.3, 1.5])), dom.shape)))
+    assert ainf_epsilon_form(w, theta, rho, fam) == ainf_epsilon_form_ref(w, theta, rho, fam)
 
 
 def test_factor_build_formula_and_validation():
