@@ -354,11 +354,13 @@ def _exp_mixed_m(config):
 def _exp_mixed_t(config):
     bundle = _suite(config)
     kernel = _kernel_from_json(_require(config, "kernel", dict))
+    fam = default_family(bundle.domain)
     measured, passes, tables = {}, {}, []
     finite = True
     for i, pair in enumerate(bundle.pairs):
+        sigma = ladder_exponent(pair.u, kernel.rho, fam)
         for j, f in enumerate(bundle.fs[:3]):
-            rep = mixed_for_T(f, pair.u, pair.v, kernel)
+            rep = mixed_for_T(f, pair.u, pair.v, kernel, sigma=sigma)
             finite &= math.isfinite(rep.constant)
             tables.append({
                 "pair": i, "f": j, "constant": rep.constant,

@@ -1,10 +1,17 @@
 """Distribution functions, decreasing rearrangements, and Lorentz norms.
 
 Everything here is exact for grid step functions: a rearrangement is a
-finite table of (value, cumulative mass) steps, distribution functions are
-finite sums of cell masses, and the L^{p,q} integrals reduce to closed
-forms per step.  The weighted measure mu is any nonnegative density on the
-grid (typically a weight or a product u*v).
+finite table of (value, cumulative mass) steps, and the L^{p,q} integrals
+reduce to closed forms per step.  The weighted measure mu is any
+nonnegative density on the grid (typically a weight or a product u*v).
+
+Every level-set mass comes from one table per (f, mu): one stable sort of
+the cells by decreasing |f| (ties keep memory order), one running sum of
+the density in that order, read at the last cell of each tie group and
+scaled by the cell volume.  The running sum of n nonnegative terms is
+within (n - 1) 2^-53 relative of the exact mass and never decreases.  f*,
+lambda_f and the t-grid sups all read the same table, so the
+generalized-inverse identities hold exactly by construction.
 """
 
 from __future__ import annotations
@@ -56,10 +63,8 @@ class WeightedMeasure:
 
 
 def distribution(f: GridFunction, mu: WeightedMeasure, s: float) -> float:
-    """mu({|f| > s})."""
-    if f.domain != mu.domain:
-        raise DomainMismatchError("function and measure on different domains")
-    return mu.mass(np.abs(f.values) > s)
+    """mu({|f| > s}), read from the level-set table of f."""
+    return float(_level_table(f.domain, np.abs(f.values), mu).distribution(s))
 
 
 @dataclass(frozen=True)
@@ -68,10 +73,12 @@ class RearrangementTable:
 
     values are the distinct positive |f| values in decreasing order and
     masses the cumulative mu-masses; beyond the last mass f* is zero.
+    domain_mass is mu(Omega), the distribution function at every s < 0.
     """
 
     values: np.ndarray
     masses: np.ndarray
+    domain_mass: float
 
     @property
     def total_mass(self) -> float:
@@ -89,36 +96,38 @@ class RearrangementTable:
     def distribution(self, s) -> np.ndarray:
         """lambda(s) = mu({|f| > s}) recovered from the table."""
         s = np.asarray(s, dtype=float)
-        if self.values.size == 0:
-            return np.zeros_like(s)
         # number of steps with value > s, mapped to the cumulative mass
         desc = self.values[::-1]
         count = self.values.size - np.searchsorted(desc, s, side="right")
         padded = np.concatenate([[0.0], self.masses])
-        return padded[count]
+        return np.where(s < 0, self.domain_mass, padded[count])
 
 
 def rearrangement(f: GridFunction, mu: WeightedMeasure) -> RearrangementTable:
     """Exact decreasing rearrangement of a grid step function."""
-    if f.domain != mu.domain:
+    return _level_table(f.domain, np.abs(f.values), mu)
+
+
+def _level_table(
+    domain: Domain, level: np.ndarray, mu: WeightedMeasure
+) -> RearrangementTable:
+    """Level-set table of a nonnegative cell array against mu."""
+    if domain != mu.domain:
         raise DomainMismatchError("function and measure on different domains")
-    absf = np.abs(f.values)
-    pos = absf > 0
-    if not np.any(pos):
-        return RearrangementTable(np.array([]), np.array([]))
-    out_vals = -np.unique(-absf[pos])
-    # each cumulative mass is the same masked pairwise sum distribution()
-    # performs, so lambda_f(s) reproduces these floats bit for bit and the
-    # generalized-inverse identities hold with zero tolerance
-    dens = mu.density.values
+    a = level.ravel()
+    # stable, so tied cells add up in memory order whatever sort numpy picks
+    order = np.argsort(-a, kind="stable")
+    a = a[order]
+    cum = np.cumsum(mu.density.values.ravel()[order])
     vol = mu.domain.cell_volume
-    masses = np.array([float(dens[absf >= v].sum()) * vol for v in out_vals])
-    keep = np.diff(np.concatenate([[0.0], masses])) > 0
+    pos = np.count_nonzero(a > 0)
+    a = a[:pos]
+    last = np.ones(pos, dtype=bool)
+    last[:-1] = a[1:] != a[:-1]
+    masses = cum[:pos][last] * vol
     # cells of mu-mass zero cannot create steps
-    if not np.all(keep):
-        out_vals = out_vals[keep]
-        masses = masses[keep]
-    return RearrangementTable(out_vals, masses)
+    keep = np.diff(masses, prepend=0.0) > 0
+    return RearrangementTable(a[last][keep], masses[keep], float(cum[-1]) * vol)
 
 
 def lorentz_norm(
@@ -158,15 +167,19 @@ def t_grid_sup(
     T: GridFunction, mu: WeightedMeasure, t_grid: np.ndarray | None = None
 ) -> tuple[float, tuple[float, ...]]:
     """sup over t in t_grid of t mu({T > t}), and the grid it ran on; the
-    default grid is 64 geometric steps up to max T, or t = 1 when T <= 0."""
+    default grid is 64 geometric steps up to max T, or t = 1 when T <= 0.
+
+    The masses come from the level-set table of max(T, 0): {T > t} is
+    {max(T, 0) > t} for t > 0, and a t <= 0 adds at most 0 to the sup.
+    """
     if t_grid is None:
         tmax = float(T.values.max())
         lo = max(tmax * 1e-6, 1e-300)
         t_grid = np.geomspace(lo, tmax, 64) if tmax > 0 else [1.0]
-    sup = 0.0
-    for t in t_grid:
-        sup = max(sup, t * mu.mass(T.values > t))
-    return sup, tuple(float(t) for t in t_grid)
+    t = np.asarray(t_grid, dtype=float)
+    table = _level_table(T.domain, np.maximum(T.values, 0.0), mu)
+    sup = float(np.max(t * table.distribution(t), initial=0.0))
+    return sup, tuple(float(x) for x in t)
 
 
 # ---------------------------------------------------------------------------

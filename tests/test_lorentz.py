@@ -1,6 +1,7 @@
 """Rearrangements and Lorentz norms over weighted measures."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rhomix import (
     Domain,
     DomainMismatchError,
     GridFunction,
+    RearrangementTable,
     RhoSpec,
     WeightedMeasure,
     distribution,
@@ -23,6 +25,7 @@ from rhomix import (
     m_rho_sigma,
     make_function,
     rearrangement,
+    t_grid_sup,
     weak_norm,
 )
 
@@ -265,3 +268,135 @@ def test_subadditivity_property(seed):
     lhs = float(rearrangement(GridFunction(dom, f.values + g.values), mu).f_star(t1 + t2))
     rhs = float(rearrangement(f, mu).f_star(t1)) + float(rearrangement(g, mu).f_star(t2))
     assert lhs <= rhs + 1e-12
+
+
+def test_table_distribution_below_zero_is_total_mass_regression():
+    # every cell has |f| > s < 0, the zero cell included: lambda(s) = mu(Omega)
+    f, mu = _f312()
+    table = rearrangement(f, mu)
+    assert float(table.distribution(-1.0)) == 4.0
+    assert distribution(f, mu, -1.0) == 4.0
+    assert np.array_equal(table.distribution([-1.0, 0.0, 1.5, 3.0]), [4.0, 3.0, 2.0, 0.0])
+
+
+def test_tied_cells_add_up_in_memory_order():
+    # in each tie group the first cell in memory order has density 1 and
+    # the rest 2^-53; 1 + 2^-53 rounds back to 1, so memory order gives the
+    # masses 1, 2, 3 exactly, and any order that adds two small cells of the
+    # top group before its big one lands above 1
+    dom = Domain(2, 32.0, 5)
+    vals = np.random.default_rng(0).choice([-3.0, -2.0, 1.0, 2.0, 3.0], dom.shape)
+    absf = np.abs(vals).ravel()
+    dens = np.full(absf.shape, 2.0**-53)
+    for v in (1.0, 2.0, 3.0):
+        dens[np.argmax(absf == v)] = 1.0
+    mu = WeightedMeasure(GridFunction(dom, dens))
+    table = rearrangement(GridFunction(dom, vals), mu)
+    assert np.array_equal(table.values, [3.0, 2.0, 1.0])
+    assert np.array_equal(table.masses, [1.0, 2.0, 3.0])
+
+
+def test_zero_mass_cells_make_no_step_regression():
+    # the value 1 sits on one cell of density 0; the masked sums of the
+    # nested sets {|f| >= 2} (7 cells, summed in a row) and {|f| >= 1}
+    # (8 cells, summed pairwise) disagreed in the last bit, which made a
+    # step of zero mass
+    dom = Domain(1, 8.0, 3)
+    f = GridFunction(dom, np.array([2.0] * 7 + [1.0]))
+    mu = WeightedMeasure(GridFunction(dom, np.array([1.0] + [2.0**-53] * 6 + [0.0])))
+    table = rearrangement(f, mu)
+    assert np.array_equal(table.values, [2.0])
+    assert np.array_equal(table.masses, [1.0])
+
+
+def _masked_rearrangement(f, mu):
+    """The per-value masked sums that the level-set table replaced."""
+    absf = np.abs(f.values)
+    dens = mu.density.values
+    vol = mu.domain.cell_volume
+    vals = -np.unique(-absf[absf > 0])
+    masses = np.array([float(dens[absf >= v].sum()) * vol for v in vals])
+    keep = np.diff(np.concatenate([[0.0], masses])) > 0
+    return vals[keep], masses[keep]
+
+
+def _masked_t_grid_sup(T, mu, t_grid):
+    """The per-t masked loop that the level-set table replaced."""
+    sup = 0.0
+    for t in t_grid:
+        sup = max(sup, t * mu.mass(T.values > t))
+    return sup
+
+
+def _exact_mass(mu, cells):
+    """mu(cells) in exact arithmetic, and how many terms it sums."""
+    terms = mu.density.values[cells]
+    exact = sum((Fraction(float(d)) for d in terms), Fraction(0))
+    return exact * Fraction(mu.domain.cell_volume), terms.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    shape=st.sampled_from([(1, 4), (1, 6), (2, 2), (2, 3), (3, 2)]),
+    distinct=st.integers(min_value=1, max_value=12),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    void_share=st.sampled_from([0.0, 0.3]),
+)
+def test_level_table_matches_masked_oracle(seed, shape, distinct, zero_share, void_share):
+    """The sorted cumulative-mass table against the masked sums it replaced.
+
+    Values and step counts are equal; every mass is within (n - 1) 2^-53
+    relative of the exact sum over its n masked cells; distribution() and
+    the table agree with zero tolerance; the t-grid sup never exceeds the
+    weak norm and matches the per-t masked loop.
+    """
+    rng = np.random.default_rng(seed)
+    dim, level = shape
+    dom = Domain(dim, 8.0, level)
+    # few distinct values make ties; zero_share 1.0 is the all-zero f
+    pool = rng.normal(0, 2, distinct)
+    vals = rng.choice(pool, dom.shape)
+    vals[rng.random(dom.shape) < zero_share] = 0.0
+    f = GridFunction(dom, vals)
+    dens = rng.uniform(0.25, 4.0, dom.shape)
+    dens[rng.random(dom.shape) < void_share] = 0.0
+    mu = WeightedMeasure(GridFunction(dom, dens))
+    absf = np.abs(f.values)
+
+    table = rearrangement(f, mu)
+    assert isinstance(table, RearrangementTable)
+    # the oracle can keep a step whose cells all have density 0, when the
+    # masked sums of two nested sets disagree in the last bit; the running
+    # sum cannot, since adding 0 leaves it unchanged
+    want_vals, want_masses = _masked_rearrangement(f, mu)
+    real = np.array([bool(np.any(dens[absf == v] > 0)) for v in want_vals], dtype=bool)
+    assert np.array_equal(table.values, want_vals[real])
+    assert table.masses.size == want_masses[real].size
+    assert np.all(np.diff(table.masses) > 0)
+    for v, m in zip(table.values, table.masses):
+        exact, n = _exact_mass(mu, absf >= v)
+        assert abs(Fraction(float(m)) - exact) <= (n - 1) * Fraction(2) ** -53 * exact
+    exact, n = _exact_mass(mu, np.ones(dom.shape, dtype=bool))
+    assert abs(Fraction(table.domain_mass) - exact) <= (n - 1) * Fraction(2) ** -53 * exact
+
+    probes = np.concatenate([
+        rng.uniform(-1.0, absf.max() + 1.0, 20), table.values, [-1.0, 0.0],
+    ])
+    for s in probes:
+        assert distribution(f, mu, float(s)) == float(table.distribution(float(s)))
+    assert np.array_equal(
+        table.distribution(probes), [distribution(f, mu, float(s)) for s in probes]
+    )
+
+    for T in (GridFunction(dom, absf), f):
+        sup, grid = t_grid_sup(T, mu)
+        if T is not f:
+            assert sup <= weak_norm(T, mu)
+        want = _masked_t_grid_sup(T, mu, grid)
+        assert abs(sup - want) <= (absf.size - 1) * 2.0**-53 * want
+        ts = rng.uniform(-1.0, absf.max() + 1.0, 9)
+        want = _masked_t_grid_sup(T, mu, ts)
+        sup, grid = t_grid_sup(T, mu, ts)
+        assert grid == tuple(float(t) for t in ts)
+        assert abs(sup - want) <= (absf.size - 1) * 2.0**-53 * want
