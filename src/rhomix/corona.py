@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critical import RhoSpec, growth_factor
+from .critical import RhoSpec
 from .grid import (
     Cube,
     CubeFamily,

@@ -11,11 +11,18 @@ Four variants are supported: CONSTANT, CLASSICAL (the factor is suppressed,
 recovering the unweighted-by-scale theory), ANALYTIC (a vectorized closure),
 and SHEN (derived from a nonnegative potential V on a dim-3 grid via
 rho(x) = sup { r > 0 : r^(2-d) * integral of V over B(x, r) <= 1 }).
+
+Each rho keeps one PenaltyTable per cube family, the one place cube
+penalties are raised to a power (by libm pow, memoised), and its
+admissibility and covering reports.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,6 +67,8 @@ class RhoSpec:
     fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     name: str | None = None
     potential: GridFunction | None = field(default=None, repr=False)
+    # penalty tables by family and audits by arguments, outside eq/hash/repr
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind == CONSTANT:
@@ -79,6 +88,14 @@ class RhoSpec:
     @property
     def is_classical(self) -> bool:
         return self.kind == CLASSICAL
+
+    def _cached(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def penalty_table(self, family) -> "PenaltyTable":
+        return self._cached(family, lambda: PenaltyTable(self, family))
 
     @classmethod
     def constant(cls, c: float) -> "RhoSpec":
@@ -138,9 +155,14 @@ def shen_rho(V: GridFunction, x: np.ndarray, rel_tol: float = 1e-4) -> ShenResul
     hi = math.sqrt(d) * dom.side
     if ok(hi):
         return ShenResult(hi, capped=True)
-    lo = dom.cell_width / 16.0
-    if not ok(lo):
-        return ShenResult(lo, capped=True)
+    floor = lo = dom.cell_width / 16.0
+    # the coverage ramp gives x's own cell half its mass as r -> 0, so the
+    # predicate can fail at the floor and hold at a larger radius: double
+    # up to the first radius that passes, capped only when none does
+    while not ok(lo):
+        lo *= 2.0
+        if lo >= hi:
+            return ShenResult(floor, capped=True)
     while hi - lo > rel_tol * lo:
         mid = 0.5 * (lo + hi)
         if ok(mid):
@@ -188,6 +210,52 @@ def growth_factor(spec: RhoSpec, centers: np.ndarray, radius) -> np.ndarray:
     return 1.0 + np.asarray(radius, dtype=float) / rho_values(spec, pts)
 
 
+class PenaltyTable:
+    """Cube penalties of one (rho, CubeFamily), per side in anchors order."""
+
+    def __init__(self, rho: RhoSpec, family) -> None:
+        # a weak reference: the rho owns the table
+        self._rho, self.family, self._memo = weakref.ref(rho), family, {}
+
+    def side(self, s: int) -> tuple[np.ndarray, float]:
+        """rho at the centers of the cubes of side s, and their radius."""
+        if s not in self._memo:
+            h = self.family.domain.cell_width
+            centers = (self.family.anchors(s) + s / 2.0) * h
+            radius = math.sqrt(self.family.domain.dim) * s * h / 2.0
+            self._memo[s] = (rho_values(self._rho(), centers), radius)
+        return self._memo[s]
+
+    def power(self, s: int, exponent: float, ratio: bool = False):
+        """Memoised (1 + r/rho)^exponent per cube of side s, or with ratio
+        (rho/r)^exponent, 1 where r <= rho; 1.0 at exponent 0 or CLASSICAL.
+        Python's float pow (libm): numpy's SIMD power can differ by CPU."""
+        if exponent == 0 or self._rho().is_classical:
+            return 1.0
+        key = (s, float(exponent), ratio)
+        if key not in self._memo:
+            rv, r = self.side(s)
+            base = np.where(r <= rv, 1.0, rv / r) if ratio else 1.0 + r / rv
+            self._memo[key] = (base.astype(object) ** key[1]).astype(np.float64)
+        return self._memo[key]
+
+
+def _kept_on_rho(fn):
+    """Run an audit once per distinct arguments and keep its report on the
+    rho (the first argument); callers must not modify the report."""
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def kept(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        spec, *rest = bound.arguments.values()
+        key = (fn.__name__, *(tuple(v) if isinstance(v, list) else v for v in rest))
+        return spec._cached(key, lambda: fn(*args, **kwargs))
+
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # admissibility audit
 
@@ -200,6 +268,7 @@ class AdmissibilityReport:
     implied_C0_by_N0: dict[int, float]
 
 
+@_kept_on_rho
 def audit_admissibility(
     spec: RhoSpec,
     domain: Domain,
@@ -264,6 +333,7 @@ class CoveringReport:
         return int(self.centers.shape[0])
 
 
+@_kept_on_rho
 def critical_covering(
     spec: RhoSpec,
     domain: Domain,
@@ -305,6 +375,8 @@ def critical_covering(
         radii.append(r)
     cen = np.array(centers)
     rad = np.array(radii)
+    for kept in (cen, rad):  # the report is shared by every caller
+        kept.setflags(write=False)
     overlap = {float(s): int(row.max()) for row, s in zip(counts, sigmas)}
 
     logs = np.log(np.asarray(sigmas, dtype=float))

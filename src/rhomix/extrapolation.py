@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import RhoSpec, growth_factor, rho_values
+from .critical import RhoSpec, rho_values
 from .grid import CubeFamily, Domain, GridFunction, integrate, require_weight
 from .lorentz import WeightedMeasure, lorentz_norm, t_grid_sup, weak_norm
 from .maximal import default_family, m_rho_sigma

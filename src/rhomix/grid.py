@@ -352,11 +352,6 @@ class CubeFamily:
             cells = s**self.domain.dim
             yield s, anchors, [t.box_sum(local, s) / cells for t in tables]
 
-    def centers_radius(self, s: int, anchors: np.ndarray) -> tuple[np.ndarray, float]:
-        """Centers (one row per anchor) and radius of the cubes of side s."""
-        h = self.domain.cell_width
-        return (anchors + s / 2.0) * h, math.sqrt(self.domain.dim) * s * h / 2.0
-
     def _tiles(self, region: np.ndarray, s: int) -> np.ndarray:
         """View of a region as (tile, cell-in-tile) axis pairs, one per dim."""
         k = region.shape[0] // s

@@ -16,6 +16,8 @@ separates subcritical cubes (r <= rho) from the rest.
 Sweeps cost O(n log n) to O(n^2): CubeFamily.sweep gives every cube
 average in O(1) from one prefix-sum table, and CubeFamily.cell_max turns
 per-anchor values into per-cell suprema; m_localized runs on them too.
+Every cube penalty, the growth factor's power and glob's (rho/r)^sigma,
+is read from the rho's PenaltyTable for the family (critical.py).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import RhoSpec, growth_factor, rho_values
+from .critical import RhoSpec
 from .grid import (
     ALL_CELL_ALIGNED,
     Cube,
@@ -79,12 +81,10 @@ def m_rho_sigma(
     if sigma < 0 or q < 1:
         raise ValueError("need sigma >= 0 and q >= 1")
     family = cubes if cubes is not None else default_family(f.domain)
+    table = rho.penalty_table(family)
     out = _cell_floor(family)
-    for s, anchors, (avg,) in family.sweep(np.abs(f.values) ** q):
-        if sigma != 0.0 and not rho.is_classical:
-            centers, radius = family.centers_radius(s, anchors)
-            avg = avg * growth_factor(rho, centers, radius) ** (-sigma)
-        family.cell_max(avg, s, out)
+    for s, _anchors, (avg,) in family.sweep(np.abs(f.values) ** q):
+        family.cell_max(avg * table.power(s, -sigma), s, out)
     return GridFunction(f.domain, out ** (1.0 / q) if q != 1.0 else out)
 
 
@@ -179,29 +179,19 @@ def loc_glob_split(
     zero-extension convention.
     """
     family = cubes if cubes is not None else default_family(f.domain)
+    table = rho.penalty_table(family)
     domain = f.domain
     m_vals, loc_vals, glob_vals = (_cell_floor(family) for _ in range(3))
     sub_count = sup_count = 0
-    for s, anchors, (avg,) in family.sweep(np.abs(f.values)):
-        if rho.is_classical:
-            sub_count += len(avg)
-            family.cell_max(avg, s, m_vals)
-            family.cell_max(avg, s, loc_vals)
-            continue
-        centers, radius = family.centers_radius(s, anchors)
-        rv = rho_values(rho, centers)
-        # growth_factor's floats, so M matches m_rho_sigma bit for bit
-        m = avg if sigma == 0.0 else avg * (1.0 + radius / rv) ** (-sigma)
-        family.cell_max(m, s, m_vals)
+    for s, _anchors, (avg,) in family.sweep(np.abs(f.values)):
+        family.cell_max(avg * table.power(s, -sigma), s, m_vals)
+        rv, radius = table.side(s)
         sub = radius <= rv
         n_sub = int(np.count_nonzero(sub))
         sub_count += n_sub
         sup_count += len(sub) - n_sub
         family.cell_max(np.where(sub, avg, -np.inf), s, loc_vals)
-        ratio = rv / radius
-        ratio[sub] = 1.0  # discarded below; keeps the power from overflowing
-        glob = avg * ratio**sigma
-        glob[sub] = -np.inf
+        glob = np.where(sub, -np.inf, avg * table.power(s, sigma, ratio=True))
         family.cell_max(glob, s, glob_vals)
     np.maximum(loc_vals, 0.0, out=loc_vals)
     np.maximum(glob_vals, 0.0, out=glob_vals)

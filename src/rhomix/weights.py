@@ -11,6 +11,8 @@ bisection tree in dims 1-3).  CubeFamily.sweep reads every cube average
 from a prefix-sum table in O(1) and CubeFamily.cube_extreme supplies the
 cube minima and maxima, so a full dim-1 sweep over all n(n+1)/2 intervals
 costs O(n^2).  The A_infty epsilon form runs per side on CubeFamily too.
+Every growth-factor power is read from the rho's PenaltyTable for the
+family (critical.py).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import RhoSpec, growth_factor
+from .critical import RhoSpec
 from .grid import (
     Cube,
     CubeFamily,
@@ -65,13 +67,11 @@ def _sup(
     score receives the cube averages of each array in values for one side
     and returns the raw ratio per cube.
     """
+    table = rho.penalty_table(cubes)
     best = -math.inf
     witness = None
     for s, anchors, avgs in cubes.sweep(*values):
-        ratio = score(avgs, s)
-        if theta != 0.0 and not rho.is_classical:
-            centers, radius = cubes.centers_radius(s, anchors)
-            ratio = ratio / growth_factor(rho, centers, radius) ** theta
+        ratio = score(avgs, s) / table.power(s, theta)
         i = int(np.argmax(ratio))
         if ratio[i] > best:
             best = float(ratio[i])
@@ -181,6 +181,7 @@ def ainf_epsilon_form(
     require_weight(w)
     if eps_grid is None:
         eps_grid = np.linspace(1.0, 0.05, 39)
+    table = rho.penalty_table(cubes)
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
     count = 0
@@ -196,12 +197,7 @@ def ainf_epsilon_form(
         bottom = csum[:, karr]
         top = total[:, None] - csum[:, m - karr]
         y = np.concatenate([bottom, top], axis=1) / total[:, None]
-        if theta != 0.0 and not rho.is_classical:
-            centers, radius = cubes.centers_radius(s, cubes.anchors(s))
-            # Python's float pow: numpy's SIMD power can differ from it in
-            # the last bit, which would move C and the residual
-            fac = growth_factor(rho, centers, radius).astype(object) ** theta
-            y = y / fac.astype(np.float64)[:, None]
+        y = y / np.reshape(table.power(s, theta), (-1, 1))
         xs.append(np.concatenate([karr, karr]) / m)
         ys.append(y.max(axis=0))
         count += y.size

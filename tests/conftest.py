@@ -20,6 +20,12 @@ def brute_average(f: GridFunction, cube: Cube) -> float:
     return float(np.mean(f.values[cube.slices()]))
 
 
+def oscillator(domain):
+    """V = |x - c|^2 with c the box center, as a GridFunction."""
+    d2 = np.sum((domain.cell_centers() - domain.side / 2.0) ** 2, axis=1)
+    return GridFunction(domain, d2.reshape(domain.shape))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260817)

@@ -1,21 +1,26 @@
 """Critical radius functions: variation audits, Shen radii, coverings."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from rhomix import (
+    ALL_CELL_ALIGNED,
     Domain,
     GridFunction,
     RhoSpec,
     audit_admissibility,
     critical_covering,
+    enumerate_cubes,
     eval_rho,
     growth_factor,
     rho_values,
     shen_rho,
 )
+
+from conftest import oscillator
 
 INV_DIST = lambda pts: 1.0 / (1.0 + np.linalg.norm(pts, axis=1))
 
@@ -176,3 +181,51 @@ def test_covering_overlap_matches_per_sigma_recount():
 def test_covering_rejects_classical():
     with pytest.raises(ValueError):
         critical_covering(RhoSpec.classical(), Domain(1, 4.0, 3))
+
+
+def test_shen_lower_bracket_climbs_to_a_passing_radius_regression():
+    # the coverage ramp gives a point's own cell half its mass as r -> 0, so
+    # the predicate failed at cell_width/16 on 32 of these 512 centers
+    # (|x - c| in [1.39, 1.52]) and they read 0.0156, capped, while their
+    # neighbours read 0.44-0.75; a larger radius passes at every center
+    dom = Domain(3, 2.0, 3)
+    V = oscillator(dom)
+    res = [shen_rho(V, x) for x in dom.cell_centers()]
+    assert not any(r.capped for r in res)
+    vals = np.array([r.value for r in res])
+    assert 0.43 < vals.min() and vals.max() < 1.02
+    # here the true rho is below one cell at every center: all stay capped
+    # at the floor
+    dom = Domain(3, 8.0, 3)
+    V = oscillator(dom)
+    res = [shen_rho(V, x) for x in dom.cell_centers()]
+    assert all(r.capped and r.value == dom.cell_width / 16.0 for r in res)
+
+
+def test_audits_are_kept_on_the_rho():
+    spec = RhoSpec.analytic(INV_DIST)
+    dom = Domain(2, 8.0, 4)
+    adm = audit_admissibility(spec, dom, 500, seed=3)
+    assert audit_admissibility(spec, dom, pair_sample_size=500, seed=3) is adm
+    assert audit_admissibility(spec, dom, 500, seed=4) is not adm
+    cover = critical_covering(spec, dom)
+    assert critical_covering(spec, dom, [1.0, 2.0, 4.0]) is cover
+    assert critical_covering(spec, dom, (1.0, 2.0)) is not cover
+    # a fresh rho recomputes the same report
+    fresh = RhoSpec.analytic(INV_DIST)
+    assert audit_admissibility(fresh, dom, 500, seed=3) == adm
+    again = critical_covering(fresh, dom)
+    assert np.array_equal(again.centers, cover.centers) and again.overlap == cover.overlap
+    # the shared report's arrays cannot be modified in place
+    with pytest.raises(ValueError):
+        cover.radii[0] = 1.0
+
+
+def test_kept_tables_stay_outside_equality_hash_and_repr():
+    a, b = RhoSpec.constant(2.0), RhoSpec.constant(2.0)
+    fam = enumerate_cubes(Domain(1, 8.0, 3), ALL_CELL_ALIGNED)
+    table = a.penalty_table(fam)
+    assert a.penalty_table(enumerate_cubes(Domain(1, 8.0, 3), ALL_CELL_ALIGNED)) is table
+    assert b.penalty_table(fam) is not table
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert dataclasses.replace(a).penalty_table(fam) is not table

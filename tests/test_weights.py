@@ -36,18 +36,21 @@ def _fam(dom):
     return enumerate_cubes(dom, ALL_CELL_ALIGNED if dom.dim == 1 else DYADIC_SIDES)
 
 
-def brute_ap(w, p, fam, dom):
-    """Direct per-cube characteristic with plain numpy means (theta = 0)."""
+def brute_ap(w, p, fam, dom, theta=0.0, rho=CL):
+    """Direct per-cube characteristic with plain numpy means, each cube's
+    ratio divided by its growth factor to the theta."""
     best = 0.0
     for Q in cubes_of(dom, fam):
         cell = w.values[Q.slices()]
         if p == 1:
-            best = max(best, cell.mean() / cell.min())
+            ratio = cell.mean() / cell.min()
         elif p == math.inf:
-            best = max(best, cell.mean() * math.exp(np.mean(np.log(1.0 / cell))))
+            ratio = cell.mean() * math.exp(np.mean(np.log(1.0 / cell)))
         else:
             pp = p / (p - 1.0)
-            best = max(best, cell.mean() ** (1 / p) * np.mean(cell ** (1 - pp)) ** (1 / pp))
+            ratio = cell.mean() ** (1 / p) * np.mean(cell ** (1 - pp)) ** (1 / pp)
+        fac = float(growth_factor(rho, Q.center()[None, :], Q.radius)[0])
+        best = max(best, ratio / fac**theta)
     return best
 
 
