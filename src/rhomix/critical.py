@@ -210,6 +210,12 @@ def growth_factor(spec: RhoSpec, centers: np.ndarray, radius) -> np.ndarray:
     return 1.0 + np.asarray(radius, dtype=float) / rho_values(spec, pts)
 
 
+def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base ** exponent per element by Python's float pow (libm): numpy's
+    SIMD power can differ from it in the last bit depending on the CPU."""
+    return (base.astype(object) ** exponent).astype(np.float64)
+
+
 class PenaltyTable:
     """Cube penalties of one (rho, CubeFamily), per side in anchors order."""
 
@@ -228,15 +234,14 @@ class PenaltyTable:
 
     def power(self, s: int, exponent: float, ratio: bool = False):
         """Memoised (1 + r/rho)^exponent per cube of side s, or with ratio
-        (rho/r)^exponent, 1 where r <= rho; 1.0 at exponent 0 or CLASSICAL.
-        Python's float pow (libm): numpy's SIMD power can differ by CPU."""
+        (rho/r)^exponent, 1 where r <= rho; 1.0 at exponent 0 or CLASSICAL."""
         if exponent == 0 or self._rho().is_classical:
             return 1.0
         key = (s, float(exponent), ratio)
         if key not in self._memo:
             rv, r = self.side(s)
             base = np.where(r <= rv, 1.0, rv / r) if ratio else 1.0 + r / rv
-            self._memo[key] = (base.astype(object) ** key[1]).astype(np.float64)
+            self._memo[key] = _libm_pow(base, key[1])
         return self._memo[key]
 
 
@@ -266,6 +271,14 @@ class AdmissibilityReport:
     max_violation: float
     worst_pair: tuple[tuple[float, ...], tuple[float, ...]] | None
     implied_C0_by_N0: dict[int, float]
+
+
+def _required_C0(rx: np.ndarray, ry: np.ndarray, base: np.ndarray, n0: int):
+    """Per pair, the least C0 making both slow-variation bounds hold at
+    exponent n0, with base = 1 + |x - y|/rho(x)."""
+    lower = rx * _libm_pow(base, -float(n0)) / ry
+    upper = ry / (rx * _libm_pow(base, n0 / (n0 + 1.0)))
+    return np.maximum(lower, upper)
 
 
 @_kept_on_rho
@@ -298,9 +311,7 @@ def audit_admissibility(
     implied: dict[int, float] = {}
     witnesses: dict[int, int] = {}
     for n0 in N0_LADDER:
-        lower = rx * base ** (-float(n0)) / ry
-        upper = ry / (rx * base ** (n0 / (n0 + 1.0)))
-        req = np.maximum(lower, upper)
+        req = _required_C0(rx, ry, base, n0)
         idx = int(np.argmax(req))
         implied[n0] = max(1.0, float(req[idx]))
         witnesses[n0] = idx

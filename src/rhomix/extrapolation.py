@@ -8,6 +8,13 @@ product with u is again an A_1-type weight with characteristic close to
 2 K0; every one of those properties is audited numerically here, alongside
 synthetic singular kernels with the size/smoothness/decay structure the
 comparison theorems ask for.
+
+A singular kernel that depends on x - y alone (no decay, N = 0, or a
+classical rho) is applied by one real FFT convolution, O(m log m) on m
+cells; it matches the dense quadrature to 1e-13 relative to max |Tf|, not
+bit for bit.  The damped kernel, N > 0 with a non-classical rho, is not a
+convolution and keeps the blocked dense quadrature, which also serves the
+tests as the oracle for the FFT path.
 """
 
 from __future__ import annotations
@@ -332,6 +339,12 @@ class SCZOKernel:
     def dim(self) -> int:
         return _PROFILES[self.profile]
 
+    @property
+    def translation_invariant(self) -> bool:
+        """K(x, y) depends on x - y alone: the damping factor is identically
+        1 when N = 0 or rho is classical."""
+        return self.N == 0 or self.rho.is_classical
+
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """K at broadcast pairs of points; the diagonal comes out 0."""
         z = x - y
@@ -341,8 +354,7 @@ class SCZOKernel:
                 core = np.where(dist > 0, np.sign(z[..., 0]) / dist, 0.0)
             else:
                 core = np.where(dist > 0, z[..., 0] / dist**3, 0.0)
-        # classical rho means the damping factor is identically 1 (N inert)
-        if self.N > 0 and not self.rho.is_classical:
+        if not self.translation_invariant:
             xarr = np.asarray(x, dtype=float)
             lead = xarr.shape[:-1]
             rx = rho_values(self.rho, xarr.reshape(-1, xarr.shape[-1])).reshape(lead)
@@ -351,12 +363,38 @@ class SCZOKernel:
 
 
 def sczo_apply(f: GridFunction, kernel: SCZOKernel) -> GridFunction:
-    """Tf(x) = sum over cells y != x of K(x, y) f(y) h^dim, blockwise."""
+    """Tf(x) = sum over cells y != x of K(x, y) f(y) h^dim.
+
+    A translation-invariant kernel is sampled once on the offset lattice
+    (-(n-1)..n-1)^dim h, where the diagonal offset reads 0, and applied as
+    one real FFT convolution of circular length 2n per axis (any length
+    >= 2n - 1 avoids wrap-around).  The result agrees with the dense
+    quadrature to 1e-13 relative to max |Tf|; only the summation order
+    differs.  A damped kernel takes the dense quadrature.
+    """
     domain = f.domain
     if domain.dim != kernel.dim:
         raise ValueError(
             f"kernel profile is {kernel.dim}-dimensional, domain is {domain.dim}"
         )
+    if not kernel.translation_invariant:
+        return _sczo_dense(f, kernel)
+    n, dim = domain.n, domain.dim
+    axis = np.arange(1 - n, n) * domain.cell_width
+    offsets = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
+    kv = kernel.evaluate(offsets, np.zeros(dim))
+    length, axes = (2 * n,) * dim, tuple(range(dim))
+    spectrum = np.fft.rfftn(kv, length, axes) * np.fft.rfftn(f.values, length, axes)
+    full = np.fft.irfftn(spectrum, length, axes)
+    # entry i + (n - 1) of the linear convolution is sum_j K(i - j) f(j)
+    out = full[(slice(n - 1, 2 * n - 1),) * dim] * domain.cell_volume
+    return GridFunction(domain, out)
+
+
+def _sczo_dense(f: GridFunction, kernel: SCZOKernel) -> GridFunction:
+    """Blocked dense quadrature over every (x, y) pair of cells: the path
+    of the damped kernel and the oracle for the FFT path."""
+    domain = f.domain
     pts = domain.cell_centers()
     fv = f.values.ravel()
     m = pts.shape[0]
@@ -402,7 +440,7 @@ def audit_kernel_conditions(
     keep = dist > 0
     x, y, dist = x[keep], y[keep], dist[keep]
     kv = np.abs(kernel.evaluate(x, y))
-    if kernel.rho.is_classical or kernel.N == 0:
+    if kernel.translation_invariant:
         decay = np.ones_like(dist)
     else:
         decay = (1.0 + dist / rho_values(kernel.rho, x)) ** kernel.N

@@ -25,7 +25,10 @@ from rhomix import (
     mixed_verify_dyadic,
     mixed_verify_global,
     principal_select,
+    shen_rho,
 )
+
+from conftest import oscillator
 
 
 def brute_cz(g, R, lam):
@@ -369,6 +372,32 @@ def test_mixed_global_sigma_recipe_nonclassical():
     rep = mixed_verify_global(f, u, v, rho, theta=1.0)
     assert rep.sigma == pytest.approx((rep.N1 + rep.theta + 1.0) * (rep.N0 + 1.0))
     assert math.isfinite(rep.constant_exact)
+    assert rep.covering_cubes >= 1
+
+
+def test_mixed_global_with_the_oscillator_shen_rho():
+    # V = |x - c|^2 in dim 3: the Shen radius decays like 1/|x - c|, so
+    # rho (1 + |x - c|) stays two-sided bounded.  On this grid no center is
+    # capped and the product spans [0.912, 2.538], largest near the faces,
+    # where the ball leaves the box and meets no potential
+    dom = Domain(3, 2.0, 3)
+    rho = RhoSpec.shen(oscillator(dom))
+    centers = dom.cell_centers()
+    res = [shen_rho(rho.potential, x) for x in centers]
+    assert not any(r.capped for r in res)
+    scaled = np.array([r.value for r in res]) * (
+        1.0 + np.linalg.norm(centers - dom.side / 2.0, axis=1)
+    )
+    assert 0.9 <= scaled.min() and scaled.max() <= 2.6
+    rng = np.random.default_rng(83)
+    f = make_function(dom, {"kind": "spike", "count": 3}, rng)
+    u = make_weight(dom, {"kind": "smooth_random", "amp": 0.4}, rng)
+    v = make_weight(dom, {"kind": "smooth_random", "amp": 0.4}, rng)
+    rep = mixed_verify_global(f, u, v, rho)
+    assert math.isfinite(rep.constant_exact) and rep.constant_exact > 0
+    assert rep.constant_grid <= rep.constant_exact * (1 + 1e-9)
+    assert math.isfinite(rep.loc_constant) and math.isfinite(rep.glob_constant)
+    assert rep.sigma == pytest.approx((rep.N1 + rep.theta + 1.0) * (rep.N0 + 1.0))
     assert rep.covering_cubes >= 1
 
 

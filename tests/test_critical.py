@@ -19,6 +19,7 @@ from rhomix import (
     rho_values,
     shen_rho,
 )
+from rhomix.critical import _required_C0
 
 from conftest import oscillator
 
@@ -107,6 +108,29 @@ def test_implied_C0_ladder_is_nonincreasing():
     vals = [rep.implied_C0_by_N0[k] for k in ladder]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
     assert all(v >= 1.0 for v in vals)
+
+
+def test_admissibility_ladder_is_raised_by_libm_pow():
+    # every rung equals a per-pair reference made with Python's float pow
+    # (libm), exactly; numpy's SIMD power differs from libm in the last bit
+    # on about 4 in 10 of these bases on AVX-512 x86-64
+    rhos = (RhoSpec.analytic(INV_DIST),
+            RhoSpec.analytic(lambda pts: np.sqrt(1.0 + np.linalg.norm(pts, axis=1))))
+    for spec in rhos:
+        for dom, seed in ((Domain(1, 8.0, 8), 0), (Domain(2, 8.0, 5), 1)):
+            rep = audit_admissibility(spec, dom, 1000, seed=seed)
+            rng = np.random.default_rng(seed)
+            px = (rng.integers(0, dom.n, size=(1000, dom.dim)) + 0.5) * dom.cell_width
+            py = (rng.integers(0, dom.n, size=(1000, dom.dim)) + 0.5) * dom.cell_width
+            rx, ry = rho_values(spec, px), rho_values(spec, py)
+            base = 1.0 + np.linalg.norm(px - py, axis=1) / rx
+            for n0, implied in rep.implied_C0_by_N0.items():
+                want = [
+                    max(a * t ** (-float(n0)) / b, b / (a * t ** (n0 / (n0 + 1.0))))
+                    for a, b, t in zip(rx.tolist(), ry.tolist(), base.tolist())
+                ]
+                assert _required_C0(rx, ry, base, n0).tolist() == want
+                assert implied == max(1.0, max(want))
 
 
 def test_shen_constant_potential_closed_form():

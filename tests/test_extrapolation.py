@@ -1,6 +1,10 @@
 """Auxiliary operator, majorant iteration, and singular kernel checks."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +25,18 @@ from rhomix import (
     make_function,
     make_weight,
     mixed_for_T,
+    run_experiment,
     rdf_audit,
     rdf_iterate,
     rdf_weight_ladder,
     s_operator,
     sczo_apply,
 )
+from rhomix.experiments import default_config
+from rhomix.extrapolation import _sczo_dense
+from rhomix.suite import generate_suite
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _setup(level=8, seed=31):
@@ -240,6 +250,101 @@ def test_riesz_kernel_applies_in_dim_two():
     tf = sczo_apply(f, SCZOKernel("riesz_x"))
     assert np.all(np.isfinite(tf.values))
     assert float(np.max(np.abs(tf.values))) > 0
+
+
+# The FFT path sums the dense quadrature's kernel samples in another order,
+# so the two agree to a tolerance fixed from float64 and the grid sizes, not
+# bit for bit: 1e-13 relative to max |Tf| (measured: below 2e-15 here).
+FFT_REL_TOL = 1e-13
+
+
+def _assert_fft_matches_dense(f, kernel):
+    fast = sczo_apply(f, kernel).values
+    dense = _sczo_dense(f, kernel).values
+    scale = float(np.max(np.abs(dense)))
+    assert scale > 0
+    assert float(np.max(np.abs(fast - dense))) <= FFT_REL_TOL * scale
+
+
+@pytest.mark.parametrize(
+    "profile, dim, side, level",
+    [
+        ("odd_inverse", 1, 8.0, 1),
+        ("odd_inverse", 1, 8.0, 6),
+        ("odd_inverse", 1, 8.0, 10),
+        ("odd_inverse", 1, 3.0, 7),
+        ("riesz_x", 2, 4.0, 1),
+        ("riesz_x", 2, 4.0, 3),
+        ("riesz_x", 2, 8.0, 5),
+        ("riesz_x", 2, 3.0, 4),
+    ],
+)
+def test_fft_path_matches_dense_quadrature(profile, dim, side, level):
+    rng = np.random.default_rng(37)
+    dom = Domain(dim, side, level)
+    kernel = SCZOKernel(profile)
+    assert kernel.translation_invariant
+    for spec in ({"kind": "random"}, {"kind": "indicator"}, {"kind": "spike", "count": 3}):
+        _assert_fft_matches_dense(make_function(dom, spec, rng), kernel)
+
+
+def test_fft_path_matches_dense_on_the_log_quadrature_input():
+    # the inputs of acceptance test 11: X_[0,1) and a random g on n = 1024
+    dom = Domain(1, 8.0, 10)
+    kernel = SCZOKernel(profile="odd_inverse", N=0, delta=1.0, rho=RhoSpec.classical())
+    f = GridFunction(dom, (np.arange(dom.n) < int(round(1.0 / dom.cell_width))).astype(float))
+    g = make_function(dom, {"kind": "random"}, np.random.default_rng(111))
+    for h in (f, g, GridFunction(dom, 1.75 * f.values - 0.5 * g.values)):
+        _assert_fft_matches_dense(h, kernel)
+
+
+def test_damped_kernel_keeps_the_dense_quadrature():
+    rho = RhoSpec.analytic(lambda pts: 1.0 / (1.0 + np.linalg.norm(pts, axis=1)))
+    rng = np.random.default_rng(38)
+    for profile, dom in (("odd_inverse", Domain(1, 8.0, 7)), ("riesz_x", Domain(2, 4.0, 4))):
+        kernel = SCZOKernel(profile, N=2.0, rho=rho)
+        assert not kernel.translation_invariant
+        f = make_function(dom, {"kind": "random"}, rng)
+        assert np.array_equal(sczo_apply(f, kernel).values, _sczo_dense(f, kernel).values)
+    # N = 0 or a classical rho leaves the kernel a convolution
+    assert SCZOKernel("odd_inverse", N=0.0, rho=rho).translation_invariant
+    assert SCZOKernel("odd_inverse", N=2.0).translation_invariant
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal adds most of a second to `import rhomix`; the FFT path
+    # uses numpy.fft instead
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, rhomix\n"
+        "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_mixed_t_in_dim_two_at_level_seven():
+    # 16,384 cells: the dense quadrature would build 268M kernel pairs per
+    # application; the FFT path makes this a fraction of a second
+    cfg = default_config("mixed-T", dim=2, level=7, seed=7)
+    cfg["kernel"] = {"profile": "riesz_x", "N": 0.0, "delta": 1.0,
+                     "rho": {"kind": "classical"}}
+    rep = run_experiment(cfg)
+    assert rep.passes and rep.ok, rep.passes
+    bundle = generate_suite(cfg["suite"], cfg["seed"])
+    assert len(rep.tables) == 3 * len(bundle.pairs)
+    for row in rep.tables:
+        pair = bundle.pairs[row["pair"]]
+        f = bundle.fs[row["f"]].values
+        integral = float(np.sum(np.abs(f) * pair.u.values * pair.v.values))
+        integral *= bundle.domain.cell_volume
+        # the grid sup never exceeds the exact weak quasinorm
+        assert row["constant"] * integral <= row["weak_T"] * (1 + 1e-9)
 
 
 def test_kernel_condition_constants():
