@@ -24,21 +24,15 @@ from .corona import (
     mixed_verify_dyadic,
 )
 from .critical import audit_admissibility, critical_covering
-from .extrapolation import (
-    SCZOKernel,
-    ladder_exponent,
-    mixed_for_T,
-    rdf_audit,
-    rdf_iterate,
-)
+from .extrapolation import estimate_K0, ladder_exponent, mixed_for_T, rdf_audit
 from .experiments import (
-    Report,
     UsageError,
+    _box_root,
+    _csv_text,
     _kernel_from_json,
     _plain,
-    run_experiment,
+    _write_atomic,
     run_many,
-    write_report,
 )
 from .grid import (
     ALL_CELL_ALIGNED,
@@ -69,28 +63,17 @@ def _emit(payload: dict, out: str | None, name: str) -> None:
     text = json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if out:
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, name + ".json")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        _write_atomic(os.path.join(out, name + ".json"), text)
 
 
-def _family_arg(domain, name: str, root: Cube | None = None):
+def _family_arg(domain, name: str):
     if name == "all":
         return enumerate_cubes(domain, ALL_CELL_ALIGNED)
     if name == "dyadic":
         return enumerate_cubes(domain, DYADIC_SIDES)
     if name == "tree":
-        return enumerate_cubes(
-            domain, DYADIC_GRID_OF, root or Cube(domain, (0,) * domain.dim, domain.n)
-        )
+        return enumerate_cubes(domain, DYADIC_GRID_OF, _box_root(domain))
     raise UsageError(f"unknown cube family {name!r} (all | dyadic | tree)")
-
-
-def _box(domain) -> Cube:
-    return Cube(domain, (0,) * domain.dim, domain.n)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +155,7 @@ def _corona_inputs(args):
     u = load_grid_function(args.u)
     v = load_grid_function(args.v)
     if args.R == "auto":
-        R = _box(f.domain)
+        R = _box_root(f.domain)
     else:
         anchor_s = json.loads(args.R)
         R = Cube(f.domain, tuple(int(a) for a in anchor_s[:-1]), int(anchor_s[-1]))
@@ -200,16 +183,9 @@ def _cmd_corona_run(args) -> int:
     }
     _emit(payload, args.out, "corona-run")
     if args.out and rep.level_rows:
-        import csv as _csv
-
-        path = os.path.join(args.out, "corona-ledger.csv")
-        fields = sorted({k for row in rep.level_rows for k in row})
-        with open(path + ".tmp", "w") as fh:
-            wr = _csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-            wr.writeheader()
-            for row in rep.level_rows:
-                wr.writerow(row)
-        os.replace(path + ".tmp", path)
+        _write_atomic(
+            os.path.join(args.out, "corona-ledger.csv"), _csv_text(rep.level_rows)
+        )
     return 0 if (rep.upper_le_terms and rep.tail_ok) else 1
 
 
@@ -256,14 +232,11 @@ def _cmd_extrap_rdf(args) -> int:
         ladder_exponent(u, rho, fam) if args.sigma == "auto" else float(args.sigma)
     )
     if args.K0 == "auto":
-        from .extrapolation import estimate_K0
-
         state = estimate_K0(u, GridFunction.constant(h.domain, 1.0), rho,
                             sigma, None, [h.abs()], fam, args.depth)
         K0 = state.K0
     else:
         K0 = float(args.K0)
-    rh = rdf_iterate(h.abs(), u, rho, sigma, K0, args.depth, fam)
     audit = rdf_audit(h.abs(), u, rho, sigma, K0, args.depth, fam)
     payload = {
         "K0": K0,
@@ -277,7 +250,7 @@ def _cmd_extrap_rdf(args) -> int:
     }
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        save_grid_function(rh, os.path.join(args.out, "rdf-majorant"))
+        save_grid_function(audit.majorant, os.path.join(args.out, "rdf-majorant"))
     _emit(payload, args.out, "extrap-rdf")
     ok = audit.minorant_exact and audit.sandwich_violations == 0 and audit.char_ok
     return 0 if ok else 1
@@ -388,8 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--R", default="auto",
                        help='"auto" or JSON [anchor..., side_cells]')
         p.add_argument("--a", default="auto")
-        p.add_argument("--delta", default="auto")
-        p.add_argument("--format", default="json")
+        if fn is _cmd_corona_dump_forest:
+            p.add_argument("--delta", default="auto")
         p.add_argument("--out")
         p.set_defaults(fn=fn)
 

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critical import RhoSpec
+from .critical import RhoSpec, audit_admissibility, critical_covering
 from .grid import (
     Cube,
-    CubeFamily,
     DYADIC_GRID_OF,
     GridFunction,
     dyadic_sum_pyramid,
@@ -136,14 +135,12 @@ class LevelDecomposition:
     mdy: GridFunction                   # dyadic maximal of g over R
     empty: bool
 
-    def max_level(self) -> int:
-        return max(self.levels) if self.levels else self.k0 - 1
-
 
 def level_decomposition(g: GridFunction, R: Cube, a: float | None = None) -> LevelDecomposition:
     """Stopping cubes of every level set {M_dyadic g > a^k}, k >= k0.
 
-    k0 is the unique integer with a^(k0-1) < avg(g, R) <= a^k0; levels run
+    k0 is the unique integer with a^(k0-1) < avg(g, R) <= a^k0, the
+    average read from the pyramid cz_on_cube checks it against; levels run
     upward until the level set empties.  g identically zero on R yields an
     empty decomposition with a flag rather than an error.
     """
@@ -153,7 +150,8 @@ def level_decomposition(g: GridFunction, R: Cube, a: float | None = None) -> Lev
     if a <= 2**dim:
         raise ValueError(f"level base a must exceed 2^dim = {2 ** dim}")
     mdy = m_dyadic(g, R)
-    block_avg = float(g.values[R.slices()].sum()) / R.cell_count
+    root_sum = dyadic_sum_pyramid(g.values[R.slices()])[-1]
+    block_avg = float(root_sum.ravel()[0]) / R.cell_count
     if block_avg == 0.0:
         return LevelDecomposition(g, R, a, 0, {}, mdy, empty=True)
     k0 = math.ceil(math.log(block_avg) / math.log(a))
@@ -195,9 +193,10 @@ def classify(decomp: LevelDecomposition, v: GridFunction) -> ClassifiedLevels:
 
     A cube at level k lands in band ell >= 0 when avg(v, Q) lies in
     [a^(k+ell), a^(k+ell+1)), or in band -1 when avg(v, Q) < a^k; band -1
-    cubes are re-decomposed against v at level a^k.  Gamma keeps the cubes
-    meeting the cell band {a^k < v <= a^(k+1)}, and E_k is that band
-    intersected with {M_dyadic g > v} (the t = 1 normalization).
+    cubes are re-decomposed against v at level a^k.  The averages of v are
+    read from its pyramid over R, the floats cz_on_cube checks.  Gamma keeps
+    the cubes meeting the cell band {a^k < v <= a^(k+1)}, and E_k is that
+    band intersected with {M_dyadic g > v} (the t = 1 normalization).
     """
     a = decomp.a
     R = decomp.R
@@ -227,12 +226,15 @@ def classify(decomp: LevelDecomposition, v: GridFunction) -> ClassifiedLevels:
         efull[R.slices()] = local & exceed
         e_masks[k] = efull
 
+    v_sums = dyadic_sum_pyramid(require_pos)
     for k, cubes in decomp.levels.items():
         for Q in cubes:
-            avg_v = float(v.values[Q.slices()].sum()) / Q.cell_count
+            s = Q.side_cells
+            rel = tuple((q - r) // s for q, r in zip(Q.anchor, R.anchor))
+            avg_v = float(v_sums[s.bit_length() - 1][rel]) / Q.cell_count
             if avg_v < a**k:
                 minus1.setdefault(k, []).append(Q)
-                pieces = cz_on_cube(v, Q, float(a**k))
+                pieces = cz_on_cube(v, Q, a**k)
                 if pieces:
                     secondary.setdefault(k, []).extend((W, Q) for W in pieces)
             else:
@@ -408,8 +410,7 @@ def build_forests(
 @dataclass(frozen=True)
 class ClaimReport:
     u_char: float                    # measured A_1 characteristic over D(R)
-    theta: float
-    bound_constant: float            # 2^(1+theta) * u_char
+    bound_constant: float            # 2 * u_char
     h1_violations: dict[int, int]
     h1_max_ratio: float              # max over bands of h1 / (bound * u)
     h2_sup_ratio: float | None       # measured sup h2 / u
@@ -421,17 +422,14 @@ def claim_audits(
     forests: dict[int, PrincipalForest],
     classified: ClassifiedLevels,
     u: GridFunction,
-    theta: float = 0.0,
-    rho: RhoSpec | None = None,
 ) -> ClaimReport:
-    """Check h1 <= 2^(1+theta) [u] u cellwise per band and measure the
-    h2 / u ratio and the bracketed double sum for the -1 branch."""
-    if rho is None:
-        rho = RhoSpec.classical()
+    """Check h1 <= 2 [u] u cellwise per band, [u] the classical A_1
+    characteristic over the bisection tree of R, and measure the h2 / u
+    ratio and the bracketed double sum for the -1 branch."""
     R = classified.decomp.R
     fam = enumerate_cubes(R.domain, DYADIC_GRID_OF, R)
-    u_char = ap_characteristic(u, 1.0, theta, rho, fam).value
-    bound = 2.0 ** (1.0 + theta) * u_char
+    u_char = ap_characteristic(u, 1.0, 0.0, RhoSpec.classical(), fam).value
+    bound = 2.0 * u_char
     rslice = R.slices()
     uvals = u.values[rslice]
     h1_violations: dict[int, int] = {}
@@ -452,7 +450,6 @@ def claim_audits(
     double_max = _double_sum_audit(forests.get(-1), classified, u)
     return ClaimReport(
         u_char=u_char,
-        theta=theta,
         bound_constant=bound,
         h1_violations=h1_violations,
         h1_max_ratio=h1_max,
@@ -745,8 +742,6 @@ def mixed_verify_global(
     rho: RhoSpec,
     sigma: float | None = None,
     theta: float | None = None,
-    t_grid: np.ndarray | None = None,
-    cubes: CubeFamily | None = None,
 ) -> MixedGlobalReport:
     """End-to-end mixed weak-type constant of M[sigma] against (u, v).
 
@@ -755,11 +750,10 @@ def mixed_verify_global(
     admissibility ladder (the decay rate of supercritical cubes scales like
     1/(N0 + 1)), theta from u's growth ladder.  The constant is the exact
     sup over t of t * uv({M(fv)/v > t}) / int |f| u v, reported next to its
-    restriction to the t grid and to the local/global split pieces.
+    restriction to the default t grid of t_grid_sup and to the local/global
+    split pieces, all over the default cube family of the domain.
     """
-    from .critical import audit_admissibility, critical_covering
-
-    family = cubes if cubes is not None else default_family(f.domain)
+    family = default_family(f.domain)
     if theta is None:
         theta = ladder_exponent(u, rho, family)
     if rho.is_classical:
@@ -786,7 +780,7 @@ def mixed_verify_global(
     )
     exact = weak_norm(T, uv) / integral if integral > 0 else math.inf
 
-    grid_sup, t_grid = t_grid_sup(T, uv, t_grid)
+    grid_sup, t_grid = t_grid_sup(T, uv)
     grid_const = grid_sup / integral if integral > 0 else math.inf
 
     with np.errstate(invalid="ignore"):

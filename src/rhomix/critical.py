@@ -138,8 +138,12 @@ def _ball_integral(V: GridFunction, x: np.ndarray, r: float) -> float:
     return float((V.values * cover).sum()) * dom.cell_volume
 
 
-def shen_rho(V: GridFunction, x: np.ndarray, rel_tol: float = 1e-4) -> ShenResult:
-    """sup { r > 0 : r^(2-d) * integral_{B(x,r)} V <= 1 } by bisection.
+_SHEN_REL_TOL = 1e-4
+
+
+def shen_rho(V: GridFunction, x: np.ndarray) -> ShenResult:
+    """sup { r > 0 : r^(2-d) * integral_{B(x,r)} V <= 1 } by bisection,
+    to a relative width of 1e-4.
 
     The map r -> r^(2-d) * integral is nondecreasing for nonnegative V at the
     scales resolved by the grid, so bisection on the predicate is sound.  If
@@ -163,7 +167,7 @@ def shen_rho(V: GridFunction, x: np.ndarray, rel_tol: float = 1e-4) -> ShenResul
         lo *= 2.0
         if lo >= hi:
             return ShenResult(floor, capped=True)
-    while hi - lo > rel_tol * lo:
+    while hi - lo > _SHEN_REL_TOL * lo:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,14 +34,12 @@ from .extrapolation import (
     mixed_for_T,
     rdf_audit,
 )
-from .grid import Cube, GridFunction, integrate
+from .grid import Cube, GridFunction
 from .lorentz import (
     WeightedMeasure,
     distribution,
     interpolation_audit,
-    lorentz_norm,
     rearrangement,
-    weak_norm,
 )
 from .maximal import default_family, loc_glob_split, m_rho_sigma
 from .suite import (
@@ -114,20 +111,32 @@ class Report:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def csv_text(self) -> str:
-        if not self.tables:
-            return ""
-        fields = sorted({k for row in self.tables for k in row})
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for row in self.tables:
-            writer.writerow(_plain(row))
-        return buf.getvalue()
+        return _csv_text(self.tables)
+
+
+def _csv_text(rows) -> str:
+    """Rows as CSV under their sorted union of keys; "" for no rows."""
+    if not rows:
+        return ""
+    fields = sorted({k for row in rows for k in row})
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(_plain(row))
+    return buf.getvalue()
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a rename, creating its directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path + ".tmp", "w") as fh:
+        fh.write(text)
+    os.replace(path + ".tmp", path)
 
 
 def write_report(report: Report, outdir: str) -> list[str]:
     """Atomic emission: <id>.json, <id>.csv (when tabled), <id>.time.txt."""
-    os.makedirs(outdir, exist_ok=True)
     written = []
     base = os.path.join(outdir, report.experiment)
     for suffix, text in (
@@ -135,13 +144,9 @@ def write_report(report: Report, outdir: str) -> list[str]:
         (".csv", report.csv_text()),
         (".time.txt", f"{report.wall_clock_s:.3f}\n"),
     ):
-        if not text:
-            continue
-        tmp = base + suffix + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, base + suffix)
-        written.append(base + suffix)
+        if text:
+            _write_atomic(base + suffix, text)
+            written.append(base + suffix)
     return written
 
 
@@ -271,6 +276,7 @@ def _exp_maximal_eval(config):
 
 
 def _box_root(domain) -> Cube:
+    """The whole box as one cube."""
     return Cube(domain, (0,) * domain.dim, domain.n)
 
 
@@ -506,13 +512,8 @@ def run_experiment(config: dict) -> Report:
 
 
 def run_many(configs: list[dict], outdir: str | None = None) -> list[Report]:
-    """Run independent experiments, honoring RHOMIX_THREADS."""
-    threads = max(1, int(os.environ.get("RHOMIX_THREADS", "1")))
-    if threads == 1:
-        reports = [run_experiment(c) for c in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_experiment, configs))
+    """Run the experiments one after another, writing each report to outdir."""
+    reports = [run_experiment(c) for c in configs]
     if outdir:
         for rep in reports:
             write_report(rep, outdir)

@@ -20,7 +20,7 @@ tests as the oracle for the FFT path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -229,6 +229,9 @@ def rdf_iterate(
     return _iterate(h, u, rho, sigma, K0, depth, fam)[0]
 
 
+_CHAR_SLACK = 1.1
+
+
 @dataclass(frozen=True)
 class RdFAuditReport:
     minorant_exact: bool           # h <= Rh cellwise with zero tolerance
@@ -239,6 +242,8 @@ class RdFAuditReport:
     char_ok: bool
     depth: int
     K0: float
+    # the audited majorant Rh, kept for callers that save it, never serialized
+    majorant: GridFunction | None = field(default=None, repr=False, compare=False)
 
 
 def rdf_audit(
@@ -249,15 +254,15 @@ def rdf_audit(
     K0: float,
     depth: int,
     cubes: CubeFamily | None = None,
-    char_slack: float = 1.1,
 ) -> RdFAuditReport:
     """The three properties of the majorant, measured.
 
     h <= Rh must be exact (term k = 0).  S(Rh) <= 2 K0 Rh holds up to the
     geometric tail dropped by truncation, certified by tail_bound.  The
     product (Rh) u has A_1-type characteristic at growth exponent sigma at
-    most 2 K0 up to the tail slack: every cube average of (Rh) u is a
-    penalized average of a sum the operator itself dominates.
+    most 2 K0 up to a slack of 1.1: every cube average of (Rh) u is a
+    penalized average of a sum the operator itself dominates.  The report
+    carries Rh itself as majorant.
     """
     fam = cubes if cubes is not None else default_family(h.domain)
     rh, term = _iterate(h, u, rho, sigma, K0, depth, fam)
@@ -271,7 +276,7 @@ def rdf_audit(
 
     rhu = GridFunction(h.domain, rh.values * u.values)
     char = ap_characteristic(rhu, 1.0, sigma, rho, fam).value
-    bound = 2.0 * K0 * char_slack
+    bound = 2.0 * K0 * _CHAR_SLACK
     return RdFAuditReport(
         minorant_exact=minorant,
         sandwich_violations=sandwich,
@@ -281,7 +286,11 @@ def rdf_audit(
         char_ok=char <= bound,
         depth=depth,
         K0=float(K0),
+        majorant=rh,
     )
+
+
+_EPS_LADDER = (0.125, 0.25, 0.5, 1.0)
 
 
 def rdf_weight_ladder(
@@ -291,16 +300,15 @@ def rdf_weight_ladder(
     rho: RhoSpec,
     sigma: float,
     cubes: CubeFamily | None = None,
-    eps_ladder: tuple[float, ...] = (0.125, 0.25, 0.5, 1.0),
 ) -> dict[float, float]:
-    """Characteristics of (Rh) u v1^eps across an eps ladder.
+    """Characteristics of (Rh) u v1^eps for eps in 1/8, 1/4, 1/2 and 1.
 
     The theory promises membership for some small eps depending only on
     K0 without a formula, so the dependence is surveyed empirically.
     """
     fam = cubes if cubes is not None else default_family(rh.domain)
     out = {}
-    for eps in eps_ladder:
+    for eps in _EPS_LADDER:
         w = GridFunction(rh.domain, rh.values * u.values * v1.values**eps)
         out[eps] = ap_characteristic(w, 1.0, sigma, rho, fam).value
     return out
@@ -330,8 +338,8 @@ class SCZOKernel:
     def __post_init__(self) -> None:
         if self.profile not in _PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
-        if self.N < 0:
-            raise ValueError("decay exponent N must be >= 0")
+        if not (self.N >= 0):
+            raise ValueError(f"decay exponent N must be >= 0, got {self.N}")
         if not (0 < self.delta <= 1):
             raise ValueError("smoothness exponent delta must lie in (0, 1]")
 
@@ -493,15 +501,15 @@ def coifman_check(
     p: float,
     theta: float,
     f_suite: list[GridFunction],
-    cubes: CubeFamily | None = None,
 ) -> CoifmanReport:
-    """Measured constant in int |Tf|^p w <= C int (M[theta]f)^p w."""
+    """Measured constant in int |Tf|^p w <= C int (M[theta]f)^p w, over
+    the default cube family of w's domain."""
     require_weight(w)
     if not (p > 0 and math.isfinite(p)):
         raise ValueError(f"p must be positive and finite, got {p}")
     if theta <= 0:
         raise ValueError("theta must be positive")
-    fam = cubes if cubes is not None else default_family(w.domain)
+    fam = default_family(w.domain)
     ainf = ap_characteristic(w, math.inf, theta, kernel.rho, fam).value
     if not math.isfinite(ainf):
         raise ValueError("w has no finite flatness characteristic")
@@ -539,13 +547,13 @@ def mixed_for_T(
     kernel: SCZOKernel,
     t_grid: np.ndarray | None = None,
     sigma: float | None = None,
-    cubes: CubeFamily | None = None,
 ) -> MixedTReport:
     """Mixed weak-type constant of the singular operator against (u, v),
-    next to the intermediate comparison with the maximal majorant."""
+    next to the intermediate comparison with the maximal majorant, over
+    the default cube family of f's domain."""
     require_weight(u)
     require_weight(v)
-    fam = cubes if cubes is not None else default_family(f.domain)
+    fam = default_family(f.domain)
     if sigma is None:
         sigma = ladder_exponent(u, kernel.rho, fam)
     fv = GridFunction(f.domain, f.values * v.values)

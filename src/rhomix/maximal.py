@@ -212,6 +212,9 @@ def loc_glob_split(
 # ---------------------------------------------------------------------------
 # shifted dyadic grids (the one-third trick)
 
+_EXTRA_SCALES = 3
+
+
 class GridShiftSet:
     """3^dim dyadic grids whose per-scale offsets walk the one-third shifts.
 
@@ -220,12 +223,13 @@ class GridShiftSet:
     tracks the alternating ideal shift frac((-1)^k i/3) * 2^k.  At the top
     scale the offsets land near 0, n/3, 2n/3.  No point of the box stays on
     a grid-i boundary across all scales, so every cell-aligned cube has a
-    containing cube in every grid at some finite scale.
+    containing cube in every grid at some finite scale; scales run three
+    above the box's own.
     """
 
-    def __init__(self, domain: Domain, extra_scales: int = 3):
+    def __init__(self, domain: Domain):
         self.domain = domain
-        self.k_max = domain.level + extra_scales
+        self.k_max = domain.level + _EXTRA_SCALES
         self.offsets = [self._axis_offsets(i) for i in range(3)]
 
     def _axis_offsets(self, i: int) -> list[int]:

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _CHAR_CAP = 1e6
+_RETRIES = 100
 
 
 class GenerationError(RuntimeError):
@@ -218,11 +219,10 @@ def _validated_weight(
     rho: RhoSpec,
     p: float,
     theta: float,
-    retries: int = 100,
 ) -> tuple[GridFunction, int]:
     fam = default_family(domain)
     current = dict(spec)
-    for attempt in range(retries):
+    for attempt in range(_RETRIES):
         w = make_weight(domain, current, rng, rho)
         try:
             require_weight(w)
@@ -234,7 +234,7 @@ def _validated_weight(
             return w, attempt
         current = _tame(current, 0.8)
     raise GenerationError(
-        f"weight spec {spec} failed its class check after {retries} retries"
+        f"weight spec {spec} failed its class check after {_RETRIES} retries"
     )
 
 

@@ -49,6 +49,10 @@ RH_LADDER = (2.0, 4.0, 8.0)
 
 _FINITE_CAP = 1e8
 
+# the epsilon-form fit: eps walks the grid downward until C <= _C_CAP
+_EPS_GRID = np.linspace(1.0, 0.05, 39)
+_C_CAP = 8.0
+
 
 @dataclass(frozen=True)
 class WeightCharacteristic:
@@ -163,8 +167,6 @@ def ainf_epsilon_form(
     theta: float,
     rho: RhoSpec,
     cubes: CubeFamily,
-    eps_grid: np.ndarray | None = None,
-    C_cap: float = 8.0,
 ) -> EpsilonForm:
     """Fit (C, eps) with w(E)/w(Q) <= C factor^theta (|E|/|Q|)^eps on samples.
 
@@ -173,14 +175,13 @@ def ainf_epsilon_form(
     CubeFamily.cube_cells.  The cubes of a side share the fractions x, and
     C = max y / x^eps and the residual are monotone in y at fixed x, so the
     fit runs on each side's upper envelope of y with the same floats;
-    sample_count counts every sample.  The fit walks an eps grid downward
-    and takes the largest eps whose implied C stays below C_cap (Pareto
-    point: max eps, then min C); zero sample violations hold by
-    construction and residual reports the recomputed max violation.
+    sample_count counts every sample.  The fit walks 39 even steps of eps
+    from 1 down to 0.05 and takes the largest eps whose implied C is at most
+    8 (Pareto point: max eps, then min C), else the last eps with its C;
+    zero sample violations hold by construction and residual reports the
+    recomputed max violation.
     """
     require_weight(w)
-    if eps_grid is None:
-        eps_grid = np.linspace(1.0, 0.05, 39)
     table = rho.penalty_table(cubes)
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
@@ -207,13 +208,13 @@ def ainf_epsilon_form(
     y = np.concatenate(ys)
 
     chosen = None
-    for eps in eps_grid:
+    for eps in _EPS_GRID:
         C = float(np.max(y / x**eps))
-        if C <= C_cap:
+        if C <= _C_CAP:
             chosen = (max(C, 1.0), float(eps))
             break
     if chosen is None:
-        eps = float(eps_grid[-1])
+        eps = float(_EPS_GRID[-1])
         chosen = (max(float(np.max(y / x**eps)), 1.0), eps)
     C, eps = chosen
     residual = max(0.0, float(np.max(y - C * x**eps)))
@@ -247,11 +248,11 @@ def epsilon_power_audit(
     p: float,
     rho: RhoSpec,
     cubes: CubeFamily,
-    theta_ladder: tuple[float, ...] = THETA_LADDER,
     refined: tuple[GridFunction, GridFunction, CubeFamily] | None = None,
 ) -> EpsilonPowerReport:
     """Power eps0 = 1/s0' from u's reverse-Holder ladder, then the A_p
-    characteristics of u * v^eps for eps below eps0.
+    characteristics of u * v^eps for eps below eps0, at each theta of
+    THETA_LADDER.
 
     s0 is the largest ladder exponent whose characteristic stays below a
     finiteness cap.  When a refined (u, v, cubes) triple at level J+1 is
@@ -276,7 +277,7 @@ def epsilon_power_audit(
             w_eps = GridFunction(uu.domain, uu.values * vv.values**eps)
             out[eps] = {
                 th: ap_characteristic(w_eps, p, th, rho, fam).value
-                for th in theta_ladder
+                for th in THETA_LADDER
             }
         return out
 

@@ -16,6 +16,7 @@ from rhomix import (
     classify,
     claim_audits,
     cz_on_cube,
+    dyadic_sum_pyramid,
     integrate,
     lemma_audits,
     level_decomposition,
@@ -132,6 +133,52 @@ def test_level_decomposition_k0_and_unions():
     # levels run contiguously upward from k0 while nonempty
     ks = sorted(dec.levels)
     assert ks == list(range(dec.k0, dec.k0 + len(ks)))
+
+
+# numpy's sum of these 16 cells reads 64.0, the pairwise pyramid's
+# 64.00000000000001: a k0 taken from numpy's sum (k0 = 1) asked cz_on_cube
+# for the level 4.0 under a root average of 4.000000000000001
+_SPLIT_G = [
+    1.0962051995796587, 2.9307102724314826, 0.2680513804011883,
+    0.03368899148319582, 0.27259549586379966, 0.0035928967147324563,
+    0.03527875103220066, 0.2158343462263085, 0.04907622313871331,
+    0.08926310750269081, 2.716484920324744, 0.007772534409223698,
+    0.4518513163276536, 0.004872394758051335, 0.004118523717647171,
+    55.82060364608871,
+]
+
+# numpy's average of these 16 cells reads 3.9999999999999996, the
+# pyramid's 4.000000000000001: a band -1 gate on numpy's average sent the
+# cube to cz_on_cube at the level 4.0 it exceeds
+_SPLIT_V = [
+    9.660024463820278, 5.484659972390814, 2.0091274115615345,
+    5.541274606517724, 2.051132306623152, 4.478123267201143,
+    2.5549676074776615, 2.3023424430354726, 1.0072499253694893,
+    0.6924355700566825, 9.286178270968357, 8.579545747346762,
+    3.868008619807312, 1.8660003617033152, 1.9463884023591966,
+    2.672541023761109,
+]
+
+
+def test_level_decomposition_k0_reads_the_pyramid():
+    dom = Domain(1, 8.0, 4)
+    R = Cube(dom, (0,), dom.n)
+    g = GridFunction(dom, np.array(_SPLIT_G))
+    dec = level_decomposition(g, R)
+    top = float(dyadic_sum_pyramid(g.values)[-1][0]) / R.cell_count
+    assert dec.a ** (dec.k0 - 1) < top <= dec.a ** dec.k0
+    assert dec.k0 == 2 and sorted(dec.levels) == [2]
+
+
+def test_classify_band_gate_reads_the_pyramid():
+    dom = Domain(1, 8.0, 5)
+    R = Cube(dom, (0,), dom.n)
+    dec = level_decomposition(GridFunction(dom, np.repeat([6.0, 0.0], 16)), R)
+    Q = Cube(dom, (0,), 16)
+    assert dec.a == 4.0 and dec.levels == {1: [Q]}
+    v = GridFunction(dom, np.concatenate([_SPLIT_V, np.ones(16)]))
+    cl = classify(dec, v)
+    assert cl.bands == {(0, 1): [Q]} and cl.minus1 == {}
 
 
 def test_level_decomposition_zero_function():

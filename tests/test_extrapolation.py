@@ -1,5 +1,6 @@
 """Auxiliary operator, majorant iteration, and singular kernel checks."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -152,6 +153,11 @@ def test_rdf_audit_three_properties():
     assert rep.char_ok
     assert rep.char_value <= 2.0 * state.K0 * 1.1
     assert rep.tail_bound >= 0.0
+    # the audited majorant rides along, outside equality and repr
+    rh = rdf_iterate(suite[0].abs(), u, rho, 0.0, state.K0, 12)
+    assert np.array_equal(rep.majorant.values, rh.values)
+    assert rep == dataclasses.replace(rep, majorant=None)
+    assert "majorant" not in repr(rep)
 
 
 def test_rdf_audit_tail_bound_is_the_last_term():
@@ -200,6 +206,9 @@ def test_kernel_validation():
         SCZOKernel("nope")
     with pytest.raises(ValueError):
         SCZOKernel("odd_inverse", N=-1.0)
+    analytic = RhoSpec.analytic(lambda pts: 1.0 / (1.0 + np.abs(pts[:, 0])))
+    with pytest.raises(ValueError, match="decay exponent"):
+        SCZOKernel("odd_inverse", N=float("nan"), rho=analytic)
     with pytest.raises(ValueError):
         SCZOKernel("odd_inverse", delta=0.0)
     with pytest.raises(ValueError):

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +19,12 @@ from rhomix import (
     standard_suite_spec,
     save_grid_function,
     run_experiment,
-    run_many,
     write_report,
     default_config,
     UsageError,
 )
-from rhomix.cli import main
+import rhomix.extrapolation
+from rhomix.cli import _build_parser, main
 from rhomix.suite import ANALYTIC_RHO, _tame, rho_to_json
 
 
@@ -223,14 +225,6 @@ def test_write_report_files(tmp_path):
     assert names2 == {"lorentz.json", "lorentz.time.txt"}  # no empty CSV
 
 
-def test_run_many_matches_serial_under_threads(monkeypatch):
-    configs = [_small("lorentz", instances=10), _small("maximal-eval", level=5)]
-    serial = [r.canonical_json() for r in run_many(configs)]
-    monkeypatch.setenv("RHOMIX_THREADS", "2")
-    threaded = [r.canonical_json() for r in run_many(configs)]
-    assert serial == threaded
-
-
 def test_default_config_extras_by_kind():
     assert "rho" in default_config("rho-audit")
     assert "kernel" in default_config("mixed-T")
@@ -338,6 +332,26 @@ def test_cli_extrap_rdf(saved_inputs):
     assert (out / "rdf-majorant.csv").exists()
 
 
+def test_cli_extrap_rdf_iterates_once(saved_inputs, monkeypatch):
+    # depth applications of S build the majorant and one more checks the
+    # sandwich; the saved majorant is the audited one
+    tmp_path, paths = saved_inputs
+    calls = []
+    s_operator = rhomix.extrapolation.s_operator
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return s_operator(*args, **kwargs)
+
+    monkeypatch.setattr(rhomix.extrapolation, "s_operator", counted)
+    rc = main([
+        "extrap", "rdf", "--h", paths["f"], "--u", paths["u"], "--K0", "4",
+        "--sigma", "0", "--depth", "6", "--out", str(tmp_path / "rdf1"),
+    ])
+    assert rc == 0
+    assert len(calls) == 6 + 1
+
+
 def test_cli_extrap_mixed_t(saved_inputs):
     tmp_path, paths = saved_inputs
     kernel = '{"profile": "odd_inverse"}'
@@ -371,6 +385,39 @@ def test_cli_usage_errors_exit_two(saved_inputs):
     assert main(["lorentz", "norm", "--f", "/no/such/file", "--mu", paths["u"]]) == 2
     assert main(["weights", "char", "--w", paths["u"], "--cubes", "bogus"]) == 2
     assert main(["run", "--config", '{"kind": "unheard-of"}']) == 2
+
+
+def test_readme_cli_examples_parse_and_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("## Demos", 1)[0]
+    setup = section.split("```python\n", 1)[1].split("```", 1)[0]
+    shell = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [
+        shlex.split(line)[1:]
+        for line in shell.replace("\\\n", " ").splitlines()
+        if line.startswith("rhomix ")
+    ]
+    assert len(examples) == 10
+    parser = _build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse rejects the README line: rhomix {shlex.join(argv)}")
+    monkeypatch.chdir(tmp_path)
+    exec(setup, {})
+    for argv in examples:
+        assert main(argv) == 0, argv
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    ("run", "--format"), ("dump-forest", "--format"), ("run", "--delta"),
+])
+def test_cli_rejects_removed_corona_flags(cmd, flag):
+    argv = ["corona", cmd, "--f", "f", "--u", "u", "--v", "v", flag, "x"]
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv)
+    assert exc.value.code == 2
 
 
 def test_cli_run_gate_failure_exits_one(tmp_path):
