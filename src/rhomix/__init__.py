@@ -59,7 +59,6 @@ from .extrapolation import (
     mixed_for_T,
     rdf_audit,
     rdf_iterate,
-    rdf_weight_ladder,
     s_operator,
     sczo_apply,
 )
@@ -75,6 +74,7 @@ from .grid import (
     GridFunction,
     InvalidWeightError,
     average,
+    dyadic_average_tree,
     dyadic_sum_pyramid,
     enumerate_cubes,
     integrate,
@@ -119,13 +119,11 @@ from .suite import (
 )
 from .weights import (
     EpsilonForm,
-    EpsilonPowerReport,
     RH_LADDER,
     THETA_LADDER,
     WeightCharacteristic,
     ainf_epsilon_form,
     ap_characteristic,
-    epsilon_power_audit,
     factor_build,
     rh_characteristic,
 )

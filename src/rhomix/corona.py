@@ -9,9 +9,9 @@ band) carry the level-set mass.  Principal cubes with a doubling stopping
 rule turn the per-cube sums into majorants h1/h2 that the claim audits
 compare against the weight u.
 
-All set inclusions used by the verifier are exact at the cell level: every
-average is read from one pairwise child-sum pyramid per function, so the
-comparisons the proof chains together see bit-identical floats.
+All set inclusions used by the verifier are exact at the cell level: one
+dyadic_average_tree per function and root yields every average, M_dyadic and
+each level's stopping cubes, so the proof's comparisons see identical floats.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ from .grid import (
     Cube,
     DYADIC_GRID_OF,
     GridFunction,
-    dyadic_sum_pyramid,
+    dyadic_average_tree,
     enumerate_cubes,
     integrate,
 )
 from .extrapolation import ladder_exponent
 from .lorentz import WeightedMeasure, t_grid_sup, weak_norm
-from .maximal import default_family, loc_glob_split, m_dyadic
+from .maximal import default_family, loc_glob_split
 from .weights import ainf_epsilon_form, ap_characteristic
 
 __all__ = [
@@ -84,6 +84,23 @@ def _floor_band(x: float, a: float) -> int:
     return j
 
 
+def _root_tree(g: GridFunction, R: Cube):
+    if np.any(g.values < 0):
+        raise ValueError("stopping-time decomposition needs g >= 0")
+    if R.domain != g.domain:
+        raise ValueError("root cube on a different domain")
+    return dyadic_average_tree(g.values[R.slices()])
+
+
+def _stopping_cubes(tree, R: Cube, lam: float) -> list[Cube]:
+    """Blocks of R's tree with above <= lam < avg, in (side, anchor) order."""
+    out: list[Cube] = []
+    for j, (avg, above) in enumerate(tree):
+        hits = np.argwhere((above <= lam) & (avg > lam)) * (1 << j) + R.anchor
+        out.extend(Cube(R.domain, tuple(c), 1 << j) for c in hits.tolist())
+    return out
+
+
 def cz_on_cube(g: GridFunction, R: Cube, lam: float) -> list[Cube]:
     """Stopping-time decomposition of R against the level lam.
 
@@ -93,36 +110,13 @@ def cz_on_cube(g: GridFunction, R: Cube, lam: float) -> list[Cube]:
     their union is exactly the level set {M_dyadic over R of g > lam}.
     Requires g >= 0 and avg(g, R) <= lam.
     """
-    if np.any(g.values < 0):
-        raise ValueError("stopping-time decomposition needs g >= 0")
-    if R.domain != g.domain:
-        raise ValueError("root cube on a different domain")
-    dim = g.domain.dim
-    block = g.values[R.slices()]
-    levels = dyadic_sum_pyramid(block)
-    top = len(levels) - 1
-    top_avg = float(levels[top].ravel()[0]) / (1 << top) ** dim
+    tree = _root_tree(g, R)
+    top_avg = float(tree[-1][0].ravel()[0])
     if top_avg > lam:
         raise ValueError(
             f"avg over the root ({top_avg}) exceeds the level ({lam})"
         )
-    out: list[Cube] = []
-    active = np.ones_like(levels[top], dtype=bool)
-    for j in range(top, -1, -1):
-        avg = levels[j] / float((1 << j) ** dim)
-        sel = active & (avg > lam)
-        if sel.any():
-            s = 1 << j
-            for idx in np.argwhere(sel):
-                anchor = tuple(int(R.anchor[ax] + idx[ax] * s) for ax in range(dim))
-                out.append(Cube(g.domain, anchor, s))
-        if j > 0:
-            rem = active & ~sel
-            for ax in range(dim):
-                rem = np.repeat(rem, 2, axis=ax)
-            active = rem
-    out.sort(key=lambda c: (c.side_cells, c.anchor))
-    return out
+    return _stopping_cubes(tree, R, lam)
 
 
 @dataclass(frozen=True)
@@ -139,19 +133,21 @@ class LevelDecomposition:
 def level_decomposition(g: GridFunction, R: Cube, a: float | None = None) -> LevelDecomposition:
     """Stopping cubes of every level set {M_dyadic g > a^k}, k >= k0.
 
-    k0 is the unique integer with a^(k0-1) < avg(g, R) <= a^k0, the
-    average read from the pyramid cz_on_cube checks it against; levels run
-    upward until the level set empties.  g identically zero on R yields an
-    empty decomposition with a flag rather than an error.
+    k0 is the unique integer with a^(k0-1) < avg(g, R) <= a^k0; levels run
+    upward until the level set empties, all read off one dyadic_average_tree
+    of g over R.  g identically zero on R yields an empty decomposition
+    with a flag rather than an error; a negative g or a non-finite a raises.
     """
     dim = g.domain.dim
     if a is None:
         a = float(2 ** (dim + 1))
-    if a <= 2**dim:
-        raise ValueError(f"level base a must exceed 2^dim = {2 ** dim}")
-    mdy = m_dyadic(g, R)
-    root_sum = dyadic_sum_pyramid(g.values[R.slices()])[-1]
-    block_avg = float(root_sum.ravel()[0]) / R.cell_count
+    if not (math.isfinite(a) and a > 2**dim):
+        raise ValueError(f"level base a must be finite and exceed 2^dim = {2 ** dim}")
+    tree = _root_tree(g, R)
+    mdy = np.zeros(g.domain.shape)
+    mdy[R.slices()] = np.maximum(*tree[0])
+    mdy = GridFunction(g.domain, mdy)
+    block_avg = float(tree[-1][0].ravel()[0])
     if block_avg == 0.0:
         return LevelDecomposition(g, R, a, 0, {}, mdy, empty=True)
     k0 = math.ceil(math.log(block_avg) / math.log(a))
@@ -163,10 +159,7 @@ def level_decomposition(g: GridFunction, R: Cube, a: float | None = None) -> Lev
     levels: dict[int, list[Cube]] = {}
     k = k0
     while a**k < peak:
-        cubes = cz_on_cube(g, R, a**k)
-        if not cubes:
-            break
-        levels[k] = cubes
+        levels[k] = _stopping_cubes(tree, R, a**k)
         k += 1
     return LevelDecomposition(g, R, a, k0, levels, mdy, empty=False)
 
@@ -194,7 +187,7 @@ def classify(decomp: LevelDecomposition, v: GridFunction) -> ClassifiedLevels:
     A cube at level k lands in band ell >= 0 when avg(v, Q) lies in
     [a^(k+ell), a^(k+ell+1)), or in band -1 when avg(v, Q) < a^k; band -1
     cubes are re-decomposed against v at level a^k.  The averages of v are
-    read from its pyramid over R, the floats cz_on_cube checks.  Gamma keeps
+    read from its dyadic tree over R, the floats cz_on_cube checks.  Gamma keeps
     the cubes meeting the cell band {a^k < v <= a^(k+1)}, and E_k is that
     band intersected with {M_dyadic g > v} (the t = 1 normalization).
     """
@@ -226,12 +219,12 @@ def classify(decomp: LevelDecomposition, v: GridFunction) -> ClassifiedLevels:
         efull[R.slices()] = local & exceed
         e_masks[k] = efull
 
-    v_sums = dyadic_sum_pyramid(require_pos)
+    v_avgs = [avg for avg, _above in dyadic_average_tree(require_pos)]
     for k, cubes in decomp.levels.items():
         for Q in cubes:
             s = Q.side_cells
             rel = tuple((q - r) // s for q, r in zip(Q.anchor, R.anchor))
-            avg_v = float(v_sums[s.bit_length() - 1][rel]) / Q.cell_count
+            avg_v = float(v_avgs[s.bit_length() - 1][rel])
             if avg_v < a**k:
                 minus1.setdefault(k, []).append(Q)
                 pieces = cz_on_cube(v, Q, a**k)

@@ -45,7 +45,6 @@ __all__ = [
     "mixed_for_T",
     "rdf_audit",
     "rdf_iterate",
-    "rdf_weight_ladder",
     "s_operator",
     "sczo_apply",
 ]
@@ -288,30 +287,6 @@ def rdf_audit(
         K0=float(K0),
         majorant=rh,
     )
-
-
-_EPS_LADDER = (0.125, 0.25, 0.5, 1.0)
-
-
-def rdf_weight_ladder(
-    rh: GridFunction,
-    u: GridFunction,
-    v1: GridFunction,
-    rho: RhoSpec,
-    sigma: float,
-    cubes: CubeFamily | None = None,
-) -> dict[float, float]:
-    """Characteristics of (Rh) u v1^eps for eps in 1/8, 1/4, 1/2 and 1.
-
-    The theory promises membership for some small eps depending only on
-    K0 without a formula, so the dependence is surveyed empirically.
-    """
-    fam = cubes if cubes is not None else default_family(rh.domain)
-    out = {}
-    for eps in _EPS_LADDER:
-        w = GridFunction(rh.domain, rh.values * u.values * v1.values**eps)
-        out[eps] = ap_characteristic(w, 1.0, sigma, rho, fam).value
-    return out
 
 
 # ---------------------------------------------------------------------------

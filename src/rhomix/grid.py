@@ -37,6 +37,7 @@ __all__ = [
     "GridFunction",
     "InvalidWeightError",
     "average",
+    "dyadic_average_tree",
     "dyadic_sum_pyramid",
     "enumerate_cubes",
     "integrate",
@@ -444,9 +445,9 @@ def dyadic_sum_pyramid(values: np.ndarray) -> list[np.ndarray]:
     """Cell sums of every dyadic block, built by pairwise child sums.
 
     levels[j] has shape (m/2^j,)*dim and entry = sum over the corresponding
-    2^j-wide block.  Both the dyadic maximal operator and the stopping-time
-    decomposition read their averages from this one pyramid, so their
-    comparisons see bit-identical floats.
+    2^j-wide block.  dyadic_average_tree reads every dyadic and stopping-time
+    average from it, so the comparisons the proofs chain together see
+    bit-identical floats.
     """
     arr = np.asarray(values, dtype=np.float64)
     m = arr.shape[0]
@@ -464,6 +465,23 @@ def dyadic_sum_pyramid(values: np.ndarray) -> list[np.ndarray]:
         levels.append(nxt)
         m //= 2
     return levels
+
+
+def dyadic_average_tree(values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per level j: (avg_j, above_j), the 2^j-wide block averages off
+    dyadic_sum_pyramid and each block's largest strict-ancestor average
+    (-inf at the root).  M_dyadic is max(avg_0, above_0), and a block is a
+    stopping cube at lam exactly when above <= lam < avg.
+    """
+    sums = dyadic_sum_pyramid(values)
+    avgs = [s / float((1 << j) ** s.ndim) for j, s in enumerate(sums)]
+    above = [np.full_like(avgs[-1], -np.inf)]
+    for avg in avgs[:0:-1]:
+        up = np.maximum(above[-1], avg)
+        for ax in range(up.ndim):
+            up = np.repeat(up, 2, axis=ax)
+        above.append(up)
+    return list(zip(avgs, above[::-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ separates subcritical cubes (r <= rho) from the rest.
 Sweeps cost O(n log n) to O(n^2): CubeFamily.sweep gives every cube
 average in O(1) from one prefix-sum table, and CubeFamily.cell_max turns
 per-anchor values into per-cell suprema; m_localized runs on them too.
+m_dyadic reads one dyadic_average_tree of the root block.
 Every cube penalty, the growth factor's power and glob's (rho/r)^sigma,
 is read from the rho's PenaltyTable for the family (critical.py).
 """
@@ -35,7 +36,7 @@ from .grid import (
     DYADIC_SIDES,
     Domain,
     GridFunction,
-    dyadic_sum_pyramid,
+    dyadic_average_tree,
     enumerate_cubes,
 )
 
@@ -88,31 +89,18 @@ def m_rho_sigma(
     return GridFunction(f.domain, out ** (1.0 / q) if q != 1.0 else out)
 
 
-def _pyramid_max(block: np.ndarray) -> np.ndarray:
-    """Cellwise max of every dyadic block average of a cubical power-of-two
-    array, the averages read from its pairwise child-sum pyramid."""
-    dim = block.ndim
-    out = np.zeros_like(block)
-    for j, sums in enumerate(dyadic_sum_pyramid(block)):
-        avg = sums / float((1 << j) ** dim)
-        for ax in range(dim):
-            avg = np.repeat(avg, 1 << j, axis=ax)
-        np.maximum(out, avg, out=out)
-    return out
-
-
 def m_dyadic(f: GridFunction, R: Cube) -> GridFunction:
     """Dyadic maximal function over the bisection tree of R (zero off R).
 
-    Averages are read from the pairwise child-sum pyramid, so a stopping
-    time built on the same pyramid sees bit-identical floats.
+    Reads dyadic_average_tree, the floats corona's stopping times compare.
     """
     if R.domain != f.domain:
         raise ValueError("root cube on a different domain")
     if R.side_cells & (R.side_cells - 1):
         raise ValueError("dyadic root needs a power-of-two side")
     full = np.zeros(f.domain.shape)
-    full[R.slices()] = _pyramid_max(np.abs(f.values[R.slices()]))
+    avg, above = dyadic_average_tree(np.abs(f.values[R.slices()]))[0]
+    full[R.slices()] = np.maximum(avg, above)
     return GridFunction(f.domain, full)
 
 
@@ -278,7 +266,7 @@ def _dyadic_max_on_window(
         for ax in range(dim)
     )
     pad[sl] = fq
-    return _pyramid_max(pad)[sl]
+    return np.maximum(*dyadic_average_tree(pad)[0])[sl]
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,9 @@ from .grid import (
 
 __all__ = [
     "EpsilonForm",
-    "EpsilonPowerReport",
     "WeightCharacteristic",
     "ainf_epsilon_form",
     "ap_characteristic",
-    "epsilon_power_audit",
     "factor_build",
     "rh_characteristic",
 ]
@@ -44,10 +42,8 @@ __all__ = [
 #: growth exponent ladder used by the audits
 THETA_LADDER = (0.0, 0.5, 1.0, 2.0, 4.0)
 
-#: reverse-Holder exponent ladder for the epsilon-power audit
+#: reverse-Holder exponents the weights-char experiment measures
 RH_LADDER = (2.0, 4.0, 8.0)
-
-_FINITE_CAP = 1e8
 
 # the epsilon-form fit: eps walks the grid downward until C <= _C_CAP
 _EPS_GRID = np.linspace(1.0, 0.05, 39)
@@ -228,67 +224,3 @@ def factor_build(u: GridFunction, v: GridFunction, p: float) -> GridFunction:
     if not (p > 1 and math.isfinite(p)):
         raise ValueError(f"factor_build needs p in (1, inf), got {p}")
     return GridFunction(u.domain, u.values * v.values ** (1.0 - p))
-
-
-# ---------------------------------------------------------------------------
-# epsilon-power audit
-
-@dataclass(frozen=True)
-class EpsilonPowerReport:
-    s0: float
-    eps0: float
-    rh_values: dict[float, float]
-    ap_values: dict[float, dict[float, float]]   # eps -> theta -> characteristic
-    refined_drift: dict[float, float] | None     # eps -> relative change
-
-
-def epsilon_power_audit(
-    u: GridFunction,
-    v: GridFunction,
-    p: float,
-    rho: RhoSpec,
-    cubes: CubeFamily,
-    refined: tuple[GridFunction, GridFunction, CubeFamily] | None = None,
-) -> EpsilonPowerReport:
-    """Power eps0 = 1/s0' from u's reverse-Holder ladder, then the A_p
-    characteristics of u * v^eps for eps below eps0, at each theta of
-    THETA_LADDER.
-
-    s0 is the largest ladder exponent whose characteristic stays below a
-    finiteness cap.  When a refined (u, v, cubes) triple at level J+1 is
-    supplied, the relative drift of the minimal characteristic is reported.
-    """
-    rh_vals: dict[float, float] = {}
-    s0 = None
-    for s in RH_LADDER:
-        with np.errstate(over="ignore"):
-            val = rh_characteristic(u, s, 0.0, rho, cubes).value
-        rh_vals[s] = val
-        if math.isfinite(val) and val <= _FINITE_CAP:
-            s0 = s
-    if s0 is None:
-        s0 = RH_LADDER[0]
-    eps0 = 1.0 - 1.0 / s0
-
-    def chars(uu: GridFunction, vv: GridFunction, fam: CubeFamily):
-        out: dict[float, dict[float, float]] = {}
-        for frac in (0.25, 0.5, 0.75):
-            eps = frac * eps0
-            w_eps = GridFunction(uu.domain, uu.values * vv.values**eps)
-            out[eps] = {
-                th: ap_characteristic(w_eps, p, th, rho, fam).value
-                for th in THETA_LADDER
-            }
-        return out
-
-    ap_vals = chars(u, v, cubes)
-    drift = None
-    if refined is not None:
-        u2, v2, fam2 = refined
-        ap2 = chars(u2, v2, fam2)
-        drift = {}
-        for eps, by_theta in ap_vals.items():
-            a = min(by_theta.values())
-            b = min(ap2[eps].values())
-            drift[eps] = abs(b - a) / a
-    return EpsilonPowerReport(s0, eps0, rh_vals, ap_vals, drift)

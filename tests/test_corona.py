@@ -2,6 +2,10 @@
 
 import math
 
+import rhomix.corona
+import rhomix.grid
+import rhomix.maximal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,41 +33,30 @@ from rhomix import (
     shen_rho,
 )
 
-from conftest import oscillator
+from conftest import (
+    brute_cz,
+    brute_m_dyadic,
+    oscillator,
+    pyramid_average,
+    random_pow2_cube,
+)
 
 
-def brute_cz(g, R, lam):
-    """Independent stopping time: explicit recursion with plain means."""
-    out = []
-
-    def visit(Q):
-        avg = float(np.mean(g.values[Q.slices()]))
-        if avg > lam:
-            out.append(Q)
-            return
-        if Q.side_cells > 1:
-            for kid in Q.children():
-                visit(kid)
-
-    # root average <= lam by precondition, so only descend
-    for kid in R.children() if R.side_cells > 1 else []:
-        visit(kid)
-    return sorted(out, key=lambda c: (c.side_cells, c.anchor))
+def _keys(cubes):
+    return [(q.anchor, q.side_cells) for q in cubes]
 
 
 def test_cz_matches_recursive_oracle():
     rng = np.random.default_rng(71)
-    for dim in (1, 2):
-        dom = Domain(dim, 8.0, 4)
-        R = Cube(dom, (0,) * dim, dom.n)
+    cases = [(1, 4, False), (2, 4, False), (1, 4, True), (2, 4, True),
+             (3, 3, False), (3, 3, True)]
+    for dim, level, sub in cases:
+        dom = Domain(dim, 8.0, level)
         for _ in range(25):
+            R = random_pow2_cube(dom, rng) if sub else Cube(dom, (0,) * dim, dom.n)
             g = GridFunction(dom, rng.uniform(0, 1, dom.shape) ** 2)
-            lam = float(np.mean(g.values) * rng.uniform(1.0, 4.0))
-            got = cz_on_cube(g, R, lam)
-            want = brute_cz(g, R, lam)
-            assert [(q.anchor, q.side_cells) for q in got] == [
-                (q.anchor, q.side_cells) for q in want
-            ]
+            lam = float(np.mean(g.values[R.slices()]) * rng.uniform(1.0, 4.0))
+            assert _keys(cz_on_cube(g, R, lam)) == _keys(brute_cz(g, R, lam))
 
 
 def test_cz_selected_averages_sit_in_the_window():
@@ -75,8 +68,8 @@ def test_cz_selected_averages_sit_in_the_window():
             g = GridFunction(dom, rng.uniform(0, 1, dom.shape) ** 3)
             lam = float(np.mean(g.values) * rng.uniform(1.0, 3.0))
             for Q in cz_on_cube(g, R, lam):
-                avg = float(g.values[Q.slices()].sum()) / Q.cell_count
-                assert lam < avg <= (2 ** dim) * lam * (1 + 1e-12)
+                avg = pyramid_average(g, R, Q)
+                assert lam < avg <= (2 ** dim) * lam
 
 
 def test_cz_union_is_the_level_set():
@@ -121,7 +114,7 @@ def test_level_decomposition_k0_and_unions():
     dec = level_decomposition(g, R)
     a = dec.a
     assert a == 4.0
-    avg = float(g.values[R.slices()].sum()) / R.cell_count
+    avg = pyramid_average(g, R, R)
     assert a ** (dec.k0 - 1) < avg <= a ** dec.k0
     mdy = m_dyadic(g, R).values
     for k, cubes in dec.levels.items():
@@ -181,6 +174,57 @@ def test_classify_band_gate_reads_the_pyramid():
     assert cl.bands == {(0, 1): [Q]} and cl.minus1 == {}
 
 
+@pytest.mark.parametrize("vals", [[5, -5, 0, 0, 0, 0, 0, 0], [5, -6, 0, 0, 0, 0, 0, 0]])
+def test_level_decomposition_rejects_negative_g(vals):
+    # [5, -5, ...] used to come back empty (root average 0) and
+    # [5, -6, ...] to fail in math.log of a negative root average
+    dom = Domain(1, 8.0, 3)
+    g = GridFunction(dom, np.array(vals, dtype=float))
+    with pytest.raises(ValueError, match="needs g >= 0"):
+        level_decomposition(g, Cube(dom, (0,), 8))
+
+
+def test_level_decomposition_builds_one_pyramid(monkeypatch):
+    # the tree of g over R gives mdy, k0 and every level; m_dyadic and
+    # cz_on_cube would each build one more pyramid
+    builds = []
+    real = rhomix.grid.dyadic_sum_pyramid
+
+    def counted(values):
+        builds.append(np.shape(values))
+        return real(values)
+
+    for mod in (rhomix.grid, rhomix.maximal, rhomix.corona):
+        if hasattr(mod, "dyadic_sum_pyramid"):
+            monkeypatch.setattr(mod, "dyadic_sum_pyramid", counted)
+    f, v, g, R = _spiky_instance()
+    dec = level_decomposition(g, R)
+    assert len(dec.levels) >= 2
+    assert builds == [g.domain.shape]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    dim=st.integers(min_value=1, max_value=3),
+)
+def test_level_decomposition_matches_oracles_property(seed, dim):
+    rng = np.random.default_rng(seed)
+    dom = Domain(dim, 8.0, {1: 6, 2: 4, 3: 3}[dim])
+    R = random_pow2_cube(dom, rng)
+    zeros = rng.uniform(size=dom.shape) < 0.3
+    g = GridFunction(dom, np.where(zeros, 0.0, rng.uniform(0, 1, dom.shape) ** 3))
+    dec = level_decomposition(g, R)
+    assert np.allclose(dec.mdy.values, brute_m_dyadic(g, R), rtol=1e-12, atol=0)
+    for k, cubes in dec.levels.items():
+        assert _keys(cubes) == _keys(brute_cz(g, R, dec.a ** k))
+    if not dec.empty:
+        # the first level past the last one is empty
+        top = dec.k0 + len(dec.levels)
+        assert sorted(dec.levels) == list(range(dec.k0, top))
+        assert brute_cz(g, R, dec.a ** top) == []
+
+
 def test_level_decomposition_zero_function():
     dom = Domain(1, 8.0, 4)
     R = Cube(dom, (0,), dom.n)
@@ -192,8 +236,11 @@ def test_level_base_must_beat_dyadic_doubling():
     dom = Domain(2, 8.0, 4)
     R = Cube(dom, (0, 0), dom.n)
     g = GridFunction.constant(dom, 0.5)
-    with pytest.raises(ValueError):
-        level_decomposition(g, R, a=4.0)  # 2^dim = 4 exactly, not allowed
+    # 2^dim = 4 exactly is not allowed; nan used to fail converting k0 to an
+    # integer, and inf built no levels, leaving a nan tail bound downstream
+    for a in (4.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"exceed 2\^dim"):
+            level_decomposition(g, R, a=a)
 
 
 def _spiky_instance(seed=212):
@@ -218,7 +265,7 @@ def test_classify_partitions_every_level_cube():
     for k, cubes in dec.levels.items():
         for Q in cubes:
             key = (Q.anchor, Q.side_cells)
-            avg_v = float(v.values[Q.slices()].sum()) / Q.cell_count
+            avg_v = pyramid_average(v, R, Q)
             in_minus1 = any(
                 (P.anchor, P.side_cells) == key for P in cl.minus1.get(k, [])
             )
@@ -263,8 +310,8 @@ def test_classify_secondary_cubes_obey_their_stopping_rule():
     for k, pairs in cl.secondary.items():
         for W, Q in pairs:
             assert Q.contains_cube(W)
-            avg_w = float(v.values[W.slices()].sum()) / W.cell_count
-            assert a ** k < avg_w <= (2 ** dim) * a ** k * (1 + 1e-12)
+            avg_w = pyramid_average(v, R, W)
+            assert a ** k < avg_w <= (2 ** dim) * a ** k
     # the kept pairs are exactly those meeting the cell band
     for k, pairs in cl.gamma_minus1.items():
         bmask = cl.band_masks[k]
@@ -486,7 +533,7 @@ def test_cz_union_and_window_property(seed):
     cubes = cz_on_cube(g, R, lam)
     union = np.zeros(dom.shape, dtype=bool)
     for Q in cubes:
-        avg = float(g.values[Q.slices()].sum()) / Q.cell_count
-        assert lam < avg <= 2 * lam * (1 + 1e-12)
+        avg = pyramid_average(g, R, Q)
+        assert lam < avg <= 2 * lam
         union[Q.slices()] = True
     assert np.array_equal(union, m_dyadic(g, R).values > lam)

@@ -29,7 +29,6 @@ from rhomix import (
     run_experiment,
     rdf_audit,
     rdf_iterate,
-    rdf_weight_ladder,
     s_operator,
     sczo_apply,
 )
@@ -173,16 +172,6 @@ def test_rdf_audit_tail_bound_is_the_last_term():
         term = s_operator(term, u, rho, 1.0, fam)
     rep = rdf_audit(h, u, rho, 1.0, K0, depth)
     assert rep.tail_bound == 2.0 * float(term.values.max()) / (2.0 * K0) ** depth
-
-
-def test_rdf_weight_ladder_shape():
-    dom, u, v, suite = _setup(level=6)
-    rho = RhoSpec.classical()
-    state = estimate_K0(u, v, rho, 0.0, None, suite)
-    rh = rdf_iterate(suite[0].abs(), u, rho, 0.0, state.K0, 6)
-    ladder = rdf_weight_ladder(rh, u, v, rho, 0.0)
-    assert set(ladder) == {0.125, 0.25, 0.5, 1.0}
-    assert all(math.isfinite(c) and c >= 1.0 for c in ladder.values())
 
 
 # ---------------------------------------------------------------------------

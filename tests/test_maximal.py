@@ -28,6 +28,8 @@ from rhomix import (
     shifted_grid_domination_audit,
 )
 
+from conftest import brute_m_dyadic, random_pow2_cube
+
 CL = RhoSpec.classical()
 
 
@@ -182,32 +184,18 @@ def test_parameter_validation():
         m_rho_sigma(f, CL, 0.0, 0.5)
 
 
-def brute_m_dyadic(f, R):
-    """Independent oracle: walk the explicit bisection tree with plain means."""
-    out = np.zeros(f.domain.shape)
-    vals = np.abs(f.values)
-
-    def visit(Q):
-        avg = float(np.mean(vals[Q.slices()]))
-        sl = Q.slices()
-        out[sl] = np.maximum(out[sl], avg)
-        if Q.side_cells > 1:
-            for k in Q.children():
-                visit(k)
-
-    visit(R)
-    return out
-
-
 def test_dyadic_matches_recursive_oracle():
     rng = np.random.default_rng(48)
-    for dim in (1, 2):
+    sub_rng = np.random.default_rng(148)
+    for dim in (1, 2, 3):
         dom = Domain(dim, 8.0, 3)
         f = GridFunction(dom, rng.normal(0, 1, dom.shape))
-        R = Cube(dom, (0,) * dim, dom.n)
-        got = m_dyadic(f, R).values
-        want = brute_m_dyadic(f, R)
-        assert np.allclose(got, want, rtol=1e-12)
+        roots = [Cube(dom, (0,) * dim, dom.n)]
+        roots += [random_pow2_cube(dom, sub_rng) for _ in range(6)]
+        for R in roots:
+            got = m_dyadic(f, R).values
+            want = brute_m_dyadic(f, R)
+            assert np.allclose(got, want, rtol=1e-12)
 
 
 def test_dyadic_on_subcube_zero_outside():

@@ -303,6 +303,16 @@ def test_cli_corona_run_writes_ledger(saved_inputs):
     assert ledger[0].startswith("cubes,")  # sorted header: cubes,ell,k,kind,u_mass
 
 
+def test_cli_corona_run_rejects_non_finite_base(saved_inputs):
+    # --a inf used to build no levels and exit 1 on a nan tail bound
+    tmp_path, paths = saved_inputs
+    rc = main([
+        "corona", "run", "--f", paths["f"], "--u", paths["u"],
+        "--v", paths["v"], "--a", "inf", "--out", str(tmp_path / "infout"),
+    ])
+    assert rc == 2
+
+
 def test_cli_corona_dump_forest(saved_inputs):
     tmp_path, paths = saved_inputs
     out = tmp_path / "forestout"

@@ -20,7 +20,6 @@ from rhomix import (
     ainf_epsilon_form,
     ap_characteristic,
     enumerate_cubes,
-    epsilon_power_audit,
     factor_build,
     growth_factor,
     rh_characteristic,
@@ -316,26 +315,6 @@ def test_factor_build_formula_and_validation():
         factor_build(u, v, 1.0)
     with pytest.raises(ValueError):
         factor_build(u, v, math.inf)
-
-
-def test_epsilon_power_audit_shape():
-    rng = np.random.default_rng(39)
-    dom = Domain(1, 8.0, 5)
-    fam = _fam(dom)
-    u = GridFunction(dom, np.exp(rng.normal(0, 0.4, dom.shape)))
-    v = GridFunction(dom, np.exp(rng.normal(0, 0.4, dom.shape)))
-    rep = epsilon_power_audit(u, v, 2.0, CL, fam)
-    assert rep.s0 in (2.0, 4.0, 8.0)
-    assert rep.eps0 == pytest.approx(1.0 / (rep.s0 / (rep.s0 - 1.0)))
-    assert rep.refined_drift is None
-    fine = dom.refine()
-    famf = _fam(fine)
-    uf = GridFunction(fine, np.repeat(u.values, 2))
-    vf = GridFunction(fine, np.repeat(v.values, 2))
-    rep2 = epsilon_power_audit(u, v, 2.0, CL, fam, refined=(uf, vf, famf))
-    assert rep2.refined_drift is not None
-    assert all(d >= 0 for d in rep2.refined_drift.values())
-    assert set(rep2.refined_drift) == set(rep2.ap_values)
 
 
 def test_weighted_measure_helper():
