@@ -14,11 +14,12 @@ from rhomix import (
     GridFunction,
     WeightedMeasure,
     default_config,
+    default_family,
     interpolation_audit,
     lorentz_norm,
     make_function,
     make_weight,
-    m_rho_sigma,
+    m_rho_sigma_stack,
     RhoSpec,
     rearrangement,
     run_experiment,
@@ -53,8 +54,11 @@ def interpolation():
     mu = WeightedMeasure(make_weight(dom, {"kind": "smooth_random", "amp": 0.4}, rng))
     fs = [make_function(dom, {"kind": "indicator"}, rng).abs() for _ in range(8)]
 
-    def T(g):
-        return m_rho_sigma(g, RhoSpec.classical())
+    fam = default_family(dom)
+
+    # T maps the whole pool, one (B, n) stack, to its images in one sweep
+    def T(stack):
+        return m_rho_sigma_stack(stack, RhoSpec.classical(), 0.0, 1.0, fam)
 
     honest = interpolation_audit(T, 1.0, 2.0, mu, fs)
     print("measured constants: weak C0 =", round(honest.C0, 4),

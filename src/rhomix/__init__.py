@@ -75,6 +75,7 @@ from .grid import (
     InvalidWeightError,
     average,
     dyadic_average_tree,
+    dyadic_averages,
     dyadic_sum_pyramid,
     enumerate_cubes,
     integrate,
@@ -100,9 +101,11 @@ from .maximal import (
     ShiftDominationReport,
     default_family,
     loc_glob_split,
+    loc_glob_split_stack,
     m_dyadic,
     m_localized,
     m_rho_sigma,
+    m_rho_sigma_stack,
     shifted_grid_domination_audit,
 )
 from .suite import (
@@ -124,6 +127,7 @@ from .weights import (
     WeightCharacteristic,
     ainf_epsilon_form,
     ap_characteristic,
+    ap_ladder,
     factor_build,
     rh_characteristic,
 )

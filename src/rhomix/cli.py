@@ -47,7 +47,7 @@ from .grid import (
 from .lorentz import WeightedMeasure, lorentz_norm
 from .maximal import default_family, m_rho_sigma
 from .suite import domain_from_json, rho_from_json
-from .weights import ap_characteristic
+from .weights import ap_ladder
 
 __all__ = ["main"]
 
@@ -117,8 +117,7 @@ def _cmd_weights_char(args) -> int:
     fam = _family_arg(w.domain, args.cubes)
     thetas = [float(t) for t in args.theta.split(",")]
     rows = []
-    for theta in thetas:
-        c = ap_characteristic(w, args.p, theta, rho, fam)
+    for theta, c in zip(thetas, ap_ladder(w, args.p, thetas, rho, fam)):
         witness = c.witness
         rows.append({
             "p": args.p,

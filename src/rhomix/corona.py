@@ -11,7 +11,8 @@ compare against the weight u.
 
 All set inclusions used by the verifier are exact at the cell level: one
 dyadic_average_tree per function and root yields every average, M_dyadic and
-each level's stopping cubes, so the proof's comparisons see identical floats.
+each level's stopping cubes, so the proof's comparisons see identical floats;
+classify reads v's averages alone, from dyadic_averages, the tree's own.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .grid import (
     DYADIC_GRID_OF,
     GridFunction,
     dyadic_average_tree,
+    dyadic_averages,
     enumerate_cubes,
     integrate,
 )
@@ -219,7 +221,7 @@ def classify(decomp: LevelDecomposition, v: GridFunction) -> ClassifiedLevels:
         efull[R.slices()] = local & exceed
         e_masks[k] = efull
 
-    v_avgs = [avg for avg, _above in dyadic_average_tree(require_pos)]
+    v_avgs = dyadic_averages(require_pos)
     for k, cubes in decomp.levels.items():
         for Q in cubes:
             s = Q.side_cells

@@ -41,7 +41,7 @@ from .lorentz import (
     interpolation_audit,
     rearrangement,
 )
-from .maximal import default_family, loc_glob_split, m_rho_sigma
+from .maximal import default_family, loc_glob_split_stack, m_rho_sigma_stack
 from .suite import (
     SuiteBundle,
     domain_from_json,
@@ -51,7 +51,7 @@ from .suite import (
     rho_from_json,
     standard_suite_spec,
 )
-from .weights import RH_LADDER, THETA_LADDER, ap_characteristic, rh_characteristic
+from .weights import RH_LADDER, THETA_LADDER, ap_ladder, rh_characteristic
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -235,8 +235,8 @@ def _exp_weights_char(config):
     worst = 0.0
     for i, pair in enumerate(bundle.pairs):
         for name, w in (("u", pair.u), ("v", pair.v)):
-            for theta in THETA_LADDER:
-                c = ap_characteristic(w, 2.0, theta, bundle.rho, fam)
+            ladder = ap_ladder(w, 2.0, THETA_LADDER, bundle.rho, fam)
+            for theta, c in zip(THETA_LADDER, ladder):
                 tables.append({
                     "pair": i, "label": pair.label, "weight": name,
                     "theta": theta, "p": 2.0, "ap": c.value,
@@ -261,12 +261,16 @@ def _exp_maximal_eval(config):
     q = float(config.get("q", 1.0))
     measured, passes, tables = {}, {}, []
     bad = 0
-    for i, f in enumerate(bundle.fs):
-        split = loc_glob_split(f, bundle.rho, sigma, fam)
-        m = split.m if q == 1.0 else m_rho_sigma(f, bundle.rho, sigma, q, fam)
-        arg = int(np.argmax(m.values))
+    stack = np.array([f.values for f in bundle.fs]).reshape((-1,) + bundle.domain.shape)
+    splits = loc_glob_split_stack(stack, bundle.rho, sigma, fam)
+    if q == 1.0:
+        ms = [split.m.values for split in splits]
+    else:
+        ms = m_rho_sigma_stack(stack, bundle.rho, sigma, q, fam)
+    for i, (split, m) in enumerate(zip(splits, ms)):
+        arg = int(np.argmax(m))
         tables.append({
-            "f": i, "max": float(m.values.max()), "argmax_cell": arg,
+            "f": i, "max": float(m.max()), "argmax_cell": arg,
         })
         bad += int(split.max_upper_violation > 1e-12)
         bad += int(split.max_lower_violation > 1e-12)
@@ -459,8 +463,8 @@ def _exp_interpolation(config):
     fam = default_family(bundle.domain)
     mu = WeightedMeasure(bundle.pairs[0].u)
 
-    def T(g):
-        return m_rho_sigma(g, RhoSpec.classical(), 0.0, 1.0, fam)
+    def T(stack):
+        return m_rho_sigma_stack(stack, RhoSpec.classical(), 0.0, 1.0, fam)
 
     p0 = 1.0
     p = 2.0

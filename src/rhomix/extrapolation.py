@@ -27,8 +27,8 @@ import numpy as np
 from .critical import RhoSpec, rho_values
 from .grid import CubeFamily, Domain, GridFunction, integrate, require_weight
 from .lorentz import WeightedMeasure, lorentz_norm, t_grid_sup, weak_norm
-from .maximal import default_family, m_rho_sigma
-from .weights import THETA_LADDER, ainf_epsilon_form, ap_characteristic
+from .maximal import default_family, m_rho_sigma, m_rho_sigma_stack
+from .weights import THETA_LADDER, ainf_epsilon_form, ap_characteristic, ap_ladder
 
 __all__ = [
     "CoifmanReport",
@@ -63,23 +63,24 @@ class K0TooSmallError(RuntimeError):
 # ---------------------------------------------------------------------------
 # the auxiliary operator
 
-def _first_stable(ladder: tuple[float, ...], char) -> float:
-    """First ladder value whose characteristic char(value) has stabilized:
-    within 25% of the floor, the characteristic at the last, most forgiving
-    value (which is returned when no earlier one qualifies)."""
-    chars = {x: char(x) for x in ladder}
-    floor_val = chars[ladder[-1]]
-    return next((x for x in ladder if chars[x] <= 1.25 * floor_val), ladder[-1])
+def _first_stable(ladder: tuple[float, ...], chars) -> float:
+    """First ladder value whose characteristic (chars, in ladder order) has
+    stabilized: within 25% of the floor, the characteristic at the last,
+    most forgiving value (which is returned when no earlier one qualifies)."""
+    floor_val = chars[-1]
+    return next(
+        (x for x, c in zip(ladder, chars) if c <= 1.25 * floor_val), ladder[-1]
+    )
 
 
 def ladder_exponent(u: GridFunction, rho: RhoSpec, cubes: CubeFamily) -> float:
     """Smallest growth exponent on the standard ladder at which u's
-    A_1-type characteristic has stabilized (within 25% of the floor)."""
+    A_1-type characteristic has stabilized (within 25% of the floor); the
+    whole ladder comes from one sweep."""
     if rho.is_classical:
         return 0.0
-    return _first_stable(
-        THETA_LADDER, lambda th: ap_characteristic(u, 1.0, th, rho, cubes).value
-    )
+    chars = ap_ladder(u, 1.0, THETA_LADDER, rho, cubes)
+    return _first_stable(THETA_LADDER, [c.value for c in chars])
 
 
 def s_operator(
@@ -98,11 +99,14 @@ def s_operator(
     against ladder_exponent first; the operator itself computes for any
     sigma >= 0.
     """
-    require_weight(u)
     fam = cubes if cubes is not None else default_family(f.domain)
-    fu = GridFunction(f.domain, f.values * u.values)
-    m = m_rho_sigma(fu, rho, sigma, 1.0, fam)
-    return GridFunction(f.domain, m.values / u.values)
+    return GridFunction(f.domain, _s_stack(f.values[None], u, rho, sigma, fam)[0])
+
+
+def _s_stack(values, u, rho, sigma, fam) -> np.ndarray:
+    """S of each function of a (B, *grid) stack, from one sweep."""
+    require_weight(u)
+    return m_rho_sigma_stack(values * u.values, rho, sigma, 1.0, fam) / u.values
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +152,7 @@ def estimate_K0(
     fam = cubes if cubes is not None else default_family(u.domain)
     theta = ladder_exponent(v, rho, fam)
     t = _first_stable(
-        T_LADDER, lambda tt: ap_characteristic(v, tt, theta, rho, fam).value
+        T_LADDER, [ap_characteristic(v, tt, theta, rho, fam).value for tt in T_LADDER]
     )
     eps = ainf_epsilon_form(v, theta, rho, fam).eps
     p0 = 1.0 + 2.0 * (t - 1.0) / eps
@@ -157,18 +161,20 @@ def estimate_K0(
     if q < 2.0 * p0:
         raise ValueError(f"q = {q} below 2 p0 = {2 * p0}")
     uv = WeightedMeasure(GridFunction(u.domain, u.values * v.values))
+    live = [(f, d) for f in f_suite if (d := lorentz_norm(f, uv, q, 1.0)) != 0.0]
+    if not live:
+        raise ValueError("suite contains only null functions")
+    # S over the whole suite in one sweep
+    images = _s_stack(np.stack([f.values for f, _ in live]), u, rho, sigma, fam)
     measured = 0.0
     worst = None
-    for f in f_suite:
-        denom = lorentz_norm(f, uv, q, 1.0)
-        if denom == 0.0:
-            continue
-        sf = s_operator(f, u, rho, sigma, fam)
-        measured = max(measured, lorentz_norm(sf, uv, q, 1.0) / denom)
+    for (f, denom), sf in zip(live, images):
+        ratio = lorentz_norm(GridFunction(f.domain, sf), uv, q, 1.0) / denom
+        measured = max(measured, ratio)
         peak = float(np.max(np.abs(f.values)))
         if worst is None or peak > worst[0]:
             worst = (peak, f)
-    if measured == 0.0 or worst is None:
+    if measured == 0.0:
         raise ValueError("suite contains only null functions")
     K0 = 1.5 * measured
     g = worst[1].abs()

@@ -10,11 +10,17 @@ Conventions used throughout the package:
   * a cube is anchored at integer cell coordinates and spans side_cells
     cells per axis, so anchor + side_cells <= n on every axis;
   * the radius of a cube is half its diagonal, sqrt(dim) * side_length / 2;
-  * cube enumeration order is lexicographic by side_cells then anchor.
+  * cube enumeration order is lexicographic by side_cells then anchor;
+  * a stack is a (B, *grid) array of B functions on one domain.  The sweep
+    engine (CubeFamily.sweep, cube_extreme, cell_max and BoxSums) takes any
+    leading batch axes in front of the grid and treats every function of
+    the batch exactly as if it were alone, so one sweep serves a stack with
+    bit-identical floats.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -38,10 +44,12 @@ __all__ = [
     "InvalidWeightError",
     "average",
     "dyadic_average_tree",
+    "dyadic_averages",
     "dyadic_sum_pyramid",
     "enumerate_cubes",
     "integrate",
     "load_grid_function",
+    "require_stack",
     "require_weight",
     "save_grid_function",
     "weighted_measure",
@@ -280,9 +288,13 @@ class CubeFamily:
       * DYADIC_GRID_OF (dims 1-3): recursive bisection tree of a root cube.
 
     Every sweep goes through sweep(), cube_cells(), cube_extreme() and
-    cell_max().  Sliding windows serve ALL_CELL_ALIGNED; the two dyadic
-    policies view the covered region as one (tile, cell-in-tile) pair of
-    axes per dimension, so one reshape serves every dim.
+    cell_max(); all but cube_cells take a batch of functions on leading
+    axes, and the per-side work is then paid once for the whole batch.
+    Sliding windows (along the last axis) serve ALL_CELL_ALIGNED; the two
+    dyadic policies view the covered region as one (tile, cell-in-tile)
+    pair of axes per dimension, so one reshape serves every dim.  Every
+    side's anchors form a regular lattice, which BoxSums reads by strided
+    slices.
     """
 
     domain: Domain
@@ -340,23 +352,28 @@ class CubeFamily:
     def sweep(self, *values: np.ndarray):
         """Per side, smallest first: (side, anchors, avgs).
 
-        avgs holds one array per input: its average over every cube of the
-        side, in anchors order, read from a BoxSums table of the covered
-        region.
+        Each input is (..., *grid): any leading axes are a batch of
+        functions (one function is a bare grid array, or the batch of one).
+        avgs holds one (..., cubes) array per input: the average of every
+        function over every cube of the side, in anchors order, read from a
+        BoxSums table of the covered region.
         """
-        region = self.region()
-        tables = [BoxSums(np.asarray(v, dtype=np.float64)[region]) for v in values]
+        dim = self.domain.dim
+        region = (Ellipsis,) + self.region()
+        tables = [BoxSums(np.asarray(v, dtype=np.float64)[region], dim) for v in values]
         origin = None if self.root is None else np.asarray(self.root.anchor)
         for s in self.side_cells_list():
             anchors = self.anchors(s)
             local = anchors if origin is None else anchors - origin
-            cells = s**self.domain.dim
+            cells = s**dim
             yield s, anchors, [t.box_sum(local, s) / cells for t in tables]
 
     def _tiles(self, region: np.ndarray, s: int) -> np.ndarray:
-        """View of a region as (tile, cell-in-tile) axis pairs, one per dim."""
-        k = region.shape[0] // s
-        return region.reshape((k, s) * self.domain.dim)
+        """View of a (..., *grid) region as (tile, cell-in-tile) axis pairs,
+        one per dim, after the leading axes."""
+        dim = self.domain.dim
+        k = region.shape[-1] // s
+        return region.reshape(region.shape[:-dim] + (k, s) * dim)
 
     def cube_cells(self, values: np.ndarray, s: int) -> np.ndarray:
         """(cubes, s**dim) array: row i holds the cell values of the i-th cube
@@ -369,38 +386,44 @@ class CubeFamily:
         return self._tiles(vals, s).transpose(order).reshape(-1, s**dim)
 
     def cube_extreme(self, values: np.ndarray, s: int, kind: str) -> np.ndarray:
-        """Min or max (kind) of values over each cube of side s, anchors order."""
-        vals = np.asarray(values, dtype=np.float64)[self.region()]
+        """Min or max (kind) over each cube of side s, anchors order, of each
+        function of a (..., *grid) batch: shape (..., cubes)."""
+        vals = np.asarray(values, dtype=np.float64)[(Ellipsis,) + self.region()]
         if self.policy == ALL_CELL_ALIGNED:
             if s == 1:
                 return vals
             filt = minimum_filter1d if kind == "min" else maximum_filter1d
-            out = filt(vals, size=s, mode="nearest")
-            n = vals.shape[0]
-            return out[s // 2 : s // 2 + (n - s + 1)]
+            out = filt(vals, size=s, axis=-1, mode="nearest")
+            n = vals.shape[-1]
+            return out[..., s // 2 : s // 2 + (n - s + 1)]
         op = np.min if kind == "min" else np.max
         tiles = self._tiles(vals, s)
-        return op(tiles, axis=tuple(range(1, tiles.ndim, 2))).ravel()
+        lead = tiles.ndim - 2 * self.domain.dim
+        inner = tuple(range(lead + 1, tiles.ndim, 2))
+        return op(tiles, axis=inner).reshape(tiles.shape[:lead] + (-1,))
 
     def cell_max(self, scores: np.ndarray, s: int, out: np.ndarray) -> None:
         """Spread each cube's score (anchors order) onto the cells the cube
-        covers, keeping the running max in out (a grid-shaped array)."""
-        view = out[self.region()]
+        covers, keeping the running max in out.  out is (..., *grid) and
+        scores (..., cubes), with the same leading axes."""
+        view = out[(Ellipsis,) + self.region()]
         if self.policy == ALL_CELL_ALIGNED:
-            n = view.shape[0]
+            n = view.shape[-1]
             if s > 1:
-                padded = np.full(n, -np.inf)
-                padded[: n - s + 1] = scores
+                padded = np.full(view.shape, -np.inf)
+                padded[..., : n - s + 1] = scores
                 # origin (s-1)//2 ends the length-s window at the output cell
                 # for both parities, so anchor a reaches exactly [a, a+s-1]
                 scores = maximum_filter1d(
-                    padded, size=s, mode="constant", cval=-np.inf, origin=(s - 1) // 2
+                    padded, size=s, axis=-1, mode="constant", cval=-np.inf,
+                    origin=(s - 1) // 2,
                 )
             np.maximum(view, scores, out=view)
             return
         tiles = self._tiles(view, s)
-        k = view.shape[0] // s
-        np.maximum(tiles, scores.reshape((k, 1) * self.domain.dim), out=tiles)
+        lead = view.shape[: view.ndim - self.domain.dim]
+        k = view.shape[-1] // s
+        np.maximum(tiles, scores.reshape(lead + (k, 1) * self.domain.dim), out=tiles)
 
 
 def enumerate_cubes(
@@ -415,30 +438,56 @@ def enumerate_cubes(
 class BoxSums:
     """O(1) sums over cell boxes after one cumulative-sum pass.
 
-    The padded prefix table P satisfies P[i1,...,id] = sum of values over
-    cells [0,i1) x ... x [0,id); a box sum is the usual 2^dim-corner
-    inclusion-exclusion.
+    values is (..., *grid) with dim grid axes (all axes when dim is None);
+    leading axes are a batch of functions sharing the grid.  The padded
+    prefix table P satisfies P[..., i1,...,id] = sum of values over cells
+    [0,i1) x ... x [0,id), built by one cumsum per grid axis; a box sum is
+    the usual 2^dim-corner inclusion-exclusion.
     """
 
-    def __init__(self, values: np.ndarray):
+    def __init__(self, values: np.ndarray, dim: int | None = None):
         arr = np.asarray(values, dtype=np.float64)
-        self.dim = arr.ndim
+        self.dim = arr.ndim if dim is None else dim
+        lead = arr.ndim - self.dim
         p = arr
-        for ax in range(self.dim):
+        for ax in range(lead, arr.ndim):
             p = np.cumsum(p, axis=ax)
-        self.table = np.pad(p, [(1, 0)] * self.dim)
+        self.table = np.pad(p, [(0, 0)] * lead + [(1, 0)] * self.dim)
 
     def box_sum(self, anchors: np.ndarray, side_cells: int) -> np.ndarray:
-        """Sums over [anchor, anchor + side_cells) for each row of anchors."""
+        """Sums over [anchor, anchor + side_cells) for each row of anchors,
+        shape (..., rows) with the table's leading axes.
+
+        The rows must form a product lattice in lexicographic order, each
+        axis an increasing arithmetic progression, as CubeFamily.anchors
+        gives them (a single anchor is the one-point lattice).  Every corner
+        of the inclusion-exclusion is then one strided slice of the table.
+        """
         a = np.atleast_2d(np.asarray(anchors, dtype=np.int64))
-        total = np.zeros(a.shape[0])
-        for corner in np.ndindex(*(2,) * self.dim):
+        first, last = a[0].tolist(), a[-1].tolist()
+        lattice = [(0, 1, 1)] * self.dim  # per axis: first, step, count
+        rows = 1
+        for ax in reversed(range(self.dim)):
+            step = int(a[rows, ax]) - first[ax] if rows < len(a) else 0
+            count = (last[ax] - first[ax]) // step + 1 if step > 0 else 1
+            step = max(step, 1)
+            if first[ax] + (count - 1) * step != last[ax]:
+                rows = -1
+                break
+            lattice[ax] = (first[ax], step, count)
+            rows *= count
+        if rows != len(a):
+            raise ValueError("box_sum anchors must form a lexicographic lattice")
+        lead = self.table.shape[: self.table.ndim - self.dim]
+        total = np.zeros(lead + tuple(count for _, _, count in lattice))
+        for corner in itertools.product((0, 1), repeat=self.dim):
             idx = tuple(
-                a[:, ax] + (side_cells if corner[ax] else 0) for ax in range(self.dim)
+                slice(lo + c * side_cells, lo + c * side_cells + step * (count - 1) + 1, step)
+                for (lo, step, count), c in zip(lattice, corner)
             )
-            sign = (-1) ** (self.dim - sum(corner))
-            total += sign * self.table[idx]
-        return total
+            add = np.add if (self.dim - sum(corner)) % 2 == 0 else np.subtract
+            add(total, self.table[(Ellipsis,) + idx], out=total)
+        return total.reshape(lead + (rows,))
 
 
 def dyadic_sum_pyramid(values: np.ndarray) -> list[np.ndarray]:
@@ -467,14 +516,19 @@ def dyadic_sum_pyramid(values: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
-def dyadic_average_tree(values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per level j: (avg_j, above_j), the 2^j-wide block averages off
-    dyadic_sum_pyramid and each block's largest strict-ancestor average
-    (-inf at the root).  M_dyadic is max(avg_0, above_0), and a block is a
-    stopping cube at lam exactly when above <= lam < avg.
-    """
+def dyadic_averages(values: np.ndarray) -> list[np.ndarray]:
+    """Per level j, the 2^j-wide block averages off dyadic_sum_pyramid."""
     sums = dyadic_sum_pyramid(values)
-    avgs = [s / float((1 << j) ** s.ndim) for j, s in enumerate(sums)]
+    return [s / float((1 << j) ** s.ndim) for j, s in enumerate(sums)]
+
+
+def dyadic_average_tree(values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per level j: (avg_j, above_j), the dyadic_averages of level j and
+    each block's largest strict-ancestor average (-inf at the root).
+    M_dyadic is max(avg_0, above_0), and a block is a stopping cube at lam
+    exactly when above <= lam < avg.
+    """
+    avgs = dyadic_averages(values)
     above = [np.full_like(avgs[-1], -np.inf)]
     for avg in avgs[:0:-1]:
         up = np.maximum(above[-1], avg)
@@ -482,6 +536,18 @@ def dyadic_average_tree(values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray
             up = np.repeat(up, 2, axis=ax)
         above.append(up)
     return list(zip(avgs, above[::-1]))
+
+
+def require_stack(values, domain: Domain) -> np.ndarray:
+    """values as a (B, *grid) float stack of B functions on domain; any
+    other shape is rejected."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != domain.dim + 1 or arr.shape[1:] != domain.shape:
+        raise ValueError(
+            f"expected a (B, {', '.join(map(str, domain.shape))}) stack of grid "
+            f"values, got shape {arr.shape}"
+        )
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -203,20 +203,19 @@ class InterpolationReport:
         return self.violations + self.hypothesis_violations
 
 
-def _truncations(f: GridFunction, mu: WeightedMeasure) -> list[GridFunction]:
-    """The distinct splits f = f_t + f^t at the rearrangement steps."""
-    table = rearrangement(f, mu)
-    out = []
-    for v in table.values:
-        low = np.where(np.abs(f.values) <= v, f.values, 0.0)
-        high = f.values - low
-        out.append(GridFunction(f.domain, low))
-        out.append(GridFunction(f.domain, high))
-    return out
+def _truncations(f: GridFunction, mu: WeightedMeasure) -> np.ndarray:
+    """The distinct splits f = f_t + f^t at the rearrangement steps, as a
+    (2K, *grid) stack: f_t then f^t for each of the K steps."""
+    steps = rearrangement(f, mu).values
+    vals = f.values
+    below = np.abs(vals) <= steps.reshape((-1,) + (1,) * vals.ndim)
+    low = np.where(below, vals, 0.0)
+    high = vals - low
+    return np.stack([low, high], axis=1).reshape((-1,) + vals.shape)
 
 
 def interpolation_audit(
-    T: Callable[[GridFunction], GridFunction],
+    T: Callable[[np.ndarray], np.ndarray],
     p0: float,
     p: float,
     mu: WeightedMeasure,
@@ -235,6 +234,12 @@ def interpolation_audit(
 
         ||Tf||_{p,1} <= 2^(1/p) (C0 (1/p0 - 1/p)^-1 + C1) ||f||_{p,1}.
 
+    T maps a stack to a stack: it is called once, on the whole pool (each
+    f followed by its splits) as one (B, *grid) array of cell values, and
+    must return the B images as an array of the same shape; any other
+    shape is rejected.  A sweep-based T such as m_rho_sigma_stack then
+    costs one sweep per audit.
+
     When C0/C1 are not supplied they are measured as the maxima of the
     hypothesis ratios over the pool, which makes every check a theorem.
     Passing smaller constants (a negative control) must be reported: the
@@ -243,23 +248,28 @@ def interpolation_audit(
     """
     if not (0 < p0 < p < math.inf):
         raise ValueError("need 0 < p0 < p < inf")
-    pool: list[GridFunction] = []
-    f_offsets: list[int] = []
-    for f in f_suite:
-        f_offsets.append(len(pool))
-        pool.append(f)
-        pool.extend(_truncations(f, mu))
-    # one T evaluation per pool member, shared by every check below
-    images = [T(g) for g in pool]
+    domain = mu.domain
+    blocks = [np.concatenate([f.values[None], _truncations(f, mu)]) for f in f_suite]
+    f_offsets = np.cumsum([0] + [len(b) for b in blocks])[:-1]
+    pool = np.concatenate(blocks) if blocks else np.zeros((0,) + domain.shape)
+    # one T evaluation for the whole pool, shared by every check below
+    images = np.asarray(T(pool))
+    if images.shape != pool.shape:
+        raise ValueError(
+            f"T must map the (B, *grid) pool of shape {pool.shape} to a stack "
+            f"of the same shape, got shape {images.shape}"
+        )
+    members = [GridFunction(domain, g) for g in pool]
+    image_fns = [GridFunction(domain, Tg) for Tg in images]
     weak_ratios = [
         _safe_ratio(weak_norm(Tg, mu, p0), lorentz_norm(g, mu, p0, 1.0))
-        for g, Tg in zip(pool, images)
+        for g, Tg in zip(members, image_fns)
     ]
     sup_ratios = [
         _safe_ratio(
             float(np.max(np.abs(Tg.values))), float(np.max(np.abs(g.values)))
         )
-        for g, Tg in zip(pool, images)
+        for g, Tg in zip(members, image_fns)
     ]
     if C0 is None:
         C0 = max(weak_ratios, default=0.0)
@@ -275,7 +285,7 @@ def interpolation_audit(
     violations = 0
     max_ratio = 0.0
     for f, off in zip(f_suite, f_offsets):
-        Tf = images[off]
+        Tf = image_fns[off]
         lhs = lorentz_norm(Tf, mu, p, 1.0)
         rhs = bound * lorentz_norm(f, mu, p, 1.0)
         if rhs == 0.0:

@@ -13,9 +13,13 @@ family covers read 0, the zero-extension convention.  Localized and dyadic
 variants restrict the family to one root cube, and the local/global split
 separates subcritical cubes (r <= rho) from the rest.
 
-Sweeps cost O(n log n) to O(n^2): CubeFamily.sweep gives every cube
-average in O(1) from one prefix-sum table, and CubeFamily.cell_max turns
-per-anchor values into per-cell suprema; m_localized runs on them too.
+Sweeps cost O(n log n) to O(n^2) per function: CubeFamily.sweep gives
+every cube average in O(1) from one prefix-sum table, and
+CubeFamily.cell_max turns per-anchor values into per-cell suprema;
+m_localized runs on them too.  m_rho_sigma_stack and loc_glob_split_stack
+run one sweep for a whole (B, *grid) stack of functions, so the per-side
+overhead is paid once per stack; m_rho_sigma and loc_glob_split are their
+B = 1 calls, and every image is bit-identical whatever the stack around it.
 m_dyadic reads one dyadic_average_tree of the root block.
 Every cube penalty, the growth factor's power and glob's (rho/r)^sigma,
 is read from the rho's PenaltyTable for the family (critical.py).
@@ -38,6 +42,7 @@ from .grid import (
     GridFunction,
     dyadic_average_tree,
     enumerate_cubes,
+    require_stack,
 )
 
 __all__ = [
@@ -46,9 +51,11 @@ __all__ = [
     "ShiftDominationReport",
     "default_family",
     "loc_glob_split",
+    "loc_glob_split_stack",
     "m_dyadic",
     "m_localized",
     "m_rho_sigma",
+    "m_rho_sigma_stack",
     "shifted_grid_domination_audit",
 ]
 
@@ -58,10 +65,11 @@ def default_family(domain: Domain) -> CubeFamily:
     return enumerate_cubes(domain, policy)
 
 
-def _cell_floor(family: CubeFamily) -> np.ndarray:
-    """Start of a cellwise sup: -inf where the family has cubes, 0 off them."""
-    out = np.zeros(family.domain.shape)
-    out[family.region()] = -np.inf
+def _cell_floor(family: CubeFamily, count: int) -> np.ndarray:
+    """Start of count cellwise sups: -inf where the family has cubes, 0 off
+    them."""
+    out = np.zeros((count,) + family.domain.shape)
+    out[(Ellipsis,) + family.region()] = -np.inf
     return out
 
 
@@ -77,16 +85,30 @@ def m_rho_sigma(
     With q > 1 this is (M[sigma](|f|^q))^(1/q).  Monotone decreasing in
     sigma cellwise; sigma = 0 over ALL_CELL_ALIGNED in dim 1 is the exact
     discrete uncentered maximal function.  Cells no cube of the family
-    covers (off a root) read 0.
+    covers (off a root) read 0.  The B = 1 call of m_rho_sigma_stack.
     """
+    family = cubes if cubes is not None else default_family(f.domain)
+    out = m_rho_sigma_stack(f.values[None], rho, sigma, q, family)
+    return GridFunction(f.domain, out[0])
+
+
+def m_rho_sigma_stack(
+    values: np.ndarray,
+    rho: RhoSpec,
+    sigma: float,
+    q: float,
+    cubes: CubeFamily,
+) -> np.ndarray:
+    """m_rho_sigma of each function of a (B, *grid) stack of cell values on
+    the family's domain, from one sweep: the (B, *grid) stack of images."""
     if sigma < 0 or q < 1:
         raise ValueError("need sigma >= 0 and q >= 1")
-    family = cubes if cubes is not None else default_family(f.domain)
-    table = rho.penalty_table(family)
-    out = _cell_floor(family)
-    for s, _anchors, (avg,) in family.sweep(np.abs(f.values) ** q):
-        family.cell_max(avg * table.power(s, -sigma), s, out)
-    return GridFunction(f.domain, out ** (1.0 / q) if q != 1.0 else out)
+    stack = require_stack(values, cubes.domain)
+    table = rho.penalty_table(cubes)
+    out = _cell_floor(cubes, len(stack))
+    for s, _anchors, (avg,) in cubes.sweep(np.abs(stack) ** q):
+        cubes.cell_max(avg * table.power(s, -sigma), s, out)
+    return out ** (1.0 / q) if q != 1.0 else out
 
 
 def m_dyadic(f: GridFunction, R: Cube) -> GridFunction:
@@ -164,37 +186,55 @@ def loc_glob_split(
 
     One sweep yields loc, glob and M[sigma] f itself, bit-identical to
     m_rho_sigma(f, rho, sigma, 1.0, cubes).  Empty pieces are zero by the
-    zero-extension convention.
+    zero-extension convention.  The B = 1 call of loc_glob_split_stack.
     """
     family = cubes if cubes is not None else default_family(f.domain)
-    table = rho.penalty_table(family)
-    domain = f.domain
-    m_vals, loc_vals, glob_vals = (_cell_floor(family) for _ in range(3))
+    return loc_glob_split_stack(f.values[None], rho, sigma, family)[0]
+
+
+def loc_glob_split_stack(
+    values: np.ndarray,
+    rho: RhoSpec,
+    sigma: float,
+    cubes: CubeFamily,
+) -> list[LocGlobReport]:
+    """loc_glob_split of each function of a (B, *grid) stack of cell values
+    on the family's domain, from one sweep: one report per function."""
+    stack = require_stack(values, cubes.domain)
+    table = rho.penalty_table(cubes)
+    domain = cubes.domain
+    m_vals, loc_vals, glob_vals = (_cell_floor(cubes, len(stack)) for _ in range(3))
     sub_count = sup_count = 0
-    for s, _anchors, (avg,) in family.sweep(np.abs(f.values)):
-        family.cell_max(avg * table.power(s, -sigma), s, m_vals)
+    for s, _anchors, (avg,) in cubes.sweep(np.abs(stack)):
+        cubes.cell_max(avg * table.power(s, -sigma), s, m_vals)
         rv, radius = table.side(s)
         sub = radius <= rv
         n_sub = int(np.count_nonzero(sub))
         sub_count += n_sub
         sup_count += len(sub) - n_sub
-        family.cell_max(np.where(sub, avg, -np.inf), s, loc_vals)
+        cubes.cell_max(np.where(sub, avg, -np.inf), s, loc_vals)
         glob = np.where(sub, -np.inf, avg * table.power(s, sigma, ratio=True))
-        family.cell_max(glob, s, glob_vals)
+        cubes.cell_max(glob, s, glob_vals)
     np.maximum(loc_vals, 0.0, out=loc_vals)
     np.maximum(glob_vals, 0.0, out=glob_vals)
-    upper = float(np.max(m_vals - (loc_vals + glob_vals)))
-    lower = float(np.max(2.0**-sigma * np.maximum(loc_vals, glob_vals) - m_vals))
-    return LocGlobReport(
-        loc=GridFunction(domain, loc_vals),
-        glob=GridFunction(domain, glob_vals),
-        m=GridFunction(domain, m_vals),
-        sigma=sigma,
-        max_upper_violation=upper,
-        max_lower_violation=lower,
-        subcritical_cubes=sub_count,
-        supercritical_cubes=sup_count,
+    grid_axes = tuple(range(1, stack.ndim))
+    upper = np.max(m_vals - (loc_vals + glob_vals), axis=grid_axes)
+    lower = np.max(
+        2.0**-sigma * np.maximum(loc_vals, glob_vals) - m_vals, axis=grid_axes
     )
+    return [
+        LocGlobReport(
+            loc=GridFunction(domain, loc_vals[b]),
+            glob=GridFunction(domain, glob_vals[b]),
+            m=GridFunction(domain, m_vals[b]),
+            sigma=sigma,
+            max_upper_violation=float(upper[b]),
+            max_lower_violation=float(lower[b]),
+            subcritical_cubes=sub_count,
+            supercritical_cubes=sup_count,
+        )
+        for b in range(len(stack))
+    ]
 
 
 # ---------------------------------------------------------------------------

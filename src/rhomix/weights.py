@@ -10,9 +10,12 @@ dim the family supports (every interval in dim 1; dyadic-side tiles or a
 bisection tree in dims 1-3).  CubeFamily.sweep reads every cube average
 from a prefix-sum table in O(1) and CubeFamily.cube_extreme supplies the
 cube minima and maxima, so a full dim-1 sweep over all n(n+1)/2 intervals
-costs O(n^2).  The A_infty epsilon form runs per side on CubeFamily too.
-Every growth-factor power is read from the rho's PenaltyTable for the
-family (critical.py).
+costs O(n^2).  Neither the averages nor the minima depend on theta, so
+ap_ladder reads a whole ladder of growth exponents off one sweep, each
+value and witness bit-identical to its single-theta ap_characteristic.
+The A_infty epsilon form runs per side on CubeFamily too.  Every
+growth-factor power is read from the rho's PenaltyTable for the family
+(critical.py).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "WeightCharacteristic",
     "ainf_epsilon_form",
     "ap_characteristic",
+    "ap_ladder",
     "factor_build",
     "rh_characteristic",
 ]
@@ -60,23 +64,26 @@ class WeightCharacteristic:
 
 
 def _sup(
-    cubes: CubeFamily, rho: RhoSpec, theta: float, values: tuple, score
-) -> tuple[float, Cube]:
-    """Sup over the family of score(avgs, side) / factor^theta, with witness.
+    cubes: CubeFamily, rho: RhoSpec, thetas: tuple, values: tuple, score
+) -> list[tuple[float, Cube]]:
+    """Per theta, the sup over the family of score(avgs, side) / factor^theta
+    and its witness, all from one sweep.
 
     score receives the cube averages of each array in values for one side
     and returns the raw ratio per cube.
     """
     table = rho.penalty_table(cubes)
-    best = -math.inf
-    witness = None
+    best = [-math.inf] * len(thetas)
+    witness: list[Cube | None] = [None] * len(thetas)
     for s, anchors, avgs in cubes.sweep(*values):
-        ratio = score(avgs, s) / table.power(s, theta)
-        i = int(np.argmax(ratio))
-        if ratio[i] > best:
-            best = float(ratio[i])
-            witness = Cube(cubes.domain, tuple(int(a) for a in anchors[i]), s)
-    return best, witness
+        raw = score(avgs, s)
+        for t, theta in enumerate(thetas):
+            ratio = raw / table.power(s, theta)
+            i = int(np.argmax(ratio))
+            if ratio[i] > best[t]:
+                best[t] = float(ratio[i])
+                witness[t] = Cube(cubes.domain, tuple(int(a) for a in anchors[i]), s)
+    return list(zip(best, witness))
 
 
 def ap_characteristic(
@@ -92,7 +99,20 @@ def ap_characteristic(
     p = 1:         sup_Q avg(w) / (factor^theta * min_Q w).
     p = inf:       sup_Q avg(w) * exp(avg(log(1/w))) / factor^theta
                    (the geometric-mean form; means of logs, never products).
+    The one-theta call of ap_ladder.
     """
+    return ap_ladder(w, p, (theta,), rho, cubes)[0]
+
+
+def ap_ladder(
+    w: GridFunction,
+    p: float,
+    thetas: tuple[float, ...],
+    rho: RhoSpec,
+    cubes: CubeFamily,
+) -> tuple[WeightCharacteristic, ...]:
+    """ap_characteristic at every growth exponent of thetas, in order, from
+    one sweep of the family."""
     require_weight(w)
     if not (p == math.inf or p >= 1):
         raise ValueError(f"p must be in [1, inf], got {p}")
@@ -102,22 +122,23 @@ def ap_characteristic(
         def score(avgs, _s):
             return avgs[0] * np.exp(-avgs[1])
 
-        value, witness = _sup(cubes, rho, theta, (vals, np.log(vals)), score)
+        sups = _sup(cubes, rho, thetas, (vals, np.log(vals)), score)
     elif p == 1:
         def score(avgs, s):
             return avgs[0] / cubes.cube_extreme(vals, s, "min")
 
-        value, witness = _sup(cubes, rho, theta, (vals,), score)
+        sups = _sup(cubes, rho, thetas, (vals,), score)
     else:
         pprime = p / (p - 1.0)
 
         def score(avgs, _s):
             return avgs[0] ** (1.0 / p) * avgs[1] ** (1.0 / pprime)
 
-        value, witness = _sup(
-            cubes, rho, theta, (vals, vals ** (1.0 - pprime)), score
-        )
-    return WeightCharacteristic(value, witness, p, theta, cubes.policy)
+        sups = _sup(cubes, rho, thetas, (vals, vals ** (1.0 - pprime)), score)
+    return tuple(
+        WeightCharacteristic(value, witness, p, theta, cubes.policy)
+        for theta, (value, witness) in zip(thetas, sups)
+    )
 
 
 def rh_characteristic(
@@ -138,12 +159,12 @@ def rh_characteristic(
         def score(avgs, side):
             return cubes.cube_extreme(vals, side, "max") / avgs[0]
 
-        value, witness = _sup(cubes, rho, theta, (vals,), score)
+        [(value, witness)] = _sup(cubes, rho, (theta,), (vals,), score)
     else:
         def score(avgs, _side):
             return avgs[1] ** (1.0 / s) / avgs[0]
 
-        value, witness = _sup(cubes, rho, theta, (vals, vals**s), score)
+        [(value, witness)] = _sup(cubes, rho, (theta,), (vals, vals**s), score)
     return WeightCharacteristic(value, witness, s, theta, cubes.policy)
 
 

@@ -40,6 +40,7 @@ from rhomix import (
     lorentz_norm,
     m_dyadic,
     m_rho_sigma,
+    m_rho_sigma_stack,
     make_function,
     make_weight,
     mixed_for_T,
@@ -479,10 +480,11 @@ def test_09_interpolation_with_measured_constants():
     mu = WeightedMeasure(make_weight(dom, {"kind": "smooth_random", "amp": 0.4}, rng))
     cache = {}
 
-    def T(g):
-        key = g.values.tobytes()
+    def T(stack):
+        # the honest and halved audits build the same pool: one set of images
+        key = stack.tobytes()
         if key not in cache:
-            cache[key] = m_rho_sigma(g, RhoSpec.classical(), 0.0, 1.0, fam)
+            cache[key] = m_rho_sigma_stack(stack, RhoSpec.classical(), 0.0, 1.0, fam)
         return cache[key]
 
     fs = [make_function(dom, {"kind": "indicator"}, rng) for _ in range(120)]

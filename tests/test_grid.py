@@ -18,6 +18,8 @@ from rhomix import (
     GridFunction,
     InvalidWeightError,
     average,
+    dyadic_average_tree,
+    dyadic_averages,
     dyadic_sum_pyramid,
     enumerate_cubes,
     integrate,
@@ -102,6 +104,25 @@ def test_box_sums_match_direct_slicing():
                 assert total == pytest.approx(vals[Q.slices()].sum(), rel=1e-13, abs=1e-13)
 
 
+def test_box_sums_batch_axis_and_lattice_contract():
+    """A leading batch axis gives each row's sums exactly as if alone;
+    anchors that are not a lexicographic lattice are rejected."""
+    rng = np.random.default_rng(6)
+    for dim, s in ((1, 3), (2, 2), (3, 1)):
+        dom = Domain(dim, 4.0, 2)
+        fam = enumerate_cubes(dom, DYADIC_SIDES)
+        stack = rng.normal(size=(3,) + dom.shape)
+        anchors = fam.anchors(2) if dim > 1 else np.arange(dom.n - s + 1)[:, None]
+        got = BoxSums(stack, dim).box_sum(anchors, s)
+        assert got.shape == (3, len(anchors))
+        for row, sums in zip(stack, got):
+            assert np.array_equal(sums, BoxSums(row).box_sum(anchors, s))
+    bs = BoxSums(rng.normal(size=(4, 4)))
+    for bad in ([[0, 0], [1, 1]], [[1, 0], [0, 0]], [[0, 0], [0, 1], [0, 3]]):
+        with pytest.raises(ValueError, match="lattice"):
+            bs.box_sum(np.array(bad), 1)
+
+
 def test_family_counts():
     dom = Domain(1, 8.0, 3)
     n = dom.n
@@ -161,20 +182,31 @@ def test_family_primitives_match_cube_loop(data):
     assert sorted(by_side) == fam.side_cells_list()
     got = np.full(dom.shape, -np.inf)
     want = np.full(dom.shape, -np.inf)
+    # a batch of two along a leading axis: each row as if alone
+    stack = rng.normal(size=(2,) + dom.shape)
+    got_stack = np.full(stack.shape, -np.inf)
+    alone = np.full(stack.shape, -np.inf)
     for s, cubes in by_side.items():
         scores = rng.normal(size=len(cubes))
         fam.cell_max(scores, s, got)
         for Q, score in zip(cubes, scores):
             sl = Q.slices()
             want[sl] = np.maximum(want[sl], score)
+        pair = np.stack([scores, -scores])
+        fam.cell_max(pair, s, got_stack)
+        for row, row_scores in zip(alone, pair):
+            fam.cell_max(row_scores, s, row)
         for kind, op in (("min", np.min), ("max", np.max)):
             ext = fam.cube_extreme(vals, s, kind)
             assert np.array_equal(ext, [op(vals[Q.slices()]) for Q in cubes])
+            ext = fam.cube_extreme(stack, s, kind)
+            assert np.array_equal(ext, [fam.cube_extreme(row, s, kind) for row in stack])
         rows = fam.cube_cells(vals, s)
         assert rows.shape == (len(cubes), s**dim)
         for row, Q in zip(rows, cubes):
             assert np.array_equal(row, vals[Q.slices()].ravel())
     assert np.array_equal(got, want)
+    assert np.array_equal(got_stack, alone)
 
 
 def test_pyramid_levels_conserve_mass():
@@ -205,6 +237,21 @@ def test_pyramid_matches_recursive_halving():
     for j in range(1, 4):
         cur = halve(cur)
         assert np.array_equal(levels[j], cur)
+
+
+def test_dyadic_averages_are_the_tree_averages():
+    """The average half of the tree stands alone: the same floats, each
+    level's pyramid sums over its block size."""
+    rng = np.random.default_rng(10)
+    for shape in ((16,), (8, 8), (4, 4, 4)):
+        vals = rng.uniform(0, 1, shape)
+        avgs = dyadic_averages(vals)
+        tree = dyadic_average_tree(vals)
+        assert len(avgs) == len(tree)
+        for j, (avg, (tree_avg, _above)) in enumerate(zip(avgs, tree)):
+            assert np.array_equal(avg, tree_avg)
+            block = float((1 << j) ** len(shape))
+            assert np.array_equal(avg, dyadic_sum_pyramid(vals)[j] / block)
 
 
 def test_integrate_and_average():

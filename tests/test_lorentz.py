@@ -22,7 +22,7 @@ from rhomix import (
     integrate,
     interpolation_audit,
     lorentz_norm,
-    m_rho_sigma,
+    m_rho_sigma_stack,
     make_function,
     rearrangement,
     t_grid_sup,
@@ -213,13 +213,12 @@ def test_interpolation_identity_operator():
     assert rep.bound_constant > 1.0
 
 
-@pytest.mark.slow
 def test_interpolation_negative_control_fires():
     rng = np.random.default_rng(69)
     dom = Domain(1, 8.0, 6)
     mu = WeightedMeasure(GridFunction(dom, rng.uniform(0.5, 2.0, dom.shape)))
     fam = enumerate_cubes(dom, ALL_CELL_ALIGNED)
-    T = lambda g: m_rho_sigma(g, RhoSpec.classical(), 0.0, 1.0, fam)
+    T = lambda stack: m_rho_sigma_stack(stack, RhoSpec.classical(), 0.0, 1.0, fam)
     fs = [GridFunction(dom, rng.normal(0, 1, dom.shape)) for _ in range(30)]
     honest = interpolation_audit(T, 1.0, 2.0, mu, fs)
     assert honest.violations == 0
@@ -238,13 +237,23 @@ def test_interpolation_halved_constant_fails_hypothesis_audit():
     dom = Domain(1, 8.0, 6)
     mu = WeightedMeasure(GridFunction(dom, rng.uniform(0.5, 2.0, dom.shape)))
     fam = enumerate_cubes(dom, ALL_CELL_ALIGNED)
-    T = lambda g: m_rho_sigma(g, RhoSpec.classical(), 0.0, 1.0, fam)
+    T = lambda stack: m_rho_sigma_stack(stack, RhoSpec.classical(), 0.0, 1.0, fam)
     fs = [make_function(dom, {"kind": "spike", "count": 2}, rng) for _ in range(10)]
     honest = interpolation_audit(T, 1.0, 2.0, mu, fs)
     assert honest.total_violations == 0
     halved = interpolation_audit(T, 1.0, 2.0, mu, fs, C0=honest.C0 / 2.0, C1=honest.C1)
     assert halved.hypothesis_violations >= 1
     assert halved.hyp_max_ratio >= 2.0 - 1e-9
+
+
+def test_interpolation_rejects_a_T_that_does_not_map_the_stack():
+    """T gets the whole pool as one (B, *grid) stack and must return a stack
+    of the same shape; one image, a transposed stack or a dropped member
+    is a clear error, not a silent misalignment."""
+    f, mu = _f312()
+    for T in (lambda s: s[0], lambda s: s.T, lambda s: s[1:]):
+        with pytest.raises(ValueError, match="same shape"):
+            interpolation_audit(T, 1.0, 2.0, mu, [f, 2.0 * f])
 
 
 def test_interpolation_rejects_bad_exponents():

@@ -21,9 +21,11 @@ from rhomix import (
     enumerate_cubes,
     integrate,
     loc_glob_split,
+    loc_glob_split_stack,
     m_dyadic,
     m_localized,
     m_rho_sigma,
+    m_rho_sigma_stack,
     rho_values,
     shifted_grid_domination_audit,
 )
@@ -33,21 +35,24 @@ from conftest import brute_m_dyadic, random_pow2_cube
 CL = RhoSpec.classical()
 
 
-def brute_m_dim1(f, rho, sigma, q=1.0):
-    """All cell-aligned intervals, direct per-cell sup with numpy means."""
-    n = f.domain.n
-    h = f.domain.cell_width
-    vals = np.abs(f.values) ** q
-    out = np.zeros(n)
+def brute_m_dim1(f, rho, sigma, q=1.0, domain=None):
+    """All cell-aligned intervals, direct per-cell sup with numpy means.
+    f is a GridFunction, or a (B, n) stack of cell values on domain."""
+    if isinstance(f, GridFunction):
+        domain, f = f.domain, f.values
+    vals = np.abs(f) ** q
+    n = domain.n
+    h = domain.cell_width
+    out = np.zeros(vals.shape)
     for lo in range(n):
         for hi in range(lo + 1, n + 1):
-            avg = float(np.mean(vals[lo:hi]))
+            avg = np.mean(vals[..., lo:hi], axis=-1, keepdims=True)
             if sigma > 0 and not rho.is_classical:
                 center = np.array([(lo + hi) / 2.0 * h])
                 r = (hi - lo) * h / 2.0
                 fac = 1.0 + r / rho_values(rho, center[None, :])[0]
                 avg *= fac ** (-sigma * q)
-            out[lo:hi] = np.maximum(out[lo:hi], avg)
+            out[..., lo:hi] = np.maximum(out[..., lo:hi], avg)
     return out ** (1.0 / q)
 
 
@@ -78,6 +83,10 @@ def test_power_mean_variant_matches_brute_force():
     got = m_rho_sigma(f, CL, 0.0, 2.0).values
     want = brute_m_dim1(f, CL, 0.0, q=2.0)
     assert np.allclose(got, want, rtol=1e-12)
+    stack = np.stack([f.values, -3.0 * f.values[::-1]])
+    got = m_rho_sigma_stack(stack, CL, 0.0, 2.0, default_family(dom))
+    want = brute_m_dim1(stack, CL, 0.0, q=2.0, domain=dom)
+    assert np.allclose(got, want, rtol=1e-12)
 
 
 def _tree(Q):
@@ -98,15 +107,17 @@ def _dyadic_tiles(dom):
 
 
 def brute_m_cubes(f, cubes, rho, sigma):
-    """Per-cube sup with plain numpy means; zero where no cube reaches."""
-    vals = np.abs(f.values)
-    out = np.zeros(f.domain.shape)
+    """Per-cube sup with plain numpy means; zero where no cube reaches.
+    f is a GridFunction or a (B, *grid) stack of cell values."""
+    vals = np.abs(getattr(f, "values", f))
+    out = np.zeros(vals.shape)
     for Q in cubes:
-        avg = float(vals[Q.slices()].mean())
+        sl = (Ellipsis,) + Q.slices()
+        grid_axes = tuple(range(-Q.domain.dim, 0))
+        avg = vals[sl].mean(axis=grid_axes, keepdims=True)
         if sigma > 0 and not rho.is_classical:
             center = Q.center()[None, :]
             avg *= (1.0 + Q.radius / rho_values(rho, center)[0]) ** (-sigma)
-        sl = Q.slices()
         out[sl] = np.maximum(out[sl], avg)
     return out
 
@@ -305,6 +316,66 @@ def test_loc_glob_m_equals_m_rho_sigma():
                 assert np.array_equal(rep.m.values, m.values), (fam, rho, sigma)
                 assert rep.max_upper_violation <= 1e-12
                 assert rep.max_lower_violation <= 1e-12
+
+
+_STACK_RHOS = (CL, RhoSpec.constant(0.75), RhoSpec.analytic(lambda x: 1.0 + x[:, 0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_sweeps_equal_single_calls(data):
+    """m_rho_sigma_stack and loc_glob_split_stack on a stack of B functions
+    equal B single calls bit for bit, and the brute-force oracle fed the
+    same stack: every policy in dims 1-3, rooted ALL_CELL_ALIGNED and
+    sub-box DYADIC_GRID_OF roots among them, q in {1, 2} and sigma >= 0."""
+    policy = data.draw(st.sampled_from([ALL_CELL_ALIGNED, DYADIC_SIDES, DYADIC_GRID_OF]))
+    dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 3))
+    level = data.draw(st.integers(1, {1: 5, 2: 3, 3: 2}[dim]))
+    dom = Domain(dim, 4.0, level)
+    root = None
+    if policy == DYADIC_GRID_OF or (policy == ALL_CELL_ALIGNED and data.draw(st.booleans())):
+        if policy == DYADIC_GRID_OF:
+            side = 1 << data.draw(st.integers(0, level))
+        else:
+            side = data.draw(st.integers(1, dom.n))
+        anchor = tuple(data.draw(st.integers(0, dom.n - side)) for _ in range(dim))
+        root = Cube(dom, anchor, side)
+    fam = enumerate_cubes(dom, policy, root)
+    rho = data.draw(st.sampled_from(_STACK_RHOS))
+    sigma = data.draw(st.sampled_from([0.0, 0.5, 1.5]))
+    q = data.draw(st.sampled_from([1.0, 2.0]))
+    B = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    stack = rng.normal(size=(B,) + dom.shape)
+
+    got = m_rho_sigma_stack(stack, rho, sigma, q, fam)
+    reports = loc_glob_split_stack(stack, rho, sigma, fam)
+    assert got.shape == stack.shape and len(reports) == B
+    for b in range(B):
+        f = GridFunction(dom, stack[b])
+        assert np.array_equal(got[b], m_rho_sigma(f, rho, sigma, q, fam).values)
+        one, rep = loc_glob_split(f, rho, sigma, fam), reports[b]
+        for piece in ("loc", "glob", "m"):
+            assert np.array_equal(getattr(rep, piece).values, getattr(one, piece).values)
+        assert (
+            rep.max_upper_violation, rep.max_lower_violation,
+            rep.subcritical_cubes, rep.supercritical_cubes,
+        ) == (
+            one.max_upper_violation, one.max_lower_violation,
+            one.subcritical_cubes, one.supercritical_cubes,
+        )
+    want = brute_m_cubes(np.abs(stack) ** q, list(fam), rho, sigma) ** (1.0 / q)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_stacks_of_the_wrong_shape_are_rejected():
+    dom = Domain(2, 4.0, 2)
+    fam = default_family(dom)
+    for bad in (np.ones(dom.shape), np.ones((2, 4, 2)), np.ones((1, 2, 4, 4))):
+        with pytest.raises(ValueError, match="stack"):
+            m_rho_sigma_stack(bad, CL, 0.0, 1.0, fam)
+        with pytest.raises(ValueError, match="stack"):
+            loc_glob_split_stack(bad, CL, 0.0, fam)
 
 
 def test_shift_set_parents_contain_their_cube():

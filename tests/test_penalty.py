@@ -16,6 +16,7 @@ from rhomix import (
     RhoSpec,
     ainf_epsilon_form,
     ap_characteristic,
+    ap_ladder,
     default_family,
     enumerate_cubes,
     eval_rho,
@@ -84,6 +85,23 @@ def test_every_site_raises_penalties_by_libm_pow(exponent):
         if root is not None:
             want = ainf_epsilon_form_ref(w, theta, rho, cubes_of(dom, fam))
             assert ainf_epsilon_form(w, theta, rho, fam) == want
+
+
+def test_theta_ladder_matches_the_per_cube_reference():
+    """Every theta of one ap_ladder sweep is, value and witness, exactly the
+    per-cube reference's sup at that theta alone."""
+    dom = Domain(1, 8.0, 6)
+    rho = RhoSpec.analytic(INV_DIST)
+    rng = np.random.default_rng(63)
+    f = GridFunction(dom, rng.normal(0, 1, dom.shape))
+    w = GridFunction(dom, np.exp(rng.normal(0, 1, dom.shape)))
+    thetas = (0.0, 0.37, 1.0, 2.0, 4.0, 0.37)
+    for root in (None, Cube(dom, (8,), 32)):
+        fam = enumerate_cubes(dom, ALL_CELL_ALIGNED, root)
+        ladder = ap_ladder(w, 1.0, thetas, rho, fam)
+        for theta, c in zip(thetas, ladder):
+            *_, best, witness = _per_cube_reference(f, w, rho, fam, 0.0, theta)
+            assert (c.value, c.witness, c.theta) == (best, witness, theta)
 
 
 def test_shen_rho_through_the_operators_is_computed_once(monkeypatch):

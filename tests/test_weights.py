@@ -19,6 +19,7 @@ from rhomix import (
     RhoSpec,
     ainf_epsilon_form,
     ap_characteristic,
+    ap_ladder,
     enumerate_cubes,
     factor_build,
     growth_factor,
@@ -37,8 +38,10 @@ def _fam(dom):
 
 def brute_ap(w, p, fam, dom, theta=0.0, rho=CL):
     """Direct per-cube characteristic with plain numpy means, each cube's
-    ratio divided by its growth factor to the theta."""
-    best = 0.0
+    ratio divided by its growth factor to the theta.  theta may be a tuple,
+    a ladder, and then the result is the list of per-theta sups."""
+    thetas = theta if isinstance(theta, tuple) else (theta,)
+    best = [0.0] * len(thetas)
     for Q in cubes_of(dom, fam):
         cell = w.values[Q.slices()]
         if p == 1:
@@ -49,8 +52,8 @@ def brute_ap(w, p, fam, dom, theta=0.0, rho=CL):
             pp = p / (p - 1.0)
             ratio = cell.mean() ** (1 / p) * np.mean(cell ** (1 - pp)) ** (1 / pp)
         fac = float(growth_factor(rho, Q.center()[None, :], Q.radius)[0])
-        best = max(best, ratio / fac**theta)
-    return best
+        best = [max(b, ratio / fac**t) for b, t in zip(best, thetas)]
+    return best if isinstance(theta, tuple) else best[0]
 
 
 def test_constant_weight_has_unit_characteristic():
@@ -146,6 +149,32 @@ def test_characteristic_nonincreasing_in_theta():
     rho = RhoSpec.constant(0.5)
     vals = [ap_characteristic(w, 2.0, t, rho, fam).value for t in (0.0, 0.5, 1.0, 2.0, 4.0)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+_THETAS = (0.0, 0.37, 0.5, 1.0, 2.0, 4.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_theta_ladder_equals_single_thetas(data):
+    """One sweep of ap_ladder gives, per theta and in order, the value and
+    witness of the single-theta call exactly, and the brute-force oracle's
+    per-theta sups, for every p kind and family."""
+    families = [_fam(Domain(1, 4.0, 4))] + _more_families()
+    fam = data.draw(st.sampled_from(families))
+    dom = fam.domain
+    p = data.draw(st.sampled_from([1.0, 2.0, 3.0, math.inf]))
+    thetas = tuple(data.draw(st.lists(st.sampled_from(_THETAS), min_size=1, max_size=5)))
+    rho = data.draw(st.sampled_from([RhoSpec.constant(0.5), CL]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w = GridFunction(dom, np.exp(rng.normal(0, 0.8, dom.shape)))
+    ladder = ap_ladder(w, p, thetas, rho, fam)
+    assert [c.theta for c in ladder] == list(thetas)
+    for theta, c in zip(thetas, ladder):
+        one = ap_characteristic(w, p, theta, rho, fam)
+        assert (c.value, c.witness) == (one.value, one.witness)
+    want = brute_ap(w, p, fam, dom, thetas, rho)
+    assert [c.value for c in ladder] == pytest.approx(want, rel=1e-10)
 
 
 def test_theta_inert_for_classical_rho():
