@@ -20,7 +20,6 @@ from .critical import (
 from .corona import (
     ClaimReport,
     ClassifiedLevels,
-    LemmaReport,
     LevelDecomposition,
     MixedDyadicReport,
     MixedGlobalReport,
@@ -29,7 +28,6 @@ from .corona import (
     claim_audits,
     classify,
     cz_on_cube,
-    lemma_audits,
     level_decomposition,
     mixed_verify_dyadic,
     mixed_verify_global,

@@ -40,7 +40,6 @@ from .weights import ainf_epsilon_form, ap_characteristic
 __all__ = [
     "ClaimReport",
     "ClassifiedLevels",
-    "LemmaReport",
     "LevelDecomposition",
     "MixedDyadicReport",
     "MixedGlobalReport",
@@ -49,7 +48,6 @@ __all__ = [
     "claim_audits",
     "classify",
     "cz_on_cube",
-    "lemma_audits",
     "level_decomposition",
     "mixed_verify_dyadic",
     "mixed_verify_global",
@@ -400,7 +398,7 @@ def build_forests(
 
 
 # ---------------------------------------------------------------------------
-# claim and lemma audits
+# claim audits
 
 @dataclass(frozen=True)
 class ClaimReport:
@@ -510,106 +508,6 @@ def _double_sum_audit(forest, classified: ClassifiedLevels, u: GridFunction):
                 bracket += inner / iu[Q]
         best = max(best, bracket)
     return float(best)
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    decay_c1: float | None
-    decay_c2: float | None
-    decay_residual: float | None
-    decay_inconclusive: bool
-    decay_points: dict[int, float]        # ell -> max u(E_k cap Q)/u(Q)
-    union_ratio_max: float                # as displayed; <= 1 structurally
-    packing_max: float                    # Carleson packing sum, the sharp form
-    gamma_count: int
-
-
-def lemma_audits(classified: ClassifiedLevels, u: GridFunction) -> LemmaReport:
-    """Empirical exponential decay of u(E_k cap Q)/u(Q) across bands, plus
-    the sparsity of the Gamma family (union form and packing form)."""
-    h_d = u.domain.cell_volume
-    points: dict[int, list[float]] = {}
-    for (ell, k), cubes in classified.gamma.items():
-        emask = classified.e_masks.get(k)
-        if emask is None:
-            continue
-        for Q in cubes:
-            sub = emask[Q.slices()]
-            num = float(u.values[Q.slices()][sub].sum()) * h_d
-            den = integrate(u, Q)
-            points.setdefault(ell, []).append(num / den if den > 0 else 0.0)
-    maxima = {l: max(vals) for l, vals in points.items() if vals}
-    usable = {l: r for l, r in maxima.items() if r > 0}
-    if len(usable) < 3:
-        c1 = c2 = resid = None
-        inconclusive = True
-    else:
-        ls = np.array(sorted(usable))
-        ys = np.log([usable[l] for l in ls])
-        slope, intercept = np.polyfit(ls, ys, 1)
-        c2 = max(-float(slope), 0.0)
-        # lift c1 so the fitted envelope clears every sample point
-        c1 = max(
-            float(np.exp(intercept)),
-            max(r * math.exp(c2 * l) for l, r in maxima.items()),
-        )
-        pred = intercept + slope * ls
-        resid = float(np.max(np.abs(pred - ys)))
-        inconclusive = False
-
-    cubes_all: list[Cube] = []
-    for lst in classified.gamma.values():
-        cubes_all.extend(lst)
-    for pairs in classified.gamma_minus1.values():
-        cubes_all.extend(W for W, _ in pairs)
-    union_max = 0.0
-    packing_max = 0.0
-    if cubes_all:
-        anchors = np.array([c.anchor for c in cubes_all])
-        sides = np.array([c.side_cells for c in cubes_all])
-        vols = np.array([c.volume for c in cubes_all])
-        for i, Q in enumerate(cubes_all):
-            ai = anchors[i]
-            si = sides[i]
-            inside = np.all(anchors >= ai, axis=1) & np.all(
-                anchors + sides[:, None] <= ai + si, axis=1
-            )
-            packing = float(vols[inside].sum() / vols[i])
-            packing_max = max(packing_max, packing)
-            union_max = max(union_max, _union_volume(
-                anchors[inside], sides[inside], vols[inside]) / vols[i])
-    return LemmaReport(
-        decay_c1=c1,
-        decay_c2=c2,
-        decay_residual=resid,
-        decay_inconclusive=inconclusive,
-        decay_points=maxima,
-        union_ratio_max=union_max,
-        packing_max=packing_max,
-        gamma_count=len(cubes_all),
-    )
-
-
-def _union_volume(anchors: np.ndarray, sides: np.ndarray, vols: np.ndarray) -> float:
-    """Union measure of dyadic cubes: sum the inclusion-maximal ones
-    (dyadic cubes are nested or disjoint)."""
-    order = np.argsort(-sides)
-    kept: list[int] = []
-    total = 0.0
-    for i in order:
-        contained = False
-        for j in kept:
-            if (
-                sides[j] >= sides[i]
-                and np.all(anchors[j] <= anchors[i])
-                and np.all(anchors[i] + sides[i] <= anchors[j] + sides[j])
-            ):
-                contained = True
-                break
-        if not contained:
-            kept.append(i)
-            total += float(vols[i])
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .corona import (
 )
 from .critical import RhoSpec, audit_admissibility, critical_covering
 from .extrapolation import (
+    _PROFILES,
     SCZOKernel,
     coifman_check,
     estimate_K0,
@@ -174,7 +175,13 @@ def default_config(kind: str, dim: int = 1, level: int = 8, seed: int = 7) -> di
         cfg["pairs"] = 2000
         cfg["sigmas"] = [1.0, 2.0, 4.0]
     if kind in ("mixed-T", "coifman"):
-        cfg["kernel"] = {"profile": "odd_inverse", "N": 0.0, "delta": 1.0,
+        profiles = [name for name, d in _PROFILES.items() if d == dim]
+        if not profiles:
+            raise UsageError(
+                f"no kernel profile in dim {dim}; the profiles are "
+                + ", ".join(f"{name} (dim {d})" for name, d in _PROFILES.items())
+            )
+        cfg["kernel"] = {"profile": profiles[0], "N": 0.0, "delta": 1.0,
                          "rho": {"kind": "classical"}}
     if kind == "rdf":
         cfg["depth"] = 12

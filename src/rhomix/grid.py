@@ -10,7 +10,9 @@ Conventions used throughout the package:
   * a cube is anchored at integer cell coordinates and spans side_cells
     cells per axis, so anchor + side_cells <= n on every axis;
   * the radius of a cube is half its diagonal, sqrt(dim) * side_length / 2;
-  * cube enumeration order is lexicographic by side_cells then anchor;
+  * cube enumeration order is lexicographic by side_cells then anchor,
+    except that CubeFamily.sweep visits the sides largest first, the one
+    order of every sweep (cell_max's spread recurrence runs down the sides);
   * a stack is a (B, *grid) array of B functions on one domain.  The sweep
     engine (CubeFamily.sweep, cube_extreme, cell_max and BoxSums) takes any
     leading batch axes in front of the grid and treats every function of
@@ -29,7 +31,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 __all__ = [
     "ALL_CELL_ALIGNED",
@@ -290,11 +291,12 @@ class CubeFamily:
     Every sweep goes through sweep(), cube_cells(), cube_extreme() and
     cell_max(); all but cube_cells take a batch of functions on leading
     axes, and the per-side work is then paid once for the whole batch.
-    Sliding windows (along the last axis) serve ALL_CELL_ALIGNED; the two
-    dyadic policies view the covered region as one (tile, cell-in-tile)
-    pair of axes per dimension, so one reshape serves every dim.  Every
-    side's anchors form a regular lattice, which BoxSums reads by strided
-    slices.
+    sweep() yields the sides largest first.  On ALL_CELL_ALIGNED, min and
+    max recurrences along the last axis give cube_extreme() and cell_max()
+    with no rounding; the two dyadic policies view the covered region as
+    one (tile, cell-in-tile) pair of axes per dimension, so one reshape
+    serves every dim.  Every side's anchors form a regular lattice, which
+    BoxSums reads by strided slices.
     """
 
     domain: Domain
@@ -350,7 +352,7 @@ class CubeFamily:
                 yield Cube(self.domain, tuple(int(a) for a in anchor), s)
 
     def sweep(self, *values: np.ndarray):
-        """Per side, smallest first: (side, anchors, avgs).
+        """Per side, largest first: (side, anchors, avgs).
 
         Each input is (..., *grid): any leading axes are a batch of
         functions (one function is a bare grid array, or the batch of one).
@@ -362,7 +364,7 @@ class CubeFamily:
         region = (Ellipsis,) + self.region()
         tables = [BoxSums(np.asarray(v, dtype=np.float64)[region], dim) for v in values]
         origin = None if self.root is None else np.asarray(self.root.anchor)
-        for s in self.side_cells_list():
+        for s in reversed(self.side_cells_list()):
             anchors = self.anchors(s)
             local = anchors if origin is None else anchors - origin
             cells = s**dim
@@ -390,12 +392,15 @@ class CubeFamily:
         function of a (..., *grid) batch: shape (..., cubes)."""
         vals = np.asarray(values, dtype=np.float64)[(Ellipsis,) + self.region()]
         if self.policy == ALL_CELL_ALIGNED:
-            if s == 1:
-                return vals
-            filt = minimum_filter1d if kind == "min" else maximum_filter1d
-            out = filt(vals, size=s, axis=-1, mode="nearest")
-            n = vals.shape[-1]
-            return out[..., s // 2 : s // 2 + (n - s + 1)]
+            # extremes of w-cell windows, doubling w while 2w <= s; the
+            # windows at a and a+s-w then cover [a, a+s) between them
+            op = np.minimum if kind == "min" else np.maximum
+            m = vals.shape[-1] - s + 1
+            ext, w = vals, 1
+            while 2 * w <= s:
+                ext = op(ext[..., :-w], ext[..., w:])
+                w *= 2
+            return op(ext[..., :m], ext[..., s - w : s - w + m])
         op = np.min if kind == "min" else np.max
         tiles = self._tiles(vals, s)
         lead = tiles.ndim - 2 * self.domain.dim
@@ -405,20 +410,21 @@ class CubeFamily:
     def cell_max(self, scores: np.ndarray, s: int, out: np.ndarray) -> None:
         """Spread each cube's score (anchors order) onto the cells the cube
         covers, keeping the running max in out.  out is (..., *grid) and
-        scores (..., cubes), with the same leading axes."""
+        scores (..., cubes), with the same leading axes.
+
+        ALL_CELL_ALIGNED carries state in out: it takes every side in sweep
+        order (largest first) on an out that is -inf over the family's
+        region (maximal._cell_floor gives that).  With H_s[a] the largest
+        score of an interval of s or more cells containing [a, a+s),
+        H_s[a] = max(score_s[a], H_{s+1}[a-1], H_{s+1}[a]) and H_1 is the
+        cellwise sup.  out[..., a] holds H_s[a] once side s is in, so each
+        side costs two in-place maxima and no padding.
+        """
         view = out[(Ellipsis,) + self.region()]
         if self.policy == ALL_CELL_ALIGNED:
-            n = view.shape[-1]
-            if s > 1:
-                padded = np.full(view.shape, -np.inf)
-                padded[..., : n - s + 1] = scores
-                # origin (s-1)//2 ends the length-s window at the output cell
-                # for both parities, so anchor a reaches exactly [a, a+s-1]
-                scores = maximum_filter1d(
-                    padded, size=s, axis=-1, mode="constant", cval=-np.inf,
-                    origin=(s - 1) // 2,
-                )
-            np.maximum(view, scores, out=view)
+            m = view.shape[-1] - s + 1
+            np.maximum(view[..., 1:m], view[..., : m - 1], out=view[..., 1:m])
+            np.maximum(view[..., :m], scores, out=view[..., :m])
             return
         tiles = self._tiles(view, s)
         lead = view.shape[: view.ndim - self.domain.dim]

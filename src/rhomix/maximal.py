@@ -66,8 +66,8 @@ def default_family(domain: Domain) -> CubeFamily:
 
 
 def _cell_floor(family: CubeFamily, count: int) -> np.ndarray:
-    """Start of count cellwise sups: -inf where the family has cubes, 0 off
-    them."""
+    """Start of count cellwise sups: -inf where the family has cubes (the
+    start cell_max's spread recurrence needs), 0 off them."""
     out = np.zeros((count,) + family.domain.shape)
     out[(Ellipsis,) + family.region()] = -np.inf
     return out
@@ -152,7 +152,7 @@ def m_localized(f: GridFunction, R: Cube) -> GridFunction:
     family = enumerate_cubes(domain, DYADIC_SIDES)
     for s, anchors, (avg,) in family.sweep(np.abs(f.values)):
         if s > R.side_cells:
-            break
+            continue
         inside = np.all((anchors >= lo) & (anchors + s <= lo + R.side_cells), axis=1)
         family.cell_max(np.where(inside, avg, -np.inf), s, out)
     return GridFunction(domain, out)

@@ -80,7 +80,10 @@ def _sup(
         for t, theta in enumerate(thetas):
             ratio = raw / table.power(s, theta)
             i = int(np.argmax(ratio))
-            if ratio[i] > best[t]:
+            # sides come largest first: >= lets a tie on a smaller side take
+            # over, so the witness is the first cube in (side, anchor) order
+            # that attains the sup
+            if ratio[i] >= best[t]:
                 best[t] = float(ratio[i])
                 witness[t] = Cube(cubes.domain, tuple(int(a) for a in anchors[i]), s)
     return list(zip(best, witness))

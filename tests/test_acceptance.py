@@ -471,7 +471,6 @@ def test_08_rearrangement_and_indicator_closed_forms():
     )
 
 
-@pytest.mark.slow
 def test_09_interpolation_with_measured_constants():
     t0 = time.time()
     rng = np.random.default_rng(109)

@@ -22,7 +22,6 @@ from rhomix import (
     cz_on_cube,
     dyadic_sum_pyramid,
     integrate,
-    lemma_audits,
     level_decomposition,
     m_dyadic,
     make_function,
@@ -506,20 +505,6 @@ def test_mixed_global_zero_function_regression():
     assert rep.t_grid == (1.0,)
     assert rep.integral == 0.0
     assert rep.constant_grid == math.inf
-
-
-def test_lemma_audits_report_shape():
-    f, v, g, R = _spiky_instance()
-    rng = np.random.default_rng(81)
-    u = GridFunction(v.domain, np.exp(rng.normal(0, 0.4, v.domain.shape)))
-    dec = level_decomposition(g, R)
-    cl = classify(dec, v)
-    rep = lemma_audits(cl, u)
-    assert rep.gamma_count >= 2
-    assert rep.packing_max >= 1.0  # every cube at least packs itself
-    assert rep.union_ratio_max <= 1.0 + 1e-12
-    if not rep.decay_inconclusive:
-        assert rep.decay_c1 > 0 and rep.decay_c2 >= 0
 
 
 @settings(max_examples=20, deadline=None)

@@ -180,13 +180,17 @@ def test_family_primitives_match_cube_loop(data):
     for Q in fam:
         by_side.setdefault(Q.side_cells, []).append(Q)
     assert sorted(by_side) == fam.side_cells_list()
+    # cell_max takes the sides in sweep order, largest first
+    order = [s for s, _anchors, _avgs in fam.sweep(vals)]
+    assert order == fam.side_cells_list()[::-1]
     got = np.full(dom.shape, -np.inf)
     want = np.full(dom.shape, -np.inf)
     # a batch of two along a leading axis: each row as if alone
     stack = rng.normal(size=(2,) + dom.shape)
     got_stack = np.full(stack.shape, -np.inf)
     alone = np.full(stack.shape, -np.inf)
-    for s, cubes in by_side.items():
+    for s in order:
+        cubes = by_side[s]
         scores = rng.normal(size=len(cubes))
         fam.cell_max(scores, s, got)
         for Q, score in zip(cubes, scores):

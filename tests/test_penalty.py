@@ -34,10 +34,12 @@ INV_DIST = lambda pts: 1.0 / (1.0 + np.linalg.norm(pts, axis=1))
 def _per_cube_reference(f, w, rho, fam, sigma, theta):
     """M[sigma] f, its loc and glob pieces, and the A_1 characteristic of w
     with its witness, cube by cube: one Python float pow per cube, the
-    averages and minima read from the same sweep as the operators."""
+    averages and minima read from the same sweep as the operators.  The
+    witness is the first maximum in (side, anchor) order, whatever order
+    the sweep visits the sides in."""
     dom = fam.domain
     m, loc, glob = (np.zeros(dom.shape) for _ in range(3))
-    best, witness = -math.inf, None
+    best, witness, best_key = -math.inf, None, None
     sweeps = zip(fam.sweep(np.abs(f.values)), fam.sweep(w.values))
     for (s, anchors, (avg,)), (_, _, (w_avg,)) in sweeps:
         score = w_avg / fam.cube_extreme(w.values, s, "min")
@@ -52,8 +54,9 @@ def _per_cube_reference(f, w, rho, fam, sigma, theta):
             else:
                 glob[sl] = np.maximum(glob[sl], avg[i] * (rv / r) ** sigma)
             ratio = score[i] / fac**theta
-            if ratio > best:
-                best, witness = ratio, cube
+            key = (-ratio, s, cube.anchor)
+            if witness is None or key < best_key:
+                best, witness, best_key = ratio, cube, key
     return m, loc, glob, best, witness
 
 

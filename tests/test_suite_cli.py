@@ -190,6 +190,18 @@ def test_corona_run_dim2_regression():
     assert rep.tables and rep.measured["h1_violations"] == 0
 
 
+def test_default_kernel_follows_the_suite_dim():
+    # the default kernel used to be the 1-D odd_inverse in every dim, so a
+    # dim-2 mixed-T or coifman run raised "kernel profile is 1-dimensional"
+    for kind in ("mixed-T", "coifman"):
+        cfg = default_config(kind, dim=2, level=4, seed=7)
+        assert cfg["kernel"]["profile"] == "riesz_x"
+        rep = run_experiment(cfg)
+        assert rep.experiment == kind and rep.ok, rep.passes
+        with pytest.raises(UsageError, match="dim 3.*odd_inverse.*riesz_x"):
+            default_config(kind, dim=3, level=2, seed=7)
+
+
 def test_mixed_m_runs_in_dim3():
     cfg = default_config("mixed-M", dim=3, level=2, seed=7)
     cfg["suite"].update(pair_count=1, f_count=2)

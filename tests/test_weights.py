@@ -129,6 +129,28 @@ def test_two_valued_weight_closed_form():
     assert got == pytest.approx((c + 1.0) / (2.0 * math.sqrt(c)), rel=1e-12)
 
 
+def test_tied_cubes_give_the_first_cube_as_witness():
+    """With w = 1 at theta = 0 every cube's A_1 and RH_inf ratio is exactly
+    1, so the witness is the first cube in (side, anchor) order: side 1 at
+    the family's first anchor, although the sweep visits it last."""
+    dom1, dom2 = Domain(1, 8.0, 4), Domain(2, 8.0, 3)
+    families = [
+        enumerate_cubes(dom1, ALL_CELL_ALIGNED),
+        enumerate_cubes(dom1, ALL_CELL_ALIGNED, Cube(dom1, (5,), 7)),
+        enumerate_cubes(dom2, DYADIC_SIDES),
+    ]
+    for fam in families:
+        w = GridFunction.constant(fam.domain, 1.0)
+        first = Cube(fam.domain, tuple(int(a) for a in fam.anchors(1)[0]), 1)
+        chars = [
+            ap_characteristic(w, 1.0, 0.0, CL, fam),
+            rh_characteristic(w, math.inf, 0.0, CL, fam),
+            *ap_ladder(w, 1.0, (0.0, 0.0), CL, fam),
+        ]
+        for c in chars:
+            assert (c.value, c.witness) == (1.0, first)
+
+
 def test_witness_attains_the_characteristic():
     rng = np.random.default_rng(33)
     dom = Domain(1, 4.0, 4)
