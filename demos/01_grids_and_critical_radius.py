@@ -9,24 +9,26 @@ import numpy as np
 
 from rhomix import (
     Cube,
+    CubeFamily,
     Domain,
     GridFunction,
-    RhoSpec,
     audit_admissibility,
     critical_covering,
     dyadic_sum_pyramid,
-    enumerate_cubes,
     rho_from_json,
     shen_rho,
-    DYADIC_SIDES,
+    DYADIC_GRID_OF,
 )
 
 
 def grids():
     dom = Domain(1, 8.0, 5)  # [0, 8) split into 32 cells
     print("domain:", dom.dim, "dim,", dom.n, "cells of width", dom.cell_width)
-    fam = enumerate_cubes(dom, DYADIC_SIDES)
-    print("dyadic-sides family holds", fam.count(), "cubes")
+    fam = CubeFamily(dom, DYADIC_GRID_OF)  # no root given: the whole box
+    print("bisection tree of the box holds", fam.count(), "cubes; root side",
+          fam.root.side_cells, "cells")
+    sub = CubeFamily(dom, DYADIC_GRID_OF, Cube(dom, (8,), 16))
+    print("bisection tree of the 16-cell cube at cell 8 holds", sub.count(), "cubes")
 
     vals = np.arange(32.0)
     levels = dyadic_sum_pyramid(vals)

@@ -1,19 +1,20 @@
 """Weight classes with a scale-adapted growth allowance.
 
-Measures A_p characteristics over cube families, shows how the theta
-allowance tames growth for a rho-adapted weight, and runs the reverse
-Holder and epsilon-form audits that feed the extrapolation machinery.
+Measures A_p characteristics over the family of every interval of the
+box (a CubeFamily with no root is rooted at the whole box), shows how
+the theta allowance tames growth for a rho-adapted weight, and runs the
+reverse Holder and epsilon-form audits that feed the extrapolation
+machinery.
 """
 
 import numpy as np
 
 from rhomix import (
+    CubeFamily,
     Domain,
-    GridFunction,
     RhoSpec,
     ainf_epsilon_form,
     ap_characteristic,
-    enumerate_cubes,
     factor_build,
     make_weight,
     rh_characteristic,
@@ -24,7 +25,7 @@ from rhomix import (
 
 def characteristics():
     dom = Domain(1, 8.0, 8)
-    fam = enumerate_cubes(dom, ALL_CELL_ALIGNED)
+    fam = CubeFamily(dom, ALL_CELL_ALIGNED)
     rng = np.random.default_rng(1)
     rho = rho_from_json({"kind": "analytic", "name": "inv_one_plus_dist"})
 
@@ -45,7 +46,7 @@ def characteristics():
 
 def reverse_holder_and_epsilon():
     dom = Domain(1, 8.0, 8)
-    fam = enumerate_cubes(dom, ALL_CELL_ALIGNED)
+    fam = CubeFamily(dom, ALL_CELL_ALIGNED)
     rng = np.random.default_rng(2)
     rho = RhoSpec.classical()
     w = make_weight(dom, {"kind": "smooth_random", "amp": 0.5}, rng)

@@ -66,7 +66,6 @@ from .grid import (
     Cube,
     CubeFamily,
     DYADIC_GRID_OF,
-    DYADIC_SIDES,
     Domain,
     DomainMismatchError,
     GridFunction,
@@ -75,7 +74,6 @@ from .grid import (
     dyadic_average_tree,
     dyadic_averages,
     dyadic_sum_pyramid,
-    enumerate_cubes,
     integrate,
     load_grid_function,
     require_weight,

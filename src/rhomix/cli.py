@@ -27,7 +27,6 @@ from .critical import audit_admissibility, critical_covering
 from .extrapolation import estimate_K0, ladder_exponent, mixed_for_T, rdf_audit
 from .experiments import (
     UsageError,
-    _box_root,
     _csv_text,
     _kernel_from_json,
     _plain,
@@ -37,10 +36,9 @@ from .experiments import (
 from .grid import (
     ALL_CELL_ALIGNED,
     Cube,
+    CubeFamily,
     DYADIC_GRID_OF,
-    DYADIC_SIDES,
     GridFunction,
-    enumerate_cubes,
     load_grid_function,
     save_grid_function,
 )
@@ -66,14 +64,13 @@ def _emit(payload: dict, out: str | None, name: str) -> None:
         _write_atomic(os.path.join(out, name + ".json"), text)
 
 
+_FAMILY_POLICIES = {"all": ALL_CELL_ALIGNED, "dyadic": DYADIC_GRID_OF}
+
+
 def _family_arg(domain, name: str):
-    if name == "all":
-        return enumerate_cubes(domain, ALL_CELL_ALIGNED)
-    if name == "dyadic":
-        return enumerate_cubes(domain, DYADIC_SIDES)
-    if name == "tree":
-        return enumerate_cubes(domain, DYADIC_GRID_OF, _box_root(domain))
-    raise UsageError(f"unknown cube family {name!r} (all | dyadic | tree)")
+    if name not in _FAMILY_POLICIES:
+        raise UsageError(f"unknown cube family {name!r} (all | dyadic)")
+    return CubeFamily(domain, _FAMILY_POLICIES[name])
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +151,7 @@ def _corona_inputs(args):
     u = load_grid_function(args.u)
     v = load_grid_function(args.v)
     if args.R == "auto":
-        R = _box_root(f.domain)
+        R = Cube.box(f.domain)
     else:
         anchor_s = json.loads(args.R)
         R = Cube(f.domain, tuple(int(a) for a in anchor_s[:-1]), int(anchor_s[-1]))

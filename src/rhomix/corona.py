@@ -25,11 +25,11 @@ import numpy as np
 from .critical import RhoSpec, audit_admissibility, critical_covering
 from .grid import (
     Cube,
+    CubeFamily,
     DYADIC_GRID_OF,
     GridFunction,
     dyadic_average_tree,
     dyadic_averages,
-    enumerate_cubes,
     integrate,
 )
 from .extrapolation import ladder_exponent
@@ -319,7 +319,7 @@ def principal_select(
             _restrict_weight(classified.v, R),
             theta=0.0,
             rho=RhoSpec.classical(),
-            cubes=enumerate_cubes(R.domain, DYADIC_GRID_OF, R),
+            cubes=CubeFamily(R.domain, DYADIC_GRID_OF, R),
         ).eps
         if delta is None:
             delta = eps / 2.0
@@ -420,7 +420,7 @@ def claim_audits(
     characteristic over the bisection tree of R, and measure the h2 / u
     ratio and the bracketed double sum for the -1 branch."""
     R = classified.decomp.R
-    fam = enumerate_cubes(R.domain, DYADIC_GRID_OF, R)
+    fam = CubeFamily(R.domain, DYADIC_GRID_OF, R)
     u_char = ap_characteristic(u, 1.0, 0.0, RhoSpec.classical(), fam).value
     bound = 2.0 * u_char
     rslice = R.slices()
@@ -590,7 +590,7 @@ def mixed_verify_dyadic(
         rows.append({"kind": "gamma_minus1", "ell": -1, "k": k,
                      "cubes": len(pairs), "u_mass": piece})
 
-    fam = enumerate_cubes(R.domain, DYADIC_GRID_OF, R)
+    fam = CubeFamily(R.domain, DYADIC_GRID_OF, R)
     u_char = ap_characteristic(u, 1.0, 0.0, RhoSpec.classical(), fam).value
     tail_bound = a * a / (a - 1.0) * u_char * integral
     slack = 1e-9 * max(1.0, sum_upper)

@@ -176,21 +176,6 @@ def shen_rho(V: GridFunction, x: np.ndarray) -> ShenResult:
     return ShenResult(0.5 * (lo + hi), capped=False)
 
 
-def eval_rho(spec: RhoSpec, x: np.ndarray) -> float:
-    """rho at one point; math.inf sentinel for CLASSICAL."""
-    if spec.is_classical:
-        return math.inf
-    if spec.kind == CONSTANT:
-        return float(spec.c)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if spec.kind == ANALYTIC:
-        val = float(np.asarray(spec.fn(x.reshape(1, -1))).ravel()[0])
-        if not (val > 0 and math.isfinite(val)):
-            raise ValueError(f"analytic rho returned a non-positive value {val}")
-        return val
-    return shen_rho(spec.potential, x).value
-
-
 def rho_values(spec: RhoSpec, points: np.ndarray) -> np.ndarray:
     """Vectorized rho at an (m, dim) point array (inf for CLASSICAL)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -204,6 +189,11 @@ def rho_values(spec: RhoSpec, points: np.ndarray) -> np.ndarray:
             raise ValueError("analytic rho returned non-positive values")
         return vals
     return np.array([shen_rho(spec.potential, p).value for p in pts])
+
+
+def eval_rho(spec: RhoSpec, x: np.ndarray) -> float:
+    """rho at one point, the one-point rho_values; math.inf for CLASSICAL."""
+    return float(rho_values(spec, np.reshape(np.asarray(x, dtype=float), (1, -1)))[0])
 
 
 def growth_factor(spec: RhoSpec, centers: np.ndarray, radius) -> np.ndarray:
@@ -361,10 +351,16 @@ def critical_covering(
     as covered by Q(x, rho) when |y - x|_inf <= rho/sqrt(dim) (the cube of
     half-diagonal rho).  Overlap N(sigma) is the max over cell centers of
     the number of sigma-dilates containing it, dilates clipped to the box,
-    and log N(sigma) ~ log C + N1 log sigma is fitted by least squares.
+    and log N(sigma) ~ log C + N1 log sigma is fitted by least squares,
+    which needs at least two distinct sigmas, each positive and finite.
     """
     if spec.is_classical:
         raise ValueError("critical covering needs a finite rho (not CLASSICAL)")
+    if not all(0 < s < math.inf for s in sigmas) or len(set(sigmas)) < 2:
+        raise ValueError(
+            "critical covering needs at least two distinct sigmas, each "
+            f"positive and finite, got {tuple(sigmas)}"
+        )
     pts = domain.cell_centers()
     m = pts.shape[0]
     covered = np.zeros(m, dtype=bool)

@@ -286,14 +286,9 @@ def _exp_maximal_eval(config):
     return measured, passes, {}, tables
 
 
-def _box_root(domain) -> Cube:
-    """The whole box as one cube."""
-    return Cube(domain, (0,) * domain.dim, domain.n)
-
-
 def _exp_corona_run(config):
     bundle = _suite(config)
-    R = _box_root(bundle.domain)
+    R = Cube.box(bundle.domain)
     a = float(config.get("a", 2 ** (bundle.domain.dim + 1)))
     measured, passes, tables = {}, {}, []
     all_chain = True

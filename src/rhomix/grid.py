@@ -38,7 +38,6 @@ __all__ = [
     "Cube",
     "CubeFamily",
     "DYADIC_GRID_OF",
-    "DYADIC_SIDES",
     "Domain",
     "DomainMismatchError",
     "GridFunction",
@@ -47,7 +46,6 @@ __all__ = [
     "dyadic_average_tree",
     "dyadic_averages",
     "dyadic_sum_pyramid",
-    "enumerate_cubes",
     "integrate",
     "load_grid_function",
     "require_stack",
@@ -130,6 +128,11 @@ class Cube:
                 raise ValueError(
                     f"cube [{self.anchor}, +{self.side_cells}) leaves the box"
                 )
+
+    @classmethod
+    def box(cls, domain: Domain) -> "Cube":
+        """The whole box as one cube."""
+        return cls(domain, (0,) * domain.dim, domain.n)
 
     @property
     def side_length(self) -> float:
@@ -272,31 +275,31 @@ def require_weight(w: GridFunction) -> GridFunction:
 # cube families
 
 ALL_CELL_ALIGNED = "all_cell_aligned"
-DYADIC_SIDES = "dyadic_sides"
 DYADIC_GRID_OF = "dyadic_grid_of"
 
 
 @dataclass(frozen=True)
 class CubeFamily:
-    """Deterministic enumeration of cubes, grouped by side for vector sweeps.
+    """Deterministic enumeration of the cubes inside a root cube, grouped by
+    side for vector sweeps.  The root defaults to the whole box, so a family
+    built with no root equals (and hashes as) the box-rooted one.
 
     Policies:
       * ALL_CELL_ALIGNED (dim 1 only): every cell-aligned interval inside the
-        root, or inside the box when no root is given; m(m+1)/2 of them on m
-        cells.
-      * DYADIC_SIDES (dims 1-3): side_cells in {1, 2, 4, ..., n}, anchors on
-        the stride lattice of the same granularity (disjoint tiles per side).
-      * DYADIC_GRID_OF (dims 1-3): recursive bisection tree of a root cube.
+        root; m(m+1)/2 of them on m cells.
+      * DYADIC_GRID_OF (dims 1-3): recursive bisection tree of the root, a
+        power-of-two cube: side_cells in {1, 2, 4, ..., side}, anchors on the
+        stride lattice of the same granularity (disjoint tiles per side).
 
     Every sweep goes through sweep(), cube_cells(), cube_extreme() and
     cell_max(); all but cube_cells take a batch of functions on leading
     axes, and the per-side work is then paid once for the whole batch.
     sweep() yields the sides largest first.  On ALL_CELL_ALIGNED, min and
     max recurrences along the last axis give cube_extreme() and cell_max()
-    with no rounding; the two dyadic policies view the covered region as
-    one (tile, cell-in-tile) pair of axes per dimension, so one reshape
-    serves every dim.  Every side's anchors form a regular lattice, which
-    BoxSums reads by strided slices.
+    with no rounding; DYADIC_GRID_OF views the root as one (tile,
+    cell-in-tile) pair of axes per dimension, so one reshape serves every
+    dim.  Every side's anchors form a regular lattice, which BoxSums reads
+    by strided slices.
     """
 
     domain: Domain
@@ -304,39 +307,27 @@ class CubeFamily:
     root: Cube | None = None
 
     def __post_init__(self) -> None:
-        if self.policy not in (ALL_CELL_ALIGNED, DYADIC_SIDES, DYADIC_GRID_OF):
+        if self.policy not in (ALL_CELL_ALIGNED, DYADIC_GRID_OF):
             raise ValueError(f"unknown cube family policy {self.policy!r}")
         if self.policy == ALL_CELL_ALIGNED and self.domain.dim != 1:
             raise ValueError("ALL_CELL_ALIGNED is only supported in dim 1")
-        if self.root is not None and self.root.domain != self.domain:
+        if self.root is None:
+            object.__setattr__(self, "root", Cube.box(self.domain))
+        elif self.root.domain != self.domain:
             raise DomainMismatchError("root cube on a different domain")
-        if self.policy == DYADIC_GRID_OF:
-            if self.root is None:
-                raise ValueError("DYADIC_GRID_OF needs a root cube")
-            if self.root.side_cells & (self.root.side_cells - 1):
-                raise ValueError("DYADIC_GRID_OF root side_cells must be a power of 2")
-        elif self.policy == DYADIC_SIDES and self.root is not None:
-            raise ValueError("DYADIC_SIDES tiles the whole box and takes no root")
-
-    def _span(self) -> int:
-        return self.root.side_cells if self.root is not None else self.domain.n
-
-    def region(self) -> tuple[slice, ...]:
-        """The cells the family's cubes cover: the root, else the whole box."""
-        if self.root is not None:
-            return self.root.slices()
-        return (slice(None),) * self.domain.dim
+        side = self.root.side_cells
+        if self.policy == DYADIC_GRID_OF and side & (side - 1):
+            raise ValueError("DYADIC_GRID_OF root side_cells must be a power of 2")
 
     def side_cells_list(self) -> list[int]:
-        span = self._span()
+        span = self.root.side_cells
         if self.policy == ALL_CELL_ALIGNED:
             return list(range(1, span + 1))
         return [1 << k for k in range(span.bit_length())]
 
     def anchors(self, side_cells: int) -> np.ndarray:
         """(m, dim) int array of anchors for this side, lexicographic order."""
-        lo = self.root.anchor if self.root is not None else (0,) * self.domain.dim
-        span = self._span()
+        lo, span = self.root.anchor, self.root.side_cells
         if self.policy == ALL_CELL_ALIGNED:
             return np.arange(lo[0], lo[0] + span - side_cells + 1)[:, None]
         per_axis = [np.arange(a, a + span, side_cells) for a in lo]
@@ -358,15 +349,15 @@ class CubeFamily:
         functions (one function is a bare grid array, or the batch of one).
         avgs holds one (..., cubes) array per input: the average of every
         function over every cube of the side, in anchors order, read from a
-        BoxSums table of the covered region.
+        BoxSums table of the root.
         """
         dim = self.domain.dim
-        region = (Ellipsis,) + self.region()
+        region = (Ellipsis,) + self.root.slices()
         tables = [BoxSums(np.asarray(v, dtype=np.float64)[region], dim) for v in values]
-        origin = None if self.root is None else np.asarray(self.root.anchor)
+        origin = np.asarray(self.root.anchor)
         for s in reversed(self.side_cells_list()):
             anchors = self.anchors(s)
-            local = anchors if origin is None else anchors - origin
+            local = anchors - origin
             cells = s**dim
             yield s, anchors, [t.box_sum(local, s) / cells for t in tables]
 
@@ -380,7 +371,7 @@ class CubeFamily:
     def cube_cells(self, values: np.ndarray, s: int) -> np.ndarray:
         """(cubes, s**dim) array: row i holds the cell values of the i-th cube
         of side s (anchors order), each row in the cube's row-major order."""
-        vals = np.asarray(values, dtype=np.float64)[self.region()]
+        vals = np.asarray(values, dtype=np.float64)[self.root.slices()]
         if self.policy == ALL_CELL_ALIGNED:
             return sliding_window_view(vals, s)
         dim = self.domain.dim
@@ -390,7 +381,7 @@ class CubeFamily:
     def cube_extreme(self, values: np.ndarray, s: int, kind: str) -> np.ndarray:
         """Min or max (kind) over each cube of side s, anchors order, of each
         function of a (..., *grid) batch: shape (..., cubes)."""
-        vals = np.asarray(values, dtype=np.float64)[(Ellipsis,) + self.region()]
+        vals = np.asarray(values, dtype=np.float64)[(Ellipsis,) + self.root.slices()]
         if self.policy == ALL_CELL_ALIGNED:
             # extremes of w-cell windows, doubling w while 2w <= s; the
             # windows at a and a+s-w then cover [a, a+s) between them
@@ -413,14 +404,14 @@ class CubeFamily:
         scores (..., cubes), with the same leading axes.
 
         ALL_CELL_ALIGNED carries state in out: it takes every side in sweep
-        order (largest first) on an out that is -inf over the family's
-        region (maximal._cell_floor gives that).  With H_s[a] the largest
+        order (largest first) on an out that is -inf over the root
+        (maximal._cell_floor gives that).  With H_s[a] the largest
         score of an interval of s or more cells containing [a, a+s),
         H_s[a] = max(score_s[a], H_{s+1}[a-1], H_{s+1}[a]) and H_1 is the
         cellwise sup.  out[..., a] holds H_s[a] once side s is in, so each
         side costs two in-place maxima and no padding.
         """
-        view = out[(Ellipsis,) + self.region()]
+        view = out[(Ellipsis,) + self.root.slices()]
         if self.policy == ALL_CELL_ALIGNED:
             m = view.shape[-1] - s + 1
             np.maximum(view[..., 1:m], view[..., : m - 1], out=view[..., 1:m])
@@ -430,12 +421,6 @@ class CubeFamily:
         lead = view.shape[: view.ndim - self.domain.dim]
         k = view.shape[-1] // s
         np.maximum(tiles, scores.reshape(lead + (k, 1) * self.domain.dim), out=tiles)
-
-
-def enumerate_cubes(
-    domain: Domain, policy: str, root: Cube | None = None
-) -> CubeFamily:
-    return CubeFamily(domain, policy, root)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ The central object is
                     (1 + r0/rho(x0))^(-sigma) * avg_Q |f|,
 
 with the sup running over a cube family: every cell-aligned interval in
-dim 1 (exact within the discretization), dyadic-side tiles in dims 2 and 3
-(the fixed dimensional gap to the full sup cancels in like-vs-like audits),
-or the bisection tree of a root cube in any dim.  Cells that no cube of the
-family covers read 0, the zero-extension convention.  Localized and dyadic
+dim 1 (exact within the discretization), the box's bisection tree in dims 2
+and 3 (the fixed dimensional gap to the full sup cancels in like-vs-like
+audits), or the bisection tree of a smaller root cube in any dim.  Cells
+that no cube of the family covers read 0, the zero-extension convention.  Localized and dyadic
 variants restrict the family to one root cube, and the local/global split
 separates subcritical cubes (r <= rho) from the rest.
 
@@ -37,11 +37,10 @@ from .grid import (
     ALL_CELL_ALIGNED,
     Cube,
     CubeFamily,
-    DYADIC_SIDES,
+    DYADIC_GRID_OF,
     Domain,
     GridFunction,
     dyadic_average_tree,
-    enumerate_cubes,
     require_stack,
 )
 
@@ -61,16 +60,22 @@ __all__ = [
 
 
 def default_family(domain: Domain) -> CubeFamily:
-    policy = ALL_CELL_ALIGNED if domain.dim == 1 else DYADIC_SIDES
-    return enumerate_cubes(domain, policy)
+    return CubeFamily(domain, ALL_CELL_ALIGNED if domain.dim == 1 else DYADIC_GRID_OF)
 
 
 def _cell_floor(family: CubeFamily, count: int) -> np.ndarray:
-    """Start of count cellwise sups: -inf where the family has cubes (the
-    start cell_max's spread recurrence needs), 0 off them."""
+    """Start of count cellwise sups: -inf on the family's root (the start
+    cell_max's spread recurrence needs), 0 off it."""
     out = np.zeros((count,) + family.domain.shape)
-    out[(Ellipsis,) + family.region()] = -np.inf
+    out[(Ellipsis,) + family.root.slices()] = -np.inf
     return out
+
+
+def _require_exponents(sigma: float, q: float = 1.0) -> None:
+    if not (0.0 <= sigma < math.inf and 1.0 <= q < math.inf):
+        raise ValueError(
+            f"need finite sigma >= 0 and finite q >= 1, got sigma={sigma}, q={q}"
+        )
 
 
 def m_rho_sigma(
@@ -101,8 +106,7 @@ def m_rho_sigma_stack(
 ) -> np.ndarray:
     """m_rho_sigma of each function of a (B, *grid) stack of cell values on
     the family's domain, from one sweep: the (B, *grid) stack of images."""
-    if sigma < 0 or q < 1:
-        raise ValueError("need sigma >= 0 and q >= 1")
+    _require_exponents(sigma, q)
     stack = require_stack(values, cubes.domain)
     table = rho.penalty_table(cubes)
     out = _cell_floor(cubes, len(stack))
@@ -130,16 +134,17 @@ def m_localized(f: GridFunction, R: Cube) -> GridFunction:
     """Maximal function over cubes contained in R (zero off R).
 
     Dim 1 scans every cell-aligned interval inside R.  Dims 2 and 3 take
-    one DYADIC_SIDES sweep of |f|, in which tiles not inside R score -inf,
-    together with the bisection tree of R (R's own average when an odd side
-    leaves no tree), so the localized sup always dominates the dyadic one.
+    one sweep of |f| over the box's bisection tree, in which tiles not
+    inside R score -inf, together with the bisection tree of R (R's own
+    average when an odd side leaves no tree), so the localized sup always
+    dominates the dyadic one.
     """
     if R.domain != f.domain:
         raise ValueError("root cube on a different domain")
     domain = f.domain
     if domain.dim == 1:
         return m_rho_sigma(
-            f, RhoSpec.classical(), cubes=enumerate_cubes(domain, ALL_CELL_ALIGNED, R)
+            f, RhoSpec.classical(), cubes=CubeFamily(domain, ALL_CELL_ALIGNED, R)
         )
 
     if R.side_cells & (R.side_cells - 1) == 0:
@@ -149,7 +154,7 @@ def m_localized(f: GridFunction, R: Cube) -> GridFunction:
         out = np.zeros(domain.shape)
         out[R.slices()] = np.mean(np.abs(f.values[R.slices()]))
     lo = np.asarray(R.anchor)
-    family = enumerate_cubes(domain, DYADIC_SIDES)
+    family = CubeFamily(domain, DYADIC_GRID_OF)
     for s, anchors, (avg,) in family.sweep(np.abs(f.values)):
         if s > R.side_cells:
             continue
@@ -200,6 +205,7 @@ def loc_glob_split_stack(
 ) -> list[LocGlobReport]:
     """loc_glob_split of each function of a (B, *grid) stack of cell values
     on the family's domain, from one sweep: one report per function."""
+    _require_exponents(sigma)
     stack = require_stack(values, cubes.domain)
     table = rho.penalty_table(cubes)
     domain = cubes.domain

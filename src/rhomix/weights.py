@@ -6,11 +6,11 @@ by the growth factor (1 + r/rho(x))^theta, so membership is monotone in
 theta and theta = 0 (or a CLASSICAL rho) recovers the classical classes.
 
 Characteristics are exact suprema over the requested cube family, in any
-dim the family supports (every interval in dim 1; dyadic-side tiles or a
-bisection tree in dims 1-3).  CubeFamily.sweep reads every cube average
-from a prefix-sum table in O(1) and CubeFamily.cube_extreme supplies the
-cube minima and maxima, so a full dim-1 sweep over all n(n+1)/2 intervals
-costs O(n^2).  Neither the averages nor the minima depend on theta, so
+dim the family supports (every interval in dim 1; the bisection tree of
+the box or of a smaller root in dims 1-3).  CubeFamily.sweep reads every
+cube average from a prefix-sum table in O(1) and CubeFamily.cube_extreme
+supplies the cube minima and maxima, so a full dim-1 sweep over all
+n(n+1)/2 intervals costs O(n^2).  Neither the averages nor the minima depend on theta, so
 ap_ladder reads a whole ladder of growth exponents off one sweep, each
 value and witness bit-identical to its single-theta ap_characteristic.
 The A_infty epsilon form runs per side on CubeFamily too.  Every
@@ -60,7 +60,11 @@ class WeightCharacteristic:
     witness: Cube
     p: float
     theta: float
-    policy: str
+
+
+def _require_theta(theta: float) -> None:
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
 
 
 def _sup(
@@ -119,6 +123,8 @@ def ap_ladder(
     require_weight(w)
     if not (p == math.inf or p >= 1):
         raise ValueError(f"p must be in [1, inf], got {p}")
+    for theta in thetas:
+        _require_theta(theta)
     vals = w.values
 
     if p == math.inf:
@@ -139,7 +145,7 @@ def ap_ladder(
 
         sups = _sup(cubes, rho, thetas, (vals, vals ** (1.0 - pprime)), score)
     return tuple(
-        WeightCharacteristic(value, witness, p, theta, cubes.policy)
+        WeightCharacteristic(value, witness, p, theta)
         for theta, (value, witness) in zip(thetas, sups)
     )
 
@@ -156,6 +162,7 @@ def rh_characteristic(
     require_weight(w)
     if not (s == math.inf or s > 1):
         raise ValueError(f"s must be > 1 or inf, got {s}")
+    _require_theta(theta)
     vals = w.values
 
     if s == math.inf:
@@ -168,7 +175,7 @@ def rh_characteristic(
             return avgs[1] ** (1.0 / s) / avgs[0]
 
         [(value, witness)] = _sup(cubes, rho, (theta,), (vals, vals**s), score)
-    return WeightCharacteristic(value, witness, s, theta, cubes.policy)
+    return WeightCharacteristic(value, witness, s, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +209,7 @@ def ainf_epsilon_form(
     recomputed max violation.
     """
     require_weight(w)
+    _require_theta(theta)
     table = rho.penalty_table(cubes)
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []

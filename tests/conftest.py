@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from rhomix import Cube, GridFunction, dyadic_sum_pyramid
+from rhomix import ALL_CELL_ALIGNED, DYADIC_GRID_OF, Cube, GridFunction, dyadic_sum_pyramid
+
+#: (policy, rooted) as the family property tests draw them: dim-1 intervals
+#: (rooted or not is drawn after), the box's bisection tree, and the tree of
+#: a drawn power-of-two root
+FAMILY_DRAWS = [(ALL_CELL_ALIGNED, None), (DYADIC_GRID_OF, False), (DYADIC_GRID_OF, True)]
 
 
 def cubes_of(domain, fam):

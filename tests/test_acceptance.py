@@ -270,7 +270,6 @@ def _mixed_constant(f, u, v, rho, sigma, fam) -> float:
     return lorentz_norm(ratio, mu, 1.0, math.inf) / denom
 
 
-@pytest.mark.slow
 def test_05_mixed_constant_stable_under_refinement():
     t0 = time.time()
     from rhomix import standard_suite_spec

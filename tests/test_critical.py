@@ -8,12 +8,12 @@ import pytest
 
 from rhomix import (
     ALL_CELL_ALIGNED,
+    CubeFamily,
     Domain,
     GridFunction,
     RhoSpec,
     audit_admissibility,
     critical_covering,
-    enumerate_cubes,
     eval_rho,
     growth_factor,
     rho_values,
@@ -207,6 +207,17 @@ def test_covering_rejects_classical():
         critical_covering(RhoSpec.classical(), Domain(1, 4.0, 3))
 
 
+def test_covering_needs_two_distinct_positive_finite_sigmas():
+    """The slope fit needs two distinct sigmas, each positive and finite;
+    other sigmas used to run the whole covering and then fail in the fit."""
+    spec, dom = RhoSpec.analytic(INV_DIST), Domain(1, 8.0, 4)
+    for sigmas in ((1.0,), (1.0, 1.0, 1.0), (0.0, 1.0, 2.0), (math.nan, 1.0, 2.0),
+                   (-1.0, 2.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="two distinct sigmas"):
+            critical_covering(spec, dom, sigmas)
+    assert set(critical_covering(spec, dom, (1.0, 1.0, 2.0)).overlap) == {1.0, 2.0}
+
+
 def test_shen_lower_bracket_climbs_to_a_passing_radius_regression():
     # the coverage ramp gives a point's own cell half its mass as r -> 0, so
     # the predicate failed at cell_width/16 on 32 of these 512 centers
@@ -247,9 +258,9 @@ def test_audits_are_kept_on_the_rho():
 
 def test_kept_tables_stay_outside_equality_hash_and_repr():
     a, b = RhoSpec.constant(2.0), RhoSpec.constant(2.0)
-    fam = enumerate_cubes(Domain(1, 8.0, 3), ALL_CELL_ALIGNED)
+    fam = CubeFamily(Domain(1, 8.0, 3), ALL_CELL_ALIGNED)
     table = a.penalty_table(fam)
-    assert a.penalty_table(enumerate_cubes(Domain(1, 8.0, 3), ALL_CELL_ALIGNED)) is table
+    assert a.penalty_table(CubeFamily(Domain(1, 8.0, 3), ALL_CELL_ALIGNED)) is table
     assert b.penalty_table(fam) is not table
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert dataclasses.replace(a).penalty_table(fam) is not table

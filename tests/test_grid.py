@@ -10,25 +10,25 @@ from hypothesis import strategies as st
 from rhomix import (
     ALL_CELL_ALIGNED,
     DYADIC_GRID_OF,
-    DYADIC_SIDES,
     BoxSums,
     Cube,
+    CubeFamily,
     Domain,
     DomainMismatchError,
     GridFunction,
     InvalidWeightError,
+    RhoSpec,
     average,
     dyadic_average_tree,
     dyadic_averages,
     dyadic_sum_pyramid,
-    enumerate_cubes,
     integrate,
     load_grid_function,
     require_weight,
     save_grid_function,
 )
 
-from conftest import brute_average, cubes_of
+from conftest import FAMILY_DRAWS, brute_average, cubes_of
 
 
 def test_domain_geometry():
@@ -110,7 +110,7 @@ def test_box_sums_batch_axis_and_lattice_contract():
     rng = np.random.default_rng(6)
     for dim, s in ((1, 3), (2, 2), (3, 1)):
         dom = Domain(dim, 4.0, 2)
-        fam = enumerate_cubes(dom, DYADIC_SIDES)
+        fam = CubeFamily(dom, DYADIC_GRID_OF)
         stack = rng.normal(size=(3,) + dom.shape)
         anchors = fam.anchors(2) if dim > 1 else np.arange(dom.n - s + 1)[:, None]
         got = BoxSums(stack, dim).box_sum(anchors, s)
@@ -126,21 +126,42 @@ def test_box_sums_batch_axis_and_lattice_contract():
 def test_family_counts():
     dom = Domain(1, 8.0, 3)
     n = dom.n
-    fam = enumerate_cubes(dom, ALL_CELL_ALIGNED)
+    fam = CubeFamily(dom, ALL_CELL_ALIGNED)
     assert fam.count() == n * (n + 1) // 2
-    dy = enumerate_cubes(dom, DYADIC_SIDES)
+    dy = CubeFamily(dom, DYADIC_GRID_OF)
     assert dy.side_cells_list() == [1, 2, 4, 8]
     # disjoint stride tiles per side
     assert dy.count() == sum(n // s for s in (1, 2, 4, 8))
     R = Cube(dom, (0,), n)
-    tree = enumerate_cubes(dom, DYADIC_GRID_OF, R)
+    tree = CubeFamily(dom, DYADIC_GRID_OF, R)
     assert tree.count() == 1 + 2 + 4 + 8
+
+
+def test_unrooted_family_is_the_box_rooted_family():
+    """A family given no root is rooted at the whole box: it equals and
+    hashes as the box-rooted family, so a rho keeps one penalty table for
+    both; the dyadic policy is the one bisection-tree policy."""
+    rho = RhoSpec.constant(0.5)
+    cases = [(Domain(1, 4.0, 3), ALL_CELL_ALIGNED)]
+    cases += [(Domain(dim, 4.0, 2), DYADIC_GRID_OF) for dim in (1, 2, 3)]
+    for dom, policy in cases:
+        bare, rooted = CubeFamily(dom, policy), CubeFamily(dom, policy, Cube.box(dom))
+        assert bare.root == rooted.root == Cube(dom, (0,) * dom.dim, dom.n)
+        assert bare == rooted and hash(bare) == hash(rooted)
+        assert rho.penalty_table(bare) is rho.penalty_table(rooted)
+    dom = Domain(1, 4.0, 3)
+    with pytest.raises(ValueError, match="unknown cube family policy"):
+        CubeFamily(dom, "dyadic_sides")
+    with pytest.raises(ValueError, match="power of 2"):
+        CubeFamily(dom, DYADIC_GRID_OF, Cube(dom, (0,), 3))
+    with pytest.raises(DomainMismatchError):
+        CubeFamily(dom, DYADIC_GRID_OF, Cube.box(Domain(1, 8.0, 3)))
 
 
 def test_dyadic_tree_anchors_are_aligned():
     dom = Domain(2, 8.0, 3)
     R = Cube(dom, (0, 0), 8)
-    tree = enumerate_cubes(dom, DYADIC_GRID_OF, R)
+    tree = CubeFamily(dom, DYADIC_GRID_OF, R)
     for s in tree.side_cells_list():
         for a in tree.anchors(s):
             assert all(int(x) % s == 0 for x in a)
@@ -149,7 +170,7 @@ def test_dyadic_tree_anchors_are_aligned():
 def test_dyadic_tree_of_subcube():
     dom = Domain(1, 8.0, 3)
     R = Cube(dom, (4,), 4)
-    tree = enumerate_cubes(dom, DYADIC_GRID_OF, R)
+    tree = CubeFamily(dom, DYADIC_GRID_OF, R)
     assert tree.side_cells_list() == [1, 2, 4]
     assert [tuple(a) for a in tree.anchors(4)] == [(4,)]
     assert [tuple(a) for a in tree.anchors(2)] == [(4,), (6,)]
@@ -160,19 +181,19 @@ def test_dyadic_tree_of_subcube():
 def test_family_primitives_match_cube_loop(data):
     """cell_max, cube_extreme and cube_cells agree exactly with a plain loop
     over the family's cubes, for every policy, dim, level and root."""
-    policy = data.draw(st.sampled_from([ALL_CELL_ALIGNED, DYADIC_SIDES, DYADIC_GRID_OF]))
+    policy, rooted = data.draw(st.sampled_from(FAMILY_DRAWS))
     dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 3))
     level = data.draw(st.integers(1, 3 if dim == 3 else 4))
     dom = Domain(dim, 4.0, level)
     root = None
-    if policy == DYADIC_GRID_OF or (policy == ALL_CELL_ALIGNED and data.draw(st.booleans())):
+    if rooted or (rooted is None and data.draw(st.booleans())):
         if policy == DYADIC_GRID_OF:
             side = 1 << data.draw(st.integers(0, level))
         else:
             side = data.draw(st.integers(1, dom.n))
         anchor = tuple(data.draw(st.integers(0, dom.n - side)) for _ in range(dim))
         root = Cube(dom, anchor, side)
-    fam = enumerate_cubes(dom, policy, root)
+    fam = CubeFamily(dom, policy, root)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     vals = rng.normal(size=dom.shape)
 
@@ -340,5 +361,5 @@ def test_average_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     dom = Domain(2, 4.0, 2)
     f = GridFunction(dom, rng.normal(size=dom.shape))
-    for Q in cubes_of(dom, enumerate_cubes(dom, DYADIC_SIDES)):
+    for Q in cubes_of(dom, CubeFamily(dom, DYADIC_GRID_OF)):
         assert average(f, Q) == pytest.approx(brute_average(f, Q), rel=1e-12, abs=1e-12)

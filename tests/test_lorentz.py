@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rhomix import (
     ALL_CELL_ALIGNED,
     Cube,
+    CubeFamily,
     Domain,
     DomainMismatchError,
     GridFunction,
@@ -18,7 +19,6 @@ from rhomix import (
     RhoSpec,
     WeightedMeasure,
     distribution,
-    enumerate_cubes,
     integrate,
     interpolation_audit,
     lorentz_norm,
@@ -217,7 +217,7 @@ def test_interpolation_negative_control_fires():
     rng = np.random.default_rng(69)
     dom = Domain(1, 8.0, 6)
     mu = WeightedMeasure(GridFunction(dom, rng.uniform(0.5, 2.0, dom.shape)))
-    fam = enumerate_cubes(dom, ALL_CELL_ALIGNED)
+    fam = CubeFamily(dom, ALL_CELL_ALIGNED)
     T = lambda stack: m_rho_sigma_stack(stack, RhoSpec.classical(), 0.0, 1.0, fam)
     fs = [GridFunction(dom, rng.normal(0, 1, dom.shape)) for _ in range(30)]
     honest = interpolation_audit(T, 1.0, 2.0, mu, fs)
@@ -236,7 +236,7 @@ def test_interpolation_halved_constant_fails_hypothesis_audit():
     rng = np.random.default_rng(70)
     dom = Domain(1, 8.0, 6)
     mu = WeightedMeasure(GridFunction(dom, rng.uniform(0.5, 2.0, dom.shape)))
-    fam = enumerate_cubes(dom, ALL_CELL_ALIGNED)
+    fam = CubeFamily(dom, ALL_CELL_ALIGNED)
     T = lambda stack: m_rho_sigma_stack(stack, RhoSpec.classical(), 0.0, 1.0, fam)
     fs = [make_function(dom, {"kind": "spike", "count": 2}, rng) for _ in range(10)]
     honest = interpolation_audit(T, 1.0, 2.0, mu, fs)

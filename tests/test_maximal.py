@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from rhomix import (
     ALL_CELL_ALIGNED,
     DYADIC_GRID_OF,
-    DYADIC_SIDES,
     Cube,
+    CubeFamily,
     Domain,
     GridFunction,
     GridShiftSet,
     RhoSpec,
     default_family,
-    enumerate_cubes,
     integrate,
     loc_glob_split,
     loc_glob_split_stack,
@@ -30,7 +29,7 @@ from rhomix import (
     shifted_grid_domination_audit,
 )
 
-from conftest import brute_m_dyadic, random_pow2_cube
+from conftest import FAMILY_DRAWS, brute_m_dyadic, random_pow2_cube
 
 CL = RhoSpec.classical()
 
@@ -140,7 +139,7 @@ def test_dim2_matches_brute_force_tiles():
             fam, cubes = default_family(dom), list(_dyadic_tiles(dom))
         else:
             R = Cube(dom, anchor, dom.n // 2)
-            fam, cubes = enumerate_cubes(dom, DYADIC_GRID_OF, R), list(_tree(R))
+            fam, cubes = CubeFamily(dom, DYADIC_GRID_OF, R), list(_tree(R))
         for rr, sigma in ((CL, 0.0), (rho, 1.0)):
             got = m_rho_sigma(f, rr, sigma, 1.0, fam).values
             want = brute_m_cubes(f, cubes, rr, sigma)
@@ -193,6 +192,14 @@ def test_parameter_validation():
         m_rho_sigma(f, CL, -1.0)
     with pytest.raises(ValueError):
         m_rho_sigma(f, CL, 0.0, 0.5)
+    # NaN used to pass `sigma < 0 or q < 1` and q = inf gave all ones;
+    # loc_glob_split took any sigma, although its M is m_rho_sigma's
+    for sigma, q in ((math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            m_rho_sigma(f, CL, sigma, q)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            loc_glob_split(f, CL, sigma)
 
 
 def test_dyadic_matches_recursive_oracle():
@@ -303,8 +310,8 @@ def test_loc_glob_m_equals_m_rho_sigma():
         default_family(d1),
         default_family(d2),
         default_family(d3),
-        enumerate_cubes(d1, DYADIC_GRID_OF, Cube(d1, (8,), 16)),
-        enumerate_cubes(d2, DYADIC_GRID_OF, Cube(d2, (1, 3), 4)),
+        CubeFamily(d1, DYADIC_GRID_OF, Cube(d1, (8,), 16)),
+        CubeFamily(d2, DYADIC_GRID_OF, Cube(d2, (1, 3), 4)),
     ]
     rhos = (CL, RhoSpec.constant(0.75), RhoSpec.analytic(lambda x: 1.0 + x[:, 0]))
     for fam in families:
@@ -328,19 +335,19 @@ def test_stacked_sweeps_equal_single_calls(data):
     equal B single calls bit for bit, and the brute-force oracle fed the
     same stack: every policy in dims 1-3, rooted ALL_CELL_ALIGNED and
     sub-box DYADIC_GRID_OF roots among them, q in {1, 2} and sigma >= 0."""
-    policy = data.draw(st.sampled_from([ALL_CELL_ALIGNED, DYADIC_SIDES, DYADIC_GRID_OF]))
+    policy, rooted = data.draw(st.sampled_from(FAMILY_DRAWS))
     dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 3))
     level = data.draw(st.integers(1, {1: 5, 2: 3, 3: 2}[dim]))
     dom = Domain(dim, 4.0, level)
     root = None
-    if policy == DYADIC_GRID_OF or (policy == ALL_CELL_ALIGNED and data.draw(st.booleans())):
+    if rooted or (rooted is None and data.draw(st.booleans())):
         if policy == DYADIC_GRID_OF:
             side = 1 << data.draw(st.integers(0, level))
         else:
             side = data.draw(st.integers(1, dom.n))
         anchor = tuple(data.draw(st.integers(0, dom.n - side)) for _ in range(dim))
         root = Cube(dom, anchor, side)
-    fam = enumerate_cubes(dom, policy, root)
+    fam = CubeFamily(dom, policy, root)
     rho = data.draw(st.sampled_from(_STACK_RHOS))
     sigma = data.draw(st.sampled_from([0.0, 0.5, 1.5]))
     q = data.draw(st.sampled_from([1.0, 2.0]))

@@ -11,6 +11,7 @@ import rhomix.critical
 from rhomix import (
     ALL_CELL_ALIGNED,
     Cube,
+    CubeFamily,
     Domain,
     GridFunction,
     RhoSpec,
@@ -18,7 +19,6 @@ from rhomix import (
     ap_characteristic,
     ap_ladder,
     default_family,
-    enumerate_cubes,
     eval_rho,
     loc_glob_split,
     m_rho_sigma,
@@ -74,7 +74,7 @@ def test_every_site_raises_penalties_by_libm_pow(exponent):
     sigma, theta = abs(exponent), exponent
     roots = [None] + [Cube(dom, (a,), 16) for a in range(0, dom.n - 15, 8)]
     for root in roots:
-        fam = enumerate_cubes(dom, ALL_CELL_ALIGNED, root)
+        fam = CubeFamily(dom, ALL_CELL_ALIGNED, root)
         f = GridFunction(dom, rng.normal(0, 1, dom.shape))
         w = GridFunction(dom, np.exp(rng.normal(0, 1, dom.shape)))
         m, loc, glob, best, witness = _per_cube_reference(f, w, rho, fam, sigma, theta)
@@ -100,7 +100,7 @@ def test_theta_ladder_matches_the_per_cube_reference():
     w = GridFunction(dom, np.exp(rng.normal(0, 1, dom.shape)))
     thetas = (0.0, 0.37, 1.0, 2.0, 4.0, 0.37)
     for root in (None, Cube(dom, (8,), 32)):
-        fam = enumerate_cubes(dom, ALL_CELL_ALIGNED, root)
+        fam = CubeFamily(dom, ALL_CELL_ALIGNED, root)
         ladder = ap_ladder(w, 1.0, thetas, rho, fam)
         for theta, c in zip(thetas, ladder):
             *_, best, witness = _per_cube_reference(f, w, rho, fam, 0.0, theta)

@@ -409,6 +409,21 @@ def test_cli_usage_errors_exit_two(saved_inputs):
     assert main(["run", "--config", '{"kind": "unheard-of"}']) == 2
 
 
+def test_cli_tree_family_is_gone_and_bad_exponents_exit_two(saved_inputs):
+    """--cubes tree built the same family as dyadic and is rejected; a
+    non-finite theta and a covering that cannot fit a slope are usage
+    errors, not failed invariants."""
+    _tmp, paths = saved_inputs
+    assert main(["weights", "char", "--w", paths["u"], "--cubes", "tree"]) == 2
+    assert main(["maximal", "eval", "--f", paths["f"], "--cubes", "tree"]) == 2
+    assert main(["weights", "char", "--w", paths["u"], "--theta", "nan"]) == 2
+    spec = '{"kind": "analytic", "name": "inv_one_plus_dist"}'
+    dom = '{"dim": 1, "side": 8.0, "level": 4}'
+    for sigmas in ("1", "1,1,1", "0,1,2", "nan,1,2"):
+        assert main(["rho", "cover", "--spec", spec, "--domain", dom,
+                     "--sigma", sigmas]) == 2, sigmas
+
+
 def test_readme_cli_examples_parse_and_run(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Command line", 1)[1].split("## Demos", 1)[0]

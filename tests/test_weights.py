@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from rhomix import (
     ALL_CELL_ALIGNED,
     DYADIC_GRID_OF,
-    DYADIC_SIDES,
     Cube,
+    CubeFamily,
     Domain,
     EpsilonForm,
     GridFunction,
@@ -20,20 +20,19 @@ from rhomix import (
     ainf_epsilon_form,
     ap_characteristic,
     ap_ladder,
-    enumerate_cubes,
     factor_build,
     growth_factor,
     rh_characteristic,
     weighted_measure,
 )
 
-from conftest import cubes_of
+from conftest import FAMILY_DRAWS, cubes_of
 
 CL = RhoSpec.classical()
 
 
 def _fam(dom):
-    return enumerate_cubes(dom, ALL_CELL_ALIGNED if dom.dim == 1 else DYADIC_SIDES)
+    return CubeFamily(dom, ALL_CELL_ALIGNED if dom.dim == 1 else DYADIC_GRID_OF)
 
 
 def brute_ap(w, p, fam, dom, theta=0.0, rho=CL):
@@ -79,16 +78,16 @@ def test_ap_matches_brute_force_oracle():
         assert got == pytest.approx(want, rel=1e-10), p
 
 
-# families past dim-1 intervals: dyadic-side tiles in dims 2 and 3, and
+# families past dim-1 intervals: the box's bisection tree in dims 2 and 3, and
 # bisection trees of sub-box roots (not at the origin) in dims 1-3
 def _more_families():
     d1, d2, d3 = Domain(1, 4.0, 4), Domain(2, 4.0, 3), Domain(3, 4.0, 3)
     return [
         _fam(d2),
         _fam(Domain(3, 4.0, 2)),
-        enumerate_cubes(d1, DYADIC_GRID_OF, Cube(d1, (4,), 8)),
-        enumerate_cubes(d2, DYADIC_GRID_OF, Cube(d2, (4, 0), 4)),
-        enumerate_cubes(d3, DYADIC_GRID_OF, Cube(d3, (2, 4, 0), 4)),
+        CubeFamily(d1, DYADIC_GRID_OF, Cube(d1, (4,), 8)),
+        CubeFamily(d2, DYADIC_GRID_OF, Cube(d2, (4, 0), 4)),
+        CubeFamily(d3, DYADIC_GRID_OF, Cube(d3, (2, 4, 0), 4)),
     ]
 
 
@@ -108,12 +107,12 @@ def test_ap_one_on_dyadic_trees_regression():
     # and to fail in dim 1 when the root is smaller than the box
     d = Domain(1, 8.0, 4)
     w = GridFunction.constant(d, 3.0)
-    fam = enumerate_cubes(d, DYADIC_GRID_OF, Cube(d, (0,), 8))
+    fam = CubeFamily(d, DYADIC_GRID_OF, Cube(d, (0,), 8))
     assert ap_characteristic(w, 1.0, 0.0, RhoSpec.classical(), fam).value == 1.0
     d2 = Domain(2, 8.0, 3)
     w2 = GridFunction.constant(d2, 3.0)
     for R in (Cube(d2, (0, 0), 8), Cube(d2, (4, 2), 4)):
-        fam2 = enumerate_cubes(d2, DYADIC_GRID_OF, R)
+        fam2 = CubeFamily(d2, DYADIC_GRID_OF, R)
         assert ap_characteristic(w2, 1.0, 0.0, CL, fam2).value == 1.0
 
 
@@ -135,9 +134,9 @@ def test_tied_cubes_give_the_first_cube_as_witness():
     the family's first anchor, although the sweep visits it last."""
     dom1, dom2 = Domain(1, 8.0, 4), Domain(2, 8.0, 3)
     families = [
-        enumerate_cubes(dom1, ALL_CELL_ALIGNED),
-        enumerate_cubes(dom1, ALL_CELL_ALIGNED, Cube(dom1, (5,), 7)),
-        enumerate_cubes(dom2, DYADIC_SIDES),
+        CubeFamily(dom1, ALL_CELL_ALIGNED),
+        CubeFamily(dom1, ALL_CELL_ALIGNED, Cube(dom1, (5,), 7)),
+        CubeFamily(dom2, DYADIC_GRID_OF),
     ]
     for fam in families:
         w = GridFunction.constant(fam.domain, 1.0)
@@ -253,6 +252,17 @@ def test_parameter_validation():
         rh_characteristic(w, 1.0, 0.0, CL, fam)
     with pytest.raises(InvalidWeightError):
         ap_characteristic(GridFunction(dom, np.array([1.0, 0.0, 1, 1, 1, 1, 1, 1])), 2.0, 0.0, CL, fam)
+    # at theta = NaN the characteristics read -inf with no witness and the
+    # epsilon form C = NaN; a negative theta stays allowed
+    rho = RhoSpec.constant(0.5)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            ap_ladder(w, 2.0, (0.0, theta), rho, fam)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            rh_characteristic(w, 2.0, theta, rho, fam)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            ainf_epsilon_form(w, theta, rho, fam)
+    assert math.isfinite(ap_characteristic(w, 2.0, -1.0, rho, fam).value)
 
 
 def test_epsilon_form_certifies_its_samples():
@@ -332,19 +342,19 @@ def ainf_epsilon_form_ref(w, theta, rho, cubes, eps_grid=None, C_cap=8.0):
 def test_epsilon_form_matches_per_cube_reference(data):
     """The per-side envelope fit equals the per-cube fit bit for bit, for
     every policy, dim, level, root, rho kind and theta."""
-    policy = data.draw(st.sampled_from([ALL_CELL_ALIGNED, DYADIC_SIDES, DYADIC_GRID_OF]))
+    policy, rooted = data.draw(st.sampled_from(FAMILY_DRAWS))
     dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 3))
     level = data.draw(st.integers(1, 2 if dim == 3 else 4))
     dom = Domain(dim, data.draw(st.sampled_from([1.0, 8.0])), level)
     root = None
-    if policy == DYADIC_GRID_OF or (policy == ALL_CELL_ALIGNED and data.draw(st.booleans())):
+    if rooted or (rooted is None and data.draw(st.booleans())):
         if policy == DYADIC_GRID_OF:
             side = 1 << data.draw(st.integers(0, level))
         else:
             side = data.draw(st.integers(1, dom.n))
         anchor = tuple(data.draw(st.integers(0, dom.n - side)) for _ in range(dim))
         root = Cube(dom, anchor, side)
-    fam = enumerate_cubes(dom, policy, root)
+    fam = CubeFamily(dom, policy, root)
     rho = data.draw(st.sampled_from([
         CL,
         RhoSpec.constant(0.3),
