@@ -32,6 +32,7 @@ from .corona import (
     mixed_verify_dyadic,
     mixed_verify_global,
     principal_select,
+    tree_a1,
 )
 from .experiments import (
     EXPERIMENT_KINDS,

@@ -52,6 +52,7 @@ __all__ = [
     "mixed_verify_dyadic",
     "mixed_verify_global",
     "principal_select",
+    "tree_a1",
 ]
 
 
@@ -411,17 +412,25 @@ class ClaimReport:
     principal_counts: dict[int, int]
 
 
+def tree_a1(u: GridFunction, R: Cube) -> float:
+    """[u], the classical A_1 characteristic of u over the bisection tree
+    of R, which claim_audits and mixed_verify_dyadic read."""
+    fam = CubeFamily(R.domain, DYADIC_GRID_OF, R)
+    return ap_characteristic(u, 1.0, 0.0, RhoSpec.classical(), fam).value
+
+
 def claim_audits(
     forests: dict[int, PrincipalForest],
     classified: ClassifiedLevels,
     u: GridFunction,
+    u_char: float | None = None,
 ) -> ClaimReport:
-    """Check h1 <= 2 [u] u cellwise per band, [u] the classical A_1
-    characteristic over the bisection tree of R, and measure the h2 / u
-    ratio and the bracketed double sum for the -1 branch."""
+    """Check h1 <= 2 [u] u cellwise per band, [u] = tree_a1(u, R) (measured
+    here unless given), and measure the h2 / u ratio and the bracketed
+    double sum for the -1 branch."""
     R = classified.decomp.R
-    fam = CubeFamily(R.domain, DYADIC_GRID_OF, R)
-    u_char = ap_characteristic(u, 1.0, 0.0, RhoSpec.classical(), fam).value
+    if u_char is None:
+        u_char = tree_a1(u, R)
     bound = 2.0 * u_char
     rslice = R.slices()
     uvals = u.values[rslice]
@@ -542,13 +551,14 @@ def mixed_verify_dyadic(
     v: GridFunction,
     R: Cube,
     a: float | None = None,
+    u_char: float | None = None,
 ) -> MixedDyadicReport:
     """Full dyadic ledger of the mixed inequality at t = 1 with g = |f| v.
 
     Splits uv({M_dyadic g > v}) over the v bands E_k, bounds the upper
     levels by the Gamma sums I (bands ell >= 0) and II (band -1 pieces),
     and checks the sub-level tail against (a^2/(a-1)) [u] int |f| u v with
-    [u] the A_1 characteristic over the bisection tree of R.
+    [u] = tree_a1(u, R), measured here unless given.
     """
     g = GridFunction(f.domain, np.abs(f.values) * v.values)
     decomp = level_decomposition(g, R, a)
@@ -590,8 +600,8 @@ def mixed_verify_dyadic(
         rows.append({"kind": "gamma_minus1", "ell": -1, "k": k,
                      "cubes": len(pairs), "u_mass": piece})
 
-    fam = CubeFamily(R.domain, DYADIC_GRID_OF, R)
-    u_char = ap_characteristic(u, 1.0, 0.0, RhoSpec.classical(), fam).value
+    if u_char is None:
+        u_char = tree_a1(u, R)
     tail_bound = a * a / (a - 1.0) * u_char * integral
     slack = 1e-9 * max(1.0, sum_upper)
     return MixedDyadicReport(

@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import Domain, GridFunction
+from .grid import DYADIC_GRID_OF, Domain, GridFunction
 
 __all__ = [
     "AdmissibilityReport",
@@ -210,33 +211,120 @@ def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
     return (base.astype(object) ** exponent).astype(np.float64)
 
 
+# fold rows are raised to a power this many entries at a time, so the
+# boxed floats and index arrays in flight stay small at any level
+_FOLD_CHUNK = 4096
+
+
+def _penalty_base(rv: np.ndarray, r, ratio: bool) -> np.ndarray:
+    """1 + r/rho, or with ratio rho/r capped at 1 (where r <= rho)."""
+    return np.where(r <= rv, 1.0, rv / r) if ratio else 1.0 + r / rv
+
+
 class PenaltyTable:
-    """Cube penalties of one (rho, CubeFamily), per side in anchors order."""
+    """Cube penalties of one (rho, CubeFamily), served per sweep block:
+    (k, W) arrays laid out as CubeFamily.sweep's avgs, whose padded
+    entries carry no meaning.
+
+    DYADIC_GRID_OF blocks are single sides, kept per side.  On
+    ALL_CELL_ALIGNED over a root of m cells, rho is kept at the 2m - 1
+    half-cell points that are interval centers (2a + s half cells from the
+    root's start), so a block's rho is one strided view.  Each exponent's
+    powers fill one ((m + 1) // 2, m + 1) fold of the m(m + 1)/2
+    intervals: row i holds side i + 1's intervals, then side m - i's (a
+    copy of side i + 1's at the middle of an odd m).  A block of sides up
+    to (m + 1) // 2 is rows of the fold read left to right, a block above
+    it rows read right to left, each one strided view; sweep blocks never
+    span the two.
+    """
 
     def __init__(self, rho: RhoSpec, family) -> None:
         # a weak reference: the rho owns the table
         self._rho, self.family, self._memo = weakref.ref(rho), family, {}
 
-    def side(self, s: int) -> tuple[np.ndarray, float]:
-        """rho at the centers of the cubes of side s, and their radius."""
-        if s not in self._memo:
-            h = self.family.domain.cell_width
-            centers = (self.family.anchors(s) + s / 2.0) * h
-            radius = math.sqrt(self.family.domain.dim) * s * h / 2.0
-            self._memo[s] = (rho_values(self._rho(), centers), radius)
-        return self._memo[s]
+    def _cached(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
-    def power(self, s: int, exponent: float, ratio: bool = False):
-        """Memoised (1 + r/rho)^exponent per cube of side s, or with ratio
-        (rho/r)^exponent, 1 where r <= rho; 1.0 at exponent 0 or CLASSICAL."""
+    def _half_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """rho at the root's half-cell points t, at index t (t = 1..2m-1 are
+        the interval centers; larger t, which padded block entries read,
+        repeat rho at 2m - 1), and its (m + 1, m) view whose row i, entry a
+        is rho at t = i + 2a."""
+        def build():
+            root = self.family.root
+            span = root.side_cells
+            t = np.arange(1, 2 * span)
+            centers = (root.anchor[0] + t / 2.0) * self.family.domain.cell_width
+            rv = rho_values(self._rho(), centers[:, None])
+            rv = np.pad(rv, (1, span - 1), mode="edge")
+            return rv, sliding_window_view(rv, 2 * span - 1)[:, ::2]
+
+        return self._cached("half", build)
+
+    def rho(self, sides) -> tuple[np.ndarray, np.ndarray]:
+        """rho at the centers of a block's cubes, (k, W), and their radius,
+        (k, 1)."""
+        sides = np.asarray(sides)
+        domain, s = self.family.domain, int(sides[0])
+        h = domain.cell_width
+        radius = math.sqrt(domain.dim) * sides[:, None] * h / 2.0
+        if self.family.policy == DYADIC_GRID_OF:
+            def build():
+                return rho_values(self._rho(), (self.family.anchors(s) + s / 2.0) * h)
+
+            return self._cached(s, build)[None, :], radius
+        width = self.family.root.side_cells - s + 1
+        return self._half_cells()[1][s : s + len(sides), :width], radius
+
+    def power(self, sides, exponent: float, ratio: bool = False):
+        """Memoised (1 + r/rho)^exponent per cube of a block of sides, or
+        with ratio (rho/r)^exponent, 1 where r <= rho; 1.0 at exponent 0 or
+        CLASSICAL."""
         if exponent == 0 or self._rho().is_classical:
             return 1.0
-        key = (s, float(exponent), ratio)
-        if key not in self._memo:
-            rv, r = self.side(s)
-            base = np.where(r <= rv, 1.0, rv / r) if ratio else 1.0 + r / rv
-            self._memo[key] = _libm_pow(base, key[1])
-        return self._memo[key]
+        sides = np.asarray(sides)
+        key = (float(exponent), ratio)
+        s, k = int(sides[0]), len(sides)
+        if self.family.policy == DYADIC_GRID_OF:
+            return self._cached(
+                (s,) + key,
+                lambda: _libm_pow(_penalty_base(*self.rho(sides), ratio), key[0]),
+            )
+        lower, upper = self._cached(key, lambda: self._fold(*key))
+        span = self.family.root.side_cells
+        width = span - s + 1
+        if s <= (span + 1) // 2:
+            return lower[s - 1 : s - 1 + k, :width]
+        q = span + 1 - s
+        return upper[q : q - k : -1, :width]
+
+    def _fold(self, exponent: float, ratio: bool) -> tuple[np.ndarray, np.ndarray]:
+        """One exponent's powers on the fold, as two window views of it:
+        lower[s - 1] starts side s's row for s <= (m + 1) // 2, and
+        upper[m + 1 - s] for the sides above, whose row (m - (m + 1) // 2
+        wide at most) runs on into the next fold row."""
+        span = self.family.root.side_cells
+        half = (span + 1) // 2
+        rv = self._half_cells()[0]
+        h = self.family.domain.cell_width
+        col = np.arange(span + 1)
+        flat = np.empty(half * (span + 1))
+        step = max(1, _FOLD_CHUNK // (span + 1))
+        for top in range(0, half, step):
+            row = np.arange(top, min(top + step, half))[:, None]
+            left = col < span - row
+            side = np.where(left, row + 1, span - row)
+            anchor = np.where(left, col, col - (span - row))
+            radius = math.sqrt(self.family.domain.dim) * side * h / 2.0
+            base = _penalty_base(rv[2 * anchor + side], radius, ratio)
+            flat[top * (span + 1) : (top + len(row)) * (span + 1)] = (
+                _libm_pow(base, exponent).reshape(-1)
+            )
+        lower = sliding_window_view(flat, span)[:: span + 1]
+        upper = sliding_window_view(flat, max(span - half, 1))[::span]
+        return lower, upper
 
 
 def _kept_on_rho(fn):

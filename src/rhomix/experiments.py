@@ -24,6 +24,7 @@ from .corona import (
     claim_audits,
     mixed_verify_dyadic,
     mixed_verify_global,
+    tree_a1,
 )
 from .critical import RhoSpec, audit_admissibility, critical_covering
 from .extrapolation import (
@@ -295,9 +296,13 @@ def _exp_corona_run(config):
     all_tail = True
     h1_bad = 0
     worst_ratio = 0.0
+    u_chars: dict[int, float] = {}  # by u object: the factor pair reuses a u
     for i, pair in enumerate(bundle.pairs):
+        if id(pair.u) not in u_chars:
+            u_chars[id(pair.u)] = tree_a1(pair.u, R)
+        u_char = u_chars[id(pair.u)]
         for j, f in enumerate(bundle.fs[:4]):
-            rep = mixed_verify_dyadic(f, pair.u, pair.v, R, a)
+            rep = mixed_verify_dyadic(f, pair.u, pair.v, R, a, u_char)
             all_chain &= rep.upper_le_terms
             all_tail &= rep.tail_ok
             if math.isfinite(rep.ratio):
@@ -310,7 +315,7 @@ def _exp_corona_run(config):
             if rep.empty:
                 continue
             forests = build_forests(rep.classified, pair.u)
-            claims = claim_audits(forests, rep.classified, pair.u)
+            claims = claim_audits(forests, rep.classified, pair.u, u_char)
             h1_bad += sum(claims.h1_violations.values())
     measured["worst_ratio"] = worst_ratio
     measured["h1_violations"] = h1_bad

@@ -11,8 +11,9 @@ Conventions used throughout the package:
     cells per axis, so anchor + side_cells <= n on every axis;
   * the radius of a cube is half its diagonal, sqrt(dim) * side_length / 2;
   * cube enumeration order is lexicographic by side_cells then anchor,
-    except that CubeFamily.sweep visits the sides largest first, the one
-    order of every sweep (cell_max's spread recurrence runs down the sides);
+    except that CubeFamily.sweep visits its blocks of sides largest first,
+    the one order of every sweep (cell_max's spread recurrence runs down
+    the sides); within a block the order is side, then anchor, ascending;
   * a stack is a (B, *grid) array of B functions on one domain.  The sweep
     engine (CubeFamily.sweep, cube_extreme, cell_max and BoxSums) takes any
     leading batch axes in front of the grid and treats every function of
@@ -277,6 +278,11 @@ def require_weight(w: GridFunction) -> GridFunction:
 ALL_CELL_ALIGNED = "all_cell_aligned"
 DYADIC_GRID_OF = "dyadic_grid_of"
 
+#: most entries of one ALL_CELL_ALIGNED sweep block, counted as batch x
+#: sides x widest row: each (..., sides, row) temporary of a block is then
+#: 256 KB at most, and a level-8 interval sweep takes two blocks
+BLOCK_ELEMENTS = 1 << 15
+
 
 @dataclass(frozen=True)
 class CubeFamily:
@@ -293,13 +299,24 @@ class CubeFamily:
 
     Every sweep goes through sweep(), cube_cells(), cube_extreme() and
     cell_max(); all but cube_cells take a batch of functions on leading
-    axes, and the per-side work is then paid once for the whole batch.
-    sweep() yields the sides largest first.  On ALL_CELL_ALIGNED, min and
-    max recurrences along the last axis give cube_extreme() and cell_max()
-    with no rounding; DYADIC_GRID_OF views the root as one (tile,
-    cell-in-tile) pair of axes per dimension, so one reshape serves every
-    dim.  Every side's anchors form a regular lattice, which BoxSums reads
-    by strided slices.
+    axes, and the per-block work is then paid once for the whole batch.
+
+    sweep() yields blocks of sides, largest sides first.  A block is a
+    (sides, row) rectangle: row j holds the cubes of side sides[j] at the
+    block's anchors (those of its smallest side, sides[0]), so the rows
+    shrink by one cube per side and padding() marks the tail each leaves.
+    On ALL_CELL_ALIGNED a block holds as many consecutive sides as fit
+    BLOCK_ELEMENTS (batch x sides x widest row), and none spans the middle
+    side (span + 1) // 2, where PenaltyTable's fold of the interval
+    triangle turns; BoxSums reads a block as two strided views of its
+    prefix table.  A padded entry is the cube clipped to the root: its sum
+    and extremes run over the cells the window keeps, so it is finite
+    wherever the window's own cells are.  DYADIC_GRID_OF has one side per
+    block (its sides have unequal anchor counts); it views the root as one
+    (tile, cell-in-tile) pair of axes per dimension, so one reshape serves
+    every dim, and BoxSums reads each side's anchor lattice by strided
+    slices.  Min and max recurrences give cube_extreme() and cell_max()
+    with no rounding.
     """
 
     domain: Domain
@@ -342,24 +359,58 @@ class CubeFamily:
             for anchor in self.anchors(s):
                 yield Cube(self.domain, tuple(int(a) for a in anchor), s)
 
+    def _blocks(self, batch: int) -> Iterator[np.ndarray]:
+        """The ascending sides of each sweep block, largest sides first."""
+        if self.policy == DYADIC_GRID_OF:
+            for s in reversed(self.side_cells_list()):
+                yield np.array([s])
+            return
+        span = self.root.side_cells
+        half = (span + 1) // 2
+        cap = BLOCK_ELEMENTS // batch
+        top = span
+        while top > 0:
+            # the most sides k with k * (widest row) = k * (span - top + k) <= cap
+            d = span - top
+            k = (math.isqrt(d * d + 4 * cap) - d) // 2
+            k = min(max(k, 1), top - (half if top > half else 0))
+            yield np.arange(top - k + 1, top + 1)
+            top -= k
+
+    def padding(self, sides: np.ndarray, width: int) -> np.ndarray:
+        """(sides, width) mask of a sweep block's padded entries: row j
+        holds width - (sides[j] - sides[0]) cubes, then padding."""
+        return np.arange(width) >= width - (sides - sides[0])[:, None]
+
     def sweep(self, *values: np.ndarray):
-        """Per side, largest first: (side, anchors, avgs).
+        """Per block of sides, largest sides first: (sides, anchors, avgs).
 
         Each input is (..., *grid): any leading axes are a batch of
         functions (one function is a bare grid array, or the batch of one).
-        avgs holds one (..., cubes) array per input: the average of every
-        function over every cube of the side, in anchors order, read from a
-        BoxSums table of the root.
+        sides is the block's ascending (k,) int array and anchors the (W,
+        dim) anchors of its smallest side.  avgs holds one (..., k, W)
+        array per input: entry [..., j, a] is the average of the function
+        over the cube of side sides[j] at anchors[a], read from a BoxSums
+        table of the root; entries that padding() marks are clipped cubes.
         """
         dim = self.domain.dim
         region = (Ellipsis,) + self.root.slices()
-        tables = [BoxSums(np.asarray(v, dtype=np.float64)[region], dim) for v in values]
+        arrays = [np.asarray(v, dtype=np.float64)[region] for v in values]
+        tables = [BoxSums(a, dim) for a in arrays]
+        batch = math.prod(arrays[0].shape[:-dim]) if arrays else 1
         origin = np.asarray(self.root.anchor)
-        for s in reversed(self.side_cells_list()):
+        for sides in self._blocks(batch):
+            s = int(sides[0])
             anchors = self.anchors(s)
-            local = anchors - origin
-            cells = s**dim
-            yield s, anchors, [t.box_sum(local, s) / cells for t in tables]
+            if self.policy == ALL_CELL_ALIGNED:
+                avgs = []
+                for t in tables:
+                    sums = t.interval_sums(s, len(sides))
+                    avgs.append(np.divide(sums, sides[:, None], out=sums))
+            else:
+                local = anchors - origin
+                avgs = [(t.box_sum(local, s) / s**dim)[..., None, :] for t in tables]
+            yield sides, anchors, avgs
 
     def _tiles(self, region: np.ndarray, s: int) -> np.ndarray:
         """View of a (..., *grid) region as (tile, cell-in-tile) axis pairs,
@@ -378,30 +429,46 @@ class CubeFamily:
         order = tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))
         return self._tiles(vals, s).transpose(order).reshape(-1, s**dim)
 
-    def cube_extreme(self, values: np.ndarray, s: int, kind: str) -> np.ndarray:
-        """Min or max (kind) over each cube of side s, anchors order, of each
-        function of a (..., *grid) batch: shape (..., cubes)."""
+    def cube_extreme(
+        self, values: np.ndarray, sides: np.ndarray, kind: str
+    ) -> np.ndarray:
+        """Min or max (kind) over each cube of a sweep block of sides, of
+        each function of a (..., *grid) batch: shape (..., k, W), laid out
+        as sweep's avgs (a padded entry is the extreme of the clipped cube)."""
         vals = np.asarray(values, dtype=np.float64)[(Ellipsis,) + self.root.slices()]
-        if self.policy == ALL_CELL_ALIGNED:
-            # extremes of w-cell windows, doubling w while 2w <= s; the
-            # windows at a and a+s-w then cover [a, a+s) between them
-            op = np.minimum if kind == "min" else np.maximum
-            m = vals.shape[-1] - s + 1
-            ext, w = vals, 1
-            while 2 * w <= s:
-                ext = op(ext[..., :-w], ext[..., w:])
-                w *= 2
-            return op(ext[..., :m], ext[..., s - w : s - w + m])
-        op = np.min if kind == "min" else np.max
-        tiles = self._tiles(vals, s)
-        lead = tiles.ndim - 2 * self.domain.dim
-        inner = tuple(range(lead + 1, tiles.ndim, 2))
-        return op(tiles, axis=inner).reshape(tiles.shape[:lead] + (-1,))
+        s = int(sides[0])
+        if self.policy == DYADIC_GRID_OF:
+            op = np.min if kind == "min" else np.max
+            tiles = self._tiles(vals, s)
+            lead = tiles.ndim - 2 * self.domain.dim
+            inner = tuple(range(lead + 1, tiles.ndim, 2))
+            return op(tiles, axis=inner).reshape(tiles.shape[:lead] + (1, -1))
+        # extremes of w-cell windows, doubling w while 2w <= s; the windows
+        # at a and a+s-w then cover [a, a+s) between them
+        op = np.minimum if kind == "min" else np.maximum
+        m = vals.shape[-1] - s + 1
+        ext, w = vals, 1
+        while 2 * w <= s:
+            ext = op(ext[..., :-w], ext[..., w:])
+            w *= 2
+        k = len(sides)
+        out = np.empty(vals.shape[:-1] + (k, m))
+        op(ext[..., :m], ext[..., s - w : s - w + m], out=out[..., 0, :])
+        if k > 1:
+            # row j adds cell a + s + j - 1 to row j - 1's window; cells past
+            # the root are the operation's identity, so they clip the window
+            identity = np.inf if kind == "min" else -np.inf
+            pad = np.full(vals.shape[:-1] + (k - 1,), identity)
+            tail = np.concatenate([vals[..., s:], pad], axis=-1)
+            out[..., 1:, :] = sliding_window_view(tail, m, axis=-1)
+            op.accumulate(out, axis=-2, out=out)
+        return out
 
-    def cell_max(self, scores: np.ndarray, s: int, out: np.ndarray) -> None:
-        """Spread each cube's score (anchors order) onto the cells the cube
-        covers, keeping the running max in out.  out is (..., *grid) and
-        scores (..., cubes), with the same leading axes.
+    def cell_max(self, scores: np.ndarray, sides: np.ndarray, out: np.ndarray) -> None:
+        """Spread each cube's score of a sweep block, laid out as sweep's
+        avgs, onto the cells the cube covers, keeping the running max in
+        out.  out is (..., *grid) and scores (..., k, W), with the same
+        leading axes; padded entries are never read.
 
         ALL_CELL_ALIGNED carries state in out: it takes every side in sweep
         order (largest first) on an out that is -inf over the root
@@ -409,14 +476,17 @@ class CubeFamily:
         score of an interval of s or more cells containing [a, a+s),
         H_s[a] = max(score_s[a], H_{s+1}[a-1], H_{s+1}[a]) and H_1 is the
         cellwise sup.  out[..., a] holds H_s[a] once side s is in, so each
-        side costs two in-place maxima and no padding.
+        side costs two in-place maxima.
         """
         view = out[(Ellipsis,) + self.root.slices()]
         if self.policy == ALL_CELL_ALIGNED:
-            m = view.shape[-1] - s + 1
-            np.maximum(view[..., 1:m], view[..., : m - 1], out=view[..., 1:m])
-            np.maximum(view[..., :m], scores, out=view[..., :m])
+            span = view.shape[-1]
+            for j in range(len(sides) - 1, -1, -1):
+                m = span - int(sides[j]) + 1
+                np.maximum(view[..., 1:m], view[..., : m - 1], out=view[..., 1:m])
+                np.maximum(view[..., :m], scores[..., j, :m], out=view[..., :m])
             return
+        s = int(sides[0])
         tiles = self._tiles(view, s)
         lead = view.shape[: view.ndim - self.domain.dim]
         k = view.shape[-1] // s
@@ -433,7 +503,9 @@ class BoxSums:
     leading axes are a batch of functions sharing the grid.  The padded
     prefix table P satisfies P[..., i1,...,id] = sum of values over cells
     [0,i1) x ... x [0,id), built by one cumsum per grid axis; a box sum is
-    the usual 2^dim-corner inclusion-exclusion.
+    the usual 2^dim-corner inclusion-exclusion.  In dim 1 the table runs
+    on past P[m] with m - 1 copies of it, and interval_sums reads it
+    through one (m + 1, m) window view, row i starting at P[i].
     """
 
     def __init__(self, values: np.ndarray, dim: int | None = None):
@@ -443,7 +515,26 @@ class BoxSums:
         p = arr
         for ax in range(lead, arr.ndim):
             p = np.cumsum(p, axis=ax)
-        self.table = np.pad(p, [(0, 0)] * lead + [(1, 0)] * self.dim)
+        if self.dim == 1:
+            m = arr.shape[-1]
+            run = np.empty(arr.shape[:-1] + (2 * m,))
+            run[..., 0] = 0.0
+            run[..., 1 : m + 1] = p
+            run[..., m + 1 :] = p[..., -1:]
+            self.table = run[..., : m + 1]
+            self._windows = sliding_window_view(run, m, axis=-1)
+        else:
+            self.table = np.pad(p, [(0, 0)] * lead + [(1, 0)] * self.dim)
+
+    def interval_sums(self, first: int, count: int) -> np.ndarray:
+        """Dim 1: sums over [a, a + first + j) for j < count and every anchor
+        a = 0..m - first, shape (..., count, m - first + 1): the strided view
+        hi = P[a + first + j] minus the view lo = P[a], the floats box_sum
+        gives.  Windows past cell m - 1 read P[m], so they sum the cells
+        they keep."""
+        width = self.table.shape[-1] - first
+        hi = self._windows[..., first : first + count, :width]
+        return np.subtract(hi, self.table[..., None, :width])
 
     def box_sum(self, anchors: np.ndarray, side_cells: int) -> np.ndarray:
         """Sums over [anchor, anchor + side_cells) for each row of anchors,

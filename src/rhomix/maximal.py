@@ -14,12 +14,15 @@ variants restrict the family to one root cube, and the local/global split
 separates subcritical cubes (r <= rho) from the rest.
 
 Sweeps cost O(n log n) to O(n^2) per function: CubeFamily.sweep gives
-every cube average in O(1) from one prefix-sum table, and
-CubeFamily.cell_max turns per-anchor values into per-cell suprema;
-m_localized runs on them too.  m_rho_sigma_stack and loc_glob_split_stack
-run one sweep for a whole (B, *grid) stack of functions, so the per-side
-overhead is paid once per stack; m_rho_sigma and loc_glob_split are their
-B = 1 calls, and every image is bit-identical whatever the stack around it.
+every cube average in O(1) from one prefix-sum table, a block of sides at
+a time (on intervals, as many as fit grid.BLOCK_ELEMENTS counted over the
+whole stack), and CubeFamily.cell_max turns a block's per-cube values into
+per-cell suprema, two in-place maxima per side; m_localized runs on them
+too.  m_rho_sigma_stack and loc_glob_split_stack run one sweep for a
+whole (B, *grid) stack of functions, so the per-block overhead is paid
+once per stack; m_rho_sigma and loc_glob_split are their B = 1 calls, and
+every image is bit-identical whatever the stack around it and however the
+sides are blocked.  Both refuse an |f|^q that overflows on a cell.
 m_dyadic reads one dyadic_average_tree of the root block.
 Every cube penalty, the growth factor's power and glob's (rho/r)^sigma,
 is read from the rho's PenaltyTable for the family (critical.py).
@@ -78,6 +81,18 @@ def _require_exponents(sigma: float, q: float = 1.0) -> None:
         )
 
 
+def _powered(stack: np.ndarray, q: float) -> np.ndarray:
+    """|f|^q of each function of a stack, refused when a cell is not finite
+    (|f|^q overflowed), since its prefix sums would turn to inf - inf."""
+    with np.errstate(over="ignore"):
+        powered = np.abs(stack) ** q
+    if not np.all(np.isfinite(powered)):
+        raise ValueError(
+            f"|f|^q (q = {q}) is not finite on every cell: a value overflowed"
+        )
+    return powered
+
+
 def m_rho_sigma(
     f: GridFunction,
     rho: RhoSpec,
@@ -108,10 +123,12 @@ def m_rho_sigma_stack(
     the family's domain, from one sweep: the (B, *grid) stack of images."""
     _require_exponents(sigma, q)
     stack = require_stack(values, cubes.domain)
+    powered = _powered(stack, q)
     table = rho.penalty_table(cubes)
     out = _cell_floor(cubes, len(stack))
-    for s, _anchors, (avg,) in cubes.sweep(np.abs(stack) ** q):
-        cubes.cell_max(avg * table.power(s, -sigma), s, out)
+    for sides, _anchors, (avg,) in cubes.sweep(powered):
+        np.multiply(avg, table.power(sides, -sigma), out=avg)
+        cubes.cell_max(avg, sides, out)
     return out ** (1.0 / q) if q != 1.0 else out
 
 
@@ -155,11 +172,12 @@ def m_localized(f: GridFunction, R: Cube) -> GridFunction:
         out[R.slices()] = np.mean(np.abs(f.values[R.slices()]))
     lo = np.asarray(R.anchor)
     family = CubeFamily(domain, DYADIC_GRID_OF)
-    for s, anchors, (avg,) in family.sweep(np.abs(f.values)):
+    for sides, anchors, (avg,) in family.sweep(np.abs(f.values)):
+        s = int(sides[0])
         if s > R.side_cells:
             continue
         inside = np.all((anchors >= lo) & (anchors + s <= lo + R.side_cells), axis=1)
-        family.cell_max(np.where(inside, avg, -np.inf), s, out)
+        family.cell_max(np.where(inside, avg, -np.inf), sides, out)
     return GridFunction(domain, out)
 
 
@@ -207,20 +225,22 @@ def loc_glob_split_stack(
     on the family's domain, from one sweep: one report per function."""
     _require_exponents(sigma)
     stack = require_stack(values, cubes.domain)
+    powered = _powered(stack, 1.0)
     table = rho.penalty_table(cubes)
     domain = cubes.domain
     m_vals, loc_vals, glob_vals = (_cell_floor(cubes, len(stack)) for _ in range(3))
     sub_count = sup_count = 0
-    for s, _anchors, (avg,) in cubes.sweep(np.abs(stack)):
-        cubes.cell_max(avg * table.power(s, -sigma), s, m_vals)
-        rv, radius = table.side(s)
+    for sides, _anchors, (avg,) in cubes.sweep(powered):
+        cubes.cell_max(avg * table.power(sides, -sigma), sides, m_vals)
+        rv, radius = table.rho(sides)
         sub = radius <= rv
-        n_sub = int(np.count_nonzero(sub))
+        cubes_in = ~cubes.padding(sides, sub.shape[-1])
+        n_sub = int(np.count_nonzero(sub & cubes_in))
         sub_count += n_sub
-        sup_count += len(sub) - n_sub
-        cubes.cell_max(np.where(sub, avg, -np.inf), s, loc_vals)
-        glob = np.where(sub, -np.inf, avg * table.power(s, sigma, ratio=True))
-        cubes.cell_max(glob, s, glob_vals)
+        sup_count += int(np.count_nonzero(cubes_in)) - n_sub
+        cubes.cell_max(np.where(sub, avg, -np.inf), sides, loc_vals)
+        glob = np.where(sub, -np.inf, avg * table.power(sides, sigma, ratio=True))
+        cubes.cell_max(glob, sides, glob_vals)
     np.maximum(loc_vals, 0.0, out=loc_vals)
     np.maximum(glob_vals, 0.0, out=glob_vals)
     grid_axes = tuple(range(1, stack.ndim))

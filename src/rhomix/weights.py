@@ -10,12 +10,19 @@ dim the family supports (every interval in dim 1; the bisection tree of
 the box or of a smaller root in dims 1-3).  CubeFamily.sweep reads every
 cube average from a prefix-sum table in O(1) and CubeFamily.cube_extreme
 supplies the cube minima and maxima, so a full dim-1 sweep over all
-n(n+1)/2 intervals costs O(n^2).  Neither the averages nor the minima depend on theta, so
+n(n+1)/2 intervals costs O(n^2).  The sweep hands over blocks of sides
+(on intervals, as many as fit grid.BLOCK_ELEMENTS, so every temporary of
+a block stays under 256 KB); the sup takes one argmax per block and
+theta, blocks largest sides first and each flat in (side, anchor) order,
+and a tie in a later block takes the witness, so the witness is the first
+cube in (side, anchor) order that attains the sup, however the sides are
+blocked.  Neither the averages nor the minima depend on theta, so
 ap_ladder reads a whole ladder of growth exponents off one sweep, each
 value and witness bit-identical to its single-theta ap_characteristic.
-The A_infty epsilon form runs per side on CubeFamily too.  Every
-growth-factor power is read from the rho's PenaltyTable for the family
-(critical.py).
+A power of w that overflows on a cell (w^(1-p') or w^s) makes the sup
+inf, witnessed by that cell.  The A_infty epsilon form runs per side on
+CubeFamily too.  Every growth-factor power is read from the rho's
+PenaltyTable for the family (critical.py).
 """
 
 from __future__ import annotations
@@ -67,29 +74,59 @@ def _require_theta(theta: float) -> None:
         raise ValueError(f"theta must be finite, got {theta}")
 
 
+def _first_unbounded(cubes: CubeFamily, values: tuple):
+    """The first cell of the root, in anchor order, where some input is not
+    finite (a power of w that overflowed), as a side-1 cube; else None."""
+    region = cubes.root.slices()
+    bad = ~np.all([np.isfinite(v[region]) for v in values], axis=0)
+    if not bad.any():
+        return None
+    cell = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    anchor = tuple(int(a + c) for a, c in zip(cubes.root.anchor, cell))
+    return Cube(cubes.domain, anchor, 1)
+
+
 def _sup(
     cubes: CubeFamily, rho: RhoSpec, thetas: tuple, values: tuple, score
 ) -> list[tuple[float, Cube]]:
-    """Per theta, the sup over the family of score(avgs, side) / factor^theta
+    """Per theta, the sup over the family of score(avgs, sides) / factor^theta
     and its witness, all from one sweep.
 
-    score receives the cube averages of each array in values for one side
-    and returns the raw ratio per cube.
+    score receives the cube averages of each array in values for one sweep
+    block and returns the raw ratio per cube, and may reuse the averages'
+    memory.  An input that is not finite on some cell of the root (w^s or
+    w^(1-p') overflowed) makes the sup inf, and the witness is the first
+    such cell: its single-cell cube comes first in (side, anchor) order
+    among the cubes whose ratio is inf.
     """
+    unbounded = _first_unbounded(cubes, values)
+    if unbounded is not None:
+        return [(math.inf, unbounded)] * len(thetas)
     table = rho.penalty_table(cubes)
     best = [-math.inf] * len(thetas)
     witness: list[Cube | None] = [None] * len(thetas)
-    for s, anchors, avgs in cubes.sweep(*values):
-        raw = score(avgs, s)
+    for sides, anchors, avgs in cubes.sweep(*values):
+        raw = score(avgs, sides)
+        if len(sides) > 1:  # a one-side block has no padding
+            np.copyto(raw, -np.inf, where=cubes.padding(sides, raw.shape[-1]))
+        ratio_buf = np.empty_like(raw)
         for t, theta in enumerate(thetas):
-            ratio = raw / table.power(s, theta)
+            penalty = table.power(sides, theta)
+            if np.isscalar(penalty):  # 1.0: raw / 1.0 is raw
+                ratio = raw
+            else:
+                ratio = np.divide(raw, penalty, out=ratio_buf)
             i = int(np.argmax(ratio))
-            # sides come largest first: >= lets a tie on a smaller side take
-            # over, so the witness is the first cube in (side, anchor) order
-            # that attains the sup
-            if ratio[i] >= best[t]:
-                best[t] = float(ratio[i])
-                witness[t] = Cube(cubes.domain, tuple(int(a) for a in anchors[i]), s)
+            # blocks come largest sides first and each is flat in (side,
+            # anchor) order: >= lets a tie in a later block take over, so the
+            # witness is the first cube in (side, anchor) order that attains
+            # the sup
+            if ratio.flat[i] >= best[t]:
+                j, a = divmod(i, ratio.shape[-1])
+                best[t] = float(ratio.flat[i])
+                witness[t] = Cube(
+                    cubes.domain, tuple(int(x) for x in anchors[a]), int(sides[j])
+                )
     return list(zip(best, witness))
 
 
@@ -128,22 +165,29 @@ def ap_ladder(
     vals = w.values
 
     if p == math.inf:
-        def score(avgs, _s):
-            return avgs[0] * np.exp(-avgs[1])
+        def score(avgs, _sides):
+            np.negative(avgs[1], out=avgs[1])
+            np.exp(avgs[1], out=avgs[1])
+            return np.multiply(avgs[0], avgs[1], out=avgs[0])
 
         sups = _sup(cubes, rho, thetas, (vals, np.log(vals)), score)
     elif p == 1:
-        def score(avgs, s):
-            return avgs[0] / cubes.cube_extreme(vals, s, "min")
+        def score(avgs, sides):
+            low = cubes.cube_extreme(vals, sides, "min")
+            return np.divide(avgs[0], low, out=avgs[0])
 
         sups = _sup(cubes, rho, thetas, (vals,), score)
     else:
         pprime = p / (p - 1.0)
 
-        def score(avgs, _s):
-            return avgs[0] ** (1.0 / p) * avgs[1] ** (1.0 / pprime)
+        def score(avgs, _sides):
+            np.power(avgs[0], 1.0 / p, out=avgs[0])
+            np.power(avgs[1], 1.0 / pprime, out=avgs[1])
+            return np.multiply(avgs[0], avgs[1], out=avgs[0])
 
-        sups = _sup(cubes, rho, thetas, (vals, vals ** (1.0 - pprime)), score)
+        with np.errstate(over="ignore"):
+            powered = vals ** (1.0 - pprime)
+        sups = _sup(cubes, rho, thetas, (vals, powered), score)
     return tuple(
         WeightCharacteristic(value, witness, p, theta)
         for theta, (value, witness) in zip(thetas, sups)
@@ -166,15 +210,19 @@ def rh_characteristic(
     vals = w.values
 
     if s == math.inf:
-        def score(avgs, side):
-            return cubes.cube_extreme(vals, side, "max") / avgs[0]
+        def score(avgs, sides):
+            top = cubes.cube_extreme(vals, sides, "max")
+            return np.divide(top, avgs[0], out=top)
 
         [(value, witness)] = _sup(cubes, rho, (theta,), (vals,), score)
     else:
-        def score(avgs, _side):
-            return avgs[1] ** (1.0 / s) / avgs[0]
+        def score(avgs, _sides):
+            np.power(avgs[1], 1.0 / s, out=avgs[1])
+            return np.divide(avgs[1], avgs[0], out=avgs[1])
 
-        [(value, witness)] = _sup(cubes, rho, (theta,), (vals, vals**s), score)
+        with np.errstate(over="ignore"):
+            powered = vals**s
+        [(value, witness)] = _sup(cubes, rho, (theta,), (vals, powered), score)
     return WeightCharacteristic(value, witness, s, theta)
 
 
@@ -226,7 +274,7 @@ def ainf_epsilon_form(
         bottom = csum[:, karr]
         top = total[:, None] - csum[:, m - karr]
         y = np.concatenate([bottom, top], axis=1) / total[:, None]
-        y = y / np.reshape(table.power(s, theta), (-1, 1))
+        y = y / np.reshape(table.power([s], theta), (-1, 1))
         xs.append(np.concatenate([karr, karr]) / m)
         ys.append(y.max(axis=0))
         count += y.size

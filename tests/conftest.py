@@ -1,14 +1,30 @@
 """Shared helpers for the test suite."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+import rhomix.grid
 from rhomix import ALL_CELL_ALIGNED, DYADIC_GRID_OF, Cube, GridFunction, dyadic_sum_pyramid
 
 #: (policy, rooted) as the family property tests draw them: dim-1 intervals
 #: (rooted or not is drawn after), the box's bisection tree, and the tree of
 #: a drawn power-of-two root
 FAMILY_DRAWS = [(ALL_CELL_ALIGNED, None), (DYADIC_GRID_OF, False), (DYADIC_GRID_OF, True)]
+
+#: sweep block budgets the property tests draw: on level <= 5 grids, 1
+#: gives one side per block, 12 and 40 mix one-side and several-side
+#: blocks, and the default takes every side of a half in one block
+BLOCK_BUDGETS = [1, 12, 40, rhomix.grid.BLOCK_ELEMENTS]
+
+
+@contextlib.contextmanager
+def block_budget(budget: int):
+    """Sweep with rhomix.grid.BLOCK_ELEMENTS set to budget."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rhomix.grid, "BLOCK_ELEMENTS", budget)
+        yield
 
 
 def cubes_of(domain, fam):

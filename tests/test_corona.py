@@ -3,6 +3,7 @@
 import math
 
 import rhomix.corona
+import rhomix.experiments
 import rhomix.grid
 import rhomix.maximal
 
@@ -20,6 +21,7 @@ from rhomix import (
     classify,
     claim_audits,
     cz_on_cube,
+    default_config,
     dyadic_sum_pyramid,
     integrate,
     level_decomposition,
@@ -29,7 +31,9 @@ from rhomix import (
     mixed_verify_dyadic,
     mixed_verify_global,
     principal_select,
+    run_experiment,
     shen_rho,
+    tree_a1,
 )
 
 from conftest import (
@@ -420,6 +424,31 @@ def test_mixed_dyadic_chain_and_tail():
         assert rep.ratio == pytest.approx(rep.uv_levelset / rep.integral)
         done += 1
     assert done >= 6
+
+
+def test_corona_run_measures_each_u_once(monkeypatch):
+    """corona-run measures [u] = tree_a1(u, R) once per distinct u (the
+    factor pair reuses the first pair's u) and hands it to
+    mixed_verify_dyadic and claim_audits, which give the reports they give
+    when they measure it themselves."""
+    config = default_config("corona-run", dim=1, level=5, seed=7)
+    calls = []
+    monkeypatch.setattr(
+        rhomix.experiments, "tree_a1", lambda u, R: calls.append(u) or tree_a1(u, R)
+    )
+    run_experiment(config)
+    pairs = rhomix.experiments._suite(config).pairs
+    assert len(calls) == len({id(p.u) for p in pairs}) < len(pairs)
+
+    f, v, g, R = _spiky_instance()
+    rng = np.random.default_rng(79)
+    u = GridFunction(v.domain, np.exp(rng.normal(0, 0.4, v.domain.shape)))
+    rep = mixed_verify_dyadic(f, u, v, R)
+    assert mixed_verify_dyadic(f, u, v, R, u_char=tree_a1(u, R)) == rep
+    forests = build_forests(rep.classified, u)
+    assert claim_audits(forests, rep.classified, u, tree_a1(u, R)) == claim_audits(
+        forests, rep.classified, u
+    )
 
 
 def test_mixed_dyadic_ledger_rows():

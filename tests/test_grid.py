@@ -1,6 +1,7 @@
 """Grid layer: domains, cubes, prefix sums, dyadic pyramids, file round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,17 +19,20 @@ from rhomix import (
     GridFunction,
     InvalidWeightError,
     RhoSpec,
+    THETA_LADDER,
+    ap_ladder,
     average,
     dyadic_average_tree,
     dyadic_averages,
     dyadic_sum_pyramid,
     integrate,
     load_grid_function,
+    m_rho_sigma_stack,
     require_weight,
     save_grid_function,
 )
 
-from conftest import FAMILY_DRAWS, brute_average, cubes_of
+from conftest import BLOCK_BUDGETS, FAMILY_DRAWS, block_budget, brute_average, cubes_of
 
 
 def test_domain_geometry():
@@ -180,7 +184,8 @@ def test_dyadic_tree_of_subcube():
 @given(data=st.data())
 def test_family_primitives_match_cube_loop(data):
     """cell_max, cube_extreme and cube_cells agree exactly with a plain loop
-    over the family's cubes, for every policy, dim, level and root."""
+    over the family's cubes, for every policy, dim, level and root, with
+    sweep blocks of one side and of several."""
     policy, rooted = data.draw(st.sampled_from(FAMILY_DRAWS))
     dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 3))
     level = data.draw(st.integers(1, 3 if dim == 3 else 4))
@@ -196,13 +201,17 @@ def test_family_primitives_match_cube_loop(data):
     fam = CubeFamily(dom, policy, root)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     vals = rng.normal(size=dom.shape)
+    budget = data.draw(st.sampled_from(BLOCK_BUDGETS))
 
     by_side: dict[int, list[Cube]] = {}
     for Q in fam:
         by_side.setdefault(Q.side_cells, []).append(Q)
     assert sorted(by_side) == fam.side_cells_list()
-    # cell_max takes the sides in sweep order, largest first
-    order = [s for s, _anchors, _avgs in fam.sweep(vals)]
+    with block_budget(budget):
+        blocks = [(sides, anchors) for sides, anchors, _avgs in fam.sweep(vals)]
+    # cell_max takes the sides in sweep order, largest first: blocks come
+    # largest first, each block's sides ascending
+    order = [int(s) for sides, _anchors in blocks for s in sides[::-1]]
     assert order == fam.side_cells_list()[::-1]
     got = np.full(dom.shape, -np.inf)
     want = np.full(dom.shape, -np.inf)
@@ -210,28 +219,67 @@ def test_family_primitives_match_cube_loop(data):
     stack = rng.normal(size=(2,) + dom.shape)
     got_stack = np.full(stack.shape, -np.inf)
     alone = np.full(stack.shape, -np.inf)
-    for s in order:
-        cubes = by_side[s]
-        scores = rng.normal(size=len(cubes))
-        fam.cell_max(scores, s, got)
-        for Q, score in zip(cubes, scores):
-            sl = Q.slices()
-            want[sl] = np.maximum(want[sl], score)
-        pair = np.stack([scores, -scores])
-        fam.cell_max(pair, s, got_stack)
+    for sides, anchors in blocks:
+        pad = fam.padding(sides, len(anchors))
+        # padded entries score +inf: cell_max must never read them
+        scores = np.where(pad, np.inf, rng.normal(size=pad.shape))
+        fam.cell_max(scores, sides, got)
+        for s, row_scores, row_pad in zip(sides.tolist(), scores, pad):
+            cubes = by_side[s]
+            assert len(cubes) == np.count_nonzero(~row_pad)
+            row_anchors = anchors[: len(cubes)].tolist()
+            assert [Q.anchor for Q in cubes] == [tuple(a) for a in row_anchors]
+            for Q, score in zip(cubes, row_scores):
+                sl = Q.slices()
+                want[sl] = np.maximum(want[sl], score)
+        pair = np.stack([scores, np.where(pad, np.inf, -scores)])
+        fam.cell_max(pair, sides, got_stack)
         for row, row_scores in zip(alone, pair):
-            fam.cell_max(row_scores, s, row)
+            fam.cell_max(row_scores, sides, row)
         for kind, op in (("min", np.min), ("max", np.max)):
-            ext = fam.cube_extreme(vals, s, kind)
-            assert np.array_equal(ext, [op(vals[Q.slices()]) for Q in cubes])
-            ext = fam.cube_extreme(stack, s, kind)
-            assert np.array_equal(ext, [fam.cube_extreme(row, s, kind) for row in stack])
-        rows = fam.cube_cells(vals, s)
-        assert rows.shape == (len(cubes), s**dim)
-        for row, Q in zip(rows, cubes):
-            assert np.array_equal(row, vals[Q.slices()].ravel())
+            ext = fam.cube_extreme(vals, sides, kind)
+            assert ext.shape == pad.shape and np.all(np.isfinite(ext))
+            for s, ext_row in zip(sides.tolist(), ext):
+                cubes = by_side[s]
+                want_ext = [op(vals[Q.slices()]) for Q in cubes]
+                assert np.array_equal(ext_row[: len(cubes)], want_ext)
+            ext = fam.cube_extreme(stack, sides, kind)
+            assert np.array_equal(ext, [fam.cube_extreme(row, sides, kind) for row in stack])
+        for s in sides.tolist():
+            cubes = by_side[s]
+            rows = fam.cube_cells(vals, s)
+            assert rows.shape == (len(cubes), s**dim)
+            for row, Q in zip(rows, cubes):
+                assert np.array_equal(row, vals[Q.slices()].ravel())
     assert np.array_equal(got, want)
     assert np.array_equal(got_stack, alone)
+
+
+def test_sweep_temporaries_stay_bounded():
+    """Once the rho's penalty table is built, a level-8 dim-1 ap_ladder over
+    THETA_LADDER and an m_rho_sigma_stack over a (4, 256) stack each peak
+    under 1.5 MB of traced allocations: BLOCK_ELEMENTS bounds every block
+    temporary (256 KB each), where one block per half of the sides would
+    hold 1 MB per temporary for the stack."""
+    dom = Domain(1, 8.0, 8)
+    rho = RhoSpec.analytic(lambda pts: 1.0 / (1.0 + np.abs(pts[:, 0])))
+    fam = CubeFamily(dom, ALL_CELL_ALIGNED)
+    rng = np.random.default_rng(8)
+    w = GridFunction(dom, np.exp(rng.normal(0, 1, dom.shape)))
+    stack = rng.normal(size=(4,) + dom.shape)
+    calls = {
+        "ap_ladder": lambda: ap_ladder(w, 1.0, THETA_LADDER, rho, fam),
+        "m_rho_sigma_stack": lambda: m_rho_sigma_stack(stack, rho, 1.5, 1.0, fam),
+    }
+    for name, call in calls.items():
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, (name, peak)
 
 
 def test_pyramid_levels_conserve_mass():

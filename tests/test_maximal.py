@@ -29,7 +29,13 @@ from rhomix import (
     shifted_grid_domination_audit,
 )
 
-from conftest import FAMILY_DRAWS, brute_m_dyadic, random_pow2_cube
+from conftest import (
+    BLOCK_BUDGETS,
+    FAMILY_DRAWS,
+    block_budget,
+    brute_m_dyadic,
+    random_pow2_cube,
+)
 
 CL = RhoSpec.classical()
 
@@ -334,7 +340,9 @@ def test_stacked_sweeps_equal_single_calls(data):
     """m_rho_sigma_stack and loc_glob_split_stack on a stack of B functions
     equal B single calls bit for bit, and the brute-force oracle fed the
     same stack: every policy in dims 1-3, rooted ALL_CELL_ALIGNED and
-    sub-box DYADIC_GRID_OF roots among them, q in {1, 2} and sigma >= 0."""
+    sub-box DYADIC_GRID_OF roots among them, q in {1, 2} and sigma >= 0,
+    with sweep blocks of one side and of several (the stack and the single
+    calls split the sides differently, since the budget counts the batch)."""
     policy, rooted = data.draw(st.sampled_from(FAMILY_DRAWS))
     dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 3))
     level = data.draw(st.integers(1, {1: 5, 2: 3, 3: 2}[dim]))
@@ -354,23 +362,25 @@ def test_stacked_sweeps_equal_single_calls(data):
     B = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     stack = rng.normal(size=(B,) + dom.shape)
+    budget = data.draw(st.sampled_from(BLOCK_BUDGETS))
 
-    got = m_rho_sigma_stack(stack, rho, sigma, q, fam)
-    reports = loc_glob_split_stack(stack, rho, sigma, fam)
-    assert got.shape == stack.shape and len(reports) == B
-    for b in range(B):
-        f = GridFunction(dom, stack[b])
-        assert np.array_equal(got[b], m_rho_sigma(f, rho, sigma, q, fam).values)
-        one, rep = loc_glob_split(f, rho, sigma, fam), reports[b]
-        for piece in ("loc", "glob", "m"):
-            assert np.array_equal(getattr(rep, piece).values, getattr(one, piece).values)
-        assert (
-            rep.max_upper_violation, rep.max_lower_violation,
-            rep.subcritical_cubes, rep.supercritical_cubes,
-        ) == (
-            one.max_upper_violation, one.max_lower_violation,
-            one.subcritical_cubes, one.supercritical_cubes,
-        )
+    with block_budget(budget):
+        got = m_rho_sigma_stack(stack, rho, sigma, q, fam)
+        reports = loc_glob_split_stack(stack, rho, sigma, fam)
+        assert got.shape == stack.shape and len(reports) == B
+        for b in range(B):
+            f = GridFunction(dom, stack[b])
+            assert np.array_equal(got[b], m_rho_sigma(f, rho, sigma, q, fam).values)
+            one, rep = loc_glob_split(f, rho, sigma, fam), reports[b]
+            for piece in ("loc", "glob", "m"):
+                assert np.array_equal(getattr(rep, piece).values, getattr(one, piece).values)
+            assert (
+                rep.max_upper_violation, rep.max_lower_violation,
+                rep.subcritical_cubes, rep.supercritical_cubes,
+            ) == (
+                one.max_upper_violation, one.max_lower_violation,
+                one.subcritical_cubes, one.supercritical_cubes,
+            )
     want = brute_m_cubes(np.abs(stack) ** q, list(fam), rho, sigma) ** (1.0 / q)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
@@ -383,6 +393,27 @@ def test_stacks_of_the_wrong_shape_are_rejected():
             m_rho_sigma_stack(bad, CL, 0.0, 1.0, fam)
         with pytest.raises(ValueError, match="stack"):
             loc_glob_split_stack(bad, CL, 0.0, fam)
+
+
+def test_overflowing_powers_of_f_are_rejected_up_front():
+    """|f|^q that overflows on a cell is refused with a ValueError naming
+    it, before any prefix sum turns it into inf - inf: m_rho_sigma used to
+    fail late ("grid function values must be finite") and the stack calls
+    handed back NaN cells."""
+    dom = Domain(1, 8.0, 4)
+    f = np.zeros(dom.shape)
+    f[5] = 1e200
+    with pytest.raises(ValueError, match=r"\|f\|\^q \(q = 2.0\) is not finite"):
+        m_rho_sigma(GridFunction(dom, f), CL, 0.0, 2.0)
+    fam = default_family(dom)
+    stack = np.stack([np.ones(dom.shape), f])
+    with pytest.raises(ValueError, match="overflowed"):
+        m_rho_sigma_stack(stack, CL, 0.0, 2.0, fam)
+    stack[1, 5] = np.inf
+    with pytest.raises(ValueError, match="overflowed"):
+        loc_glob_split_stack(stack, CL, 0.0, fam)
+    # the same f is fine where its powers stay finite
+    assert m_rho_sigma(GridFunction(dom, f), CL, 0.0, 1.0).values.max() == 1e200
 
 
 def test_shift_set_parents_contain_their_cube():

@@ -24,7 +24,7 @@ from rhomix import (
     m_rho_sigma,
 )
 
-from conftest import cubes_of, oscillator
+from conftest import BLOCK_BUDGETS, block_budget, cubes_of, oscillator
 from test_maximal import brute_m_cubes
 from test_weights import ainf_epsilon_form_ref, brute_ap
 
@@ -41,22 +41,23 @@ def _per_cube_reference(f, w, rho, fam, sigma, theta):
     m, loc, glob = (np.zeros(dom.shape) for _ in range(3))
     best, witness, best_key = -math.inf, None, None
     sweeps = zip(fam.sweep(np.abs(f.values)), fam.sweep(w.values))
-    for (s, anchors, (avg,)), (_, _, (w_avg,)) in sweeps:
-        score = w_avg / fam.cube_extreme(w.values, s, "min")
-        for i, anchor in enumerate(anchors.tolist()):
-            cube = Cube(dom, tuple(anchor), s)
-            rv, r = eval_rho(rho, cube.center()), cube.radius
-            fac = 1.0 + r / rv
-            sl = cube.slices()
-            m[sl] = np.maximum(m[sl], avg[i] * fac ** -sigma)
-            if r <= rv:
-                loc[sl] = np.maximum(loc[sl], avg[i])
-            else:
-                glob[sl] = np.maximum(glob[sl], avg[i] * (rv / r) ** sigma)
-            ratio = score[i] / fac**theta
-            key = (-ratio, s, cube.anchor)
-            if witness is None or key < best_key:
-                best, witness, best_key = ratio, cube, key
+    for (sides, anchors, (avgs,)), (_, _, (w_avgs,)) in sweeps:
+        scores = w_avgs / fam.cube_extreme(w.values, sides, "min")
+        for s, avg, score in zip(sides.tolist(), avgs, scores):
+            for i, anchor in enumerate(fam.anchors(s).tolist()):
+                cube = Cube(dom, tuple(anchor), s)
+                rv, r = eval_rho(rho, cube.center()), cube.radius
+                fac = 1.0 + r / rv
+                sl = cube.slices()
+                m[sl] = np.maximum(m[sl], avg[i] * fac ** -sigma)
+                if r <= rv:
+                    loc[sl] = np.maximum(loc[sl], avg[i])
+                else:
+                    glob[sl] = np.maximum(glob[sl], avg[i] * (rv / r) ** sigma)
+                ratio = score[i] / fac**theta
+                key = (-ratio, s, cube.anchor)
+                if witness is None or key < best_key:
+                    best, witness, best_key = ratio, cube, key
     return m, loc, glob, best, witness
 
 
@@ -67,7 +68,8 @@ def test_every_site_raises_penalties_by_libm_pow(exponent):
     factor by Python's float pow.  numpy's SIMD power differs from it in the
     last bit on some hosts (on AVX-512, at 1,674 of these 32,896 factors at
     0.37), which would move the bytes of a report with the host.  Every root
-    family adds sups with their own witnesses."""
+    family adds sups with their own witnesses.  The operators run with sweep
+    blocks of one side and of several."""
     dom = Domain(1, 8.0, 8)
     rho = RhoSpec.analytic(INV_DIST)
     rng = np.random.default_rng(61)
@@ -78,13 +80,15 @@ def test_every_site_raises_penalties_by_libm_pow(exponent):
         f = GridFunction(dom, rng.normal(0, 1, dom.shape))
         w = GridFunction(dom, np.exp(rng.normal(0, 1, dom.shape)))
         m, loc, glob, best, witness = _per_cube_reference(f, w, rho, fam, sigma, theta)
-        assert np.array_equal(m_rho_sigma(f, rho, sigma, cubes=fam).values, m)
-        split = loc_glob_split(f, rho, sigma, fam)
-        assert np.array_equal(split.m.values, m)
-        assert np.array_equal(split.loc.values, loc)
-        assert np.array_equal(split.glob.values, glob)
-        char = ap_characteristic(w, 1.0, theta, rho, fam)
-        assert (char.value, char.witness) == (best, witness)
+        for budget in BLOCK_BUDGETS:
+            with block_budget(budget):
+                assert np.array_equal(m_rho_sigma(f, rho, sigma, cubes=fam).values, m)
+                split = loc_glob_split(f, rho, sigma, fam)
+                assert np.array_equal(split.m.values, m)
+                assert np.array_equal(split.loc.values, loc)
+                assert np.array_equal(split.glob.values, glob)
+                char = ap_characteristic(w, 1.0, theta, rho, fam)
+                assert (char.value, char.witness) == (best, witness)
         if root is not None:
             want = ainf_epsilon_form_ref(w, theta, rho, cubes_of(dom, fam))
             assert ainf_epsilon_form(w, theta, rho, fam) == want
@@ -92,7 +96,8 @@ def test_every_site_raises_penalties_by_libm_pow(exponent):
 
 def test_theta_ladder_matches_the_per_cube_reference():
     """Every theta of one ap_ladder sweep is, value and witness, exactly the
-    per-cube reference's sup at that theta alone."""
+    per-cube reference's sup at that theta alone, with sweep blocks of one
+    side and of several."""
     dom = Domain(1, 8.0, 6)
     rho = RhoSpec.analytic(INV_DIST)
     rng = np.random.default_rng(63)
@@ -101,10 +106,15 @@ def test_theta_ladder_matches_the_per_cube_reference():
     thetas = (0.0, 0.37, 1.0, 2.0, 4.0, 0.37)
     for root in (None, Cube(dom, (8,), 32)):
         fam = CubeFamily(dom, ALL_CELL_ALIGNED, root)
-        ladder = ap_ladder(w, 1.0, thetas, rho, fam)
-        for theta, c in zip(thetas, ladder):
+        ladders = []
+        for budget in BLOCK_BUDGETS:
+            with block_budget(budget):
+                ladders.append(ap_ladder(w, 1.0, thetas, rho, fam))
+        for t, theta in enumerate(thetas):
             *_, best, witness = _per_cube_reference(f, w, rho, fam, 0.0, theta)
-            assert (c.value, c.witness, c.theta) == (best, witness, theta)
+            for ladder in ladders:
+                c = ladder[t]
+                assert (c.value, c.witness, c.theta) == (best, witness, theta)
 
 
 def test_shen_rho_through_the_operators_is_computed_once(monkeypatch):

@@ -26,7 +26,7 @@ from rhomix import (
     weighted_measure,
 )
 
-from conftest import FAMILY_DRAWS, cubes_of
+from conftest import BLOCK_BUDGETS, FAMILY_DRAWS, block_budget, cubes_of
 
 CL = RhoSpec.classical()
 
@@ -150,6 +150,65 @@ def test_tied_cubes_give_the_first_cube_as_witness():
             assert (c.value, c.witness) == (1.0, first)
 
 
+def test_ties_across_sweep_blocks_keep_the_first_cube():
+    """w = 1 at theta = 0 ties every cube at ratio 1 for each p kind and
+    RH_inf, and small block budgets spread the tied cubes over many sweep
+    blocks, from one side to several each.  The block holding the first
+    cube in (side, anchor) order is swept last, and it keeps the witness
+    only because a later block's tie takes over (>=, not >)."""
+    dom = Domain(1, 8.0, 4)
+    families = [
+        CubeFamily(dom, ALL_CELL_ALIGNED),
+        CubeFamily(dom, ALL_CELL_ALIGNED, Cube(dom, (3,), 11)),
+    ]
+    for budget in BLOCK_BUDGETS:
+        for fam in families:
+            with block_budget(budget):
+                assert len(list(fam.sweep(np.ones(dom.shape)))) > 1
+                w = GridFunction.constant(dom, 1.0)
+                first = Cube(dom, tuple(int(a) for a in fam.anchors(1)[0]), 1)
+                chars = [
+                    *(ap_characteristic(w, p, 0.0, CL, fam) for p in (1, 2, math.inf)),
+                    rh_characteristic(w, math.inf, 0.0, CL, fam),
+                    *ap_ladder(w, 1.0, (0.0, 0.0), RhoSpec.constant(0.5), fam),
+                ]
+            for c in chars:
+                assert (c.value, c.witness) == (1.0, first)
+
+
+def test_overflowed_powers_give_inf_and_the_first_cube():
+    """w^(1-p') and w^s that overflow on a cell make the characteristic inf,
+    with the first cube in (side, anchor) order whose ratio is inf as the
+    witness: that cell alone.  The prefix table used to turn every later
+    average into inf - inf = NaN, argmax stopped at the NaN and the whole
+    side was skipped, so p = 1.01 below read inf with witness anchor 0,
+    side 13."""
+    dom = Domain(1, 8.0, 4)
+    vals = np.ones(dom.shape)
+    vals[3], vals[12] = 1e-5, 50.0
+    w = GridFunction(dom, vals)
+    fam = CubeFamily(dom, ALL_CELL_ALIGNED)
+    cell3 = Cube(dom, (3,), 1)
+    c = ap_characteristic(w, 1.01, 0.0, CL, fam)
+    assert (c.value, c.witness) == (math.inf, cell3)
+    for c in ap_ladder(w, 1.01, (0.0, 1.0, 4.0), RhoSpec.constant(0.5), fam):
+        assert (c.value, c.witness) == (math.inf, cell3)
+    big = vals.copy()
+    big[9] = 1e40
+    c = rh_characteristic(GridFunction(dom, big), 8.0, 0.0, CL, fam)
+    assert (c.value, c.witness) == (math.inf, Cube(dom, (9,), 1))
+    # a root that leaves the overflowing cell out sees finite powers only
+    rooted = CubeFamily(dom, ALL_CELL_ALIGNED, Cube(dom, (4,), 8))
+    c = ap_characteristic(w, 1.01, 0.0, CL, rooted)
+    assert math.isfinite(c.value)
+    assert c.value == pytest.approx(brute_ap(w, 1.01, rooted, dom), rel=1e-10)
+    dom2 = Domain(2, 8.0, 3)
+    vals2 = np.ones(dom2.shape)
+    vals2[2, 5] = 1e-5
+    c = ap_characteristic(GridFunction(dom2, vals2), 1.01, 0.0, CL, _fam(dom2))
+    assert (c.value, c.witness) == (math.inf, Cube(dom2, (2, 5), 1))
+
+
 def test_witness_attains_the_characteristic():
     rng = np.random.default_rng(33)
     dom = Domain(1, 4.0, 4)
@@ -180,7 +239,8 @@ _THETAS = (0.0, 0.37, 0.5, 1.0, 2.0, 4.0)
 def test_theta_ladder_equals_single_thetas(data):
     """One sweep of ap_ladder gives, per theta and in order, the value and
     witness of the single-theta call exactly, and the brute-force oracle's
-    per-theta sups, for every p kind and family."""
+    per-theta sups, for every p kind and family, with sweep blocks of one
+    side and of several."""
     families = [_fam(Domain(1, 4.0, 4))] + _more_families()
     fam = data.draw(st.sampled_from(families))
     dom = fam.domain
@@ -189,7 +249,8 @@ def test_theta_ladder_equals_single_thetas(data):
     rho = data.draw(st.sampled_from([RhoSpec.constant(0.5), CL]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     w = GridFunction(dom, np.exp(rng.normal(0, 0.8, dom.shape)))
-    ladder = ap_ladder(w, p, thetas, rho, fam)
+    with block_budget(data.draw(st.sampled_from(BLOCK_BUDGETS))):
+        ladder = ap_ladder(w, p, thetas, rho, fam)
     assert [c.theta for c in ladder] == list(thetas)
     for theta, c in zip(thetas, ladder):
         one = ap_characteristic(w, p, theta, rho, fam)
