@@ -122,6 +122,7 @@ from .weights import (
     RH_LADDER,
     THETA_LADDER,
     WeightCharacteristic,
+    ainf_epsilon,
     ainf_epsilon_form,
     ap_characteristic,
     ap_ladder,

@@ -35,7 +35,7 @@ from .grid import (
 from .extrapolation import ladder_exponent
 from .lorentz import WeightedMeasure, t_grid_sup, weak_norm
 from .maximal import default_family, loc_glob_split
-from .weights import ainf_epsilon_form, ap_characteristic
+from .weights import ainf_epsilon, ap_characteristic
 
 __all__ = [
     "ClaimReport",
@@ -298,8 +298,10 @@ def principal_select(
     principal when its u average more than doubles the average of its
     current principal ancestor.  Band -1 runs on the secondary cubes with
     the damped threshold a^((k - t) delta) (t the ancestor's level); delta
-    defaults to half the epsilon fitted to v's flatness condition over the
-    bisection tree of R, and must stay below that epsilon.
+    defaults to half v's A_infty flatness exponent eps over the bisection
+    tree of R (classical, theta = 0), and must stay below it.  eps comes
+    from weights.ainf_epsilon: one RH_infty sweep, and the pack fit only
+    when that bound cannot decide it.
 
     The majorant h sums avg(u, Q) over principal cubes for ell >= 0; for
     ell = -1 it spreads u(W)/|primary| over each principal piece's primary.
@@ -316,12 +318,12 @@ def principal_select(
         ]
         parent_of: dict[Cube, Cube] = {}
     else:
-        eps = ainf_epsilon_form(
+        eps = ainf_epsilon(
             _restrict_weight(classified.v, R),
             theta=0.0,
             rho=RhoSpec.classical(),
             cubes=CubeFamily(R.domain, DYADIC_GRID_OF, R),
-        ).eps
+        )
         if delta is None:
             delta = eps / 2.0
         if not (0 < delta < eps):

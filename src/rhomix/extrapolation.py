@@ -28,7 +28,7 @@ from .critical import RhoSpec, rho_values
 from .grid import CubeFamily, Domain, GridFunction, integrate, require_weight
 from .lorentz import WeightedMeasure, lorentz_norm, t_grid_sup, weak_norm
 from .maximal import default_family, m_rho_sigma, m_rho_sigma_stack
-from .weights import THETA_LADDER, ainf_epsilon_form, ap_characteristic, ap_ladder
+from .weights import THETA_LADDER, ainf_epsilon, ap_characteristic, ap_ladder
 
 __all__ = [
     "CoifmanReport",
@@ -143,8 +143,10 @@ def estimate_K0(
     """Measured Lorentz operator norm of S on L^(q,1)(uv), with safety 1.5.
 
     p0 = 1 + 2(t - 1)/eps comes from v's measured ladder: t is the smallest
-    dual exponent whose characteristic has stabilized, eps the fitted
-    flatness exponent.  q defaults to 2 p0 and must not fall below it.
+    dual exponent whose characteristic has stabilized, eps v's A_infty
+    flatness exponent at the ladder's theta, from weights.ainf_epsilon (one
+    RH_infty sweep, the pack fit only when that bound cannot decide it).
+    q defaults to 2 p0 and must not fall below it.
     The tail_bound certificate is the worst geometric tail over the suite.
     """
     if not f_suite:
@@ -154,7 +156,7 @@ def estimate_K0(
     t = _first_stable(
         T_LADDER, [ap_characteristic(v, tt, theta, rho, fam).value for tt in T_LADDER]
     )
-    eps = ainf_epsilon_form(v, theta, rho, fam).eps
+    eps = ainf_epsilon(v, theta, rho, fam)
     p0 = 1.0 + 2.0 * (t - 1.0) / eps
     if q is None:
         q = 2.0 * p0

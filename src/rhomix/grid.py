@@ -392,11 +392,20 @@ class CubeFamily:
         array per input: entry [..., j, a] is the average of the function
         over the cube of side sides[j] at anchors[a], read from a BoxSums
         table of the root; entries that padding() marks are clipped cubes.
+        An input whose cells are finite but whose running sum over the root
+        overflows is refused (its averages would read inf - inf).
         """
         dim = self.domain.dim
         region = (Ellipsis,) + self.root.slices()
         arrays = [np.asarray(v, dtype=np.float64)[region] for v in values]
-        tables = [BoxSums(a, dim) for a in arrays]
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = [BoxSums(a, dim) for a in arrays]
+        for i, t in enumerate(tables):
+            if not np.isfinite(t.table[(Ellipsis,) + (-1,) * dim]).all():
+                raise ValueError(
+                    f"the running sum of sweep input {i} over the root overflows, "
+                    "so its cube averages would read inf - inf"
+                )
         batch = math.prod(arrays[0].shape[:-dim]) if arrays else 1
         origin = np.asarray(self.root.anchor)
         for sides in self._blocks(batch):
@@ -468,7 +477,8 @@ class CubeFamily:
         """Spread each cube's score of a sweep block, laid out as sweep's
         avgs, onto the cells the cube covers, keeping the running max in
         out.  out is (..., *grid) and scores (..., k, W), with the same
-        leading axes; padded entries are never read.
+        leading axes; padded entries are never read.  scores may be
+        overwritten (callers pass a fresh array per block).
 
         ALL_CELL_ALIGNED carries state in out: it takes every side in sweep
         order (largest first) on an out that is -inf over the root
@@ -476,15 +486,18 @@ class CubeFamily:
         score of an interval of s or more cells containing [a, a+s),
         H_s[a] = max(score_s[a], H_{s+1}[a-1], H_{s+1}[a]) and H_1 is the
         cellwise sup.  out[..., a] holds H_s[a] once side s is in, so each
-        side costs two in-place maxima.
+        side costs two in-place maxima: H_{s+1}[a-1] folds into the side's
+        scores, whose memory no input of that maximum shares, then the
+        scores fold into out.
         """
         view = out[(Ellipsis,) + self.root.slices()]
         if self.policy == ALL_CELL_ALIGNED:
             span = view.shape[-1]
             for j in range(len(sides) - 1, -1, -1):
                 m = span - int(sides[j]) + 1
-                np.maximum(view[..., 1:m], view[..., : m - 1], out=view[..., 1:m])
-                np.maximum(view[..., :m], scores[..., j, :m], out=view[..., :m])
+                row = scores[..., j, :m]
+                np.maximum(row[..., 1:], view[..., : m - 1], out=row[..., 1:])
+                np.maximum(view[..., :m], row, out=view[..., :m])
             return
         s = int(sides[0])
         tiles = self._tiles(view, s)

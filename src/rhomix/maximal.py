@@ -22,7 +22,8 @@ too.  m_rho_sigma_stack and loc_glob_split_stack run one sweep for a
 whole (B, *grid) stack of functions, so the per-block overhead is paid
 once per stack; m_rho_sigma and loc_glob_split are their B = 1 calls, and
 every image is bit-identical whatever the stack around it and however the
-sides are blocked.  Both refuse an |f|^q that overflows on a cell.
+sides are blocked.  Both refuse an |f|^q that overflows on a cell, and
+the sweep one whose running sum over the root overflows.
 m_dyadic reads one dyadic_average_tree of the root block.
 Every cube penalty, the growth factor's power and glob's (rho/r)^sigma,
 is read from the rho's PenaltyTable for the family (critical.py).

@@ -20,9 +20,12 @@ blocked.  Neither the averages nor the minima depend on theta, so
 ap_ladder reads a whole ladder of growth exponents off one sweep, each
 value and witness bit-identical to its single-theta ap_characteristic.
 A power of w that overflows on a cell (w^(1-p') or w^s) makes the sup
-inf, witnessed by that cell.  The A_infty epsilon form runs per side on
-CubeFamily too.  Every growth-factor power is read from the rho's
-PenaltyTable for the family (critical.py).
+inf, witnessed by that cell; one whose running sum over the root
+overflows is refused by the sweep (ValueError).  The A_infty epsilon form
+runs per side on CubeFamily too; ainf_epsilon reads its exponent off one
+RH_infty sweep and runs the fit only when that bound cannot decide it.
+Every growth-factor power is read from the rho's PenaltyTable for the
+family (critical.py).
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .grid import (
 __all__ = [
     "EpsilonForm",
     "WeightCharacteristic",
+    "ainf_epsilon",
     "ainf_epsilon_form",
     "ap_characteristic",
     "ap_ladder",
@@ -295,6 +299,69 @@ def ainf_epsilon_form(
     C, eps = chosen
     residual = max(0.0, float(np.max(y - C * x**eps)))
     return EpsilonForm(C, eps, residual, count)
+
+
+def _fit_margin(w: GridFunction, cubes: CubeFamily) -> float:
+    """Relative rounding slack between the RH_infty sweep and the fit at
+    eps = 1 (see ainf_epsilon): 64 N u S, with N the root's cell count,
+    S = sum w / min w over the root and u = 2^-53; inf when N u S > 2^-20,
+    where ainf_epsilon's first-order count stops being safe."""
+    vals = w.values[cubes.root.slices()]
+    with np.errstate(over="ignore"):
+        nus = vals.size * 2.0**-53 * (float(vals.sum()) / float(vals.min()))
+    return 64.0 * nus if nus <= 2.0**-20 else math.inf
+
+
+def ainf_epsilon(
+    w: GridFunction,
+    theta: float,
+    rho: RhoSpec,
+    cubes: CubeFamily,
+) -> float:
+    """The eps of ainf_epsilon_form(w, theta, rho, cubes), exactly, with the
+    pack fit run only when one RH_infty sweep cannot decide it.
+
+    The fit tries eps = 1 first and keeps it when every sample has
+    y / x <= _C_CAP.  A sample of cube Q with m cells is a top-k or
+    bottom-k pack: x = k/m, y = pack sum / (w(Q) factor_Q^theta).  A top-k
+    pack averages at most max_Q w and a bottom-k pack at most avg_Q w, so
+    y / x <= (max_Q w / avg_Q w) / factor_Q^theta, the cube's RH_infty
+    ratio (Cruz-Uribe and Neugebauer: RH_infty gives A_infty with
+    w(E)/w(Q) <= [w]_RH_infty |E|/|Q|), and both read the same PenaltyTable
+    floats.  So V = rh_characteristic(w, inf, theta, rho, cubes).value
+    bounds the fit's C at eps = 1 up to rounding, and V (1 + margin) <=
+    _C_CAP gives eps = 1.  Otherwise the fit runs.
+
+    The margin, with N the root's cell count, S = sum w / min w over the
+    root (S >= N), u = 2^-53 and gamma_N = N u / (1 - N u):
+      * sweep: a cube sum is a 2^dim-corner combination of BoxSums prefix
+        entries, each within gamma_N sum w of exact (dim <= 3 cumsums of
+        at most N cells); with the <= 2^dim roundings of the combination
+        it is off by at most (8 gamma_N + 32 u) sum w, against a true sum
+        of at least min w, so the average is high by a factor of at most
+        1 + (8 gamma_N + 33 u) S; V's division and penalty add 2 u;
+      * fit: the pack total T (a positive sum) is within gamma_N T of
+        exact and each cumsum entry within gamma_N T too, so the
+        cancellation in a top pack total - csum[m - k] is off by at most
+        2 gamma_N T against a true pack of at least k T / m >= T / N:
+        relative error 2 N gamma_N (a bottom pack, a plain positive sum,
+        is within gamma_N); dividing by the rounded T adds
+        gamma_N, and the subtraction, the divisions by T, the penalty and
+        x, x's own rounding and x**1.0 add at most 8 u.
+    Each term is at most its coefficient times N u S (u S <= N u S,
+    N^2 u <= N u S), 54 N u S in all to first order; for N u S <= 2^-20
+    the second-order terms fit in the remaining 10 N u S, so margin =
+    64 N u S, and the fit runs whenever N u S is larger.  A weight the
+    fit would refuse is refused the same way.
+    """
+    require_weight(w)
+    _require_theta(theta)
+    margin = _fit_margin(w, cubes)
+    if math.isfinite(margin):
+        bound = rh_characteristic(w, math.inf, theta, rho, cubes).value
+        if bound * (1.0 + margin) <= _C_CAP:
+            return 1.0
+    return ainf_epsilon_form(w, theta, rho, cubes).eps
 
 
 def factor_build(u: GridFunction, v: GridFunction, p: float) -> GridFunction:

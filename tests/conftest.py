@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rhomix.grid
+import rhomix.weights
 from rhomix import ALL_CELL_ALIGNED, DYADIC_GRID_OF, Cube, GridFunction, dyadic_sum_pyramid
 
 #: (policy, rooted) as the family property tests draw them: dim-1 intervals
@@ -25,6 +26,22 @@ def block_budget(budget: int):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rhomix.grid, "BLOCK_ELEMENTS", budget)
         yield
+
+
+@contextlib.contextmanager
+def counted_fits():
+    """Count the ainf_epsilon_form calls made through rhomix.weights (the
+    ones ainf_epsilon makes); yields a one-element list holding the count."""
+    calls = [0]
+    fit = rhomix.weights.ainf_epsilon_form
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return fit(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rhomix.weights, "ainf_epsilon_form", counting)
+        yield calls
 
 
 def cubes_of(domain, fam):

@@ -14,7 +14,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from rhomix import (
     Cube,
@@ -504,7 +503,6 @@ def test_09_interpolation_with_measured_constants():
     )
 
 
-@pytest.mark.slow
 def test_10_majorant_algorithm_certificates():
     t0 = time.time()
     from rhomix import standard_suite_spec

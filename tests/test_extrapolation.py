@@ -17,6 +17,7 @@ from rhomix import (
     K0TooSmallError,
     RhoSpec,
     SCZOKernel,
+    ainf_epsilon_form,
     ap_characteristic,
     audit_kernel_conditions,
     coifman_check,
@@ -31,10 +32,13 @@ from rhomix import (
     rdf_iterate,
     s_operator,
     sczo_apply,
+    standard_suite_spec,
 )
 from rhomix.experiments import default_config
 from rhomix.extrapolation import _sczo_dense
 from rhomix.suite import generate_suite
+
+from conftest import counted_fits
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,6 +103,21 @@ def test_estimate_k0_field_relations():
     assert state.measured_sup > 0
     assert state.tail_bound >= 0.0
     assert state.suite_size == len(suite)
+
+
+def test_estimate_k0_takes_eps_from_the_rh_bound_without_the_fit():
+    """On a standard-suite pair whose RH_infty bound clears the fit's cap,
+    estimate_K0 reads eps = 1 off that sweep and runs no pack fit, and the
+    fit agrees."""
+    bundle = generate_suite(standard_suite_spec(dim=1, level=6, seed=1))
+    pair = bundle.pairs[1]
+    fam = default_family(pair.u.domain)
+    fs = [f.abs() for f in bundle.fs[:2]]
+    with counted_fits() as calls:
+        state = estimate_K0(pair.u, pair.v, bundle.rho, 0.0, None, fs, fam, depth=2)
+    assert calls[0] == 0
+    theta = ladder_exponent(pair.v, bundle.rho, fam)
+    assert state.eps == ainf_epsilon_form(pair.v, theta, bundle.rho, fam).eps == 1.0
 
 
 def test_estimate_k0_rejects_low_q_and_bad_suites():

@@ -221,9 +221,10 @@ def test_family_primitives_match_cube_loop(data):
     alone = np.full(stack.shape, -np.inf)
     for sides, anchors in blocks:
         pad = fam.padding(sides, len(anchors))
-        # padded entries score +inf: cell_max must never read them
+        # padded entries score +inf: cell_max must never read them; it may
+        # overwrite its scores, so it gets copies of those read again below
         scores = np.where(pad, np.inf, rng.normal(size=pad.shape))
-        fam.cell_max(scores, sides, got)
+        fam.cell_max(scores.copy(), sides, got)
         for s, row_scores, row_pad in zip(sides.tolist(), scores, pad):
             cubes = by_side[s]
             assert len(cubes) == np.count_nonzero(~row_pad)
@@ -233,7 +234,7 @@ def test_family_primitives_match_cube_loop(data):
                 sl = Q.slices()
                 want[sl] = np.maximum(want[sl], score)
         pair = np.stack([scores, np.where(pad, np.inf, -scores)])
-        fam.cell_max(pair, sides, got_stack)
+        fam.cell_max(pair.copy(), sides, got_stack)
         for row, row_scores in zip(alone, pair):
             fam.cell_max(row_scores, sides, row)
         for kind, op in (("min", np.min), ("max", np.max)):

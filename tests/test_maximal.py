@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -414,6 +415,17 @@ def test_overflowing_powers_of_f_are_rejected_up_front():
         loc_glob_split_stack(stack, CL, 0.0, fam)
     # the same f is fine where its powers stay finite
     assert m_rho_sigma(GridFunction(dom, f), CL, 0.0, 1.0).values.max() == 1e200
+
+
+def test_running_sum_overflow_of_f_is_refused_without_warnings():
+    """|f| finite on every cell but with a running sum past the float range
+    is refused by the sweep, with no warning: a level-4 constant 1e308 used
+    to fail late with "grid function values must be finite"."""
+    dom = Domain(1, 8.0, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="running sum of sweep input 0 over the root overflows"):
+            m_rho_sigma(GridFunction.constant(dom, 1e308), CL)
 
 
 def test_shift_set_parents_contain_their_cube():

@@ -1,6 +1,7 @@
 """Weight classes: A_p / RH_s characteristics, epsilon forms, factor weights."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rhomix import (
     GridFunction,
     InvalidWeightError,
     RhoSpec,
+    ainf_epsilon,
     ainf_epsilon_form,
     ap_characteristic,
     ap_ladder,
@@ -26,7 +28,8 @@ from rhomix import (
     weighted_measure,
 )
 
-from conftest import BLOCK_BUDGETS, FAMILY_DRAWS, block_budget, cubes_of
+import rhomix.weights
+from conftest import BLOCK_BUDGETS, FAMILY_DRAWS, block_budget, counted_fits, cubes_of
 
 CL = RhoSpec.classical()
 
@@ -401,8 +404,10 @@ def ainf_epsilon_form_ref(w, theta, rho, cubes, eps_grid=None, C_cap=8.0):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_epsilon_form_matches_per_cube_reference(data):
-    """The per-side envelope fit equals the per-cube fit bit for bit, for
-    every policy, dim, level, root, rho kind and theta."""
+    """The per-side envelope fit equals the per-cube fit bit for bit, and
+    ainf_epsilon (the RH_infty shortcut, or the fit when the bound does not
+    clear) its eps, for every policy, dim, level, root, rho kind and theta,
+    negative ones included."""
     policy, rooted = data.draw(st.sampled_from(FAMILY_DRAWS))
     dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 3))
     level = data.draw(st.integers(1, 2 if dim == 3 else 4))
@@ -421,10 +426,83 @@ def test_epsilon_form_matches_per_cube_reference(data):
         RhoSpec.constant(0.3),
         RhoSpec.analytic(lambda pts: 1.0 / (1.0 + np.linalg.norm(pts, axis=1))),
     ]))
-    theta = data.draw(st.sampled_from([0.0, 0.5, 2.0, 0.37]))
+    theta = data.draw(st.sampled_from([0.0, 0.5, 2.0, 0.37, -0.5, -3.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     w = GridFunction(dom, np.exp(rng.normal(0, data.draw(st.sampled_from([0.3, 1.5])), dom.shape)))
-    assert ainf_epsilon_form(w, theta, rho, fam) == ainf_epsilon_form_ref(w, theta, rho, fam)
+    form = ainf_epsilon_form(w, theta, rho, fam)
+    assert form == ainf_epsilon_form_ref(w, theta, rho, fam)
+    assert ainf_epsilon(w, theta, rho, fam) == form.eps
+
+
+def _spike(dom, a):
+    """1 on every cell but the first, a there."""
+    vals = np.ones(dom.shape)
+    vals.flat[0] = a
+    return GridFunction(dom, vals)
+
+
+def _clears(w, fam):
+    """The shortcut's test: RH_infty bound times (1 + margin) within the cap."""
+    bound = rh_characteristic(w, math.inf, 0.0, CL, fam).value
+    return bound * (1.0 + rhomix.weights._fit_margin(w, fam)) <= rhomix.weights._C_CAP
+
+
+def test_ainf_epsilon_runs_the_fit_exactly_when_the_bound_misses_the_cap():
+    """A one-spike weight on the bisection tree of 16 cells has RH_infty
+    bound 16 a / (a + 15), 8 at a = 15, and the fit's top-1 sample of the
+    box reads the same ratio: the floats a just under, at and just over
+    the shortcut's edge _C_CAP / (1 + margin) give the fit's eps either
+    way, the fit running only over the edge.  A taller spike gives eps < 1."""
+    dom = Domain(1, 8.0, 4)
+    fam = CubeFamily(dom, DYADIC_GRID_OF)
+    # bisect the float bit patterns for adjacent a_at < a_over with the
+    # shortcut clearing at a_at and missing at a_over
+    def bits(a):
+        return int(np.float64(a).view(np.int64))
+
+    def value(b):
+        return float(np.int64(b).view(np.float64))
+
+    lo, hi = bits(1.0), bits(16.0)
+    assert _clears(_spike(dom, 1.0), fam) and not _clears(_spike(dom, 16.0), fam)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _clears(_spike(dom, value(mid)), fam):
+            lo = mid
+        else:
+            hi = mid
+    a_at, a_over = value(lo), value(hi)
+    assert 14.99 < a_at < a_over < 15.0
+    for a, fits in ((a_at * (1 - 1e-9), 0), (a_at, 0), (a_over, 1), (1e4, 1)):
+        w = _spike(dom, a)
+        with counted_fits() as calls:
+            eps = ainf_epsilon(w, 0.0, CL, fam)
+        assert calls[0] == fits, a
+        assert eps == ainf_epsilon_form(w, 0.0, CL, fam).eps, a
+    assert eps < 1.0
+    # sum w / min w past 2^-20 / (N u) leaves no margin: the fit runs
+    # although the bound (2, from the pair of cells holding the dip) clears
+    dip = _spike(dom, 1e-10)
+    assert rh_characteristic(dip, math.inf, 0.0, CL, fam).value < 2.0 + 1e-9
+    assert rhomix.weights._fit_margin(dip, fam) == math.inf
+    with counted_fits() as calls:
+        assert ainf_epsilon(dip, 0.0, CL, fam) == 1.0
+    assert calls[0] == 1
+
+
+def test_running_sum_overflow_is_refused_without_warnings():
+    """w^(1-p') finite on every cell but with a running sum past the float
+    range used to turn every later cube average into inf - inf = NaN:
+    ap_characteristic at p = 1.01 read inf with witness anchor 0, side 9,
+    and numpy warned twice.  The sweep now refuses the sum up front."""
+    dom = Domain(1, 4.0, 4)
+    vals = np.ones(dom.shape)
+    vals[2:8] = 10**-3.075
+    w = GridFunction(dom, vals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="running sum of sweep input 1 over the root overflows"):
+            ap_characteristic(w, 1.01, 0.0, CL, CubeFamily(dom, ALL_CELL_ALIGNED))
 
 
 def test_factor_build_formula_and_validation():
