@@ -71,6 +71,7 @@ from .grid import (
     DomainMismatchError,
     GridFunction,
     InvalidWeightError,
+    SumOverflowError,
     average,
     dyadic_average_tree,
     dyadic_averages,

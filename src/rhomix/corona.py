@@ -300,8 +300,7 @@ def principal_select(
     the damped threshold a^((k - t) delta) (t the ancestor's level); delta
     defaults to half v's A_infty flatness exponent eps over the bisection
     tree of R (classical, theta = 0), and must stay below it.  eps comes
-    from weights.ainf_epsilon: one RH_infty sweep, and the pack fit only
-    when that bound cannot decide it.
+    from weights.ainf_epsilon, which on a bisection tree runs the pack fit.
 
     The majorant h sums avg(u, Q) over principal cubes for ell >= 0; for
     ell = -1 it spreads u(W)/|primary| over each principal piece's primary.

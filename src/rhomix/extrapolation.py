@@ -144,8 +144,9 @@ def estimate_K0(
 
     p0 = 1 + 2(t - 1)/eps comes from v's measured ladder: t is the smallest
     dual exponent whose characteristic has stabilized, eps v's A_infty
-    flatness exponent at the ladder's theta, from weights.ainf_epsilon (one
-    RH_infty sweep, the pack fit only when that bound cannot decide it).
+    flatness exponent at the ladder's theta, from weights.ainf_epsilon (on
+    ALL_CELL_ALIGNED one RH_infty sweep, the pack fit only when that bound
+    cannot decide it; on a bisection tree the fit).
     q defaults to 2 p0 and must not fall below it.
     The tail_bound certificate is the worst geometric tail over the suite.
     """

@@ -43,6 +43,7 @@ __all__ = [
     "DomainMismatchError",
     "GridFunction",
     "InvalidWeightError",
+    "SumOverflowError",
     "average",
     "dyadic_average_tree",
     "dyadic_averages",
@@ -62,6 +63,11 @@ class DomainMismatchError(ValueError):
 
 class InvalidWeightError(ValueError):
     """A weight must be strictly positive and finite on every cell."""
+
+
+class SumOverflowError(ValueError):
+    """A sweep input is finite on every cell, but its running sum over the
+    root overflows, so its cube averages would read inf - inf."""
 
 
 @dataclass(frozen=True)
@@ -393,7 +399,7 @@ class CubeFamily:
         over the cube of side sides[j] at anchors[a], read from a BoxSums
         table of the root; entries that padding() marks are clipped cubes.
         An input whose cells are finite but whose running sum over the root
-        overflows is refused (its averages would read inf - inf).
+        overflows is refused with SumOverflowError.
         """
         dim = self.domain.dim
         region = (Ellipsis,) + self.root.slices()
@@ -402,7 +408,7 @@ class CubeFamily:
             tables = [BoxSums(a, dim) for a in arrays]
         for i, t in enumerate(tables):
             if not np.isfinite(t.table[(Ellipsis,) + (-1,) * dim]).all():
-                raise ValueError(
+                raise SumOverflowError(
                     f"the running sum of sweep input {i} over the root overflows, "
                     "so its cube averages would read inf - inf"
                 )

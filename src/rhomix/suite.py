@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import RhoSpec, rho_values
-from .grid import Cube, Domain, GridFunction, load_grid_function, require_weight
+from .grid import (
+    Cube,
+    Domain,
+    GridFunction,
+    SumOverflowError,
+    load_grid_function,
+    require_weight,
+)
 from .maximal import default_family
 from .weights import ap_characteristic, factor_build
 
@@ -229,7 +236,10 @@ def _validated_weight(
         except Exception:
             current = _tame(current, 0.8)
             continue
-        char = ap_characteristic(w, p, theta, rho, fam).value
+        try:
+            char = ap_characteristic(w, p, theta, rho, fam).value
+        except SumOverflowError:  # w or w^(1-p') sums past the float range
+            char = math.inf
         if math.isfinite(char) and char < _CHAR_CAP:
             return w, attempt
         current = _tame(current, 0.8)

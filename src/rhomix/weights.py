@@ -21,9 +21,10 @@ ap_ladder reads a whole ladder of growth exponents off one sweep, each
 value and witness bit-identical to its single-theta ap_characteristic.
 A power of w that overflows on a cell (w^(1-p') or w^s) makes the sup
 inf, witnessed by that cell; one whose running sum over the root
-overflows is refused by the sweep (ValueError).  The A_infty epsilon form
-runs per side on CubeFamily too; ainf_epsilon reads its exponent off one
-RH_infty sweep and runs the fit only when that bound cannot decide it.
+overflows is refused by the sweep (SumOverflowError).  The A_infty
+epsilon form runs per side on CubeFamily too; on an ALL_CELL_ALIGNED
+family ainf_epsilon reads its exponent off one RH_infty sweep and runs
+the fit only when that bound cannot decide it.
 Every growth-factor power is read from the rho's PenaltyTable for the
 family (critical.py).
 """
@@ -37,6 +38,7 @@ import numpy as np
 
 from .critical import RhoSpec
 from .grid import (
+    ALL_CELL_ALIGNED,
     Cube,
     CubeFamily,
     GridFunction,
@@ -312,14 +314,28 @@ def _fit_margin(w: GridFunction, cubes: CubeFamily) -> float:
     return 64.0 * nus if nus <= 2.0**-20 else math.inf
 
 
+def _rh_bound_clears(
+    w: GridFunction, theta: float, rho: RhoSpec, cubes: CubeFamily
+) -> bool:
+    """True when w's RH_infty bound, with its rounding margin, is within
+    the fit's cap, so the fit keeps eps = 1 (see ainf_epsilon).  Sound on
+    every family."""
+    margin = _fit_margin(w, cubes)
+    if not math.isfinite(margin):
+        return False
+    bound = rh_characteristic(w, math.inf, theta, rho, cubes).value
+    return bound * (1.0 + margin) <= _C_CAP
+
+
 def ainf_epsilon(
     w: GridFunction,
     theta: float,
     rho: RhoSpec,
     cubes: CubeFamily,
 ) -> float:
-    """The eps of ainf_epsilon_form(w, theta, rho, cubes), exactly, with the
-    pack fit run only when one RH_infty sweep cannot decide it.
+    """The eps of ainf_epsilon_form(w, theta, rho, cubes), exactly.  On an
+    ALL_CELL_ALIGNED family the pack fit runs only when one RH_infty sweep
+    cannot decide eps; on a bisection tree the fit runs directly.
 
     The fit tries eps = 1 first and keeps it when every sample has
     y / x <= _C_CAP.  A sample of cube Q with m cells is a top-k or
@@ -353,14 +369,18 @@ def ainf_epsilon(
     the second-order terms fit in the remaining 10 N u S, so margin =
     64 N u S, and the fit runs whenever N u S is larger.  A weight the
     fit would refuse is refused the same way.
+
+    The sweep pays only on ALL_CELL_ALIGNED: there the fit sorts every
+    interval's cells, about n^3/6 in dim 1, against the sweep's O(n^2)
+    (61.6 against 1.1 ms at level 8, one core of a 2-core x86 host),
+    while on a bisection tree the fit sorts each cell once per level and
+    the sweep costs 0.7 to 2 times as much (dims 1-3, levels 3-10), so
+    there the bound would mostly add to the fit's cost.
     """
     require_weight(w)
     _require_theta(theta)
-    margin = _fit_margin(w, cubes)
-    if math.isfinite(margin):
-        bound = rh_characteristic(w, math.inf, theta, rho, cubes).value
-        if bound * (1.0 + margin) <= _C_CAP:
-            return 1.0
+    if cubes.policy == ALL_CELL_ALIGNED and _rh_bound_clears(w, theta, rho, cubes):
+        return 1.0
     return ainf_epsilon_form(w, theta, rho, cubes).eps
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,10 @@ import pytest
 from rhomix import (
     Domain,
     GridFunction,
+    RhoSpec,
+    SumOverflowError,
+    ap_characteristic,
+    default_family,
     make_function,
     make_weight,
     generate_suite,
@@ -25,7 +30,7 @@ from rhomix import (
 )
 import rhomix.extrapolation
 from rhomix.cli import _build_parser, main
-from rhomix.suite import ANALYTIC_RHO, _tame, rho_to_json
+from rhomix.suite import ANALYTIC_RHO, _tame, _validated_weight, rho_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +134,27 @@ def test_generate_suite_is_deterministic():
         assert p1.label == p2.label
     for f1, f2 in zip(b1.fs, b2.fs):
         assert np.array_equal(f1.values, f2.values)
+
+
+def test_class_check_tames_a_weight_whose_running_sum_overflows():
+    """two_banded c = 1e-307 at p = 2: w^(1-p') = 1e307 is finite on each
+    cell of its band, but the band's sum is past the float range, so the
+    sweep refuses it.  The class check counts that as a failed check, tames
+    c and retries, with no warning."""
+    dom = Domain(1, 8.0, 8)
+    spec = {"kind": "two_banded", "c": 1e-307}
+    cl = RhoSpec.classical()
+    first = make_weight(dom, spec, np.random.default_rng(7), cl)
+    with pytest.raises(SumOverflowError):
+        ap_characteristic(first, 2.0, 1.0, cl, default_family(dom))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, retries = _validated_weight(dom, spec, np.random.default_rng(7), cl, 2.0, 1.0)
+        suite = standard_suite_spec(dim=1, level=8, seed=7)
+        suite.update(weights=[spec], pair_count=1, f_count=1)
+        bundle = generate_suite(suite)
+    assert retries >= 1 and np.all(np.isfinite(v.values))
+    assert bundle.pairs[0].retries >= 1
 
 
 def test_generate_suite_appends_factor_pair():

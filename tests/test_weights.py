@@ -404,10 +404,10 @@ def ainf_epsilon_form_ref(w, theta, rho, cubes, eps_grid=None, C_cap=8.0):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_epsilon_form_matches_per_cube_reference(data):
-    """The per-side envelope fit equals the per-cube fit bit for bit, and
-    ainf_epsilon (the RH_infty shortcut, or the fit when the bound does not
-    clear) its eps, for every policy, dim, level, root, rho kind and theta,
-    negative ones included."""
+    """The per-side envelope fit equals the per-cube fit bit for bit,
+    ainf_epsilon equals its eps, and an RH_infty bound that clears the cap
+    comes with eps = 1, for every policy, dim, level, root, rho kind and
+    theta, negative ones included."""
     policy, rooted = data.draw(st.sampled_from(FAMILY_DRAWS))
     dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 3))
     level = data.draw(st.integers(1, 2 if dim == 3 else 4))
@@ -432,6 +432,10 @@ def test_epsilon_form_matches_per_cube_reference(data):
     form = ainf_epsilon_form(w, theta, rho, fam)
     assert form == ainf_epsilon_form_ref(w, theta, rho, fam)
     assert ainf_epsilon(w, theta, rho, fam) == form.eps
+    # the bound is sound on every family, bisection trees included, where
+    # ainf_epsilon does not consult it
+    if rhomix.weights._rh_bound_clears(w, theta, rho, fam):
+        assert form.eps == 1.0
 
 
 def _spike(dom, a):
@@ -442,19 +446,18 @@ def _spike(dom, a):
 
 
 def _clears(w, fam):
-    """The shortcut's test: RH_infty bound times (1 + margin) within the cap."""
-    bound = rh_characteristic(w, math.inf, 0.0, CL, fam).value
-    return bound * (1.0 + rhomix.weights._fit_margin(w, fam)) <= rhomix.weights._C_CAP
+    return rhomix.weights._rh_bound_clears(w, 0.0, CL, fam)
 
 
 def test_ainf_epsilon_runs_the_fit_exactly_when_the_bound_misses_the_cap():
-    """A one-spike weight on the bisection tree of 16 cells has RH_infty
-    bound 16 a / (a + 15), 8 at a = 15, and the fit's top-1 sample of the
-    box reads the same ratio: the floats a just under, at and just over
-    the shortcut's edge _C_CAP / (1 + margin) give the fit's eps either
-    way, the fit running only over the edge.  A taller spike gives eps < 1."""
+    """A one-spike weight on the 16 cells' intervals has RH_infty bound
+    16 a / (a + 15), 8 at a = 15, and the fit's top-1 sample of the box
+    reads the same ratio: the floats a just under, at and just over the
+    shortcut's edge _C_CAP / (1 + margin) give the fit's eps either way,
+    the fit running only over the edge.  A taller spike gives eps < 1.  On
+    the bisection tree the fit runs even where the bound clears."""
     dom = Domain(1, 8.0, 4)
-    fam = CubeFamily(dom, DYADIC_GRID_OF)
+    fam = CubeFamily(dom, ALL_CELL_ALIGNED)
     # bisect the float bit patterns for adjacent a_at < a_over with the
     # shortcut clearing at a_at and missing at a_over
     def bits(a):
@@ -480,6 +483,11 @@ def test_ainf_epsilon_runs_the_fit_exactly_when_the_bound_misses_the_cap():
         assert calls[0] == fits, a
         assert eps == ainf_epsilon_form(w, 0.0, CL, fam).eps, a
     assert eps < 1.0
+    tree = CubeFamily(dom, DYADIC_GRID_OF)
+    assert _clears(_spike(dom, a_at), tree)
+    with counted_fits() as calls:
+        assert ainf_epsilon(_spike(dom, a_at), 0.0, CL, tree) == 1.0
+    assert calls[0] == 1
     # sum w / min w past 2^-20 / (N u) leaves no margin: the fit runs
     # although the bound (2, from the pair of cells holding the dip) clears
     dip = _spike(dom, 1e-10)
