@@ -23,6 +23,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -318,11 +319,19 @@ class CubeFamily:
     prefix table.  A padded entry is the cube clipped to the root: its sum
     and extremes run over the cells the window keeps, so it is finite
     wherever the window's own cells are.  DYADIC_GRID_OF has one side per
-    block (its sides have unequal anchor counts); it views the root as one
-    (tile, cell-in-tile) pair of axes per dimension, so one reshape serves
-    every dim, and BoxSums reads each side's anchor lattice by strided
-    slices.  Min and max recurrences give cube_extreme() and cell_max()
-    with no rounding.
+    block (its sides have unequal anchor counts).  The sweep reads a side
+    s's tile sums straight off the prefix table: per inclusion-exclusion
+    corner c, one strided slice(c s, c s + span - s + 1, s) on each axis,
+    the floats box_sum gives at the side's anchors.  cube_extreme() and
+    cell_max() view the root as one (tile, cell-in-tile) pair of axes per
+    dimension, so one reshape serves every dim.  Min and max recurrences
+    give cube_extreme() and cell_max() with no rounding.
+
+    anchors(s) is a bare arange on ALL_CELL_ALIGNED.  On DYADIC_GRID_OF it
+    is memoised per (root, side), so per family and side, and read-only;
+    the memo keeps the most recent _ANCHOR_MEMO_SIZE arrays, since corona
+    builds one rooted family per cube R.  count() is closed-form and reads
+    no anchors.
     """
 
     domain: Domain
@@ -349,16 +358,19 @@ class CubeFamily:
         return [1 << k for k in range(span.bit_length())]
 
     def anchors(self, side_cells: int) -> np.ndarray:
-        """(m, dim) int array of anchors for this side, lexicographic order."""
-        lo, span = self.root.anchor, self.root.side_cells
-        if self.policy == ALL_CELL_ALIGNED:
-            return np.arange(lo[0], lo[0] + span - side_cells + 1)[:, None]
-        per_axis = [np.arange(a, a + span, side_cells) for a in lo]
-        mesh = np.meshgrid(*per_axis, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        """(m, dim) int array of anchors for this side, lexicographic order.
+        On DYADIC_GRID_OF the array is memoised and read-only."""
+        if self.policy == DYADIC_GRID_OF:
+            return _tree_anchors(self.root.anchor, self.root.side_cells, side_cells)
+        lo = self.root.anchor[0]
+        return np.arange(lo, lo + self.root.side_cells - side_cells + 1)[:, None]
 
     def count(self) -> int:
-        return sum(len(self.anchors(s)) for s in self.side_cells_list())
+        """Number of cubes in the family, in closed form."""
+        span = self.root.side_cells
+        if self.policy == ALL_CELL_ALIGNED:
+            return span * (span + 1) // 2
+        return sum((span // s) ** self.domain.dim for s in self.side_cells_list())
 
     def __iter__(self) -> Iterator[Cube]:
         for s in self.side_cells_list():
@@ -413,19 +425,22 @@ class CubeFamily:
                     "so its cube averages would read inf - inf"
                 )
         batch = math.prod(arrays[0].shape[:-dim]) if arrays else 1
-        origin = np.asarray(self.root.anchor)
+        span = self.root.side_cells
         for sides in self._blocks(batch):
             s = int(sides[0])
-            anchors = self.anchors(s)
+            avgs = []
             if self.policy == ALL_CELL_ALIGNED:
-                avgs = []
                 for t in tables:
                     sums = t.interval_sums(s, len(sides))
                     avgs.append(np.divide(sums, sides[:, None], out=sums))
             else:
-                local = anchors - origin
-                avgs = [(t.box_sum(local, s) / s**dim)[..., None, :] for t in tables]
-            yield sides, anchors, avgs
+                # the side's tiles of the root: one lattice per axis
+                tiles = [(0, s, span // s)] * dim
+                for t in tables:
+                    sums = t._corner_sums(tiles, s)
+                    np.divide(sums, s**dim, out=sums)
+                    avgs.append(sums.reshape(sums.shape[:-dim] + (1, -1)))
+            yield sides, self.anchors(s), avgs
 
     def _tiles(self, region: np.ndarray, s: int) -> np.ndarray:
         """View of a (..., *grid) region as (tile, cell-in-tile) axis pairs,
@@ -512,6 +527,24 @@ class CubeFamily:
         np.maximum(tiles, scores.reshape(lead + (k, 1) * self.domain.dim), out=tiles)
 
 
+#: most (root, side) anchor arrays the DYADIC_GRID_OF memo keeps; corona
+#: builds one rooted family per cube R, so the memo evicts the least recent
+_ANCHOR_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_ANCHOR_MEMO_SIZE)
+def _tree_anchors(root_anchor: tuple, span: int, side_cells: int) -> np.ndarray:
+    """The read-only anchors of one side of the bisection tree of the root
+    [root_anchor, + span): the meshgrid of root_anchor + k * side_cells per
+    axis, rows in lexicographic order.  Keyed by the root alone, which fixes
+    the anchors and hashes faster than the family."""
+    per_axis = [np.arange(a, a + span, side_cells) for a in root_anchor]
+    mesh = np.meshgrid(*per_axis, indexing="ij")
+    out = np.stack([m.ravel() for m in mesh], axis=-1)
+    out.setflags(write=False)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # fast cube sums
 
@@ -521,29 +554,35 @@ class BoxSums:
     values is (..., *grid) with dim grid axes (all axes when dim is None);
     leading axes are a batch of functions sharing the grid.  The padded
     prefix table P satisfies P[..., i1,...,id] = sum of values over cells
-    [0,i1) x ... x [0,id), built by one cumsum per grid axis; a box sum is
-    the usual 2^dim-corner inclusion-exclusion.  In dim 1 the table runs
-    on past P[m] with m - 1 copies of it, and interval_sums reads it
-    through one (m + 1, m) window view, row i starting at P[i].
+    [0,i1) x ... x [0,id): a zeroed table with one cumsum per grid axis
+    written into its interior in place (the floats of np.pad around the
+    cumsums).  A box sum is the usual 2^dim-corner inclusion-exclusion over
+    a product lattice of anchors, one strided slice per corner, in one
+    loop: box_sum derives the lattice from anchor rows, and the bisection
+    tree sweep passes a side's tile lattice to it directly.  In dim 1 the
+    table runs on past P[m] with m - 1 copies of it, and interval_sums
+    reads it through one (m + 1, m) window view, row i starting at P[i].
     """
 
     def __init__(self, values: np.ndarray, dim: int | None = None):
         arr = np.asarray(values, dtype=np.float64)
         self.dim = arr.ndim if dim is None else dim
         lead = arr.ndim - self.dim
-        p = arr
-        for ax in range(lead, arr.ndim):
-            p = np.cumsum(p, axis=ax)
         if self.dim == 1:
             m = arr.shape[-1]
             run = np.empty(arr.shape[:-1] + (2 * m,))
             run[..., 0] = 0.0
-            run[..., 1 : m + 1] = p
-            run[..., m + 1 :] = p[..., -1:]
+            np.cumsum(arr, axis=-1, out=run[..., 1 : m + 1])
+            run[..., m + 1 :] = run[..., m : m + 1]
             self.table = run[..., : m + 1]
             self._windows = sliding_window_view(run, m, axis=-1)
         else:
-            self.table = np.pad(p, [(0, 0)] * lead + [(1, 0)] * self.dim)
+            # zero borders, the cumsums written into the interior in place
+            self.table = np.zeros(arr.shape[:lead] + tuple(n + 1 for n in arr.shape[lead:]))
+            inner = self.table[(Ellipsis,) + (slice(1, None),) * self.dim]
+            np.cumsum(arr, axis=lead, out=inner)
+            for ax in range(lead + 1, arr.ndim):
+                np.cumsum(inner, axis=ax, out=inner)
 
     def interval_sums(self, first: int, count: int) -> np.ndarray:
         """Dim 1: sums over [a, a + first + j) for j < count and every anchor
@@ -579,16 +618,27 @@ class BoxSums:
             rows *= count
         if rows != len(a):
             raise ValueError("box_sum anchors must form a lexicographic lattice")
+        total = self._corner_sums(lattice, side_cells)
+        return total.reshape(total.shape[: total.ndim - self.dim] + (rows,))
+
+    def _corner_sums(self, lattice, side_cells: int) -> np.ndarray:
+        """Sums over the boxes of side side_cells anchored on a product
+        lattice, given per axis as (first, step, count): shape (...,
+        *counts).  Each of the 2^dim corners is one strided slice of the
+        table, added to or subtracted from a zeros total in a fixed order."""
         lead = self.table.shape[: self.table.ndim - self.dim]
         total = np.zeros(lead + tuple(count for _, _, count in lattice))
-        for corner in itertools.product((0, 1), repeat=self.dim):
-            idx = tuple(
-                slice(lo + c * side_cells, lo + c * side_cells + step * (count - 1) + 1, step)
-                for (lo, step, count), c in zip(lattice, corner)
-            )
+        # per axis the slices of the low (0) and the high (1) corner
+        ends = [
+            (slice(lo, lo + step * (count - 1) + 1, step),
+             slice(lo + side_cells, lo + side_cells + step * (count - 1) + 1, step))
+            for lo, step, count in lattice
+        ]
+        corners = itertools.product((0, 1), repeat=self.dim)
+        for corner, idx in zip(corners, itertools.product(*ends)):
             add = np.add if (self.dim - sum(corner)) % 2 == 0 else np.subtract
             add(total, self.table[(Ellipsis,) + idx], out=total)
-        return total.reshape(lead + (rows,))
+        return total
 
 
 def dyadic_sum_pyramid(values: np.ndarray) -> list[np.ndarray]:

@@ -370,12 +370,16 @@ def ainf_epsilon(
     64 N u S, and the fit runs whenever N u S is larger.  A weight the
     fit would refuse is refused the same way.
 
-    The sweep pays only on ALL_CELL_ALIGNED: there the fit sorts every
-    interval's cells, about n^3/6 in dim 1, against the sweep's O(n^2)
-    (61.6 against 1.1 ms at level 8, one core of a 2-core x86 host),
-    while on a bisection tree the fit sorts each cell once per level and
-    the sweep costs 0.7 to 2 times as much (dims 1-3, levels 3-10), so
-    there the bound would mostly add to the fit's cost.
+    The bound is consulted on ALL_CELL_ALIGNED only.  There the fit sorts
+    every interval's cells, about n^3/6 in dim 1, against the sweep's
+    O(n^2) (61.6 against 1.1 ms at level 8, one core of a 2-core x86
+    host).  On a bisection tree the fit sorts each cell once per level,
+    and the sweep, which reads each side's tile sums straight off the
+    prefix table, costs about half to two thirds of it in dims 1 and 2
+    (dim 2: 0.30-0.33 against 0.45-0.48 ms at level 5, 1.3-1.7 against
+    2.6-3.4 ms at level 7) and about as much in dim 3 (0.58-0.74 against
+    0.56-0.77 ms at level 4; lognormal weights, same host), so there the
+    bound could save only part of one fit and the fit runs directly.
     """
     require_weight(w)
     _require_theta(theta)

@@ -1,10 +1,12 @@
 """Grid layer: domains, cubes, prefix sums, dyadic pyramids, file round trips."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import rhomix.grid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +130,9 @@ def test_box_sums_batch_axis_and_lattice_contract():
 
 
 def test_family_counts():
+    """count() is m(m+1)/2 intervals over a root of m cells and the sum of
+    (span/s)^dim over a tree's sides, the number of anchors the family
+    enumerates, and it reads no anchors: the tree memo sees no call."""
     dom = Domain(1, 8.0, 3)
     n = dom.n
     fam = CubeFamily(dom, ALL_CELL_ALIGNED)
@@ -139,6 +144,119 @@ def test_family_counts():
     R = Cube(dom, (0,), n)
     tree = CubeFamily(dom, DYADIC_GRID_OF, R)
     assert tree.count() == 1 + 2 + 4 + 8
+    families = [fam, dy, CubeFamily(dom, ALL_CELL_ALIGNED, Cube(dom, (3,), 5))]
+    assert families[2].count() == 5 * 6 // 2
+    for dim, level in ((2, 3), (3, 2)):
+        cube_dom = Domain(dim, 8.0, level)
+        families.append(CubeFamily(cube_dom, DYADIC_GRID_OF))
+        families.append(CubeFamily(cube_dom, DYADIC_GRID_OF, Cube(cube_dom, (2,) * dim, 2)))
+    assert families[-1].count() == 8 + 1
+    for family in families:
+        before = rhomix.grid._tree_anchors.cache_info()
+        count = family.count()
+        after = rhomix.grid._tree_anchors.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert count == sum(len(family.anchors(s)) for s in family.side_cells_list())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sweep_matches_box_sum_oracle(data):
+    """Every sweep block holds, bit for bit, the box_sum averages of the
+    root's region at the cubes' anchors: the tile read of a bisection tree
+    and the interval views of ALL_CELL_ALIGNED, for any root and any batch
+    axes in front of the grid."""
+    policy, rooted = data.draw(st.sampled_from(FAMILY_DRAWS))
+    dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 3))
+    level = data.draw(st.integers(1, 3 if dim == 3 else 5))
+    dom = Domain(dim, 4.0, level)
+    root = None
+    if rooted or (rooted is None and data.draw(st.booleans())):
+        if policy == DYADIC_GRID_OF:
+            side = 1 << data.draw(st.integers(0, level))
+        else:
+            side = data.draw(st.integers(1, dom.n))
+        anchor = tuple(data.draw(st.integers(0, dom.n - side)) for _ in range(dim))
+        root = Cube(dom, anchor, side)
+    fam = CubeFamily(dom, policy, root)
+    batch = data.draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vals = rng.normal(size=batch + dom.shape)
+    region = vals[(Ellipsis,) + fam.root.slices()]
+    oracle = BoxSums(region, dim)
+    lo = np.asarray(fam.root.anchor)
+    seen = 0
+    for sides, anchors, (avg,) in fam.sweep(vals):
+        assert avg.shape == batch + (len(sides), len(anchors))
+        for j, s in enumerate(sides.tolist()):
+            count = len(fam.anchors(s))
+            assert np.array_equal(anchors[:count], fam.anchors(s))
+            want = oracle.box_sum(fam.anchors(s) - lo, s) / s**dim
+            assert np.array_equal(avg[..., j, :count], want)
+            # one cube's corners by hand, in the same order from a zero total
+            a = rng.integers(count)
+            total = np.zeros(batch)
+            for corner in itertools.product((0, 1), repeat=dim):
+                idx = tuple(x + c * s for x, c in zip(fam.anchors(s)[a] - lo, corner))
+                sign = 1.0 if (dim - sum(corner)) % 2 == 0 else -1.0
+                total = total + sign * oracle.table[(Ellipsis,) + idx]
+            assert np.array_equal(avg[..., j, a], total / s**dim)
+            seen += count
+    assert seen == fam.count()
+
+
+@pytest.mark.parametrize(
+    "shape, dim",
+    [((16,), 1), ((3, 16), 1), ((8, 8), 2), ((2, 8, 8), 2), ((4, 4, 4), 3), ((2, 4, 4, 4), 3)],
+)
+def test_prefix_table_is_the_padded_cumsum_table(shape, dim):
+    """BoxSums writes its cumsums into a zeroed table; the floats, signbits
+    included, are those of np.pad around the cumsums of each grid axis."""
+    rng = np.random.default_rng(11)
+    vals = rng.normal(size=shape)
+    vals[..., 0] = -0.0  # a leading run of -0.0 keeps its sign in the cumsums
+    lead = len(shape) - dim
+    p = vals
+    for ax in range(lead, len(shape)):
+        p = np.cumsum(p, axis=ax)
+    want = np.pad(p, [(0, 0)] * lead + [(1, 0)] * dim)
+    got = BoxSums(vals, dim).table
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.signbit(want).any()
+
+
+def test_tree_anchor_memo_contract():
+    """Bisection-tree anchors are memoised per (family, side), read-only,
+    the same across sweeps, the meshgrid of root.anchor + k s, and the
+    memo stays within its bound however many rooted families sweep."""
+    dom = Domain(2, 8.0, 4)
+    R = Cube(dom, (4, 8), 8)
+    tree = CubeFamily(dom, DYADIC_GRID_OF, R)
+    a = tree.anchors(2)
+    with pytest.raises(ValueError):
+        a[0, 0] = 1
+    assert tree.anchors(2) is a
+    vals = np.random.default_rng(12).normal(size=dom.shape)
+    first = [anchors for _sides, anchors, _avgs in tree.sweep(vals)]
+    second = [anchors for _sides, anchors, _avgs in tree.sweep(vals)]
+    assert len(first) == len(second) == len(tree.side_cells_list())
+    assert all(np.array_equal(x, y) for x, y in zip(first, second))
+    for s in tree.side_cells_list():
+        axes = [R.anchor[ax] + s * np.arange(R.side_cells // s) for ax in range(2)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        assert np.array_equal(tree.anchors(s), np.stack([m.ravel() for m in mesh], axis=-1))
+    # ALL_CELL_ALIGNED keeps a fresh arange per call
+    line = CubeFamily(Domain(1, 8.0, 4), ALL_CELL_ALIGNED)
+    assert line.anchors(3).flags.writeable
+    bound = rhomix.grid._tree_anchors.cache_info().maxsize
+    roots = [Cube(dom, (x, y), 2) for x in range(dom.n - 1) for y in range(0, dom.n - 1, 2)]
+    assert 2 * len(roots) > bound  # two sides per family
+    for root in roots:
+        for _ in CubeFamily(dom, DYADIC_GRID_OF, root).sweep(vals):
+            pass
+        assert rhomix.grid._tree_anchors.cache_info().currsize <= bound
 
 
 def test_unrooted_family_is_the_box_rooted_family():
