@@ -33,7 +33,7 @@ from .grid import (
     integrate,
 )
 from .extrapolation import ladder_exponent
-from .lorentz import WeightedMeasure, t_grid_sup, weak_norm
+from .lorentz import WeightedMeasure, rearrangement, weak_norm
 from .maximal import default_family, loc_glob_split
 from .weights import ainf_epsilon, ap_characteristic
 
@@ -682,9 +682,11 @@ def mixed_verify_global(
     integral = integrate(
         GridFunction(f.domain, np.abs(f.values) * u.values * v.values)
     )
-    exact = weak_norm(T, uv) / integral if integral > 0 else math.inf
+    # T >= 0, so its one table also gives the t-grid sup of t_grid_sup(T, uv)
+    table = rearrangement(T, uv)
+    exact = table.weak_norm() / integral if integral > 0 else math.inf
 
-    grid_sup, t_grid = t_grid_sup(T, uv)
+    grid_sup, t_grid = table.t_grid_sup()
     grid_const = grid_sup / integral if integral > 0 else math.inf
 
     with np.errstate(invalid="ignore"):

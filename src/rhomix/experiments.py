@@ -37,12 +37,7 @@ from .extrapolation import (
     rdf_audit,
 )
 from .grid import Cube, GridFunction
-from .lorentz import (
-    WeightedMeasure,
-    distribution,
-    interpolation_audit,
-    rearrangement,
-)
+from .lorentz import WeightedMeasure, interpolation_audit, rearrangement
 from .maximal import default_family, loc_glob_split_stack, m_rho_sigma_stack
 from .suite import (
     SuiteBundle,
@@ -436,9 +431,8 @@ def _exp_rdf(config):
 
 
 def _exp_lorentz(config):
-    bundle = _suite(config)
+    domain = domain_from_json(_require(config, "suite.domain", dict))
     rng = np.random.default_rng(int(config.get("seed", 0)) + 101)
-    domain = bundle.domain
     count = int(config.get("instances", 200))
     bad = 0
     for _ in range(count):
@@ -450,8 +444,8 @@ def _exp_lorentz(config):
         t = float(rng.uniform(0, mu.total()))
         s = float(rng.uniform(0, f.values.max() or 1.0))
         fstar_t = table_f.f_star(t)
-        bad += int(distribution(f, mu, fstar_t) > t + 1e-12)
-        lam = distribution(f, mu, s)
+        bad += int(float(table_f.distribution(fstar_t)) > t + 1e-12)
+        lam = float(table_f.distribution(s))
         bad += int((fstar_t > s) != (t < lam)) if abs(t - lam) > 1e-12 else 0
         t1, t2 = t / 2, t / 3
         fg = GridFunction(domain, f.values + g.values)

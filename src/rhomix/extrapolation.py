@@ -26,7 +26,7 @@ import numpy as np
 
 from .critical import RhoSpec, rho_values
 from .grid import CubeFamily, Domain, GridFunction, integrate, require_weight
-from .lorentz import WeightedMeasure, lorentz_norm, t_grid_sup, weak_norm
+from .lorentz import WeightedMeasure, lorentz_norm, rearrangement, weak_norm
 from .maximal import default_family, m_rho_sigma, m_rho_sigma_stack
 from .weights import THETA_LADDER, ainf_epsilon, ap_characteristic, ap_ladder
 
@@ -550,9 +550,11 @@ def mixed_for_T(
     integral = integrate(
         GridFunction(f.domain, np.abs(f.values) * u.values * v.values)
     )
-    weak_T = weak_norm(T, uv)
+    # T >= 0, so its one table also gives the t-grid sup of t_grid_sup(T, uv)
+    table_T = rearrangement(T, uv)
+    weak_T = table_T.weak_norm()
     weak_M = weak_norm(M, uv)
-    sup, t_grid = t_grid_sup(T, uv, t_grid)
+    sup, t_grid = table_T.t_grid_sup(t_grid)
     return MixedTReport(
         constant=float(sup / integral) if integral > 0 else 0.0,
         weak_T=float(weak_T),

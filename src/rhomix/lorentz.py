@@ -5,13 +5,18 @@ finite table of (value, cumulative mass) steps, and the L^{p,q} integrals
 reduce to closed forms per step.  The weighted measure mu is any
 nonnegative density on the grid (typically a weight or a product u*v).
 
-Every level-set mass comes from one table per (f, mu): one stable sort of
-the cells by decreasing |f| (ties keep memory order), one running sum of
-the density in that order, read at the last cell of each tie group and
-scaled by the cell volume.  The running sum of n nonnegative terms is
-within (n - 1) 2^-53 relative of the exact mass and never decreases.  f*,
-lambda_f and the t-grid sups all read the same table, so the
-generalized-inverse identities hold exactly by construction.
+Every level-set mass comes from one table per (f, mu): the cells sorted
+by decreasing |f| with ties in memory order, one running sum of the
+density in that order, read at the last cell of each tie group and scaled
+by the cell volume.  The order is the stable sort's, reached at the
+default sort's speed: distinct keys have one descending order, so numpy's
+default sort runs first, and the stable sort runs again only when two
+positive values tie; the zero cells, always tied, follow in memory order.
+The running sum of n nonnegative terms is within (n - 1) 2^-53 relative of
+the exact mass and never decreases.  f*, lambda_f, the norms and the
+t-grid sups are methods of the same table, so the generalized-inverse
+identities hold exactly by construction, and a caller that needs several
+of them for one (f, mu) builds the table once.
 """
 
 from __future__ import annotations
@@ -73,12 +78,14 @@ class RearrangementTable:
 
     values are the distinct positive |f| values in decreasing order and
     masses the cumulative mu-masses; beyond the last mass f* is zero.
-    domain_mass is mu(Omega), the distribution function at every s < 0.
+    domain_mass is mu(Omega), the distribution function at every s < 0,
+    and peak the largest |f| over every cell, mu-null ones included.
     """
 
     values: np.ndarray
     masses: np.ndarray
     domain_mass: float
+    peak: float
 
     @property
     def total_mass(self) -> float:
@@ -102,6 +109,48 @@ class RearrangementTable:
         padded = np.concatenate([[0.0], self.masses])
         return np.where(s < 0, self.domain_mass, padded[count])
 
+    def lorentz_norm(self, p: float, q: float) -> float:
+        """||f||_{L^{p,q}(mu)} in closed form per rearrangement step.
+
+        q < infty:  (sum_i v_i^q (p/q)(m_i^{q/p} - m_{i-1}^{q/p}))^{1/q};
+        q = infty:  max_i v_i m_i^{1/p}  (sup attained at right endpoints);
+        p = q = infty reduces to ||f||_infty.  p = infty with finite q is
+        rejected: t^{q/p}/t is not integrable there.  NaN p or q is
+        rejected too.
+        """
+        if not (p > 0 and q > 0):
+            raise ValueError("p and q must be positive")
+        if p == math.inf and q != math.inf:
+            raise ValueError("p = inf requires q = inf")
+        if self.values.size == 0:
+            return 0.0
+        v = self.values
+        m = self.masses
+        if q == math.inf:
+            if p == math.inf:
+                return float(v[0])
+            return float(np.max(v * m ** (1.0 / p)))
+        prev = np.concatenate([[0.0], m[:-1]])
+        pieces = v**q * (p / q) * (m ** (q / p) - prev ** (q / p))
+        return float(np.sum(pieces) ** (1.0 / q))
+
+    def weak_norm(self, p: float = 1.0) -> float:
+        """||f||_{L^{p,inf}(mu)} = sup_t t^(1/p) f*(t), exact."""
+        return self.lorentz_norm(p, math.inf)
+
+    def t_grid_sup(
+        self, t_grid: np.ndarray | None = None
+    ) -> tuple[float, tuple[float, ...]]:
+        """sup over t in t_grid of t mu({|f| > t}), and the grid it ran on;
+        the default grid is 64 geometric steps up to peak, or t = 1 when
+        peak is 0."""
+        if t_grid is None:
+            lo = max(self.peak * 1e-6, 1e-300)
+            t_grid = np.geomspace(lo, self.peak, 64) if self.peak > 0 else [1.0]
+        t = np.asarray(t_grid, dtype=float)
+        sup = float(np.max(t * self.distribution(t), initial=0.0))
+        return sup, tuple(float(x) for x in t)
+
 
 def rearrangement(f: GridFunction, mu: WeightedMeasure) -> RearrangementTable:
     """Exact decreasing rearrangement of a grid step function."""
@@ -114,53 +163,59 @@ def _level_table(
     """Level-set table of a nonnegative cell array against mu."""
     if domain != mu.domain:
         raise DomainMismatchError("function and measure on different domains")
-    a = level.ravel()
-    # stable, so tied cells add up in memory order whatever sort numpy picks
-    order = np.argsort(-a, kind="stable")
-    a = a[order]
+    # the default sort, redone stably only on a tie: the stable order, so
+    # tied cells add up in memory order
+    order, a = _descending(level.ravel())
     cum = np.cumsum(mu.density.values.ravel()[order])
     vol = mu.domain.cell_volume
     pos = np.count_nonzero(a > 0)
+    peak = float(a[0])
     a = a[:pos]
     last = np.ones(pos, dtype=bool)
     last[:-1] = a[1:] != a[:-1]
     masses = cum[:pos][last] * vol
     # cells of mu-mass zero cannot create steps
     keep = np.diff(masses, prepend=0.0) > 0
-    return RearrangementTable(a[last][keep], masses[keep], float(cum[-1]) * vol)
+    return RearrangementTable(
+        a[last][keep], masses[keep], float(cum[-1]) * vol, peak
+    )
+
+
+def _descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable argsort of -a for a flat, finite, nonnegative a, and a
+    in that order.
+
+    Distinct keys have one descending order, which numpy's default sort
+    finds several times faster than the stable merge sort; only tied keys
+    can leave memory order.  So the default sort runs first, and the
+    stable sort again only when two positive keys tie.  The zero cells
+    (0.0 and -0.0 alike) always tie and sort after every positive cell;
+    the stable order lists them in memory order, and so they are put back
+    in it directly.
+    """
+    order = np.argsort(-a)
+    keys = a[order]
+    pos = np.count_nonzero(keys > 0)
+    top = keys[:pos]
+    if np.any(top[1:] == top[:-1]):
+        order = np.argsort(-a, kind="stable")
+    elif pos < a.size:
+        order[pos:] = np.flatnonzero(a == 0)
+    # the zeros' signs in the final order
+    keys[pos:] = a[order[pos:]]
+    return order, keys
 
 
 def lorentz_norm(
     f: GridFunction, mu: WeightedMeasure, p: float, q: float
 ) -> float:
-    """||f||_{L^{p,q}(mu)} in closed form per rearrangement step.
-
-    q < infty:  (sum_i v_i^q (p/q)(m_i^{q/p} - m_{i-1}^{q/p}))^{1/q};
-    q = infty:  max_i v_i m_i^{1/p}  (sup attained at right endpoints);
-    p = q = infty reduces to ||f||_infty.  p = infty with finite q is
-    rejected: t^{q/p}/t is not integrable there.
-    """
-    if p <= 0 or q <= 0:
-        raise ValueError("p and q must be positive")
-    if p == math.inf and q != math.inf:
-        raise ValueError("p = inf requires q = inf")
-    table = rearrangement(f, mu)
-    if table.values.size == 0:
-        return 0.0
-    v = table.values
-    m = table.masses
-    if q == math.inf:
-        if p == math.inf:
-            return float(v[0])
-        return float(np.max(v * m ** (1.0 / p)))
-    prev = np.concatenate([[0.0], m[:-1]])
-    pieces = v**q * (p / q) * (m ** (q / p) - prev ** (q / p))
-    return float(np.sum(pieces) ** (1.0 / q))
+    """||f||_{L^{p,q}(mu)}; see RearrangementTable.lorentz_norm."""
+    return rearrangement(f, mu).lorentz_norm(p, q)
 
 
 def weak_norm(f: GridFunction, mu: WeightedMeasure, p: float = 1.0) -> float:
     """||f||_{L^{p,inf}(mu)} = sup_t t^(1/p) f*(t), exact."""
-    return lorentz_norm(f, mu, p, math.inf)
+    return rearrangement(f, mu).weak_norm(p)
 
 
 def t_grid_sup(
@@ -171,15 +226,11 @@ def t_grid_sup(
 
     The masses come from the level-set table of max(T, 0): {T > t} is
     {max(T, 0) > t} for t > 0, and a t <= 0 adds at most 0 to the sup.
+    For T >= 0 that table is rearrangement(T, mu), so a caller holding it
+    reads the same sup off its t_grid_sup.
     """
-    if t_grid is None:
-        tmax = float(T.values.max())
-        lo = max(tmax * 1e-6, 1e-300)
-        t_grid = np.geomspace(lo, tmax, 64) if tmax > 0 else [1.0]
-    t = np.asarray(t_grid, dtype=float)
     table = _level_table(T.domain, np.maximum(T.values, 0.0), mu)
-    sup = float(np.max(t * table.distribution(t), initial=0.0))
-    return sup, tuple(float(x) for x in t)
+    return table.t_grid_sup(t_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +254,10 @@ class InterpolationReport:
         return self.violations + self.hypothesis_violations
 
 
-def _truncations(f: GridFunction, mu: WeightedMeasure) -> np.ndarray:
-    """The distinct splits f = f_t + f^t at the rearrangement steps, as a
+def _truncations(f: GridFunction, table: RearrangementTable) -> np.ndarray:
+    """The distinct splits f = f_t + f^t at the steps of f's table, as a
     (2K, *grid) stack: f_t then f^t for each of the K steps."""
-    steps = rearrangement(f, mu).values
+    steps = table.values
     vals = f.values
     below = np.abs(vals) <= steps.reshape((-1,) + (1,) * vals.ndim)
     low = np.where(below, vals, 0.0)
@@ -249,7 +300,11 @@ def interpolation_audit(
     if not (0 < p0 < p < math.inf):
         raise ValueError("need 0 < p0 < p < inf")
     domain = mu.domain
-    blocks = [np.concatenate([f.values[None], _truncations(f, mu)]) for f in f_suite]
+    tables = [rearrangement(f, mu) for f in f_suite]
+    blocks = [
+        np.concatenate([f.values[None], _truncations(f, table)])
+        for f, table in zip(f_suite, tables)
+    ]
     f_offsets = np.cumsum([0] + [len(b) for b in blocks])[:-1]
     pool = np.concatenate(blocks) if blocks else np.zeros((0,) + domain.shape)
     # one T evaluation for the whole pool, shared by every check below
@@ -261,9 +316,14 @@ def interpolation_audit(
         )
     members = [GridFunction(domain, g) for g in pool]
     image_fns = [GridFunction(domain, Tg) for Tg in images]
+    # each f's norms come off the table its splits were cut from
+    f_tables = dict(zip(f_offsets.tolist(), tables))
+    g_tables = (
+        f_tables.get(i) or rearrangement(g, mu) for i, g in enumerate(members)
+    )
     weak_ratios = [
-        _safe_ratio(weak_norm(Tg, mu, p0), lorentz_norm(g, mu, p0, 1.0))
-        for g, Tg in zip(members, image_fns)
+        _safe_ratio(weak_norm(Tg, mu, p0), g_table.lorentz_norm(p0, 1.0))
+        for g_table, Tg in zip(g_tables, image_fns)
     ]
     sup_ratios = [
         _safe_ratio(
@@ -284,10 +344,10 @@ def interpolation_audit(
     bound = 2.0 ** (1.0 / p) * (C0 / (1.0 / p0 - 1.0 / p) + C1)
     violations = 0
     max_ratio = 0.0
-    for f, off in zip(f_suite, f_offsets):
+    for table, off in zip(tables, f_offsets):
         Tf = image_fns[off]
         lhs = lorentz_norm(Tf, mu, p, 1.0)
-        rhs = bound * lorentz_norm(f, mu, p, 1.0)
+        rhs = bound * table.lorentz_norm(p, 1.0)
         if rhs == 0.0:
             continue
         ratio = lhs / rhs

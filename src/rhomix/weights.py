@@ -22,9 +22,9 @@ value and witness bit-identical to its single-theta ap_characteristic.
 A power of w that overflows on a cell (w^(1-p') or w^s) makes the sup
 inf, witnessed by that cell; one whose running sum over the root
 overflows is refused by the sweep (SumOverflowError).  The A_infty
-epsilon form runs per side on CubeFamily too; on an ALL_CELL_ALIGNED
-family ainf_epsilon reads its exponent off one RH_infty sweep and runs
-the fit only when that bound cannot decide it.
+epsilon form runs per side on CubeFamily too; in dims 1 and 2
+ainf_epsilon reads its exponent off one RH_infty sweep and runs the fit
+only when that bound cannot decide it.
 Every growth-factor power is read from the rho's PenaltyTable for the
 family (critical.py).
 """
@@ -333,9 +333,9 @@ def ainf_epsilon(
     rho: RhoSpec,
     cubes: CubeFamily,
 ) -> float:
-    """The eps of ainf_epsilon_form(w, theta, rho, cubes), exactly.  On an
-    ALL_CELL_ALIGNED family the pack fit runs only when one RH_infty sweep
-    cannot decide eps; on a bisection tree the fit runs directly.
+    """The eps of ainf_epsilon_form(w, theta, rho, cubes), exactly.  In
+    dims 1 and 2 the pack fit runs only when one RH_infty sweep cannot
+    decide eps; in dim 3 the fit runs directly.
 
     The fit tries eps = 1 first and keeps it when every sample has
     y / x <= _C_CAP.  A sample of cube Q with m cells is a top-k or
@@ -370,20 +370,22 @@ def ainf_epsilon(
     64 N u S, and the fit runs whenever N u S is larger.  A weight the
     fit would refuse is refused the same way.
 
-    The bound is consulted on ALL_CELL_ALIGNED only.  There the fit sorts
-    every interval's cells, about n^3/6 in dim 1, against the sweep's
-    O(n^2) (61.6 against 1.1 ms at level 8, one core of a 2-core x86
-    host).  On a bisection tree the fit sorts each cell once per level,
-    and the sweep, which reads each side's tile sums straight off the
-    prefix table, costs about half to two thirds of it in dims 1 and 2
-    (dim 2: 0.30-0.33 against 0.45-0.48 ms at level 5, 1.3-1.7 against
-    2.6-3.4 ms at level 7) and about as much in dim 3 (0.58-0.74 against
-    0.56-0.77 ms at level 4; lognormal weights, same host), so there the
-    bound could save only part of one fit and the fit runs directly.
+    On ALL_CELL_ALIGNED the fit sorts every interval's cells, about
+    n^3/6 in dim 1, against the sweep's O(n^2) (61.6 against 1.1 ms at
+    level 8, one core of a 2-core x86 host).  On a bisection tree the fit
+    sorts each cell once per level, and the sweep, which reads each side's
+    tile sums straight off the prefix table, costs about half to two
+    thirds of it in dims 1 and 2 (dim 2: 0.30-0.33 against 0.45-0.48 ms at
+    level 5, 1.3-1.7 against 2.6-3.4 ms at level 7), so where the bound
+    clears the sweep saves the rest of the fit; it cleared on each dim-2
+    level-6 rdf report of seeds 1-10 (analytic rho, one weight pair).  In dim 3 the sweep costs about as much as the fit
+    (0.58-0.74 against 0.56-0.77 ms at level 4; lognormal weights, same
+    host), so there the bound could save only part of one fit and the fit
+    runs directly.
     """
     require_weight(w)
     _require_theta(theta)
-    if cubes.policy == ALL_CELL_ALIGNED and _rh_bound_clears(w, theta, rho, cubes):
+    if cubes.domain.dim <= 2 and _rh_bound_clears(w, theta, rho, cubes):
         return 1.0
     return ainf_epsilon_form(w, theta, rho, cubes).eps
 

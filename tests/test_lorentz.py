@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rhomix.lorentz
 from rhomix import (
     ALL_CELL_ALIGNED,
     Cube,
@@ -17,14 +18,20 @@ from rhomix import (
     GridFunction,
     RearrangementTable,
     RhoSpec,
+    SCZOKernel,
     WeightedMeasure,
+    default_config,
     distribution,
     integrate,
     interpolation_audit,
     lorentz_norm,
     m_rho_sigma_stack,
     make_function,
+    make_weight,
+    mixed_for_T,
+    mixed_verify_global,
     rearrangement,
+    run_experiment,
     t_grid_sup,
     weak_norm,
 )
@@ -201,6 +208,19 @@ def test_norm_parameter_validation():
         lorentz_norm(f, mu, 0.0, 1.0)
     with pytest.raises(ValueError):
         lorentz_norm(f, mu, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("p, q", [(math.nan, 1.0), (2.0, math.nan), (math.nan, math.nan)])
+def test_nan_exponents_are_rejected_regression(p, q):
+    # "p <= 0 or q <= 0" is false for NaN, and the norm came out NaN
+    f, mu = _f312()
+    with pytest.raises(ValueError, match="positive"):
+        lorentz_norm(f, mu, p, q)
+    with pytest.raises(ValueError, match="positive"):
+        rearrangement(f, mu).lorentz_norm(p, q)
+    if math.isnan(p):
+        with pytest.raises(ValueError, match="positive"):
+            weak_norm(f, mu, p)
 
 
 def test_interpolation_identity_operator():
@@ -409,3 +429,89 @@ def test_level_table_matches_masked_oracle(seed, shape, distinct, zero_share, vo
         sup, grid = t_grid_sup(T, mu, ts)
         assert grid == tuple(float(t) for t in ts)
         assert abs(sup - want) <= (absf.size - 1) * 2.0**-53 * want
+
+
+def _tied(data):
+    """Float arrays the level tables meet: all distinct or few distinct
+    values (ties), no, some, most or all cells zero, zeros of either sign,
+    down to one cell."""
+    n = data.draw(st.integers(1, 300))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    distinct = data.draw(st.sampled_from([None, 1, 2, 5]))
+    if distinct is None:
+        a = rng.exponential(1.0, n)
+    else:
+        a = rng.choice(rng.exponential(1.0, distinct), n)
+    a[rng.random(n) < data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))] = 0.0
+    a[(a == 0) & (rng.random(n) < data.draw(st.sampled_from([0.0, 0.5, 1.0])))] = -0.0
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_descending_order_is_the_stable_argsort(data):
+    """The default sort with a stable re-sort on ties gives exactly the
+    stable argsort's order, and the values in that order."""
+    a = _tied(data)
+    order, keys = rhomix.lorentz._descending(a)
+    want = np.argsort(-a, kind="stable")
+    assert np.array_equal(order, want)
+    assert np.array_equal(keys.view(np.int64), a[want].view(np.int64))
+
+
+def test_descending_order_of_distinct_values_takes_one_sort(monkeypatch):
+    """Distinct positive values and any number of zeros sort once; a tie
+    between positive values sorts again, stably."""
+    calls = []
+    argsort = np.argsort
+
+    def counting(a, *args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(rhomix.lorentz.np, "argsort", counting)
+    rhomix.lorentz._descending(np.array([3.0, 0.0, 1.0, -0.0, 2.0, 0.0]))
+    assert calls == [None]
+    calls.clear()
+    rhomix.lorentz._descending(np.array([3.0, 1.0, 3.0, 0.0]))
+    assert calls == [None, "stable"]
+
+
+@pytest.fixture
+def counted_tables(monkeypatch):
+    """Record the level array of every table lorentz builds."""
+    levels = []
+    build = rhomix.lorentz._level_table
+
+    def counting(domain, level, mu):
+        levels.append(level.tobytes())
+        return build(domain, level, mu)
+
+    monkeypatch.setattr(rhomix.lorentz, "_level_table", counting)
+    return levels
+
+
+def test_lorentz_experiment_builds_three_tables_per_instance(counted_tables):
+    """|f|, |g| and |f + g| against one mu: f's distribution reads the
+    table f* came from."""
+    config = default_config("lorentz", 1, 5, seed=3)
+    config["instances"] = 7
+    assert run_experiment(config).ok
+    assert len(counted_tables) == 3 * 7
+
+
+def test_mixed_checks_build_the_table_of_T_once(counted_tables):
+    """The exact weak norm and the t-grid sup of T read one table: T, loc
+    and glob in mixed_verify_global, T and M in mixed_for_T."""
+    rng = np.random.default_rng(79)
+    dom = Domain(1, 8.0, 6)
+    f = make_function(dom, {"kind": "spike", "count": 3}, rng)
+    u = make_weight(dom, {"kind": "smooth_random", "amp": 0.4}, rng)
+    v = make_weight(dom, {"kind": "power", "alpha": 1.5}, rng)
+    # a rho with sub- and supercritical cubes, so loc and glob differ from T
+    rho = RhoSpec.analytic(lambda pts: 1.0 / (1.0 + np.abs(pts[:, 0])))
+    mixed_verify_global(f, u, v, rho, sigma=1.0, theta=1.0)
+    assert len(counted_tables) == len(set(counted_tables)) == 3
+    counted_tables.clear()
+    mixed_for_T(f.abs(), u, v, SCZOKernel("odd_inverse"))
+    assert len(counted_tables) == len(set(counted_tables)) == 2

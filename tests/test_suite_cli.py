@@ -303,6 +303,18 @@ def test_cli_lorentz_norm_exit_zero(saved_inputs):
     assert payload["p"] == 2.0 and payload["norm"] > 0
 
 
+@pytest.mark.parametrize("p, q", [("nan", "1"), ("2", "nan")])
+def test_cli_lorentz_norm_rejects_nan_exponents_regression(saved_inputs, p, q):
+    # a NaN exponent printed the norm as NaN, not JSON, and exited 0
+    tmp_path, paths = saved_inputs
+    rc = main([
+        "lorentz", "norm", "--f", paths["f"], "--mu", paths["u"],
+        "--p", p, "--q", q, "--out", str(tmp_path / "nanout"),
+    ])
+    assert rc == 2
+    assert not (tmp_path / "nanout").exists()
+
+
 def test_cli_weights_char_theta_ladder(saved_inputs):
     tmp_path, paths = saved_inputs
     rc = main([

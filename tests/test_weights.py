@@ -432,8 +432,8 @@ def test_epsilon_form_matches_per_cube_reference(data):
     form = ainf_epsilon_form(w, theta, rho, fam)
     assert form == ainf_epsilon_form_ref(w, theta, rho, fam)
     assert ainf_epsilon(w, theta, rho, fam) == form.eps
-    # the bound is sound on every family, bisection trees included, where
-    # ainf_epsilon does not consult it
+    # the bound is sound on every family, dim-3 bisection trees included,
+    # where ainf_epsilon does not consult it
     if rhomix.weights._rh_bound_clears(w, theta, rho, fam):
         assert form.eps == 1.0
 
@@ -454,8 +454,9 @@ def test_ainf_epsilon_runs_the_fit_exactly_when_the_bound_misses_the_cap():
     16 a / (a + 15), 8 at a = 15, and the fit's top-1 sample of the box
     reads the same ratio: the floats a just under, at and just over the
     shortcut's edge _C_CAP / (1 + margin) give the fit's eps either way,
-    the fit running only over the edge.  A taller spike gives eps < 1.  On
-    the bisection tree the fit runs even where the bound clears."""
+    the fit running only over the edge.  A taller spike gives eps < 1.  The
+    dim-1 bisection tree takes the bound too; a dim-3 tree runs the fit
+    even where the bound clears."""
     dom = Domain(1, 8.0, 4)
     fam = CubeFamily(dom, ALL_CELL_ALIGNED)
     # bisect the float bit patterns for adjacent a_at < a_over with the
@@ -487,6 +488,12 @@ def test_ainf_epsilon_runs_the_fit_exactly_when_the_bound_misses_the_cap():
     assert _clears(_spike(dom, a_at), tree)
     with counted_fits() as calls:
         assert ainf_epsilon(_spike(dom, a_at), 0.0, CL, tree) == 1.0
+    assert calls[0] == 0
+    cube = Domain(3, 8.0, 2)
+    tree3 = CubeFamily(cube, DYADIC_GRID_OF)
+    assert _clears(_spike(cube, 2.0), tree3)
+    with counted_fits() as calls:
+        assert ainf_epsilon(_spike(cube, 2.0), 0.0, CL, tree3) == 1.0
     assert calls[0] == 1
     # sum w / min w past 2^-20 / (N u) leaves no margin: the fit runs
     # although the bound (2, from the pair of cells holding the dip) clears
@@ -496,6 +503,29 @@ def test_ainf_epsilon_runs_the_fit_exactly_when_the_bound_misses_the_cap():
     with counted_fits() as calls:
         assert ainf_epsilon(dip, 0.0, CL, fam) == 1.0
     assert calls[0] == 1
+
+
+def test_ainf_epsilon_on_a_dim2_tree_takes_the_bound_or_the_fit():
+    """On a dim-2 bisection tree ainf_epsilon reads eps = 1 off the RH_infty
+    bound where it clears, with no fit, and runs the fit where it misses;
+    either way it equals the fit's eps."""
+    dom = Domain(2, 8.0, 4)
+    tree = CubeFamily(dom, DYADIC_GRID_OF)
+    for a, fits in ((2.0, 0), (1e4, 1)):
+        w = _spike(dom, a)
+        assert _clears(w, tree) == (fits == 0)
+        with counted_fits() as calls:
+            eps = ainf_epsilon(w, 0.0, CL, tree)
+        assert calls[0] == fits, a
+        assert eps == ainf_epsilon_form(w, 0.0, CL, tree).eps, a
+    assert eps < 1.0
+    rho = RhoSpec.analytic(lambda pts: 1.0 / (1.0 + np.linalg.norm(pts, axis=1)))
+    w = GridFunction(dom, np.exp(np.random.default_rng(5).normal(0, 0.3, dom.shape)))
+    assert rhomix.weights._rh_bound_clears(w, 1.0, rho, tree)
+    with counted_fits() as calls:
+        assert ainf_epsilon(w, 1.0, rho, tree) == 1.0
+    assert calls[0] == 0
+    assert ainf_epsilon_form(w, 1.0, rho, tree).eps == 1.0
 
 
 def test_running_sum_overflow_is_refused_without_warnings():
