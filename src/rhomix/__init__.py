@@ -127,6 +127,7 @@ from .weights import (
     ainf_epsilon_form,
     ap_characteristic,
     ap_ladder,
+    characteristics,
     factor_build,
     rh_characteristic,
 )

@@ -60,7 +60,7 @@ class RhoSpec:
     kind: "constant" | "classical" | "analytic" | "shen".
     CLASSICAL means the growth factor is identically 1; eval_rho returns the
     sentinel math.inf, which consumers must never divide by (they multiply
-    by factor 1 instead, see growth_factor).
+    by factor 1 instead, see PenaltyTable.power).
     """
 
     kind: str

@@ -48,7 +48,7 @@ from .suite import (
     rho_from_json,
     standard_suite_spec,
 )
-from .weights import RH_LADDER, THETA_LADDER, ap_ladder, rh_characteristic
+from .weights import RH_LADDER, THETA_LADDER, characteristics
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -236,21 +236,17 @@ def _exp_weights_char(config):
     fam = default_family(bundle.domain)
     measured, passes, tables = {}, {}, []
     worst = 0.0
+    rungs = [("ap", 2.0, t) for t in THETA_LADDER] + [("rh", s, 0.0) for s in RH_LADDER]
     for i, pair in enumerate(bundle.pairs):
         for name, w in (("u", pair.u), ("v", pair.v)):
-            ladder = ap_ladder(w, 2.0, THETA_LADDER, bundle.rho, fam)
-            for theta, c in zip(THETA_LADDER, ladder):
-                tables.append({
-                    "pair": i, "label": pair.label, "weight": name,
-                    "theta": theta, "p": 2.0, "ap": c.value,
-                })
-                worst = max(worst, c.value)
-            for s in RH_LADDER:
-                c = rh_characteristic(w, s, 0.0, bundle.rho, fam)
-                tables.append({
-                    "pair": i, "label": pair.label, "weight": name,
-                    "theta": 0.0, "s": s, "rh": c.value,
-                })
+            for (kind, _, _), c in zip(rungs, characteristics(w, rungs, bundle.rho, fam)):
+                row = {"pair": i, "label": pair.label, "weight": name, "theta": c.theta}
+                if kind == "ap":
+                    row.update(p=c.p, ap=c.value)
+                    worst = max(worst, c.value)
+                else:
+                    row.update(s=c.p, rh=c.value)
+                tables.append(row)
     measured["max_ap_char"] = worst
     measured["retries"] = bundle.retries_total
     passes["all_finite"] = math.isfinite(worst)

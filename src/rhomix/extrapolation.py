@@ -28,7 +28,9 @@ from .critical import RhoSpec, rho_values
 from .grid import CubeFamily, Domain, GridFunction, integrate, require_weight
 from .lorentz import WeightedMeasure, lorentz_norm, rearrangement, weak_norm
 from .maximal import default_family, m_rho_sigma, m_rho_sigma_stack
-from .weights import THETA_LADDER, ainf_epsilon, ap_characteristic, ap_ladder
+from .weights import (
+    THETA_LADDER, ainf_epsilon, ap_characteristic, ap_ladder, characteristics,
+)
 
 __all__ = [
     "CoifmanReport",
@@ -143,10 +145,11 @@ def estimate_K0(
     """Measured Lorentz operator norm of S on L^(q,1)(uv), with safety 1.5.
 
     p0 = 1 + 2(t - 1)/eps comes from v's measured ladder: t is the smallest
-    dual exponent whose characteristic has stabilized, eps v's A_infty
-    flatness exponent at the ladder's theta, from weights.ainf_epsilon (on
-    ALL_CELL_ALIGNED one RH_infty sweep, the pack fit only when that bound
-    cannot decide it; on a bisection tree the fit).
+    dual exponent of T_LADDER whose characteristic has stabilized (every
+    rung read off one sweep of v), eps v's A_infty flatness exponent at the
+    ladder's theta, from weights.ainf_epsilon (in dims 1 and 2 one RH_infty
+    sweep, the pack fit only when that bound cannot decide it; in dim 3
+    the fit).
     q defaults to 2 p0 and must not fall below it.
     The tail_bound certificate is the worst geometric tail over the suite.
     """
@@ -154,9 +157,8 @@ def estimate_K0(
         raise ValueError("empty suite")
     fam = cubes if cubes is not None else default_family(u.domain)
     theta = ladder_exponent(v, rho, fam)
-    t = _first_stable(
-        T_LADDER, [ap_characteristic(v, tt, theta, rho, fam).value for tt in T_LADDER]
-    )
+    rungs = [("ap", tt, theta) for tt in T_LADDER]
+    t = _first_stable(T_LADDER, [c.value for c in characteristics(v, rungs, rho, fam)])
     eps = ainf_epsilon(v, theta, rho, fam)
     p0 = 1.0 + 2.0 * (t - 1.0) / eps
     if q is None:

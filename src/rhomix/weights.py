@@ -7,22 +7,27 @@ theta and theta = 0 (or a CLASSICAL rho) recovers the classical classes.
 
 Characteristics are exact suprema over the requested cube family, in any
 dim the family supports (every interval in dim 1; the bisection tree of
-the box or of a smaller root in dims 1-3).  CubeFamily.sweep reads every
-cube average from a prefix-sum table in O(1) and CubeFamily.cube_extreme
-supplies the cube minima and maxima, so a full dim-1 sweep over all
-n(n+1)/2 intervals costs O(n^2).  The sweep hands over blocks of sides
-(on intervals, as many as fit grid.BLOCK_ELEMENTS, so every temporary of
-a block stays under 256 KB); the sup takes one argmax per block and
-theta, blocks largest sides first and each flat in (side, anchor) order,
+the box or of a smaller root in dims 1-3).  One engine, characteristics,
+serves them all: a rung is (kind, exponent, theta), A_p at p or RH at s,
+and one call reads any mix of rungs off one sweep of the family.
+CubeFamily.sweep reads every cube average from a prefix-sum table in O(1)
+and CubeFamily.cube_extreme supplies the cube minima and maxima, so a full
+dim-1 sweep over all n(n+1)/2 intervals costs O(n^2).  The sweep averages
+w and each power of w the rungs need once (log w, w^(1-p') per p, w^s per
+s), and hands over blocks of sides (on intervals, as many as fit
+grid.BLOCK_ELEMENTS, so every temporary of a block stays under 256 KB).
+Per block, each distinct (kind, exponent) computes its raw ratio once into
+new memory, and each theta takes one penalty divide and one argmax;
+blocks come largest sides first and each is flat in (side, anchor) order,
 and a tie in a later block takes the witness, so the witness is the first
 cube in (side, anchor) order that attains the sup, however the sides are
-blocked.  Neither the averages nor the minima depend on theta, so
-ap_ladder reads a whole ladder of growth exponents off one sweep, each
-value and witness bit-identical to its single-theta ap_characteristic.
-A power of w that overflows on a cell (w^(1-p') or w^s) makes the sup
-inf, witnessed by that cell; one whose running sum over the root
-overflows is refused by the sweep (SumOverflowError).  The A_infty
-epsilon form runs per side on CubeFamily too; in dims 1 and 2
+blocked.  So every value and witness is bit-identical to its one-rung
+call; ap_characteristic, ap_ladder and rh_characteristic are such calls.
+A power of w that overflows on a cell (w^(1-p') or w^s) stays out of the
+sweep and makes the sups of the rungs that read it inf, witnessed by that
+cell; the other rungs keep their values.  A power whose running sum over
+the root overflows is refused by the sweep (SumOverflowError).  The
+A_infty epsilon form runs per side on CubeFamily too; in dims 1 and 2
 ainf_epsilon reads its exponent off one RH_infty sweep and runs the fit
 only when that bound cannot decide it.
 Every growth-factor power is read from the rho's PenaltyTable for the
@@ -52,6 +57,7 @@ __all__ = [
     "ainf_epsilon_form",
     "ap_characteristic",
     "ap_ladder",
+    "characteristics",
     "factor_build",
     "rh_characteristic",
 ]
@@ -80,11 +86,34 @@ def _require_theta(theta: float) -> None:
         raise ValueError(f"theta must be finite, got {theta}")
 
 
-def _first_unbounded(cubes: CubeFamily, values: tuple):
-    """The first cell of the root, in anchor order, where some input is not
-    finite (a power of w that overflowed), as a side-1 cube; else None."""
-    region = cubes.root.slices()
-    bad = ~np.all([np.isfinite(v[region]) for v in values], axis=0)
+def _require_rung(kind: str, x: float, theta: float) -> None:
+    if kind == "ap":
+        if not (x == math.inf or x >= 1):
+            raise ValueError(f"p must be in [1, inf], got {x}")
+    elif kind == "rh":
+        if not (x == math.inf or x > 1):
+            raise ValueError(f"s must be > 1 or inf, got {x}")
+    else:
+        raise ValueError(f"rung kind must be 'ap' or 'rh', got {kind!r}")
+    _require_theta(theta)
+
+
+def _power(vals: np.ndarray, kind: str, x: float):
+    """The power of w that rungs (kind, x) average besides w, or None."""
+    if kind == "ap" and x == math.inf:
+        return np.log(vals)
+    with np.errstate(over="ignore"):
+        if kind == "ap" and x != 1:
+            return vals ** (1.0 - x / (x - 1.0))
+        if kind == "rh" and x != math.inf:
+            return vals**x
+    return None
+
+
+def _first_unbounded(cubes: CubeFamily, power: np.ndarray):
+    """The first cell of the root, in anchor order, where power is not
+    finite (it overflowed), as a side-1 cube; else None."""
+    bad = ~np.isfinite(power[cubes.root.slices()])
     if not bad.any():
         return None
     cell = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -92,48 +121,80 @@ def _first_unbounded(cubes: CubeFamily, values: tuple):
     return Cube(cubes.domain, anchor, 1)
 
 
-def _sup(
-    cubes: CubeFamily, rho: RhoSpec, thetas: tuple, values: tuple, score
-) -> list[tuple[float, Cube]]:
-    """Per theta, the sup over the family of score(avgs, sides) / factor^theta
-    and its witness, all from one sweep.
+def _raw(kind, x, avg, avg_power, cubes: CubeFamily, vals, sides) -> np.ndarray:
+    """Per cube of a sweep block, the ratio of rungs (kind, x) before the
+    growth factor, in new memory; avg and avg_power are the block's
+    averages of w and of its power, and stay as they are."""
+    if kind == "ap":
+        if x == math.inf:  # means of logs, never products
+            return avg * np.exp(-avg_power)
+        if x == 1:
+            return avg / cubes.cube_extreme(vals, sides, "min")
+        return np.power(avg, 1.0 / x) * np.power(avg_power, 1.0 / (x / (x - 1.0)))
+    if x == math.inf:
+        return cubes.cube_extreme(vals, sides, "max") / avg
+    return np.power(avg_power, 1.0 / x) / avg
 
-    score receives the cube averages of each array in values for one sweep
-    block and returns the raw ratio per cube, and may reuse the averages'
-    memory.  An input that is not finite on some cell of the root (w^s or
-    w^(1-p') overflowed) makes the sup inf, and the witness is the first
-    such cell: its single-cell cube comes first in (side, anchor) order
-    among the cubes whose ratio is inf.
+
+def characteristics(
+    w: GridFunction,
+    rungs,
+    rho: RhoSpec,
+    cubes: CubeFamily,
+) -> tuple[WeightCharacteristic, ...]:
+    """Per rung (kind, exponent, theta), in order, the sup over the family
+    of the rung's ratio / factor^theta and its witness, all from one sweep
+    (see the module docstring).
+
+    kind "ap" is ap_characteristic at p = exponent in [1, inf]; kind "rh"
+    is rh_characteristic at s = exponent in (1, inf].  A power of w that is
+    not finite on some cell of the root makes the rungs that read it inf,
+    witnessed by the first such cell: its single-cell cube comes first in
+    (side, anchor) order among the cubes whose ratio is inf.
     """
-    unbounded = _first_unbounded(cubes, values)
-    if unbounded is not None:
-        return [(math.inf, unbounded)] * len(thetas)
+    require_weight(w)
+    thetas: dict = {}  # (kind, exponent) -> its distinct thetas, in order
+    for kind, x, theta in rungs:
+        _require_rung(kind, x, theta)
+        thetas.setdefault((kind, x), {})[theta] = None
+    vals = w.values
+    inputs = [vals]
+    slots = {}  # (kind, exponent) -> the index of its power's averages
+    sups = {}  # (kind, exponent, theta) -> (value, witness)
+    for key in thetas:
+        power = _power(vals, *key)
+        unbounded = None if power is None else _first_unbounded(cubes, power)
+        if unbounded is not None:
+            sups.update({key + (t,): (math.inf, unbounded) for t in thetas[key]})
+        elif power is None:
+            slots[key] = 0
+        else:
+            slots[key] = len(inputs)
+            inputs.append(power)
+    sups.update({key + (t,): (-math.inf, None) for key in slots for t in thetas[key]})
     table = rho.penalty_table(cubes)
-    best = [-math.inf] * len(thetas)
-    witness: list[Cube | None] = [None] * len(thetas)
-    for sides, anchors, avgs in cubes.sweep(*values):
-        raw = score(avgs, sides)
-        if len(sides) > 1:  # a one-side block has no padding
-            np.copyto(raw, -np.inf, where=cubes.padding(sides, raw.shape[-1]))
-        ratio_buf = np.empty_like(raw)
-        for t, theta in enumerate(thetas):
-            penalty = table.power(sides, theta)
-            if np.isscalar(penalty):  # 1.0: raw / 1.0 is raw
-                ratio = raw
-            else:
-                ratio = np.divide(raw, penalty, out=ratio_buf)
-            i = int(np.argmax(ratio))
-            # blocks come largest sides first and each is flat in (side,
-            # anchor) order: >= lets a tie in a later block take over, so the
-            # witness is the first cube in (side, anchor) order that attains
-            # the sup
-            if ratio.flat[i] >= best[t]:
-                j, a = divmod(i, ratio.shape[-1])
-                best[t] = float(ratio.flat[i])
-                witness[t] = Cube(
-                    cubes.domain, tuple(int(x) for x in anchors[a]), int(sides[j])
-                )
-    return list(zip(best, witness))
+    for sides, anchors, avgs in cubes.sweep(*inputs) if slots else ():
+        for key, slot in slots.items():
+            raw = _raw(*key, avgs[0], avgs[slot], cubes, vals, sides)
+            if len(sides) > 1:  # a one-side block has no padding
+                np.copyto(raw, -np.inf, where=cubes.padding(sides, raw.shape[-1]))
+            for theta in thetas[key]:
+                penalty = table.power(sides, theta)
+                # 1.0: raw / 1.0 is raw
+                ratio = raw if np.isscalar(penalty) else raw / penalty
+                i = int(np.argmax(ratio))
+                # blocks come largest sides first and each is flat in (side,
+                # anchor) order: >= lets a tie in a later block take over, so
+                # the witness is the first cube in (side, anchor) order that
+                # attains the sup
+                if ratio.flat[i] >= sups[key + (theta,)][0]:
+                    j, a = divmod(i, ratio.shape[-1])
+                    anchor = tuple(int(v) for v in anchors[a])
+                    witness = Cube(cubes.domain, anchor, int(sides[j]))
+                    sups[key + (theta,)] = (float(ratio.flat[i]), witness)
+    return tuple(
+        WeightCharacteristic(*sups[kind, x, theta], x, theta) for kind, x, theta in rungs
+    )
 
 
 def ap_characteristic(
@@ -149,9 +210,9 @@ def ap_characteristic(
     p = 1:         sup_Q avg(w) / (factor^theta * min_Q w).
     p = inf:       sup_Q avg(w) * exp(avg(log(1/w))) / factor^theta
                    (the geometric-mean form; means of logs, never products).
-    The one-theta call of ap_ladder.
+    The one-rung call of characteristics.
     """
-    return ap_ladder(w, p, (theta,), rho, cubes)[0]
+    return characteristics(w, (("ap", p, theta),), rho, cubes)[0]
 
 
 def ap_ladder(
@@ -163,41 +224,7 @@ def ap_ladder(
 ) -> tuple[WeightCharacteristic, ...]:
     """ap_characteristic at every growth exponent of thetas, in order, from
     one sweep of the family."""
-    require_weight(w)
-    if not (p == math.inf or p >= 1):
-        raise ValueError(f"p must be in [1, inf], got {p}")
-    for theta in thetas:
-        _require_theta(theta)
-    vals = w.values
-
-    if p == math.inf:
-        def score(avgs, _sides):
-            np.negative(avgs[1], out=avgs[1])
-            np.exp(avgs[1], out=avgs[1])
-            return np.multiply(avgs[0], avgs[1], out=avgs[0])
-
-        sups = _sup(cubes, rho, thetas, (vals, np.log(vals)), score)
-    elif p == 1:
-        def score(avgs, sides):
-            low = cubes.cube_extreme(vals, sides, "min")
-            return np.divide(avgs[0], low, out=avgs[0])
-
-        sups = _sup(cubes, rho, thetas, (vals,), score)
-    else:
-        pprime = p / (p - 1.0)
-
-        def score(avgs, _sides):
-            np.power(avgs[0], 1.0 / p, out=avgs[0])
-            np.power(avgs[1], 1.0 / pprime, out=avgs[1])
-            return np.multiply(avgs[0], avgs[1], out=avgs[0])
-
-        with np.errstate(over="ignore"):
-            powered = vals ** (1.0 - pprime)
-        sups = _sup(cubes, rho, thetas, (vals, powered), score)
-    return tuple(
-        WeightCharacteristic(value, witness, p, theta)
-        for theta, (value, witness) in zip(thetas, sups)
-    )
+    return characteristics(w, tuple(("ap", p, t) for t in thetas), rho, cubes)
 
 
 def rh_characteristic(
@@ -208,28 +235,9 @@ def rh_characteristic(
     cubes: CubeFamily,
 ) -> WeightCharacteristic:
     """Reverse-Holder characteristic sup_Q avg(w^s)^(1/s) / (factor^theta avg w);
-    s = inf uses max_Q w in the numerator."""
-    require_weight(w)
-    if not (s == math.inf or s > 1):
-        raise ValueError(f"s must be > 1 or inf, got {s}")
-    _require_theta(theta)
-    vals = w.values
-
-    if s == math.inf:
-        def score(avgs, sides):
-            top = cubes.cube_extreme(vals, sides, "max")
-            return np.divide(top, avgs[0], out=top)
-
-        [(value, witness)] = _sup(cubes, rho, (theta,), (vals,), score)
-    else:
-        def score(avgs, _sides):
-            np.power(avgs[1], 1.0 / s, out=avgs[1])
-            return np.divide(avgs[1], avgs[0], out=avgs[1])
-
-        with np.errstate(over="ignore"):
-            powered = vals**s
-        [(value, witness)] = _sup(cubes, rho, (theta,), (vals, powered), score)
-    return WeightCharacteristic(value, witness, s, theta)
+    s = inf uses max_Q w in the numerator.  The one-rung call of
+    characteristics."""
+    return characteristics(w, (("rh", s, theta),), rho, cubes)[0]
 
 
 # ---------------------------------------------------------------------------

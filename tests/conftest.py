@@ -44,6 +44,22 @@ def counted_fits():
         yield calls
 
 
+@contextlib.contextmanager
+def counted_sweeps():
+    """Record the inputs of every CubeFamily.sweep call; yields the list of
+    their input tuples, one per call."""
+    calls = []
+    sweep = rhomix.grid.CubeFamily.sweep
+
+    def counting(self, *values):
+        calls.append(values)
+        return sweep(self, *values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rhomix.grid.CubeFamily, "sweep", counting)
+        yield calls
+
+
 def cubes_of(domain, fam):
     """Materialize a family as a list of Cubes on a known domain."""
     out = []

@@ -35,10 +35,10 @@ from rhomix import (
     standard_suite_spec,
 )
 from rhomix.experiments import default_config
-from rhomix.extrapolation import _sczo_dense
+from rhomix.extrapolation import T_LADDER, _sczo_dense
 from rhomix.suite import generate_suite
 
-from conftest import counted_fits
+from conftest import counted_fits, counted_sweeps
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -118,6 +118,19 @@ def test_estimate_k0_takes_eps_from_the_rh_bound_without_the_fit():
     assert calls[0] == 0
     theta = ladder_exponent(pair.v, bundle.rho, fam)
     assert state.eps == ainf_epsilon_form(pair.v, theta, bundle.rho, fam).eps == 1.0
+
+
+def test_estimate_k0_sweeps_v_once_for_the_dual_ladder():
+    """estimate_K0 sweeps v three times: ladder_exponent's A_1 theta
+    ladder (w alone), every T_LADDER rung at once (w and its five
+    w^(1-p')), and ainf_epsilon's RH_infty bound (w alone).  The dual
+    ladder took one sweep per p, five in all."""
+    dom, u, v, suite = _setup(level=6)
+    rho = RhoSpec.constant(0.5)
+    with counted_sweeps() as calls:
+        estimate_K0(u, v, rho, 0.0, None, suite, depth=2)
+    of_v = [len(values) for values in calls if values[0] is v.values]
+    assert of_v == [1, 1 + len(T_LADDER), 1]
 
 
 def test_estimate_k0_rejects_low_q_and_bad_suites():

@@ -28,9 +28,13 @@ from rhomix import (
     default_config,
     UsageError,
 )
+import rhomix.experiments
 import rhomix.extrapolation
 from rhomix.cli import _build_parser, main
 from rhomix.suite import ANALYTIC_RHO, _tame, _validated_weight, rho_to_json
+from rhomix.weights import RH_LADDER, THETA_LADDER
+
+from conftest import counted_sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +209,20 @@ def test_experiments_pass_and_rerun_identically():
         rep2 = run_experiment(cfg)
         assert rep1.ok, (cfg["kind"], rep1.passes)
         assert rep1.canonical_json() == rep2.canonical_json()
+
+
+def test_weights_char_sweeps_each_weight_once(monkeypatch):
+    """weights-char reads every A_2 theta rung and RH rung of a weight off
+    one sweep; it took four (the theta ladder, then one per s)."""
+    cfg = default_config("weights-char", dim=1, level=6, seed=7)
+    bundle = rhomix.experiments._suite(cfg)
+    monkeypatch.setattr(rhomix.experiments, "_suite", lambda _config: bundle)
+    with counted_sweeps() as calls:
+        rep = run_experiment(cfg)
+    weights = [w.values for pair in bundle.pairs for w in (pair.u, pair.v)]
+    assert len(calls) == len(weights)
+    assert all(values[0] is w for values, w in zip(calls, weights))
+    assert len(rep.tables) == len(weights) * (len(THETA_LADDER) + len(RH_LADDER))
 
 
 def test_corona_run_dim2_regression():

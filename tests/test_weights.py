@@ -18,10 +18,12 @@ from rhomix import (
     GridFunction,
     InvalidWeightError,
     RhoSpec,
+    SumOverflowError,
     ainf_epsilon,
     ainf_epsilon_form,
     ap_characteristic,
     ap_ladder,
+    characteristics,
     factor_build,
     growth_factor,
     rh_characteristic,
@@ -260,6 +262,97 @@ def test_theta_ladder_equals_single_thetas(data):
         assert (c.value, c.witness) == (one.value, one.witness)
     want = brute_ap(w, p, fam, dom, thetas, rho)
     assert [c.value for c in ladder] == pytest.approx(want, rel=1e-10)
+
+
+_RUNGS = (
+    [("ap", p, t) for p in (1.0, 1.25, 2.0, 8.0, math.inf) for t in rhomix.weights.THETA_LADDER]
+    + [("rh", s, t) for s in (2.0, 8.0, math.inf) for t in rhomix.weights.THETA_LADDER]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_characteristics_equal_one_rung_calls(data):
+    """One sweep of characteristics gives, per rung and in order, the value
+    and witness of the one-rung call bit for bit, for any mix of A_p and RH
+    rungs, on both families, rooted and not, with sweep blocks of one side
+    and of several.  A weight scaled by 1e39 overflows w^8 (w^s at s = 8)
+    on most cells: only the s = 8 rungs read inf, witnessed by the first
+    such cell of the root in anchor order.  (The scale is uniform: one huge
+    cell among ones would cancel the other powers' prefix sums.)"""
+    dom1 = Domain(1, 4.0, 4)
+    families = [
+        _fam(dom1),
+        CubeFamily(dom1, ALL_CELL_ALIGNED, Cube(dom1, (3,), 11)),
+        CubeFamily(dom1, DYADIC_GRID_OF),
+    ] + _more_families()
+    fam = data.draw(st.sampled_from(families))
+    dom = fam.domain
+    rungs = data.draw(st.lists(st.sampled_from(_RUNGS), min_size=1, max_size=8))
+    rho = data.draw(st.sampled_from([RhoSpec.constant(0.5), CL]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.sampled_from([1.0, 1e39]))
+    w = GridFunction(dom, scale * np.exp(rng.normal(0, 0.8, dom.shape)))
+    with block_budget(data.draw(st.sampled_from(BLOCK_BUDGETS))):
+        got = characteristics(w, rungs, rho, fam)
+    assert [(c.p, c.theta) for c in got] == [(x, t) for _, x, t in rungs]
+    with np.errstate(over="ignore"):
+        bad = np.argwhere(~np.isfinite(w.values[fam.root.slices()] ** 8.0))
+    first = None
+    if len(bad):
+        first = Cube(dom, tuple(int(a + c) for a, c in zip(fam.root.anchor, bad[0])), 1)
+    for (kind, x, theta), c in zip(rungs, got):
+        one_rung = ap_characteristic if kind == "ap" else rh_characteristic
+        one = one_rung(w, x, theta, rho, fam)
+        assert (c.value, c.witness) == (one.value, one.witness), (kind, x, theta)
+        if (kind, x) == ("rh", 8.0) and first is not None:
+            assert (c.value, c.witness) == (math.inf, first)
+        else:
+            assert math.isfinite(c.value)
+
+
+def test_an_overflowed_power_leaves_the_other_rungs_alone():
+    """w^8 overflows on one cell: the s = 8 rungs read inf at that cell,
+    the rungs that read other powers of the same call keep the values of
+    their one-rung calls, and a power whose running sum overflows is still
+    refused for the whole call."""
+    dom = Domain(1, 8.0, 4)
+    vals = np.full(dom.shape, 1e38)
+    vals[9] = 1e40
+    w = GridFunction(dom, vals)
+    fam = CubeFamily(dom, ALL_CELL_ALIGNED)
+    rho = RhoSpec.constant(0.5)
+    rungs = [("rh", 8.0, 0.0), ("ap", 2.0, 1.0), ("rh", 2.0, 0.0), ("rh", 8.0, 2.0),
+             ("ap", 1.0, 0.0), ("rh", math.inf, 0.0)]
+    got = characteristics(w, rungs, rho, fam)
+    for (kind, x, theta), c in zip(rungs, got):
+        if (kind, x) == ("rh", 8.0):
+            assert (c.value, c.witness) == (math.inf, Cube(dom, (9,), 1))
+        else:
+            one_rung = ap_characteristic if kind == "ap" else rh_characteristic
+            one = one_rung(w, x, theta, rho, fam)
+            assert math.isfinite(c.value)
+            assert (c.value, c.witness) == (one.value, one.witness)
+    low = np.ones(dom.shape)
+    low[2:8] = 10**-3.075  # w^(1-p') at p = 1.01 sums past the float range
+    with pytest.raises(SumOverflowError):
+        characteristics(GridFunction(dom, low), [("rh", 2.0, 0.0), ("ap", 1.01, 0.0)], rho, fam)
+
+
+def test_rungs_are_validated():
+    dom = Domain(1, 4.0, 3)
+    w = GridFunction.constant(dom, 1.0)
+    fam = _fam(dom)
+    for rung, match in [
+        (("ap", 0.5, 0.0), "p must be in"),
+        (("rh", 1.0, 0.0), "s must be > 1"),
+        (("rh", math.nan, 0.0), "s must be > 1"),
+        (("bogus", 2.0, 0.0), "rung kind"),
+        (("ap", 2.0, math.nan), "theta must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            characteristics(w, [("ap", 2.0, 0.0), rung], CL, fam)
+    assert characteristics(w, [], CL, fam) == ()
 
 
 def test_theta_inert_for_classical_rho():
