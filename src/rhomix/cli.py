@@ -153,8 +153,17 @@ def _corona_inputs(args):
     if args.R == "auto":
         R = Cube.box(f.domain)
     else:
-        anchor_s = json.loads(args.R)
-        R = Cube(f.domain, tuple(int(a) for a in anchor_s[:-1]), int(anchor_s[-1]))
+        spec = json.loads(args.R)
+        count = f.domain.dim + 1
+        if not (
+            isinstance(spec, list) and len(spec) == count
+            and all(type(a) is int for a in spec)
+        ):
+            raise UsageError(
+                f'--R must be "auto" or a JSON list of {count} integers '
+                f"[anchor..., side_cells], got {args.R}"
+            )
+        R = Cube(f.domain, tuple(spec[:-1]), spec[-1])
     a = None if args.a == "auto" else float(args.a)
     return f, u, v, R, a
 

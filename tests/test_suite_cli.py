@@ -381,6 +381,31 @@ def test_cli_corona_run_rejects_non_finite_base(saved_inputs):
     assert rc == 2
 
 
+@pytest.mark.parametrize("R", ["5", "[1.5, 4]", "[0]", "[0, 4, 4]", "[true, 4]", '"[0, 4]"'])
+def test_cli_corona_run_rejects_a_malformed_cube_regression(saved_inputs, R, capsys):
+    # --R 5 died with a TypeError traceback and exit 1 (a failed
+    # invariant); --R '[1.5, 4]' anchored the cube at cell 1
+    tmp_path, paths = saved_inputs
+    rc = main([
+        "corona", "run", "--f", paths["f"], "--u", paths["u"],
+        "--v", paths["v"], "--R", R, "--out", str(tmp_path / "Rout"),
+    ])
+    assert rc == 2
+    assert "JSON list of 2 integers" in capsys.readouterr().err
+    assert not (tmp_path / "Rout").exists()
+
+
+def test_cli_corona_run_takes_an_integer_cube(saved_inputs):
+    tmp_path, paths = saved_inputs
+    out = tmp_path / "Rok"
+    rc = main([
+        "corona", "run", "--f", paths["f"], "--u", paths["u"],
+        "--v", paths["v"], "--R", "[16, 32]", "--out", str(out),
+    ])
+    assert rc in (0, 1)
+    assert json.loads((out / "corona-run.json").read_text())["a"] > 1
+
+
 def test_cli_corona_dump_forest(saved_inputs):
     tmp_path, paths = saved_inputs
     out = tmp_path / "forestout"
