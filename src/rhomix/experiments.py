@@ -73,12 +73,12 @@ def _plain(x):
         return [_plain(v) for v in x]
     if isinstance(x, np.ndarray):
         return [_plain(v) for v in x.tolist()]
+    if isinstance(x, (np.bool_, bool)):  # first: bool is an int subclass
+        return bool(x)
     if isinstance(x, (np.floating, float)):
         return float(x)
     if isinstance(x, (np.integer, int)):
         return int(x)
-    if isinstance(x, (np.bool_, bool)):
-        return bool(x)
     return x
 
 

@@ -265,6 +265,16 @@ def test_canonical_json_excludes_wall_clock():
     }
 
 
+def test_every_pass_flag_is_a_json_boolean():
+    # Python bools were written as 1 and 0 (bool is an int subclass and
+    # the int test came first), so rdf read "sandwich": 1
+    for kind in sorted(rhomix.experiments.EXPERIMENT_KINDS):
+        payload = json.loads(run_experiment(_small(kind, level=4)).canonical_json())
+        assert payload["passes"], kind
+        for name, flag in payload["passes"].items():
+            assert isinstance(flag, bool), (kind, name, flag)
+
+
 def test_write_report_files(tmp_path):
     rep = run_experiment(_small("maximal-eval", level=5))
     written = write_report(rep, str(tmp_path))
