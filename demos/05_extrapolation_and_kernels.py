@@ -35,7 +35,7 @@ def majorant():
     fs = [make_function(dom, {"kind": k}, rng).abs()
           for k in ("random", "spike", "indicator")]
 
-    state = estimate_K0(u, v, rho, 0.0, None, fs)
+    state = estimate_K0(u, v, rho, 0.0, fs)
     print("K0 =", round(state.K0, 4), " backing exponents p0 =",
           round(state.p0, 3), "q =", round(state.q, 3),
           " tail bound =", "%.2e" % state.tail_bound)

@@ -43,7 +43,7 @@ from .grid import (
     save_grid_function,
 )
 from .lorentz import WeightedMeasure, lorentz_norm
-from .maximal import default_family, m_rho_sigma
+from .maximal import m_rho_sigma
 from .suite import domain_from_json, rho_from_json
 from .weights import ap_ladder
 
@@ -232,17 +232,14 @@ def _cmd_extrap_rdf(args) -> int:
     h = load_grid_function(args.h)
     u = load_grid_function(args.u)
     rho = rho_from_json(_load_json_arg(args.rho))
-    fam = default_family(h.domain)
-    sigma = (
-        ladder_exponent(u, rho, fam) if args.sigma == "auto" else float(args.sigma)
-    )
+    sigma = ladder_exponent(u, rho) if args.sigma == "auto" else float(args.sigma)
     if args.K0 == "auto":
         state = estimate_K0(u, GridFunction.constant(h.domain, 1.0), rho,
-                            sigma, None, [h.abs()], fam, args.depth)
+                            sigma, [h.abs()], depth=args.depth)
         K0 = state.K0
     else:
         K0 = float(args.K0)
-    audit = rdf_audit(h.abs(), u, rho, sigma, K0, args.depth, fam)
+    audit = rdf_audit(h.abs(), u, rho, sigma, K0, args.depth)
     payload = {
         "K0": K0,
         "sigma": sigma,
@@ -416,9 +413,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 2
+    # UsageError is a ValueError
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2

@@ -28,9 +28,11 @@ from .grid import (
     CubeFamily,
     DYADIC_GRID_OF,
     GridFunction,
+    average,
     dyadic_average_tree,
     dyadic_averages,
     integrate,
+    weighted_measure,
 )
 from .extrapolation import ladder_exponent
 from .lorentz import WeightedMeasure, rearrangement, weak_norm
@@ -338,9 +340,7 @@ def principal_select(
 
     nodes.sort(key=lambda qk: (-qk[0].side_cells, qk[1], qk[0].anchor))
     node_map = {(Q.anchor, Q.side_cells): (Q, k) for Q, k in nodes}
-    avg_u = {
-        Q: float(u.values[Q.slices()].sum()) / Q.cell_count for Q, _ in nodes
-    }
+    avg_u = {Q: average(u, Q) for Q, _ in nodes}
     generations: dict[Cube, int] = {}
     assignment: dict[Cube, Cube] = {}
     level_of = dict(nodes)
@@ -575,9 +575,7 @@ def mixed_verify_dyadic(
         )
     classified = classify(decomp, v)
     h_d = f.domain.cell_volume
-    uv_mass = {
-        k: float(uv.values[m].sum()) * h_d for k, m in classified.e_masks.items()
-    }
+    uv_mass = {k: weighted_measure(uv, m) for k, m in classified.e_masks.items()}
     k0 = decomp.k0
     sum_upper = sum(m for k, m in uv_mass.items() if k >= k0)
     tail_sum = sum(m for k, m in uv_mass.items() if k < k0)
@@ -659,9 +657,8 @@ def mixed_verify_global(
     restriction to the default t grid of t_grid_sup and to the local/global
     split pieces, all over the default cube family of the domain.
     """
-    family = default_family(f.domain)
     if theta is None:
-        theta = ladder_exponent(u, rho, family)
+        theta = ladder_exponent(u, rho)
     if rho.is_classical:
         n0 = 1
         n1 = 0.0
@@ -678,7 +675,7 @@ def mixed_verify_global(
             sigma = (n1 + theta + 1.0) * (n0 + 1)
 
     fv = GridFunction(f.domain, f.values * v.values)
-    split = loc_glob_split(fv, rho, sigma, family)
+    split = loc_glob_split(fv, rho, sigma, default_family(f.domain))
     T = GridFunction(f.domain, split.m.values / v.values)
     uv = WeightedMeasure(GridFunction(f.domain, u.values * v.values))
     integral = integrate(

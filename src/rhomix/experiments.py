@@ -326,14 +326,13 @@ def _refine(g: GridFunction) -> GridFunction:
 
 def _exp_mixed_m(config):
     bundle = _suite(config)
-    fam = default_family(bundle.domain)
     tol = config.get("tolerances", {}).get("refinement", 0.25)
     measured, passes, tables = {}, {}, []
     deltas = {}
     finite = True
     first = None
     for i, pair in enumerate(bundle.pairs):
-        theta = ladder_exponent(pair.u, bundle.rho, fam)
+        theta = ladder_exponent(pair.u, bundle.rho)
         for j, f in enumerate(bundle.fs[:4]):
             rep = mixed_verify_global(f, pair.u, pair.v, bundle.rho, theta=theta)
             finite &= math.isfinite(rep.constant_exact)
@@ -362,11 +361,10 @@ def _exp_mixed_m(config):
 def _exp_mixed_t(config):
     bundle = _suite(config)
     kernel = _kernel_from_json(_require(config, "kernel", dict))
-    fam = default_family(bundle.domain)
     measured, passes, tables = {}, {}, []
     finite = True
     for i, pair in enumerate(bundle.pairs):
-        sigma = ladder_exponent(pair.u, kernel.rho, fam)
+        sigma = ladder_exponent(pair.u, kernel.rho)
         for j, f in enumerate(bundle.fs[:3]):
             rep = mixed_for_T(f, pair.u, pair.v, kernel, sigma=sigma)
             finite &= math.isfinite(rep.constant)
@@ -406,13 +404,12 @@ def _exp_coifman(config):
 
 def _exp_rdf(config):
     bundle = _suite(config)
-    fam = default_family(bundle.domain)
     depth = int(config.get("depth", 12))
     pair = bundle.pairs[0]
-    sigma = ladder_exponent(pair.u, bundle.rho, fam)
+    sigma = ladder_exponent(pair.u, bundle.rho)
     fs = [f.abs() for f in bundle.fs if float(np.max(np.abs(f.values))) > 0]
-    state = estimate_K0(pair.u, pair.v, bundle.rho, sigma, None, fs, fam, depth)
-    audit = rdf_audit(fs[0], pair.u, bundle.rho, sigma, state.K0, depth, fam)
+    state = estimate_K0(pair.u, pair.v, bundle.rho, sigma, fs, depth)
+    audit = rdf_audit(fs[0], pair.u, bundle.rho, sigma, state.K0, depth)
     measured = {
         "K0": state.K0, "p0": state.p0, "q": state.q, "t": state.t,
         "eps": state.eps, "sigma": sigma, "tail_bound": audit.tail_bound,

@@ -9,6 +9,10 @@ product with u is again an A_1-type weight with characteristic close to
 synthetic singular kernels with the size/smoothness/decay structure the
 comparison theorems ask for.
 
+The iteration is built from one fixed maximal operator, so every operator
+here sweeps the default cube family of its domain (maximal.default_family)
+and none takes a family.
+
 A singular kernel that depends on x - y alone (no decay, N = 0, or a
 classical rho) is applied by one real FFT convolution, O(m log m) on m
 cells; it matches the dense quadrature to 1e-13 relative to max |Tf|, not
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .critical import RhoSpec, rho_values
-from .grid import CubeFamily, Domain, GridFunction, integrate, require_weight
+from .grid import Domain, DomainMismatchError, GridFunction, integrate, require_weight
 from .lorentz import WeightedMeasure, lorentz_norm, rearrangement, weak_norm
 from .maximal import default_family, m_rho_sigma, m_rho_sigma_stack
 from .weights import (
@@ -75,13 +79,14 @@ def _first_stable(ladder: tuple[float, ...], chars) -> float:
     )
 
 
-def ladder_exponent(u: GridFunction, rho: RhoSpec, cubes: CubeFamily) -> float:
+def ladder_exponent(u: GridFunction, rho: RhoSpec) -> float:
     """Smallest growth exponent on the standard ladder at which u's
     A_1-type characteristic has stabilized (within 25% of the floor); the
-    whole ladder comes from one sweep."""
+    whole ladder comes from one sweep of the default family of u's
+    domain."""
     if rho.is_classical:
         return 0.0
-    chars = ap_ladder(u, 1.0, THETA_LADDER, rho, cubes)
+    chars = ap_ladder(u, 1.0, THETA_LADDER, rho, default_family(u.domain))
     return _first_stable(THETA_LADDER, [c.value for c in chars])
 
 
@@ -90,24 +95,26 @@ def s_operator(
     u: GridFunction,
     rho: RhoSpec,
     sigma: float,
-    cubes: CubeFamily | None = None,
 ) -> GridFunction:
-    """Sf = M[sigma](f u) / u, cellwise.
+    """Sf = M[sigma](f u) / u, cellwise, M[sigma] swept over the default
+    cube family of u's domain.
 
     Sup norms contract by u's characteristic: with theta1 the stabilized
     ladder exponent of u and sigma >= theta1, every cube average of |f| u
     is at most sup|f| [u] factor^theta1 u(x), so the penalized sup obeys
     sup(Sf) <= [u] sup|f|.  Callers wanting the sigma check should compare
     against ladder_exponent first; the operator itself computes for any
-    sigma >= 0.
+    sigma >= 0.  f must live on u's domain.
     """
-    fam = cubes if cubes is not None else default_family(f.domain)
-    return GridFunction(f.domain, _s_stack(f.values[None], u, rho, sigma, fam)[0])
+    if f.domain != u.domain:
+        raise DomainMismatchError("f and u on different domains")
+    return GridFunction(f.domain, _s_stack(f.values[None], u, rho, sigma)[0])
 
 
-def _s_stack(values, u, rho, sigma, fam) -> np.ndarray:
+def _s_stack(values, u, rho, sigma) -> np.ndarray:
     """S of each function of a (B, *grid) stack, from one sweep."""
     require_weight(u)
+    fam = default_family(u.domain)
     return m_rho_sigma_stack(values * u.values, rho, sigma, 1.0, fam) / u.values
 
 
@@ -137,12 +144,11 @@ def estimate_K0(
     v: GridFunction,
     rho: RhoSpec,
     sigma: float,
-    q: float | None,
     f_suite: list[GridFunction],
-    cubes: CubeFamily | None = None,
     depth: int = 12,
 ) -> RdFState:
-    """Measured Lorentz operator norm of S on L^(q,1)(uv), with safety 1.5.
+    """Measured Lorentz operator norm of S on L^(q,1)(uv), q = 2 p0, with
+    safety 1.5; every sweep runs over the default cube family of the domain.
 
     p0 = 1 + 2(t - 1)/eps comes from v's measured ladder: t is the smallest
     dual exponent of T_LADDER whose characteristic has stabilized (every
@@ -150,27 +156,23 @@ def estimate_K0(
     ladder's theta, from weights.ainf_epsilon (in dims 1 and 2 one RH_infty
     sweep, the pack fit only when that bound cannot decide it; in dim 3
     the fit).
-    q defaults to 2 p0 and must not fall below it.
     The tail_bound certificate is the worst geometric tail over the suite.
     """
     if not f_suite:
         raise ValueError("empty suite")
-    fam = cubes if cubes is not None else default_family(u.domain)
-    theta = ladder_exponent(v, rho, fam)
+    fam = default_family(u.domain)
+    theta = ladder_exponent(v, rho)
     rungs = [("ap", tt, theta) for tt in T_LADDER]
     t = _first_stable(T_LADDER, [c.value for c in characteristics(v, rungs, rho, fam)])
     eps = ainf_epsilon(v, theta, rho, fam)
     p0 = 1.0 + 2.0 * (t - 1.0) / eps
-    if q is None:
-        q = 2.0 * p0
-    if q < 2.0 * p0:
-        raise ValueError(f"q = {q} below 2 p0 = {2 * p0}")
+    q = 2.0 * p0
     uv = WeightedMeasure(GridFunction(u.domain, u.values * v.values))
     live = [(f, d) for f in f_suite if (d := lorentz_norm(f, uv, q, 1.0)) != 0.0]
     if not live:
         raise ValueError("suite contains only null functions")
     # S over the whole suite in one sweep
-    images = _s_stack(np.stack([f.values for f, _ in live]), u, rho, sigma, fam)
+    images = _s_stack(np.stack([f.values for f, _ in live]), u, rho, sigma)
     measured = 0.0
     worst = None
     for (f, denom), sf in zip(live, images):
@@ -184,7 +186,7 @@ def estimate_K0(
     K0 = 1.5 * measured
     g = worst[1].abs()
     for _ in range(depth):
-        g = s_operator(g, u, rho, sigma, fam)
+        g = s_operator(g, u, rho, sigma)
     tail = 2.0 * float(g.values.max()) / (2.0 * K0) ** depth
     return RdFState(
         K0=float(K0),
@@ -199,7 +201,7 @@ def estimate_K0(
     )
 
 
-def _iterate(h, u, rho, sigma, K0, depth, fam) -> tuple[GridFunction, GridFunction]:
+def _iterate(h, u, rho, sigma, K0, depth) -> tuple[GridFunction, GridFunction]:
     """(Rh, S^depth h), validated and growth-checked as rdf_iterate says."""
     if np.any(h.values < 0):
         raise ValueError("iteration needs h >= 0")
@@ -211,7 +213,7 @@ def _iterate(h, u, rho, sigma, K0, depth, fam) -> tuple[GridFunction, GridFuncti
     scale = 1.0
     last_sup = first_sup
     for _ in range(depth):
-        term = s_operator(term, u, rho, sigma, fam)
+        term = s_operator(term, u, rho, sigma)
         scale /= 2.0 * K0
         total += term.values * scale
         last_sup = float(term.values.max()) * scale
@@ -227,7 +229,6 @@ def rdf_iterate(
     sigma: float,
     K0: float,
     depth: int,
-    cubes: CubeFamily | None = None,
 ) -> GridFunction:
     """Truncated majorant sum_{k<=depth} S^k h / (2 K0)^k.
 
@@ -235,8 +236,7 @@ def rdf_iterate(
     scaled terms grow from first to last (the geometric certificate is
     then worthless).
     """
-    fam = cubes if cubes is not None else default_family(h.domain)
-    return _iterate(h, u, rho, sigma, K0, depth, fam)[0]
+    return _iterate(h, u, rho, sigma, K0, depth)[0]
 
 
 _CHAR_SLACK = 1.1
@@ -263,7 +263,6 @@ def rdf_audit(
     sigma: float,
     K0: float,
     depth: int,
-    cubes: CubeFamily | None = None,
 ) -> RdFAuditReport:
     """The three properties of the majorant, measured.
 
@@ -272,20 +271,20 @@ def rdf_audit(
     product (Rh) u has A_1-type characteristic at growth exponent sigma at
     most 2 K0 up to a slack of 1.1: every cube average of (Rh) u is a
     penalized average of a sum the operator itself dominates.  The report
-    carries Rh itself as majorant.
+    carries Rh itself as majorant.  S and the characteristic run over the
+    default cube family of the domain.
     """
-    fam = cubes if cubes is not None else default_family(h.domain)
-    rh, term = _iterate(h, u, rho, sigma, K0, depth, fam)
+    rh, term = _iterate(h, u, rho, sigma, K0, depth)
     minorant = bool(np.all(h.values <= rh.values))
     tail_bound = 2.0 * float(term.values.max()) / (2.0 * K0) ** depth
 
-    srh = s_operator(rh, u, rho, sigma, fam)
+    srh = s_operator(rh, u, rho, sigma)
     lhs = srh.values
     rhs = 2.0 * K0 * rh.values + tail_bound
     sandwich = int(np.sum(lhs > rhs * (1.0 + 1e-12)))
 
     rhu = GridFunction(h.domain, rh.values * u.values)
-    char = ap_characteristic(rhu, 1.0, sigma, rho, fam).value
+    char = ap_characteristic(rhu, 1.0, sigma, rho, default_family(h.domain)).value
     bound = 2.0 * K0 * _CHAR_SLACK
     return RdFAuditReport(
         minorant_exact=minorant,
@@ -541,7 +540,7 @@ def mixed_for_T(
     require_weight(v)
     fam = default_family(f.domain)
     if sigma is None:
-        sigma = ladder_exponent(u, kernel.rho, fam)
+        sigma = ladder_exponent(u, kernel.rho)
     fv = GridFunction(f.domain, f.values * v.values)
     tf = sczo_apply(fv, kernel)
     T = GridFunction(f.domain, np.abs(tf.values) / v.values)

@@ -288,8 +288,10 @@ def interpolation_audit(
     T maps a stack to a stack: it is called once, on the whole pool (each
     f followed by its splits) as one (B, *grid) array of cell values, and
     must return the B images as an array of the same shape; any other
-    shape is rejected.  A sweep-based T such as m_rho_sigma_stack then
-    costs one sweep per audit.
+    shape, or an image that is not finite, is rejected.  A sweep-based T
+    such as m_rho_sigma_stack then costs one sweep per audit.  The pool
+    stays one stack: each row's level table, and its image's, is built
+    once and dropped with the row.
 
     When C0/C1 are not supplied they are measured as the maxima of the
     hypothesis ratios over the pool, which makes every check a theorem.
@@ -300,36 +302,41 @@ def interpolation_audit(
     if not (0 < p0 < p < math.inf):
         raise ValueError("need 0 < p0 < p < inf")
     domain = mu.domain
-    tables = [rearrangement(f, mu) for f in f_suite]
-    blocks = [
-        np.concatenate([f.values[None], _truncations(f, table)])
-        for f, table in zip(f_suite, tables)
-    ]
-    f_offsets = np.cumsum([0] + [len(b) for b in blocks])[:-1]
+    # f's norms come off the table its splits are cut from: ||f||_{p0,1}
+    # for the weak hypothesis, ||f||_{p,1} for the conclusion
+    blocks, f_norms = [], {}
+    offset = 0
+    for f in f_suite:
+        table = rearrangement(f, mu)
+        f_norms[offset] = (table.lorentz_norm(p0, 1.0), table.lorentz_norm(p, 1.0))
+        blocks.append(np.concatenate([f.values[None], _truncations(f, table)]))
+        offset += len(blocks[-1])
     pool = np.concatenate(blocks) if blocks else np.zeros((0,) + domain.shape)
+    del blocks  # copied into pool; freed before T runs
     # one T evaluation for the whole pool, shared by every check below
-    images = np.asarray(T(pool))
+    images = np.asarray(T(pool), dtype=np.float64)
     if images.shape != pool.shape:
         raise ValueError(
             f"T must map the (B, *grid) pool of shape {pool.shape} to a stack "
             f"of the same shape, got shape {images.shape}"
         )
-    members = [GridFunction(domain, g) for g in pool]
-    image_fns = [GridFunction(domain, Tg) for Tg in images]
-    # each f's norms come off the table its splits were cut from
-    f_tables = dict(zip(f_offsets.tolist(), tables))
-    g_tables = (
-        f_tables.get(i) or rearrangement(g, mu) for i, g in enumerate(members)
-    )
-    weak_ratios = [
-        _safe_ratio(weak_norm(Tg, mu, p0), g_table.lorentz_norm(p0, 1.0))
-        for g_table, Tg in zip(g_tables, image_fns)
-    ]
+    if not np.all(np.isfinite(images)):
+        raise ValueError("T returned non-finite values on the pool")
+    # one level table per pool row and per image, none kept past its row
+    weak_ratios = []
+    f_images = []  # (||Tf||_{p,1}, ||f||_{p,1}) per f, in suite order
+    for i, (g, Tg) in enumerate(zip(pool, images)):
+        image_table = _level_table(domain, np.abs(Tg), mu)
+        if i in f_norms:
+            g_norm, f_norm = f_norms[i]
+            f_images.append((image_table.lorentz_norm(p, 1.0), f_norm))
+        else:
+            g_norm = _level_table(domain, np.abs(g), mu).lorentz_norm(p0, 1.0)
+        weak_ratios.append(_safe_ratio(image_table.weak_norm(p0), g_norm))
+    grid_axes = tuple(range(1, pool.ndim))
     sup_ratios = [
-        _safe_ratio(
-            float(np.max(np.abs(Tg.values))), float(np.max(np.abs(g.values)))
-        )
-        for g, Tg in zip(members, image_fns)
+        _safe_ratio(float(num), float(den))
+        for num, den in zip(np.abs(images).max(grid_axes), np.abs(pool).max(grid_axes))
     ]
     if C0 is None:
         C0 = max(weak_ratios, default=0.0)
@@ -344,10 +351,8 @@ def interpolation_audit(
     bound = 2.0 ** (1.0 / p) * (C0 / (1.0 / p0 - 1.0 / p) + C1)
     violations = 0
     max_ratio = 0.0
-    for table, off in zip(tables, f_offsets):
-        Tf = image_fns[off]
-        lhs = lorentz_norm(Tf, mu, p, 1.0)
-        rhs = bound * table.lorentz_norm(p, 1.0)
+    for lhs, f_norm in f_images:
+        rhs = bound * f_norm
         if rhs == 0.0:
             continue
         ratio = lhs / rhs

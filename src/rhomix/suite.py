@@ -19,6 +19,7 @@ from .grid import (
     Cube,
     Domain,
     GridFunction,
+    InvalidWeightError,
     SumOverflowError,
     load_grid_function,
     require_weight,
@@ -233,7 +234,7 @@ def _validated_weight(
         w = make_weight(domain, current, rng, rho)
         try:
             require_weight(w)
-        except Exception:
+        except InvalidWeightError:
             current = _tame(current, 0.8)
             continue
         try:

@@ -174,10 +174,12 @@ def characteristics(
     sups.update({key + (t,): (-math.inf, None) for key in slots for t in thetas[key]})
     table = rho.penalty_table(cubes)
     for sides, anchors, avgs in cubes.sweep(*inputs) if slots else ():
+        # a one-side block has no padding
+        pad = cubes.padding(sides, avgs[0].shape[-1]) if len(sides) > 1 else None
         for key, slot in slots.items():
             raw = _raw(*key, avgs[0], avgs[slot], cubes, vals, sides)
-            if len(sides) > 1:  # a one-side block has no padding
-                np.copyto(raw, -np.inf, where=cubes.padding(sides, raw.shape[-1]))
+            if pad is not None:
+                np.copyto(raw, -np.inf, where=pad)
             for theta in thetas[key]:
                 penalty = table.power(sides, theta)
                 # 1.0: raw / 1.0 is raw

@@ -513,7 +513,7 @@ def test_10_majorant_algorithm_certificates():
     rho = RhoSpec.classical()
     audits = 0
     for pair in (bundle.pairs[1], bundle.pairs[4]):
-        state = estimate_K0(pair.u, pair.v, rho, 0.0, None, list(bundle.fs))
+        state = estimate_K0(pair.u, pair.v, rho, 0.0, list(bundle.fs))
         for f in bundle.fs[:3]:
             rep = rdf_audit(f.abs(), pair.u, rho, 0.0, state.K0, 12)
             assert rep.minorant_exact

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 from rhomix import (
+    DYADIC_GRID_OF,
     Cube,
+    CubeFamily,
     Domain,
+    DomainMismatchError,
     GridFunction,
     K0TooSmallError,
     RhoSpec,
@@ -62,7 +65,7 @@ def test_s_operator_sup_bound_classical():
     rho = RhoSpec.classical()
     char = ap_characteristic(u, 1.0, 0.0, rho, fam).value
     for f in suite:
-        sf = s_operator(f, u, rho, 0.0, fam)
+        sf = s_operator(f, u, rho, 0.0)
         bound = char * float(np.max(np.abs(f.values)))
         assert float(sf.values.max()) <= bound * (1 + 1e-12)
 
@@ -77,7 +80,7 @@ def test_s_operator_sup_bound_with_growth_penalty():
     sigma = 1.0
     # any growth exponent theta <= sigma certifies sup(Sf) <= [u]_theta sup|f|
     char = ap_characteristic(u, 1.0, sigma, rho, fam).value
-    sf = s_operator(f, u, rho, sigma, fam)
+    sf = s_operator(f, u, rho, sigma)
     assert float(sf.values.max()) <= char * float(np.abs(f.values).max()) * (1 + 1e-12)
 
 
@@ -89,14 +92,26 @@ def test_s_operator_requires_positive_weight():
         s_operator(f, bad, RhoSpec.classical(), 0.0)
 
 
+def test_s_operator_refuses_f_off_the_weight_domain():
+    """S sweeps u's domain, so an f on another domain of the same shape is
+    refused, not swept with the wrong geometry; rdf_iterate inherits it."""
+    f = GridFunction(Domain(1, 4.0, 5), np.linspace(0.0, 1.0, 32))
+    u = GridFunction(Domain(1, 8.0, 5), np.linspace(1.0, 2.0, 32))
+    rho = RhoSpec.constant(0.5)
+    with pytest.raises(DomainMismatchError):
+        s_operator(f, u, rho, 1.0)
+    with pytest.raises(DomainMismatchError):
+        rdf_iterate(f, u, rho, 1.0, 3.0, 2)
+
+
 def test_ladder_exponent_classical_is_zero():
     dom, u, _v, _suite = _setup()
-    assert ladder_exponent(u, RhoSpec.classical(), default_family(dom)) == 0.0
+    assert ladder_exponent(u, RhoSpec.classical()) == 0.0
 
 
 def test_estimate_k0_field_relations():
     dom, u, v, suite = _setup()
-    state = estimate_K0(u, v, RhoSpec.classical(), 0.0, None, suite)
+    state = estimate_K0(u, v, RhoSpec.classical(), 0.0, suite)
     assert state.p0 == pytest.approx(1.0 + 2.0 * (state.t - 1.0) / state.eps)
     assert state.q == pytest.approx(2.0 * state.p0)
     assert state.K0 == pytest.approx(1.5 * state.measured_sup)
@@ -114,9 +129,9 @@ def test_estimate_k0_takes_eps_from_the_rh_bound_without_the_fit():
     fam = default_family(pair.u.domain)
     fs = [f.abs() for f in bundle.fs[:2]]
     with counted_fits() as calls:
-        state = estimate_K0(pair.u, pair.v, bundle.rho, 0.0, None, fs, fam, depth=2)
+        state = estimate_K0(pair.u, pair.v, bundle.rho, 0.0, fs, depth=2)
     assert calls[0] == 0
-    theta = ladder_exponent(pair.v, bundle.rho, fam)
+    theta = ladder_exponent(pair.v, bundle.rho)
     assert state.eps == ainf_epsilon_form(pair.v, theta, bundle.rho, fam).eps == 1.0
 
 
@@ -128,27 +143,24 @@ def test_estimate_k0_sweeps_v_once_for_the_dual_ladder():
     dom, u, v, suite = _setup(level=6)
     rho = RhoSpec.constant(0.5)
     with counted_sweeps() as calls:
-        estimate_K0(u, v, rho, 0.0, None, suite, depth=2)
+        estimate_K0(u, v, rho, 0.0, suite, depth=2)
     of_v = [len(values) for values in calls if values[0] is v.values]
     assert of_v == [1, 1 + len(T_LADDER), 1]
 
 
-def test_estimate_k0_rejects_low_q_and_bad_suites():
+def test_estimate_k0_rejects_bad_suites():
     dom, u, v, suite = _setup()
-    state = estimate_K0(u, v, RhoSpec.classical(), 0.0, None, suite)
     with pytest.raises(ValueError):
-        estimate_K0(u, v, RhoSpec.classical(), 0.0, 0.9 * 2.0 * state.p0, suite)
-    with pytest.raises(ValueError):
-        estimate_K0(u, v, RhoSpec.classical(), 0.0, None, [])
+        estimate_K0(u, v, RhoSpec.classical(), 0.0, [])
     null = [GridFunction.constant(dom, 0.0)]
     with pytest.raises(ValueError):
-        estimate_K0(u, v, RhoSpec.classical(), 0.0, None, null)
+        estimate_K0(u, v, RhoSpec.classical(), 0.0, null)
 
 
 def test_rdf_iterate_majorizes_seed_exactly():
     dom, u, v, suite = _setup()
     rho = RhoSpec.classical()
-    state = estimate_K0(u, v, rho, 0.0, None, suite)
+    state = estimate_K0(u, v, rho, 0.0, suite)
     h = suite[0].abs()
     rh = rdf_iterate(h, u, rho, 0.0, state.K0, 8)
     assert np.all(h.values <= rh.values)  # k = 0 term, zero tolerance
@@ -177,7 +189,7 @@ def test_rdf_iterate_validation():
 def test_rdf_audit_three_properties():
     dom, u, v, suite = _setup()
     rho = RhoSpec.classical()
-    state = estimate_K0(u, v, rho, 0.0, None, suite)
+    state = estimate_K0(u, v, rho, 0.0, suite)
     rep = rdf_audit(suite[0].abs(), u, rho, 0.0, state.K0, 12)
     assert rep.minorant_exact
     assert rep.sandwich_violations == 0
@@ -197,13 +209,32 @@ def test_rdf_audit_tail_bound_is_the_last_term():
     dom, u, v, suite = _setup(level=6)
     rho = RhoSpec.analytic(lambda pts: 1.0 / (1.0 + np.linalg.norm(pts, axis=1)))
     h = suite[0].abs()
-    fam = default_family(dom)
     K0, depth = 3.0, 5
     term = h
     for _ in range(depth):
-        term = s_operator(term, u, rho, 1.0, fam)
+        term = s_operator(term, u, rho, 1.0)
     rep = rdf_audit(h, u, rho, 1.0, K0, depth)
     assert rep.tail_bound == 2.0 * float(term.values.max()) / (2.0 * K0) ** depth
+
+
+def test_dim2_rdf_sweeps_only_the_box_bisection_tree(monkeypatch):
+    """Every sweep of a dim-2 rdf report, S and the characteristics alike,
+    runs over the default family of the domain: the box's bisection
+    tree."""
+    families = []
+    sweep = CubeFamily.sweep
+
+    def recording(self, *values):
+        families.append(self)
+        return sweep(self, *values)
+
+    monkeypatch.setattr(CubeFamily, "sweep", recording)
+    config = default_config("rdf", dim=2, level=4, seed=7)
+    config["depth"] = 3
+    run_experiment(config)
+    dom = Domain(2, 8.0, 4)
+    assert families
+    assert set(families) == {CubeFamily(dom, DYADIC_GRID_OF)}
 
 
 # ---------------------------------------------------------------------------

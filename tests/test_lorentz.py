@@ -276,6 +276,21 @@ def test_interpolation_rejects_a_T_that_does_not_map_the_stack():
             interpolation_audit(T, 1.0, 2.0, mu, [f, 2.0 * f])
 
 
+def test_interpolation_rejects_a_T_with_non_finite_images():
+    """An image that is inf or NaN on some cell would make every norm of
+    the audit meaningless, so the audit refuses it."""
+    f, mu = _f312()
+
+    def blows_up(stack, bad):
+        out = np.array(stack, dtype=float)
+        out[-1].flat[0] = bad
+        return out
+
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            interpolation_audit(lambda s: blows_up(s, bad), 1.0, 2.0, mu, [f, 2.0 * f])
+
+
 def test_interpolation_rejects_bad_exponents():
     f, mu = _f312()
     with pytest.raises(ValueError):

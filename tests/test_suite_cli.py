@@ -30,6 +30,7 @@ from rhomix import (
 )
 import rhomix.experiments
 import rhomix.extrapolation
+import rhomix.suite
 from rhomix.cli import _build_parser, main
 from rhomix.suite import ANALYTIC_RHO, _tame, _validated_weight, rho_to_json
 from rhomix.weights import RH_LADDER, THETA_LADDER
@@ -159,6 +160,33 @@ def test_class_check_tames_a_weight_whose_running_sum_overflows():
         bundle = generate_suite(suite)
     assert retries >= 1 and np.all(np.isfinite(v.values))
     assert bundle.pairs[0].retries >= 1
+
+
+def test_class_check_tames_a_weight_until_it_is_positive():
+    """two_banded c = -1 is not a weight; each retry tames c toward 1
+    (-0.6, -0.28, -0.024, 0.1808), so the fourth retry is positive."""
+    dom = Domain(1, 8.0, 6)
+    cl = RhoSpec.classical()
+    spec = {"kind": "two_banded", "c": -1.0}
+    w, retries = _validated_weight(dom, spec, np.random.default_rng(7), cl, 1.0, 0.0)
+    assert retries == 4
+    assert np.all(w.values > 0) and w.values.min() == pytest.approx(0.1808)
+
+
+def test_class_check_lets_other_errors_through_at_once(monkeypatch):
+    """Only a non-positive weight is tamed and retried; any other error of
+    the check propagates on the first attempt."""
+    calls = []
+
+    def broken(w):
+        calls.append(w)
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(rhomix.suite, "require_weight", broken)
+    with pytest.raises(RuntimeError, match="broken check"):
+        _validated_weight(Domain(1, 8.0, 4), {"kind": "constant"},
+                          np.random.default_rng(7), RhoSpec.classical(), 1.0, 0.0)
+    assert len(calls) == 1
 
 
 def test_generate_suite_appends_factor_pair():
