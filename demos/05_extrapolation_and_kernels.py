@@ -37,8 +37,7 @@ def majorant():
 
     state = estimate_K0(u, v, rho, 0.0, fs)
     print("K0 =", round(state.K0, 4), " backing exponents p0 =",
-          round(state.p0, 3), "q =", round(state.q, 3),
-          " tail bound =", "%.2e" % state.tail_bound)
+          round(state.p0, 3), "q =", round(state.q, 3))
 
     h = fs[0]
     Rh = rdf_iterate(h, u, rho, 0.0, state.K0, depth=10)
@@ -47,7 +46,8 @@ def majorant():
 
     rep = rdf_audit(h, u, rho, 0.0, state.K0, depth=10)
     print("h <= Rh exact:", rep.minorant_exact,
-          " S(Rh) <= 2 K0 Rh violations:", rep.sandwich_violations)
+          " S(Rh) <= 2 K0 Rh violations:", rep.sandwich_violations,
+          " tail bound =", "%.2e" % rep.tail_bound)
     print("[(Rh) u] =", round(rep.char_value, 4),
           "<= 2 K0 * slack =", round(rep.char_bound, 4), "->", rep.char_ok)
 

@@ -234,9 +234,8 @@ def _cmd_extrap_rdf(args) -> int:
     rho = rho_from_json(_load_json_arg(args.rho))
     sigma = ladder_exponent(u, rho) if args.sigma == "auto" else float(args.sigma)
     if args.K0 == "auto":
-        state = estimate_K0(u, GridFunction.constant(h.domain, 1.0), rho,
-                            sigma, [h.abs()], depth=args.depth)
-        K0 = state.K0
+        K0 = estimate_K0(u, GridFunction.constant(h.domain, 1.0), rho,
+                         sigma, [h.abs()]).K0
     else:
         K0 = float(args.K0)
     audit = rdf_audit(h.abs(), u, rho, sigma, K0, args.depth)

@@ -32,6 +32,7 @@ from .grid import (
     dyadic_average_tree,
     dyadic_averages,
     integrate,
+    require_same_domain,
     weighted_measure,
 )
 from .extrapolation import ladder_exponent
@@ -561,8 +562,10 @@ def mixed_verify_dyadic(
     Splits uv({M_dyadic g > v}) over the v bands E_k, bounds the upper
     levels by the Gamma sums I (bands ell >= 0) and II (band -1 pieces),
     and checks the sub-level tail against (a^2/(a-1)) [u] int |f| u v with
-    [u] = tree_a1(u, R), measured here unless given.
+    [u] = tree_a1(u, R), measured here unless given.  f, u and v must
+    share a domain.
     """
+    require_same_domain(f, u, v)
     g = GridFunction(f.domain, np.abs(f.values) * v.values)
     decomp = level_decomposition(g, R, a)
     a = decomp.a
@@ -655,8 +658,10 @@ def mixed_verify_global(
     1/(N0 + 1)), theta from u's growth ladder.  The constant is the exact
     sup over t of t * uv({M(fv)/v > t}) / int |f| u v, reported next to its
     restriction to the default t grid of t_grid_sup and to the local/global
-    split pieces, all over the default cube family of the domain.
+    split pieces, all over the default cube family of the domain, which f,
+    u and v must share.
     """
+    require_same_domain(f, u, v)
     if theta is None:
         theta = ladder_exponent(u, rho)
     if rho.is_classical:

@@ -13,8 +13,8 @@ and SHEN (derived from a nonnegative potential V on a dim-3 grid via
 rho(x) = sup { r > 0 : r^(2-d) * integral of V over B(x, r) <= 1 }).
 
 Each rho keeps one PenaltyTable per cube family, the one place cube
-penalties are raised to a power (by libm pow, memoised), and its
-admissibility and covering reports.
+penalties are raised to a power (by the C library's pow through
+np.float_power, memoised), and its admissibility and covering reports.
 """
 
 from __future__ import annotations
@@ -206,13 +206,22 @@ def growth_factor(spec: RhoSpec, centers: np.ndarray, radius) -> np.ndarray:
 
 
 def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
-    """base ** exponent per element by Python's float pow (libm): numpy's
-    SIMD power can differ from it in the last bit depending on the CPU."""
-    return (base.astype(object) ** exponent).astype(np.float64)
+    """base ** exponent per element by the C library's pow, as Python's
+    float pow computes it: np.float_power calls libm's pow per element,
+    while numpy's SIMD power can differ from it in the last bit depending
+    on the CPU.  As with Python's pow, a finite base whose power overflows
+    raises OverflowError; an inf base gives what libm's pow gives."""
+    base = np.asarray(base, dtype=np.float64)
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.float_power(base, exponent)
+    over = np.isinf(out)
+    if over.any() and np.isfinite(base[over]).any():
+        raise OverflowError(f"a finite base raised to {exponent} overflows")
+    return out
 
 
 # fold rows are raised to a power this many entries at a time, so the
-# boxed floats and index arrays in flight stay small at any level
+# index arrays in flight stay small at any level
 _FOLD_CHUNK = 4096
 
 

@@ -408,7 +408,7 @@ def _exp_rdf(config):
     pair = bundle.pairs[0]
     sigma = ladder_exponent(pair.u, bundle.rho)
     fs = [f.abs() for f in bundle.fs if float(np.max(np.abs(f.values))) > 0]
-    state = estimate_K0(pair.u, pair.v, bundle.rho, sigma, fs, depth)
+    state = estimate_K0(pair.u, pair.v, bundle.rho, sigma, fs)
     audit = rdf_audit(fs[0], pair.u, bundle.rho, sigma, state.K0, depth)
     measured = {
         "K0": state.K0, "p0": state.p0, "q": state.q, "t": state.t,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .critical import RhoSpec, rho_values
-from .grid import Domain, DomainMismatchError, GridFunction, integrate, require_weight
+from .grid import Domain, GridFunction, integrate, require_same_domain, require_weight
 from .lorentz import WeightedMeasure, lorentz_norm, rearrangement, weak_norm
 from .maximal import default_family, m_rho_sigma, m_rho_sigma_stack
 from .weights import (
@@ -106,8 +106,7 @@ def s_operator(
     against ladder_exponent first; the operator itself computes for any
     sigma >= 0.  f must live on u's domain.
     """
-    if f.domain != u.domain:
-        raise DomainMismatchError("f and u on different domains")
+    require_same_domain(f, u)
     return GridFunction(f.domain, _s_stack(f.values[None], u, rho, sigma)[0])
 
 
@@ -123,11 +122,10 @@ def _s_stack(values, u, rho, sigma) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RdFState:
-    """Operator-norm surrogate and geometric-tail certificate."""
+    """Operator-norm surrogate and the exponents behind it; the iteration's
+    geometric-tail certificate is rdf_audit's (RdFAuditReport.tail_bound)."""
 
     K0: float
-    depth: int
-    tail_bound: float          # max over the suite of 2 sup(S^depth f)/(2 K0)^depth
     p0: float
     q: float
     t: float                   # ladder exponent backing p0
@@ -145,21 +143,21 @@ def estimate_K0(
     rho: RhoSpec,
     sigma: float,
     f_suite: list[GridFunction],
-    depth: int = 12,
 ) -> RdFState:
     """Measured Lorentz operator norm of S on L^(q,1)(uv), q = 2 p0, with
-    safety 1.5; every sweep runs over the default cube family of the domain.
+    safety 1.5; every sweep runs over the default cube family of the domain,
+    which v and every f of the suite must share with u.
 
     p0 = 1 + 2(t - 1)/eps comes from v's measured ladder: t is the smallest
     dual exponent of T_LADDER whose characteristic has stabilized (every
     rung read off one sweep of v), eps v's A_infty flatness exponent at the
     ladder's theta, from weights.ainf_epsilon (in dims 1 and 2 one RH_infty
     sweep, the pack fit only when that bound cannot decide it; in dim 3
-    the fit).
-    The tail_bound certificate is the worst geometric tail over the suite.
+    the fit).  S runs once, over the whole suite in one sweep.
     """
     if not f_suite:
         raise ValueError("empty suite")
+    require_same_domain(u, v, *f_suite)
     fam = default_family(u.domain)
     theta = ladder_exponent(v, rho)
     rungs = [("ap", tt, theta) for tt in T_LADDER]
@@ -171,27 +169,15 @@ def estimate_K0(
     live = [(f, d) for f in f_suite if (d := lorentz_norm(f, uv, q, 1.0)) != 0.0]
     if not live:
         raise ValueError("suite contains only null functions")
-    # S over the whole suite in one sweep
     images = _s_stack(np.stack([f.values for f, _ in live]), u, rho, sigma)
-    measured = 0.0
-    worst = None
-    for (f, denom), sf in zip(live, images):
-        ratio = lorentz_norm(GridFunction(f.domain, sf), uv, q, 1.0) / denom
-        measured = max(measured, ratio)
-        peak = float(np.max(np.abs(f.values)))
-        if worst is None or peak > worst[0]:
-            worst = (peak, f)
+    measured = max(
+        lorentz_norm(GridFunction(f.domain, sf), uv, q, 1.0) / denom
+        for (f, denom), sf in zip(live, images)
+    )
     if measured == 0.0:
         raise ValueError("suite contains only null functions")
-    K0 = 1.5 * measured
-    g = worst[1].abs()
-    for _ in range(depth):
-        g = s_operator(g, u, rho, sigma)
-    tail = 2.0 * float(g.values.max()) / (2.0 * K0) ** depth
     return RdFState(
-        K0=float(K0),
-        depth=depth,
-        tail_bound=float(tail),
+        K0=float(1.5 * measured),
         p0=float(p0),
         q=float(q),
         t=float(t),
@@ -535,7 +521,8 @@ def mixed_for_T(
 ) -> MixedTReport:
     """Mixed weak-type constant of the singular operator against (u, v),
     next to the intermediate comparison with the maximal majorant, over
-    the default cube family of f's domain."""
+    the default cube family of f's domain, which u and v must share."""
+    require_same_domain(f, u, v)
     require_weight(u)
     require_weight(v)
     fam = default_family(f.domain)

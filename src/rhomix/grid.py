@@ -51,6 +51,7 @@ __all__ = [
     "dyadic_sum_pyramid",
     "integrate",
     "load_grid_function",
+    "require_same_domain",
     "require_stack",
     "require_weight",
     "save_grid_function",
@@ -271,6 +272,13 @@ def weighted_measure(w: GridFunction, cells: np.ndarray) -> float:
     if mask.shape != w.domain.shape:
         raise DomainMismatchError("cell mask shape does not match the grid")
     return float(w.values[mask].sum()) * w.domain.cell_volume
+
+
+def require_same_domain(*functions: GridFunction) -> None:
+    """DomainMismatchError unless every function lives on one domain
+    (same-shaped grids on different boxes count as different)."""
+    if any(g.domain != functions[0].domain for g in functions[1:]):
+        raise DomainMismatchError("grid functions on different domains")
 
 
 def require_weight(w: GridFunction) -> GridFunction:

@@ -5,9 +5,12 @@ import contextlib
 import numpy as np
 import pytest
 
+import rhomix.extrapolation
 import rhomix.grid
 import rhomix.weights
-from rhomix import ALL_CELL_ALIGNED, DYADIC_GRID_OF, Cube, GridFunction, dyadic_sum_pyramid
+from rhomix import (
+    ALL_CELL_ALIGNED, DYADIC_GRID_OF, Cube, Domain, GridFunction, dyadic_sum_pyramid,
+)
 
 #: (policy, rooted) as the family property tests draw them: dim-1 intervals
 #: (rooted or not is drawn after), the box's bisection tree, and the tree of
@@ -58,6 +61,33 @@ def counted_sweeps():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rhomix.grid.CubeFamily, "sweep", counting)
         yield calls
+
+
+@contextlib.contextmanager
+def counted_s_stacks():
+    """Count the calls of extrapolation._s_stack, the one S kernel that
+    s_operator and estimate_K0 both run; yields a one-element list holding
+    the count."""
+    calls = [0]
+    s_stack = rhomix.extrapolation._s_stack
+
+    def counting(*args):
+        calls[0] += 1
+        return s_stack(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rhomix.extrapolation, "_s_stack", counting)
+        yield calls
+
+
+def split_domains():
+    """(f, u, v): f and u on one box, v on another box with the same cell
+    count, so only the domains tell them apart."""
+    near, far = Domain(1, 8.0, 5), Domain(1, 4.0, 5)
+    f = GridFunction(near, np.linspace(0.0, 1.0, 32))
+    u = GridFunction(near, np.linspace(1.0, 2.0, 32))
+    v = GridFunction(far, np.linspace(2.0, 1.0, 32))
+    return f, u, v
 
 
 def cubes_of(domain, fam):

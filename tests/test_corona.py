@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from rhomix import (
     Cube,
     Domain,
+    DomainMismatchError,
     GridFunction,
     RhoSpec,
     build_forests,
@@ -42,6 +43,7 @@ from conftest import (
     oscillator,
     pyramid_average,
     random_pow2_cube,
+    split_domains,
 )
 
 
@@ -521,6 +523,25 @@ def test_mixed_global_with_the_oscillator_shen_rho():
     assert math.isfinite(rep.loc_constant) and math.isfinite(rep.glob_constant)
     assert rep.sigma == pytest.approx((rep.N1 + rep.theta + 1.0) * (rep.N0 + 1.0))
     assert rep.covering_cubes >= 1
+
+
+def test_mixed_verify_dyadic_refuses_mixed_domains():
+    f, u, v = split_domains()
+    R = Cube(f.domain, (0,), f.domain.n)
+    with pytest.raises(DomainMismatchError):
+        mixed_verify_dyadic(f, u, v, R)
+    with pytest.raises(DomainMismatchError):
+        mixed_verify_dyadic(
+            f, GridFunction(v.domain, u.values), GridFunction(f.domain, v.values), R
+        )
+
+
+def test_mixed_verify_global_refuses_mixed_domains():
+    f, u, v = split_domains()
+    with pytest.raises(DomainMismatchError):
+        mixed_verify_global(f, u, v, RhoSpec.constant(0.5))
+    with pytest.raises(DomainMismatchError):
+        mixed_verify_global(f, GridFunction(v.domain, u.values), u, RhoSpec.classical())
 
 
 def test_mixed_global_zero_function_regression():

@@ -41,7 +41,7 @@ from rhomix.experiments import default_config
 from rhomix.extrapolation import T_LADDER, _sczo_dense
 from rhomix.suite import generate_suite
 
-from conftest import counted_fits, counted_sweeps
+from conftest import counted_fits, counted_s_stacks, counted_sweeps, split_domains
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -116,7 +116,6 @@ def test_estimate_k0_field_relations():
     assert state.q == pytest.approx(2.0 * state.p0)
     assert state.K0 == pytest.approx(1.5 * state.measured_sup)
     assert state.measured_sup > 0
-    assert state.tail_bound >= 0.0
     assert state.suite_size == len(suite)
 
 
@@ -129,7 +128,7 @@ def test_estimate_k0_takes_eps_from_the_rh_bound_without_the_fit():
     fam = default_family(pair.u.domain)
     fs = [f.abs() for f in bundle.fs[:2]]
     with counted_fits() as calls:
-        state = estimate_K0(pair.u, pair.v, bundle.rho, 0.0, fs, depth=2)
+        state = estimate_K0(pair.u, pair.v, bundle.rho, 0.0, fs)
     assert calls[0] == 0
     theta = ladder_exponent(pair.v, bundle.rho)
     assert state.eps == ainf_epsilon_form(pair.v, theta, bundle.rho, fam).eps == 1.0
@@ -143,9 +142,39 @@ def test_estimate_k0_sweeps_v_once_for_the_dual_ladder():
     dom, u, v, suite = _setup(level=6)
     rho = RhoSpec.constant(0.5)
     with counted_sweeps() as calls:
-        estimate_K0(u, v, rho, 0.0, suite, depth=2)
+        estimate_K0(u, v, rho, 0.0, suite)
     of_v = [len(values) for values in calls if values[0] is v.values]
     assert of_v == [1, 1 + len(T_LADDER), 1]
+
+
+def test_estimate_k0_refuses_mixed_domains():
+    """v and every f of the suite must live on u's domain; a same-shaped
+    grid on another box is refused, not measured with u's geometry."""
+    f, u, v = split_domains()
+    rho = RhoSpec.constant(0.5)
+    with pytest.raises(DomainMismatchError):
+        estimate_K0(u, v, rho, 1.0, [f])
+    v_near = GridFunction(u.domain, v.values)
+    f_far = GridFunction(v.domain, f.values)
+    with pytest.raises(DomainMismatchError):
+        estimate_K0(u, v_near, rho, 1.0, [f, f_far])
+
+
+def test_mixed_for_t_refuses_mixed_domains():
+    f, u, v = split_domains()
+    with pytest.raises(DomainMismatchError):
+        mixed_for_T(f, u, v, SCZOKernel("odd_inverse"))
+
+
+@pytest.mark.parametrize("dim, level, depth", [(1, 6, 5), (2, 4, 4)])
+def test_rdf_report_runs_one_s_chain(dim, level, depth):
+    """An rdf report applies S depth + 2 times: once to the whole suite for
+    K0, depth times along rdf_audit's chain, and once to the majorant."""
+    config = default_config("rdf", dim=dim, level=level, seed=7)
+    config["depth"] = depth
+    with counted_s_stacks() as calls:
+        run_experiment(config)
+    assert calls[0] == depth + 2
 
 
 def test_estimate_k0_rejects_bad_suites():

@@ -1,11 +1,13 @@
 """Cube penalties: every power of a growth factor or of rho/r comes from the
-rho's PenaltyTable, by Python's float pow (libm), once per (family, side,
-exponent)."""
+rho's PenaltyTable, by libm's pow (the function Python's float pow calls),
+once per (family, side, exponent)."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rhomix.critical
 from rhomix import (
@@ -23,6 +25,7 @@ from rhomix import (
     loc_glob_split,
     m_rho_sigma,
 )
+from rhomix.critical import _libm_pow
 
 from conftest import BLOCK_BUDGETS, block_budget, cubes_of, oscillator
 from test_maximal import brute_m_cubes
@@ -59,6 +62,55 @@ def _per_cube_reference(f, w, rho, fam, sigma, theta):
                 if witness is None or key < best_key:
                     best, witness, best_key = ratio, cube, key
     return m, loc, glob, best, witness
+
+
+def _math_pow_or_overflow(bases, exponent):
+    """math.pow per element, or None when any element overflows (math.pow
+    raises OverflowError there)."""
+    try:
+        return [math.pow(b, exponent) for b in bases]
+    except OverflowError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bases=st.lists(
+        st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=64
+    ),
+    exponent=st.floats(min_value=-64.0, max_value=64.0),
+)
+def test_libm_pow_is_math_pow_bit_for_bit(bases, exponent):
+    """_libm_pow(b, e) is math.pow(b, e) per element, bit for bit, over
+    positive finite bases and finite exponents, negative and fractional
+    ones included; when any element overflows it raises OverflowError, as
+    math.pow does."""
+    want = _math_pow_or_overflow(bases, exponent)
+    if want is None:
+        with pytest.raises(OverflowError):
+            _libm_pow(np.array(bases), exponent)
+        return
+    got = _libm_pow(np.array(bases), exponent)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+
+def test_libm_pow_overflow_of_a_finite_base_raises():
+    """A penalty power that overflows from a finite factor raises, as
+    Python's float pow does, rather than turning into inf: at theta = 1e4
+    the large cubes' factors under an analytic rho overflow."""
+    with pytest.raises(OverflowError):
+        _libm_pow(np.array([2.0, 1e200]), 2.0)
+    dom = Domain(1, 8.0, 6)
+    ones = GridFunction.constant(dom, 1.0)
+    with pytest.raises(OverflowError):
+        ap_characteristic(ones, 1.0, 1e4, RhoSpec.analytic(INV_DIST), default_family(dom))
+
+
+@pytest.mark.parametrize("exponent", [2.0, 0.37, 0.0, -0.5, -3.0])
+def test_libm_pow_of_an_inf_base_is_math_pow(exponent):
+    got = _libm_pow(np.array([math.inf, 3.0]), exponent)
+    assert got.tolist() == [math.pow(math.inf, exponent), math.pow(3.0, exponent)]
 
 
 @pytest.mark.parametrize("exponent", [0.37, -1.0])

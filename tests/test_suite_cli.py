@@ -35,7 +35,7 @@ from rhomix.cli import _build_parser, main
 from rhomix.suite import ANALYTIC_RHO, _tame, _validated_weight, rho_to_json
 from rhomix.weights import RH_LADDER, THETA_LADDER
 
-from conftest import counted_sweeps
+from conftest import counted_s_stacks, counted_sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +491,18 @@ def test_cli_extrap_rdf_iterates_once(saved_inputs, monkeypatch):
     ])
     assert rc == 0
     assert len(calls) == 6 + 1
+
+
+def test_cli_extrap_rdf_auto_k0_runs_one_s_chain(saved_inputs):
+    # --K0 auto applies S once to h for K0, then rdf_audit's depth + 1
+    tmp_path, paths = saved_inputs
+    with counted_s_stacks() as calls:
+        rc = main([
+            "extrap", "rdf", "--h", paths["f"], "--u", paths["u"], "--K0", "auto",
+            "--depth", "6", "--out", str(tmp_path / "rdf2"),
+        ])
+    assert rc == 0
+    assert calls[0] == 6 + 2
 
 
 def test_cli_extrap_mixed_t(saved_inputs):
