@@ -13,6 +13,10 @@ All set inclusions used by the verifier are exact at the cell level: one
 dyadic_average_tree per function and root yields every average, M_dyadic and
 each level's stopping cubes, so the proof's comparisons see identical floats;
 classify reads v's averages alone, from dyadic_averages, the tree's own.
+The cubes of R's bisection tree nest or are disjoint, so tree relations are
+read off owner arrays (one cube index per cell of R): principal_select
+paints its nodes largest first, and the double-sum audit keeps one owner
+array per level and runs every cell's bracket chain at once.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .grid import (
     Cube,
     CubeFamily,
     DYADIC_GRID_OF,
+    DomainMismatchError,
     GridFunction,
     average,
     dyadic_average_tree,
@@ -92,7 +97,9 @@ def _root_tree(g: GridFunction, R: Cube):
     if np.any(g.values < 0):
         raise ValueError("stopping-time decomposition needs g >= 0")
     if R.domain != g.domain:
-        raise ValueError("root cube on a different domain")
+        raise DomainMismatchError("root cube on a different domain")
+    if R.side_cells & (R.side_cells - 1):
+        raise ValueError(f"root cube R needs a power-of-two side, got {R.side_cells} cells")
     return dyadic_average_tree(g.values[R.slices()])
 
 
@@ -225,30 +232,22 @@ def classify(decomp: LevelDecomposition, v: GridFunction) -> ClassifiedLevels:
 
     v_avgs = dyadic_averages(require_pos)
     for k, cubes in decomp.levels.items():
+        bmask = band_masks.get(k)
         for Q in cubes:
             s = Q.side_cells
             rel = tuple((q - r) // s for q, r in zip(Q.anchor, R.anchor))
             avg_v = float(v_avgs[s.bit_length() - 1][rel])
             if avg_v < a**k:
                 minus1.setdefault(k, []).append(Q)
-                pieces = cz_on_cube(v, Q, a**k)
-                if pieces:
-                    secondary.setdefault(k, []).extend((W, Q) for W in pieces)
+                for W in cz_on_cube(v, Q, a**k):
+                    secondary.setdefault(k, []).append((W, Q))
+                    if bmask is not None and bmask[W.slices()].any():
+                        gamma_minus1.setdefault(k, []).append((W, Q))
             else:
                 ell = _floor_band(avg_v, a) - k
                 bands.setdefault((ell, k), []).append(Q)
-        bmask = band_masks.get(k)
-        if bmask is None:
-            continue
-        for ell, k2 in list(bands):
-            if k2 != k:
-                continue
-            hits = [Q for Q in bands[(ell, k)] if bmask[Q.slices()].any()]
-            if hits:
-                gamma[(ell, k)] = hits
-        for W, Q in secondary.get(k, []):
-            if bmask[W.slices()].any():
-                gamma_minus1.setdefault(k, []).append((W, Q))
+                if bmask is not None and bmask[Q.slices()].any():
+                    gamma.setdefault((ell, k), []).append(Q)
     return ClassifiedLevels(
         decomp, v, bands, minus1, secondary, gamma, gamma_minus1,
         band_masks, e_masks,
@@ -273,20 +272,11 @@ class PrincipalForest:
         return len(self.generations)
 
 
-def _ancestor_in(node_map, R: Cube, cube: Cube):
-    """Nearest strict dyadic ancestor of cube (within R) present in node_map."""
-    s = cube.side_cells
-    anchor = cube.anchor
-    while s < R.side_cells:
-        s *= 2
-        anchor = tuple(
-            R.anchor[ax] + ((anchor[ax] - R.anchor[ax]) // s) * s
-            for ax in range(len(anchor))
-        )
-        hit = node_map.get((anchor, s))
-        if hit is not None:
-            return hit
-    return None
+def _relative_slices(Q: Cube, R: Cube) -> tuple[slice, ...]:
+    """Q's cells as slices of an array over R's cells."""
+    return tuple(
+        slice(q - r, q - r + Q.side_cells) for q, r in zip(Q.anchor, R.anchor)
+    )
 
 
 def principal_select(
@@ -340,18 +330,23 @@ def principal_select(
                 parent_of[W] = Q
 
     nodes.sort(key=lambda qk: (-qk[0].side_cells, qk[1], qk[0].anchor))
-    node_map = {(Q.anchor, Q.side_cells): (Q, k) for Q, k in nodes}
     avg_u = {Q: average(u, Q) for Q, _ in nodes}
     generations: dict[Cube, int] = {}
     assignment: dict[Cube, Cube] = {}
     level_of = dict(nodes)
-    for Q, k in nodes:
-        anc = _ancestor_in(node_map, R, Q)
-        if anc is None:
+    # owner[cell] is the last node painted over the cell; nodes nest or are
+    # disjoint and come largest first, so a node's anchor cell holds its
+    # nearest strict ancestor among the nodes until it paints itself
+    owner = np.full((R.side_cells,) * R.domain.dim, -1, dtype=np.int64)
+    for i, (Q, k) in enumerate(nodes):
+        rel = _relative_slices(Q, R)
+        anc = int(owner[tuple(s.start for s in rel)])
+        owner[rel] = i
+        if anc < 0:
             generations[Q] = 0
             assignment[Q] = Q
             continue
-        prin = assignment[anc[0]]
+        prin = assignment[nodes[anc][0]]
         if ell >= 0:
             fire = avg_u[Q] > 2.0 * avg_u[prin]
         else:
@@ -472,55 +467,37 @@ def _double_sum_audit(forest, classified: ClassifiedLevels, u: GridFunction):
     levels until the u average doubles; within a bracket the sum of
     u(principal piece)/u(level cube) over pieces carved from that cell's
     cube is accumulated.  Bounded by a constant when the -1 machinery is
-    healthy.
+    healthy.  The chains run level by level over all of R's cells at once.
     """
     if forest is None:
         return None
     decomp = classified.decomp
     R = decomp.R
-    dim = R.domain.dim
-    shape = tuple(R.side_cells for _ in range(dim))
-    owners: dict[int, np.ndarray] = {}
-    cube_lists: dict[int, list[Cube]] = {}
-    for k, cubes in decomp.levels.items():
-        owner = np.full(shape, -1, dtype=np.int64)
-        for i, Q in enumerate(cubes):
-            rel = tuple(
-                slice(Q.anchor[ax] - R.anchor[ax],
-                      Q.anchor[ax] - R.anchor[ax] + Q.side_cells)
-                for ax in range(dim)
-            )
-            owner[rel] = i
-        owners[k] = owner
-        cube_lists[k] = cubes
-    iu = {}
+    level_of = dict(forest.nodes)
     piece_mass: dict[tuple[int, Cube], float] = {}
     for W in forest.generations:
-        P = forest.primary_parent[W]
-        k = dict(forest.nodes)[W]
-        piece_mass[(k, P)] = piece_mass.get((k, P), 0.0) + integrate(u, W)
-    for k, cubes in cube_lists.items():
-        for Q in cubes:
-            iu[Q] = integrate(u, Q)
-    ks = sorted(decomp.levels)
+        key = (level_of[W], forest.primary_parent[W])
+        piece_mass[key] = piece_mass.get(key, 0.0) + integrate(u, W)
+    opened = np.full(R.cell_count, -np.inf)     # every u average beats -inf
+    bracket = np.zeros(R.cell_count)
     best = 0.0
-    for cell in np.ndindex(*shape):
-        chain = [(k, cube_lists[k][owners[k][cell]]) for k in ks if owners[k][cell] >= 0]
-        if not chain:
-            continue
-        cur_avg = None
-        bracket = 0.0
-        for k, Q in chain:
-            aq = iu[Q] / Q.volume
-            if cur_avg is None or aq > 2.0 * cur_avg:
-                best = max(best, bracket)
-                bracket = 0.0
-                cur_avg = aq
-            inner = piece_mass.get((k, Q), 0.0)
-            if iu[Q] > 0:
-                bracket += inner / iu[Q]
-        best = max(best, bracket)
-    return float(best)
+    for k, cubes in sorted(decomp.levels.items()):
+        owner = np.full((R.side_cells,) * R.domain.dim, -1, dtype=np.int64)
+        for i, Q in enumerate(cubes):
+            owner[_relative_slices(Q, R)] = i
+        iu = np.array([integrate(u, Q) for Q in cubes])
+        avg = iu / np.array([Q.volume for Q in cubes])
+        inner = np.array([piece_mass.get((k, Q), 0.0) for Q in cubes])
+        share = np.divide(inner, iu, out=np.zeros_like(iu), where=iu > 0)
+        cells = np.flatnonzero(owner >= 0)
+        q = owner.ravel()[cells]
+        fresh = avg[q] > 2.0 * opened[cells]
+        closed = cells[fresh]
+        best = max(best, float(bracket[closed].max(initial=0.0)))
+        bracket[closed] = 0.0
+        opened[closed] = avg[q[fresh]]
+        bracket[cells] += share[q]
+    return max(best, float(bracket.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -293,9 +293,9 @@ def require_weight(w: GridFunction) -> GridFunction:
 ALL_CELL_ALIGNED = "all_cell_aligned"
 DYADIC_GRID_OF = "dyadic_grid_of"
 
-#: most entries of one ALL_CELL_ALIGNED sweep block, counted as batch x
-#: sides x widest row: each (..., sides, row) temporary of a block is then
-#: 256 KB at most, and a level-8 interval sweep takes two blocks
+#: most entries of one ALL_CELL_ALIGNED sweep block, counted as inputs x
+#: batch x sides x widest row: a block's averages then take 256 KB at most
+#: over all inputs, and a one-input level-8 interval sweep takes two blocks
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -321,10 +321,10 @@ class CubeFamily:
     block's anchors (those of its smallest side, sides[0]), so the rows
     shrink by one cube per side and padding() marks the tail each leaves.
     On ALL_CELL_ALIGNED a block holds as many consecutive sides as fit
-    BLOCK_ELEMENTS (batch x sides x widest row), and none spans the middle
-    side (span + 1) // 2, where PenaltyTable's fold of the interval
-    triangle turns; BoxSums reads a block as two strided views of its
-    prefix table.  A padded entry is the cube clipped to the root: its sum
+    BLOCK_ELEMENTS (inputs x batch x sides x widest row), and none spans
+    the middle side (span + 1) // 2, where PenaltyTable's fold of the
+    interval triangle turns; BoxSums reads a block as two strided views of
+    its prefix table.  A padded entry is the cube clipped to the root: its sum
     and extremes run over the cells the window keeps, so it is finite
     wherever the window's own cells are.  DYADIC_GRID_OF has one side per
     block (its sides have unequal anchor counts).  The sweep reads a side
@@ -432,7 +432,7 @@ class CubeFamily:
                     f"the running sum of sweep input {i} over the root overflows, "
                     "so its cube averages would read inf - inf"
                 )
-        batch = math.prod(arrays[0].shape[:-dim]) if arrays else 1
+        batch = len(arrays) * math.prod(arrays[0].shape[:-dim]) if arrays else 1
         span = self.root.side_cells
         for sides in self._blocks(batch):
             s = int(sides[0])

@@ -16,7 +16,7 @@ separates subcritical cubes (r <= rho) from the rest.
 Sweeps cost O(n log n) to O(n^2) per function: CubeFamily.sweep gives
 every cube average in O(1) from one prefix-sum table, a block of sides at
 a time (on intervals, as many as fit grid.BLOCK_ELEMENTS counted over the
-whole stack), and CubeFamily.cell_max turns a block's per-cube values into
+whole stack and every input), and CubeFamily.cell_max turns a block's per-cube values into
 per-cell suprema, two in-place maxima per side; m_localized runs on them
 too.  m_rho_sigma_stack and loc_glob_split_stack run one sweep for a
 whole (B, *grid) stack of functions, so the per-block overhead is paid
@@ -43,6 +43,7 @@ from .grid import (
     CubeFamily,
     DYADIC_GRID_OF,
     Domain,
+    DomainMismatchError,
     GridFunction,
     dyadic_average_tree,
     require_stack,
@@ -139,7 +140,7 @@ def m_dyadic(f: GridFunction, R: Cube) -> GridFunction:
     Reads dyadic_average_tree, the floats corona's stopping times compare.
     """
     if R.domain != f.domain:
-        raise ValueError("root cube on a different domain")
+        raise DomainMismatchError("root cube on a different domain")
     if R.side_cells & (R.side_cells - 1):
         raise ValueError("dyadic root needs a power-of-two side")
     full = np.zeros(f.domain.shape)
@@ -158,7 +159,7 @@ def m_localized(f: GridFunction, R: Cube) -> GridFunction:
     dominates the dyadic one.
     """
     if R.domain != f.domain:
-        raise ValueError("root cube on a different domain")
+        raise DomainMismatchError("root cube on a different domain")
     domain = f.domain
     if domain.dim == 1:
         return m_rho_sigma(

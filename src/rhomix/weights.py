@@ -15,7 +15,8 @@ and CubeFamily.cube_extreme supplies the cube minima and maxima, so a full
 dim-1 sweep over all n(n+1)/2 intervals costs O(n^2).  The sweep averages
 w and each power of w the rungs need once (log w, w^(1-p') per p, w^s per
 s), and hands over blocks of sides (on intervals, as many as fit
-grid.BLOCK_ELEMENTS, so every temporary of a block stays under 256 KB).
+grid.BLOCK_ELEMENTS counted over every input, so a block's averages stay
+under 256 KB together).
 Per block, each distinct (kind, exponent) computes its raw ratio once into
 new memory, and each theta takes one penalty divide and one argmax;
 blocks come largest sides first and each is flat in (side, anchor) order,
@@ -26,7 +27,8 @@ call; ap_characteristic, ap_ladder and rh_characteristic are such calls.
 A power of w that overflows on a cell (w^(1-p') or w^s) stays out of the
 sweep and makes the sups of the rungs that read it inf, witnessed by that
 cell; the other rungs keep their values.  A power whose running sum over
-the root overflows is refused by the sweep (SumOverflowError).  The
+the root overflows is refused by the sweep (SumOverflowError), and so is
+a weight whose range cancels a cube's averages to 0/0.  The
 A_infty epsilon form runs per side on CubeFamily too; in dims 1 and 2
 ainf_epsilon reads its exponent off one RH_infty sweep and runs the fit
 only when that bound cannot decide it.
@@ -47,6 +49,7 @@ from .grid import (
     Cube,
     CubeFamily,
     GridFunction,
+    SumOverflowError,
     require_weight,
 )
 
@@ -177,14 +180,22 @@ def characteristics(
         # a one-side block has no padding
         pad = cubes.padding(sides, avgs[0].shape[-1]) if len(sides) > 1 else None
         for key, slot in slots.items():
-            raw = _raw(*key, avgs[0], avgs[slot], cubes, vals, sides)
+            with np.errstate(invalid="ignore"):
+                raw = _raw(*key, avgs[0], avgs[slot], cubes, vals, sides)
             if pad is not None:
                 np.copyto(raw, -np.inf, where=pad)
             for theta in thetas[key]:
                 penalty = table.power(sides, theta)
                 # 1.0: raw / 1.0 is raw
                 ratio = raw if np.isscalar(penalty) else raw / penalty
+                # argmax picks the first NaN, so its pick shows any NaN
                 i = int(np.argmax(ratio))
+                if math.isnan(ratio.flat[i]):
+                    raise SumOverflowError(
+                        f"the cube averages of the {key[0]} rung at {key[1]} "
+                        "cancel to 0/0: the weight's range passes what prefix "
+                        "sums over the root resolve"
+                    )
                 # blocks come largest sides first and each is flat in (side,
                 # anchor) order: >= lets a tie in a later block take over, so
                 # the witness is the first cube in (side, anchor) order that

@@ -9,7 +9,8 @@ import rhomix.extrapolation
 import rhomix.grid
 import rhomix.weights
 from rhomix import (
-    ALL_CELL_ALIGNED, DYADIC_GRID_OF, Cube, Domain, GridFunction, dyadic_sum_pyramid,
+    ALL_CELL_ALIGNED, DYADIC_GRID_OF, Cube, Domain, GridFunction, average,
+    dyadic_sum_pyramid, integrate,
 )
 
 #: (policy, rooted) as the family property tests draw them: dim-1 intervals
@@ -155,6 +156,103 @@ def brute_cz(g, R, lam):
     for kid in R.children() if R.side_cells > 1 else []:
         visit(kid)
     return sorted(out, key=lambda c: (c.side_cells, c.anchor))
+
+
+def _ancestor_in(node_map, R, cube):
+    """Nearest strict dyadic ancestor of cube (within R) present in node_map."""
+    s = cube.side_cells
+    anchor = cube.anchor
+    while s < R.side_cells:
+        s *= 2
+        anchor = tuple(
+            R.anchor[ax] + ((anchor[ax] - R.anchor[ax]) // s) * s
+            for ax in range(len(anchor))
+        )
+        hit = node_map.get((anchor, s))
+        if hit is not None:
+            return hit
+    return None
+
+
+def walk_forest(classified, u, ell, delta):
+    """Oracle for principal_select at a given delta: each node finds its
+    nearest ancestor among the nodes by walking up R's bisection tree one
+    dict lookup per side.  Returns (nodes, generations, assignment, h)."""
+    R = classified.decomp.R
+    a = classified.a
+    if ell >= 0:
+        nodes = [(Q, k) for (l, k), cubes in sorted(classified.gamma.items())
+                 if l == ell for Q in cubes]
+    else:
+        nodes = [(W, k) for k, pairs in sorted(classified.gamma_minus1.items())
+                 for W, _Q in pairs]
+        parent_of = {W: Q for pairs in classified.gamma_minus1.values() for W, Q in pairs}
+    nodes.sort(key=lambda qk: (-qk[0].side_cells, qk[1], qk[0].anchor))
+    node_map = {(Q.anchor, Q.side_cells): (Q, k) for Q, k in nodes}
+    avg_u = {Q: average(u, Q) for Q, _ in nodes}
+    level_of = dict(nodes)
+    generations, assignment = {}, {}
+    for Q, k in nodes:
+        anc = _ancestor_in(node_map, R, Q)
+        if anc is None:
+            generations[Q] = 0
+            assignment[Q] = Q
+            continue
+        prin = assignment[anc[0]]
+        if ell >= 0:
+            fire = avg_u[Q] > 2.0 * avg_u[prin]
+        else:
+            fire = avg_u[Q] > a ** ((k - level_of[prin]) * delta) * avg_u[prin]
+        if fire:
+            generations[Q] = generations[prin] + 1
+            assignment[Q] = Q
+        else:
+            assignment[Q] = prin
+    h = np.zeros(u.domain.shape)
+    for Q in generations:
+        if ell >= 0:
+            h[Q.slices()] += avg_u[Q]
+        else:
+            P = parent_of[Q]
+            h[P.slices()] += integrate(u, Q) / P.volume
+    return tuple(nodes), generations, assignment, h
+
+
+def cell_chain_double_sum(forest, classified, u):
+    """Oracle for the -1 branch's double sum: each cell's chain of stopping
+    cubes walked on its own, one level after the other."""
+    decomp = classified.decomp
+    R = decomp.R
+    shape = (R.side_cells,) * R.domain.dim
+    owners = {}
+    for k, cubes in decomp.levels.items():
+        owner = np.full(shape, -1, dtype=np.int64)
+        for i, Q in enumerate(cubes):
+            owner[tuple(slice(q - r, q - r + Q.side_cells)
+                        for q, r in zip(Q.anchor, R.anchor))] = i
+        owners[k] = owner
+    piece_mass = {}
+    level_of = dict(forest.nodes)
+    for W in forest.generations:
+        key = (level_of[W], forest.primary_parent[W])
+        piece_mass[key] = piece_mass.get(key, 0.0) + integrate(u, W)
+    iu = {Q: integrate(u, Q) for cubes in decomp.levels.values() for Q in cubes}
+    best = 0.0
+    for cell in np.ndindex(*shape):
+        chain = [(k, decomp.levels[k][owners[k][cell]])
+                 for k in sorted(decomp.levels) if owners[k][cell] >= 0]
+        cur_avg = None
+        bracket = 0.0
+        for k, Q in chain:
+            aq = iu[Q] / Q.volume
+            if cur_avg is None or aq > 2.0 * cur_avg:
+                best = max(best, bracket)
+                bracket = 0.0
+                cur_avg = aq
+            if iu[Q] > 0:
+                bracket += piece_mass.get((k, Q), 0.0) / iu[Q]
+        best = max(best, bracket)
+    return best
 
 
 def oscillator(domain):

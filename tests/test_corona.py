@@ -9,7 +9,7 @@ import rhomix.maximal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rhomix import (
@@ -40,10 +40,12 @@ from rhomix import (
 from conftest import (
     brute_cz,
     brute_m_dyadic,
+    cell_chain_double_sum,
     oscillator,
     pyramid_average,
     random_pow2_cube,
     split_domains,
+    walk_forest,
 )
 
 
@@ -230,6 +232,27 @@ def test_level_decomposition_matches_oracles_property(seed, dim):
         assert brute_cz(g, R, dec.a ** top) == []
 
 
+def test_stopping_time_root_on_another_domain_is_a_domain_mismatch():
+    g = GridFunction(Domain(1, 8.0, 4), np.ones(16))
+    R = Cube(Domain(1, 4.0, 4), (0,), 16)
+    with pytest.raises(DomainMismatchError, match="root cube"):
+        level_decomposition(g, R)
+    with pytest.raises(DomainMismatchError, match="root cube"):
+        cz_on_cube(g, R, 2.0)
+
+
+@pytest.mark.parametrize("dim, side", [(1, 3), (1, 12), (2, 6)])
+def test_stopping_time_root_needs_a_power_of_two_side(dim, side):
+    # the pyramid's "needs a cubical power-of-two array" named no cube
+    dom = Domain(dim, 8.0, 4)
+    R = Cube(dom, (0,) * dim, side)
+    g = GridFunction.constant(dom, 0.5)
+    with pytest.raises(ValueError, match=f"power-of-two side, got {side} cells"):
+        level_decomposition(g, R)
+    with pytest.raises(ValueError, match=f"power-of-two side, got {side} cells"):
+        cz_on_cube(g, R, 1.0)
+
+
 def test_level_decomposition_zero_function():
     dom = Domain(1, 8.0, 4)
     R = Cube(dom, (0,), dom.n)
@@ -366,6 +389,86 @@ def test_principal_select_delta_validation():
     u = GridFunction.constant(v.domain, 1.0)
     with pytest.raises(ValueError):
         principal_select(cl, u, -1, delta=1e9)
+
+
+def _low_band_instance(seed, dim, sub):
+    """(g, u, v, R): g = |f| v spikes on a few cells, over a v that stays
+    under 1 but for scattered high cells, so the stopping cubes around the
+    spikes often average v below their level and band -1 populates.  sub
+    roots the build at a half-side cube of the box."""
+    rng = np.random.default_rng(seed)
+    dom = Domain(dim, 8.0, {1: 6, 2: 4, 3: 3}[dim])
+    v = 10 ** rng.uniform(-2, 0, dom.shape)
+    flat = v.reshape(-1)
+    spots = rng.integers(0, flat.size, int(rng.integers(2, 3 * dom.n)))
+    flat[spots] = 10 ** rng.uniform(0, 3, spots.size)
+    g = np.zeros(dom.shape)
+    idx = rng.integers(0, flat.size, int(rng.integers(1, 6)))
+    g.reshape(-1)[idx] = 10 ** rng.uniform(1, 5, idx.size)
+    u = np.exp(rng.normal(0, 0.7, dom.shape))
+    R = Cube.box(dom)
+    if sub:
+        half = dom.n // 2
+        R = Cube(dom, tuple(int(c) * half for c in rng.integers(0, 2, dim)), half)
+    return GridFunction(dom, g), GridFunction(dom, u), GridFunction(dom, v), R
+
+
+def _check_walk_oracles(g, u, v, R):
+    """Every forest equals the ancestor-walk oracle's, and the -1 double sum
+    the per-cell chain oracle's, float for float; returns the forests."""
+    cl = classify(level_decomposition(g, R), v)
+    forests = build_forests(cl, u)
+    assert -1 in forests
+    for ell, forest in forests.items():
+        nodes, generations, assignment, h = walk_forest(cl, u, ell, forest.delta)
+        assert forest.nodes == nodes
+        assert list(forest.generations.items()) == list(generations.items())
+        assert list(forest.assignment.items()) == list(assignment.items())
+        assert forest.h.values.tobytes() == h.tobytes()
+    rep = claim_audits(forests, cl, u)
+    assert rep.double_sum_max == cell_chain_double_sum(forests[-1], cl, u)
+    return forests
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    dim=st.integers(min_value=1, max_value=2),
+    sub=st.booleans(),
+)
+def test_forests_and_double_sum_match_the_walk_oracles_property(seed, dim, sub):
+    g, u, v, R = _low_band_instance(seed, dim, sub)
+    dec = level_decomposition(g, R)
+    assume(not dec.empty and classify(dec, v).gamma_minus1)
+    _check_walk_oracles(g, u, v, R)
+
+
+def test_forests_and_double_sum_match_the_walk_oracles_dim3():
+    g, u, v, R = _low_band_instance(15, 3, False)
+    _check_walk_oracles(g, u, v, R)
+
+
+def test_low_band_piece_nested_in_a_piece_matches_the_oracles():
+    """At level 1 the stopping cube [0, 8) averages v at 3.9575 < 4 and
+    yields the piece [0, 4) (v average 7.905, meeting the band (4, 16] at
+    cell 2); at level 2 the stopping cube [0, 2) yields the piece [1, 2)
+    (v = 24, in the band (16, 64]).  So the -1 forest nests one piece in
+    another, and u's peak on cell 1 makes the inner piece principal."""
+    dom = Domain(1, 8.0, 4)
+    v = np.full(16, 0.01)
+    v[1], v[2] = 24.0, 7.6
+    g = np.zeros(16)
+    g[0] = 48.0
+    u = np.ones(16)
+    u[1] = 50.0
+    R = Cube.box(dom)
+    forests = _check_walk_oracles(
+        GridFunction(dom, g), GridFunction(dom, u), GridFunction(dom, v), R
+    )
+    low = forests[-1]
+    outer, inner = Cube(dom, (0,), 4), Cube(dom, (1,), 1)
+    assert low.nodes == ((outer, 1), (inner, 2))
+    assert low.generations == {outer: 0, inner: 1}
 
 
 def test_claim_bound_holds_on_tuned_instances():

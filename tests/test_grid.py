@@ -24,6 +24,7 @@ from rhomix import (
     THETA_LADDER,
     ap_ladder,
     average,
+    characteristics,
     dyadic_average_tree,
     dyadic_averages,
     dyadic_sum_pyramid,
@@ -33,6 +34,8 @@ from rhomix import (
     require_weight,
     save_grid_function,
 )
+
+from rhomix.extrapolation import T_LADDER
 
 from conftest import BLOCK_BUDGETS, FAMILY_DRAWS, block_budget, brute_average, cubes_of
 
@@ -399,6 +402,29 @@ def test_sweep_temporaries_stay_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20, (name, peak)
+
+
+def test_sweep_blocks_count_every_input(monkeypatch):
+    """A d1 L8 characteristics call over T_LADDER sweeps w and five powers
+    of it; each block holds inputs x sides x widest row averages, and that
+    stays within BLOCK_ELEMENTS (the budget once counted the batch alone,
+    so six inputs held six times the budget)."""
+    dom = Domain(1, 8.0, 8)
+    fam = CubeFamily(dom, ALL_CELL_ALIGNED)
+    w = GridFunction(dom, np.exp(np.random.default_rng(9).normal(0, 1, dom.shape)))
+    blocks = []
+    sweep = CubeFamily.sweep
+
+    def recorded(self, *values):
+        for sides, anchors, avgs in sweep(self, *values):
+            blocks.append((len(avgs), len(sides), avgs[0].shape[-1]))
+            yield sides, anchors, avgs
+
+    monkeypatch.setattr(CubeFamily, "sweep", recorded)
+    characteristics(w, [("ap", t, 0.0) for t in T_LADDER], RhoSpec.classical(), fam)
+    assert {n for n, _, _ in blocks} == {6}
+    for n, sides, width in blocks:
+        assert n * sides * width <= rhomix.grid.BLOCK_ELEMENTS
 
 
 def test_pyramid_levels_conserve_mass():

@@ -15,6 +15,7 @@ from rhomix import (
     Cube,
     CubeFamily,
     Domain,
+    DomainMismatchError,
     GridFunction,
     GridShiftSet,
     RhoSpec,
@@ -244,6 +245,15 @@ def test_dyadic_weak_one_one_constant_one():
         for t in np.linspace(1e-3, m.max() * 1.2, 32):
             measure = float((m > t).sum()) * dom.cell_volume
             assert t * measure <= total * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("maximal", [m_dyadic, m_localized])
+def test_root_cube_on_another_domain_is_a_domain_mismatch(maximal):
+    # same cell count, other box: a bare ValueError before
+    f = GridFunction(Domain(1, 8.0, 4), np.ones(16))
+    R = Cube(Domain(1, 4.0, 4), (0,), 16)
+    with pytest.raises(DomainMismatchError, match="root cube"):
+        maximal(f, R)
 
 
 def test_localized_between_dyadic_and_global():

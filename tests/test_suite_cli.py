@@ -433,6 +433,16 @@ def test_cli_corona_run_rejects_a_malformed_cube_regression(saved_inputs, R, cap
     assert not (tmp_path / "Rout").exists()
 
 
+def test_cli_corona_run_names_a_non_power_of_two_side(saved_inputs, capsys):
+    tmp_path, paths = saved_inputs
+    rc = main([
+        "corona", "run", "--f", paths["f"], "--u", paths["u"],
+        "--v", paths["v"], "--R", "[0, 3]",
+    ])
+    assert rc == 2
+    assert "power-of-two side, got 3 cells" in capsys.readouterr().err
+
+
 def test_cli_corona_run_takes_an_integer_cube(saved_inputs):
     tmp_path, paths = saved_inputs
     out = tmp_path / "Rok"

@@ -339,6 +339,19 @@ def test_an_overflowed_power_leaves_the_other_rungs_alone():
         characteristics(GridFunction(dom, low), [("rh", 2.0, 0.0), ("ap", 1.01, 0.0)], rho, fam)
 
 
+def test_averages_that_cancel_are_refused():
+    """On ones with one cell of 1e40, the prefix sums past the spike lose
+    the ones, so every interval there averages w and w^2 to 0 and its RH_2
+    ratio reads 0/0.  argmax stopped at that NaN and the sup came back
+    -inf with no witness; the sweep's cancellation is refused instead."""
+    dom = Domain(1, 8.0, 4)
+    vals = np.ones(dom.shape)
+    vals[3] = 1e40
+    fam = CubeFamily(dom, ALL_CELL_ALIGNED)
+    with pytest.raises(SumOverflowError, match="cancel to 0/0"):
+        rh_characteristic(GridFunction(dom, vals), 2.0, 0.0, RhoSpec.classical(), fam)
+
+
 def test_rungs_are_validated():
     dom = Domain(1, 4.0, 3)
     w = GridFunction.constant(dom, 1.0)
