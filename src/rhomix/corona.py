@@ -68,19 +68,34 @@ def _band_index(x: np.ndarray, a: float) -> np.ndarray:
     """Largest-k grid of bands a^k < x <= a^(k+1), elementwise exact.
 
     Uses log as a first guess, then repairs the edges by comparison so a
-    value sitting exactly on a power of a lands in the lower band.
+    value sitting exactly on a power of a lands in the lower band.  The
+    powers of a come from Python's pow, the C library's, as _floor_band
+    and level_decomposition take them: numpy's vectorised power can round
+    a^k to the neighbouring float when a is not a power of two.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("band index needs positive values")
+    a = float(a)
     k = np.ceil(np.log(x) / math.log(a)).astype(np.int64) - 1
+    # the repairs below move k by at most 4 either way
+    lo = int(k.min()) - 4
+    powers = np.array([_pow_or_inf(a, j) for j in range(lo, int(k.max()) + 6)])
     for _ in range(4):
-        too_high = a ** (k.astype(float)) >= x
-        too_low = a ** (k + 1.0) < x
+        too_high = powers[k - lo] >= x
+        too_low = powers[k + 1 - lo] < x
         if not (too_high.any() or too_low.any()):
             break
         k = k - too_high.astype(np.int64) + too_low.astype(np.int64)
     return k
+
+
+def _pow_or_inf(a: float, j: int) -> float:
+    """a ** j by Python's pow, inf where it overflows."""
+    try:
+        return a**j
+    except OverflowError:
+        return math.inf
 
 
 def _floor_band(x: float, a: float) -> int:

@@ -220,9 +220,10 @@ def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
     return out
 
 
-# fold rows are raised to a power this many entries at a time, so the
-# index arrays in flight stay small at any level
-_FOLD_CHUNK = 4096
+# the fold is built this many entries at a time, so each temporary stays
+# within 64 KB at any level; timed at level 8, chunks of 256 KB took about
+# half as long again, each temporary then a fresh mapping of pages
+_FOLD_CHUNK = 1 << 13
 
 
 def _penalty_base(rv: np.ndarray, r, ratio: bool) -> np.ndarray:
@@ -244,7 +245,7 @@ class PenaltyTable:
     copy of side i + 1's at the middle of an odd m).  A block of sides up
     to (m + 1) // 2 is rows of the fold read left to right, a block above
     it rows read right to left, each one strided view; sweep blocks never
-    span the two.
+    span the two.  The memo keeps every exponent's fold and never evicts.
     """
 
     def __init__(self, rho: RhoSpec, family) -> None:
@@ -313,21 +314,31 @@ class PenaltyTable:
         """One exponent's powers on the fold, as two window views of it:
         lower[s - 1] starts side s's row for s <= (m + 1) // 2, and
         upper[m + 1 - s] for the sides above, whose row (m - (m + 1) // 2
-        wide at most) runs on into the next fold row."""
+        wide at most) runs on into the next fold row.
+
+        Built _FOLD_CHUNK entries at a time: fold row i, entry c is side
+        i + 1 at anchor c, whose center is half-cell point 2c + i + 1, or
+        from c = m - i on side m - i at anchor c - (m - i), whose center is
+        2c - (m - i); each chunk's penalty bases (_penalty_base) are raised
+        to the exponent as they are made, so no fold-sized array but the
+        fold itself is ever held."""
         span = self.family.root.side_cells
         half = (span + 1) // 2
         rv = self._half_cells()[0]
         h = self.family.domain.cell_width
-        col = np.arange(span + 1)
+        root_dim = math.sqrt(self.family.domain.dim)
+        col2 = 2 * np.arange(span + 1)
         flat = np.empty(half * (span + 1))
         step = max(1, _FOLD_CHUNK // (span + 1))
         for top in range(0, half, step):
             row = np.arange(top, min(top + step, half))[:, None]
-            left = col < span - row
-            side = np.where(left, row + 1, span - row)
-            anchor = np.where(left, col, col - (span - row))
-            radius = math.sqrt(self.family.domain.dim) * side * h / 2.0
-            base = _penalty_base(rv[2 * anchor + side], radius, ratio)
+            upper = col2 >= 2 * (span - row)
+            center = col2 + (row + 1)
+            np.subtract(center, span + 1, out=center, where=upper)
+            radius = np.where(
+                upper, root_dim * (span - row) * h / 2.0, root_dim * (row + 1) * h / 2.0
+            )
+            base = _penalty_base(rv[center], radius, ratio)
             flat[top * (span + 1) : (top + len(row)) * (span + 1)] = (
                 _libm_pow(base, exponent).reshape(-1)
             )

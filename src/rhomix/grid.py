@@ -323,8 +323,10 @@ class CubeFamily:
     On ALL_CELL_ALIGNED a block holds as many consecutive sides as fit
     BLOCK_ELEMENTS (inputs x batch x sides x widest row), and none spans
     the middle side (span + 1) // 2, where PenaltyTable's fold of the
-    interval triangle turns; BoxSums reads a block as two strided views of
-    its prefix table.  A padded entry is the cube clipped to the root: its sum
+    interval triangle turns.  Every input of a sweep shares one BoxSums
+    table (the inputs stacked on a leading axis), so a block is one read of
+    the table: two strided views on intervals.  A padded entry is the cube
+    clipped to the root: its sum
     and extremes run over the cells the window keeps, so it is finite
     wherever the window's own cells are.  DYADIC_GRID_OF has one side per
     block (its sides have unequal anchor counts).  The sweep reads a side
@@ -332,8 +334,12 @@ class CubeFamily:
     corner c, one strided slice(c s, c s + span - s + 1, s) on each axis,
     the floats box_sum gives at the side's anchors.  cube_extreme() and
     cell_max() view the root as one (tile, cell-in-tile) pair of axes per
-    dimension, so one reshape serves every dim.  Min and max recurrences
-    give cube_extreme() and cell_max() with no rounding.
+    dimension, so one reshape serves every dim.  cube_extreme() and
+    cell_max() only take minima and maxima, so they round nothing.  On
+    ALL_CELL_ALIGNED cube_extreme() reads a block's rows off doubled
+    windows, one call per run of sides that share a window width, and
+    cell_max() spreads a block whole or side by side, whichever its shape
+    makes cheaper.
 
     anchors(s) is a bare arange on ALL_CELL_ALIGNED.  On DYADIC_GRID_OF it
     is memoised per (root, side), so per family and side, and read-only;
@@ -405,8 +411,13 @@ class CubeFamily:
 
     def padding(self, sides: np.ndarray, width: int) -> np.ndarray:
         """(sides, width) mask of a sweep block's padded entries: row j
-        holds width - (sides[j] - sides[0]) cubes, then padding."""
-        return np.arange(width) >= width - (sides - sides[0])[:, None]
+        holds width - j cubes (a block's sides are consecutive), then
+        padding.  A read-only view whose row j starts j entries into one
+        run of width False then len(sides) - 1 True."""
+        k = len(sides)
+        run = np.zeros(width + k - 1, dtype=bool)
+        run[width:] = True
+        return _view(run, 0, (k, width), (1, 1))
 
     def sweep(self, *values: np.ndarray):
         """Per block of sides, largest sides first: (sides, anchors, avgs).
@@ -416,39 +427,39 @@ class CubeFamily:
         sides is the block's ascending (k,) int array and anchors the (W,
         dim) anchors of its smallest side.  avgs holds one (..., k, W)
         array per input: entry [..., j, a] is the average of the function
-        over the cube of side sides[j] at anchors[a], read from a BoxSums
-        table of the root; entries that padding() marks are clipped cubes.
-        An input whose cells are finite but whose running sum over the root
-        overflows is refused with SumOverflowError.
+        over the cube of side sides[j] at anchors[a], read from one BoxSums
+        table of the root for every input (the inputs share one shape);
+        entries that padding() marks are clipped cubes.  An input whose
+        cells are finite but whose running sum over the root overflows is
+        refused with SumOverflowError.
         """
         dim = self.domain.dim
         region = (Ellipsis,) + self.root.slices()
         arrays = [np.asarray(v, dtype=np.float64)[region] for v in values]
+        # the inputs as one stack (a lone input's view, else a copy held
+        # only while the table is built), so each block is one table read
         with np.errstate(over="ignore", invalid="ignore"):
-            tables = [BoxSums(a, dim) for a in arrays]
-        for i, t in enumerate(tables):
-            if not np.isfinite(t.table[(Ellipsis,) + (-1,) * dim]).all():
+            table = BoxSums(arrays[0][None] if len(arrays) == 1 else np.stack(arrays), dim)
+        totals = table.table[(Ellipsis,) + (-1,) * dim]
+        for i, total in enumerate(totals):
+            if not np.isfinite(total).all():
                 raise SumOverflowError(
                     f"the running sum of sweep input {i} over the root overflows, "
                     "so its cube averages would read inf - inf"
                 )
-        batch = len(arrays) * math.prod(arrays[0].shape[:-dim]) if arrays else 1
+        batch = math.prod(totals.shape)
         span = self.root.side_cells
         for sides in self._blocks(batch):
             s = int(sides[0])
-            avgs = []
             if self.policy == ALL_CELL_ALIGNED:
-                for t in tables:
-                    sums = t.interval_sums(s, len(sides))
-                    avgs.append(np.divide(sums, sides[:, None], out=sums))
+                sums = table.interval_sums(s, len(sides))
+                np.divide(sums, sides[:, None], out=sums)
             else:
                 # the side's tiles of the root: one lattice per axis
-                tiles = [(0, s, span // s)] * dim
-                for t in tables:
-                    sums = t._corner_sums(tiles, s)
-                    np.divide(sums, s**dim, out=sums)
-                    avgs.append(sums.reshape(sums.shape[:-dim] + (1, -1)))
-            yield sides, self.anchors(s), avgs
+                sums = table._corner_sums([(0, s, span // s)] * dim, s)
+                np.divide(sums, s**dim, out=sums)
+                sums = sums.reshape(sums.shape[:-dim] + (1, -1))
+            yield sides, self.anchors(s), list(sums)
 
     def _tiles(self, region: np.ndarray, s: int) -> np.ndarray:
         """View of a (..., *grid) region as (tile, cell-in-tile) axis pairs,
@@ -481,25 +492,32 @@ class CubeFamily:
             lead = tiles.ndim - 2 * self.domain.dim
             inner = tuple(range(lead + 1, tiles.ndim, 2))
             return op(tiles, axis=inner).reshape(tiles.shape[:lead] + (1, -1))
-        # extremes of w-cell windows, doubling w while 2w <= s; the windows
-        # at a and a+s-w then cover [a, a+s) between them
+        # ext[..., i] is the extreme of the w cells from i, clipped to the
+        # root (cells past it are the operation's identity); a row of side
+        # r in [w, 2w] reads ext at a and at a + r - w, whose windows cover
+        # [a, a + r) between them, so each doubling of w serves a run of
+        # rows in one call
         op = np.minimum if kind == "min" else np.maximum
-        m = vals.shape[-1] - s + 1
-        ext, w = vals, 1
-        while 2 * w <= s:
-            ext = op(ext[..., :-w], ext[..., w:])
-            w *= 2
+        identity = np.inf if kind == "min" else -np.inf
         k = len(sides)
+        m = vals.shape[-1] - s + 1
+        pad = np.full(vals.shape[:-1] + (k - 1,), identity)
+        ext, w = np.concatenate([vals, pad], axis=-1), 1
         out = np.empty(vals.shape[:-1] + (k, m))
-        op(ext[..., :m], ext[..., s - w : s - w + m], out=out[..., 0, :])
-        if k > 1:
-            # row j adds cell a + s + j - 1 to row j - 1's window; cells past
-            # the root are the operation's identity, so they clip the window
-            identity = np.inf if kind == "min" else -np.inf
-            pad = np.full(vals.shape[:-1] + (k - 1,), identity)
-            tail = np.concatenate([vals[..., s:], pad], axis=-1)
-            out[..., 1:, :] = sliding_window_view(tail, m, axis=-1)
-            op.accumulate(out, axis=-2, out=out)
+        row = 0
+        while row < k:
+            r = s + row
+            while 2 * w <= r:
+                ext = op(ext[..., :-w], ext[..., w:])
+                w *= 2
+            count = min(k - row, 2 * w - r + 1)
+            # far[..., i, a] = ext[..., a + r - w + i], one row per side
+            step = ext.strides[-1]
+            far = _view(
+                ext, r - w, ext.shape[:-1] + (count, m), ext.strides[:-1] + (step, step)
+            )
+            op(ext[..., None, :m], far, out=out[..., row : row + count, :])
+            row += count
         return out
 
     def cell_max(self, scores: np.ndarray, sides: np.ndarray, out: np.ndarray) -> None:
@@ -514,25 +532,97 @@ class CubeFamily:
         (maximal._cell_floor gives that).  With H_s[a] the largest
         score of an interval of s or more cells containing [a, a+s),
         H_s[a] = max(score_s[a], H_{s+1}[a-1], H_{s+1}[a]) and H_1 is the
-        cellwise sup.  out[..., a] holds H_s[a] once side s is in, so each
-        side costs two in-place maxima: H_{s+1}[a-1] folds into the side's
-        scores, whose memory no input of that maximum shares, then the
-        scores fold into out.
+        cellwise sup; out[..., a] holds H_s[a] once side s is in.  A block
+        runs by whichever of two kernels its shape makes cheaper (see
+        _spread_whole_block); both take the max of the same scores, so
+        out's floats do not depend on the choice.
         """
         view = out[(Ellipsis,) + self.root.slices()]
         if self.policy == ALL_CELL_ALIGNED:
-            span = view.shape[-1]
-            for j in range(len(sides) - 1, -1, -1):
-                m = span - int(sides[j]) + 1
-                row = scores[..., j, :m]
-                np.maximum(row[..., 1:], view[..., : m - 1], out=row[..., 1:])
-                np.maximum(view[..., :m], row, out=view[..., :m])
+            if _spread_whole_block(scores):
+                _spread_block(view, scores, self.padding(sides, scores.shape[-1]))
+            else:
+                _spread_sides(view, scores, sides)
             return
         s = int(sides[0])
         tiles = self._tiles(view, s)
         lead = view.shape[: view.ndim - self.domain.dim]
         k = view.shape[-1] // s
         np.maximum(tiles, scores.reshape(lead + (k, 1) * self.domain.dim), out=tiles)
+
+
+#: the whole-block spread kernel runs on blocks of at least this many
+#: sides whose rows hold at most this many entries over the stack (B W).
+#: The side loop pays about 4 us of calls per side, the block kernel a
+#: fixed 20 us and a strided suffix max over the whole block.  Timed on
+#: blocks of 1-16 functions, 4-181 sides and 11-512 anchors (one core of a
+#: 2-core x86 host, numpy 2.4), the block kernel won on most shapes inside
+#: these bounds and lost on most outside them; in the benchmark's passes
+#: it took cell_max from 8.6 to 4.1 ms (extrap) and 14.9 to 8.6 ms (sweep)
+_BLOCK_MIN_SIDES = 8
+_BLOCK_MAX_ROW = 1024
+
+
+def _spread_whole_block(scores: np.ndarray) -> bool:
+    """True when _spread_block is the cheaper kernel for a block of scores
+    (..., k, W): many sides, few entries per row over the stack."""
+    k = scores.shape[-2]
+    return (
+        k >= _BLOCK_MIN_SIDES
+        and scores.size // k <= _BLOCK_MAX_ROW
+        and scores.flags.c_contiguous
+    )
+
+
+def _spread_sides(view: np.ndarray, scores: np.ndarray, sides: np.ndarray) -> None:
+    """The spread recurrence one side at a time, largest first: two
+    in-place maxima per side.  H_{s+1}[a-1] folds into the side's scores,
+    whose memory no input of that maximum shares, then the scores fold
+    into view."""
+    span = view.shape[-1]
+    for j in range(len(sides) - 1, -1, -1):
+        m = span - int(sides[j]) + 1
+        row = scores[..., j, :m]
+        np.maximum(row[..., 1:], view[..., : m - 1], out=row[..., 1:])
+        np.maximum(view[..., :m], row, out=view[..., :m])
+
+
+def _spread_block(view: np.ndarray, scores: np.ndarray, pad: np.ndarray) -> None:
+    """The spread recurrence over a whole block of k sides s0 .. s0+k-1 in
+    a fixed number of calls.  Unrolled, H_s0[a] is the max of score_j[b]
+    over the block's rows j and anchors a - j <= b <= a, and of the state
+    H_{s0+k}[b] over a - k <= b <= a.  The largest side takes one step of
+    the recurrence, so its row holds H_{s0+k-1} and carries the state;
+    with the padding at -inf, a suffix max over the rows makes row d hold
+    the best score of any side >= s0 + d, and H_s0[a] is the max of row d
+    at a - d over d: one max along the anti-diagonals, read through a
+    view whose row stride is one entry short of the block's (for a < d
+    that view reads row d - 1's padding, except at a = 0, where H_s0 is
+    row 0's first entry).  scores is C-contiguous (..., k, W)."""
+    k, width = scores.shape[-2:]
+    m = width - k + 1
+    top = scores[..., k - 1, :m]
+    np.maximum(top[..., 1:], view[..., : m - 1], out=top[..., 1:])
+    np.maximum(top, view[..., :m], out=top)
+    np.copyto(scores, -np.inf, where=pad)
+    rows_up = scores[..., ::-1, :]
+    np.maximum.accumulate(rows_up, axis=-2, out=rows_up)
+    strides = scores.strides
+    diagonals = _view(
+        scores, 1, scores.shape[:-2] + (k, width - 1),
+        strides[:-2] + (strides[-2] - strides[-1], strides[-1]),
+    )
+    np.max(diagonals, axis=-2, out=view[..., 1:width])
+    view[..., 0] = scores[..., 0, 0]
+
+
+def _view(arr: np.ndarray, start: int, shape: tuple, strides: tuple) -> np.ndarray:
+    """Read-only view of the C-contiguous arr from its flat entry start,
+    with shape and byte strides that stay inside arr: as_strided, without
+    the microseconds of checks it spends per call."""
+    view = np.ndarray(shape, arr.dtype, arr, start * arr.itemsize, strides)
+    view.flags.writeable = False
+    return view
 
 
 #: most (root, side) anchor arrays the DYADIC_GRID_OF memo keeps; corona

@@ -17,8 +17,9 @@ Sweeps cost O(n log n) to O(n^2) per function: CubeFamily.sweep gives
 every cube average in O(1) from one prefix-sum table, a block of sides at
 a time (on intervals, as many as fit grid.BLOCK_ELEMENTS counted over the
 whole stack and every input), and CubeFamily.cell_max turns a block's per-cube values into
-per-cell suprema, two in-place maxima per side; m_localized runs on them
-too.  m_rho_sigma_stack and loc_glob_split_stack run one sweep for a
+per-cell suprema (on intervals, a block of many sides and short rows in a
+fixed number of calls, other blocks by two in-place maxima per side);
+m_localized runs on them too.  m_rho_sigma_stack and loc_glob_split_stack run one sweep for a
 whole (B, *grid) stack of functions, so the per-block overhead is paid
 once per stack; m_rho_sigma and loc_glob_split are their B = 1 calls, and
 every image is bit-identical whatever the stack around it and however the

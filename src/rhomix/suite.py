@@ -25,7 +25,7 @@ from .grid import (
     require_weight,
 )
 from .maximal import default_family
-from .weights import ap_characteristic, factor_build
+from .weights import _ap_range_clears, ap_characteristic, factor_build
 
 __all__ = [
     "ANALYTIC_RHO",
@@ -237,6 +237,10 @@ def _validated_weight(
         except InvalidWeightError:
             current = _tame(current, 0.8)
             continue
+        # w's range decides most weights without a sweep, and exactly as
+        # the sweep would
+        if _ap_range_clears(w, p, theta, fam, _CHAR_CAP):
+            return w, attempt
         try:
             char = ap_characteristic(w, p, theta, rho, fam).value
         except SumOverflowError:  # w or w^(1-p') sums past the float range

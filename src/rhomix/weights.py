@@ -132,11 +132,15 @@ def _raw(kind, x, avg, avg_power, cubes: CubeFamily, vals, sides) -> np.ndarray:
         if x == math.inf:  # means of logs, never products
             return avg * np.exp(-avg_power)
         if x == 1:
-            return avg / cubes.cube_extreme(vals, sides, "min")
-        return np.power(avg, 1.0 / x) * np.power(avg_power, 1.0 / (x / (x - 1.0)))
+            low = cubes.cube_extreme(vals, sides, "min")
+            return np.divide(avg, low, out=low)
+        raw = np.power(avg, 1.0 / x)
+        return np.multiply(raw, np.power(avg_power, 1.0 / (x / (x - 1.0))), out=raw)
     if x == math.inf:
-        return cubes.cube_extreme(vals, sides, "max") / avg
-    return np.power(avg_power, 1.0 / x) / avg
+        high = cubes.cube_extreme(vals, sides, "max")
+        return np.divide(high, avg, out=high)
+    raw = np.power(avg_power, 1.0 / x)
+    return np.divide(raw, avg, out=raw)
 
 
 def characteristics(
@@ -179,6 +183,7 @@ def characteristics(
     for sides, anchors, avgs in cubes.sweep(*inputs) if slots else ():
         # a one-side block has no padding
         pad = cubes.padding(sides, avgs[0].shape[-1]) if len(sides) > 1 else None
+        ratios = None  # one buffer per block for every rung's penalized ratios
         for key, slot in slots.items():
             with np.errstate(invalid="ignore"):
                 raw = _raw(*key, avgs[0], avgs[slot], cubes, vals, sides)
@@ -186,8 +191,12 @@ def characteristics(
                 np.copyto(raw, -np.inf, where=pad)
             for theta in thetas[key]:
                 penalty = table.power(sides, theta)
-                # 1.0: raw / 1.0 is raw
-                ratio = raw if np.isscalar(penalty) else raw / penalty
+                if np.isscalar(penalty):  # 1.0: raw / 1.0 is raw
+                    ratio = raw
+                else:
+                    if ratios is None:
+                        ratios = np.empty_like(raw)
+                    ratio = np.divide(raw, penalty, out=ratios)
                 # argmax picks the first NaN, so its pick shows any NaN
                 i = int(np.argmax(ratio))
                 if math.isnan(ratio.flat[i]):
@@ -324,15 +333,55 @@ def ainf_epsilon_form(
     return EpsilonForm(C, eps, residual, count)
 
 
+def _nus(vals: np.ndarray) -> float:
+    """N u S of one sweep input over the root (vals): N its cell count,
+    S = sum / min and u = 2^-53; inf or NaN when the sum overflows or the
+    min is 0."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return float(vals.size * 2.0**-53 * (vals.sum() / vals.min()))
+
+
 def _fit_margin(w: GridFunction, cubes: CubeFamily) -> float:
     """Relative rounding slack between the RH_infty sweep and the fit at
     eps = 1 (see ainf_epsilon): 64 N u S, with N the root's cell count,
     S = sum w / min w over the root and u = 2^-53; inf when N u S > 2^-20,
     where ainf_epsilon's first-order count stops being safe."""
-    vals = w.values[cubes.root.slices()]
-    with np.errstate(over="ignore"):
-        nus = vals.size * 2.0**-53 * (float(vals.sum()) / float(vals.min()))
+    nus = _nus(w.values[cubes.root.slices()])
     return 64.0 * nus if nus <= 2.0**-20 else math.inf
+
+
+def _ap_range_clears(
+    w: GridFunction, p: float, theta: float, cubes: CubeFamily, cap: float
+) -> bool:
+    """True when w's range over the root alone puts every cube's A_p ratio
+    at (p, theta), as ap_characteristic computes it, below cap, so its
+    value is below cap too; False sends the caller to the sweep.
+
+    For 1 <= p < inf and theta >= 0 every penalty is >= 1 and each cube's
+    exact ratio is at most (max w / min w)^(1/p) <= M/m over the root.
+    The sweep's floats: each cube average of an input x is high by a
+    factor of at most 1 + (8 gamma_N + 33 u) S_x (see ainf_epsilon; x is
+    w and, for p > 1, w^(1-p'), whose cells numpy's power rounds), the
+    two power means take exponents that sum to 1 and so carry the larger
+    of those factors, and the powers, the product and the penalty divide
+    add a few ulps.  The exponents 1/p, 1/p' and 1 - p' are rounded, so
+    the means' product is (M/m)^(1/p) off by a factor of up to
+    exp(4 u |ln m|).  With S the larger S_x, all this stays within
+    128 N u S + 8 u |ln m| whenever N u S <= 2^-20.  The inputs must be
+    finite with finite sums over the root (else N u S is not finite), as
+    the sweep needs them; otherwise, or outside 1 <= p < inf and
+    0 <= theta < inf (where the sweep may also refuse the rung), the
+    answer is False."""
+    if not (1 <= p < math.inf and 0 <= theta < math.inf):
+        return False
+    vals = w.values[cubes.root.slices()]
+    power = _power(vals, "ap", p)
+    nus = [_nus(x) for x in (vals, power) if x is not None]
+    if not all(n <= 2.0**-20 for n in nus):
+        return False
+    lo = float(vals.min())
+    margin = 128.0 * max(nus) + 8.0 * 2.0**-53 * abs(math.log(lo))
+    return float(vals.max()) / lo * (1.0 + margin) < cap
 
 
 def _rh_bound_clears(

@@ -1,17 +1,20 @@
 """Shared helpers for the test suite."""
 
 import contextlib
+import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import rhomix.extrapolation
 import rhomix.grid
 import rhomix.weights
 from rhomix import (
-    ALL_CELL_ALIGNED, DYADIC_GRID_OF, Cube, Domain, GridFunction, average,
+    ALL_CELL_ALIGNED, DYADIC_GRID_OF, BoxSums, Cube, Domain, GridFunction, average,
     dyadic_sum_pyramid, integrate,
 )
+from rhomix.critical import _libm_pow, _penalty_base
 
 #: (policy, rooted) as the family property tests draw them: dim-1 intervals
 #: (rooted or not is drawn after), the box's bisection tree, and the tree of
@@ -79,6 +82,63 @@ def counted_s_stacks():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rhomix.extrapolation, "_s_stack", counting)
         yield calls
+
+
+def per_side_cell_max(family, scores, sides, out):
+    """Oracle for CubeFamily.cell_max on ALL_CELL_ALIGNED: the spread
+    recurrence H_s[a] = max(score_s[a], H_{s+1}[a-1], H_{s+1}[a]) one side
+    at a time, largest first, two in-place maxima per side."""
+    view = out[(Ellipsis,) + family.root.slices()]
+    span = view.shape[-1]
+    for j in range(len(sides) - 1, -1, -1):
+        m = span - int(sides[j]) + 1
+        row = scores[..., j, :m]
+        np.maximum(row[..., 1:], view[..., : m - 1], out=row[..., 1:])
+        np.maximum(view[..., :m], row, out=view[..., :m])
+
+
+def row_by_row_fold(table, exponent, ratio):
+    """Oracle for PenaltyTable._fold: the bases and their powers built one
+    fold row at a time from the index arithmetic, for each exponent anew.
+    Returns the same (lower, upper) window views of the flat fold."""
+    span = table.family.root.side_cells
+    half = (span + 1) // 2
+    rv = table._half_cells()[0]
+    h = table.family.domain.cell_width
+    col = np.arange(span + 1)
+    flat = np.empty(half * (span + 1))
+    for i in range(half):
+        left = col < span - i
+        side = np.where(left, i + 1, span - i)
+        anchor = np.where(left, col, col - (span - i))
+        radius = math.sqrt(table.family.domain.dim) * side * h / 2.0
+        base = _penalty_base(rv[2 * anchor + side], radius, ratio)
+        flat[i * (span + 1) : (i + 1) * (span + 1)] = _libm_pow(base, exponent)
+    lower = sliding_window_view(flat, span)[:: span + 1]
+    upper = sliding_window_view(flat, max(span - half, 1))[::span]
+    return lower, upper
+
+
+def per_input_sweep(family, *values):
+    """Oracle for CubeFamily.sweep: one BoxSums table per input, every
+    block read from each table in turn (no overflow check)."""
+    dim = family.domain.dim
+    region = (Ellipsis,) + family.root.slices()
+    tables = [BoxSums(np.asarray(v, dtype=np.float64)[region], dim) for v in values]
+    lead = np.shape(values[0])[: np.ndim(values[0]) - dim]
+    span = family.root.side_cells
+    for sides in family._blocks(len(values) * math.prod(lead)):
+        s = int(sides[0])
+        avgs = []
+        for t in tables:
+            if family.policy == ALL_CELL_ALIGNED:
+                sums = t.interval_sums(s, len(sides))
+                avgs.append(np.divide(sums, sides[:, None], out=sums))
+            else:
+                sums = t._corner_sums([(0, s, span // s)] * dim, s)
+                np.divide(sums, s**dim, out=sums)
+                avgs.append(sums.reshape(sums.shape[:-dim] + (1, -1)))
+        yield sides, family.anchors(s), avgs
 
 
 def split_domains():

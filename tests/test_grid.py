@@ -36,8 +36,17 @@ from rhomix import (
 )
 
 from rhomix.extrapolation import T_LADDER
+from rhomix.maximal import _cell_floor
 
-from conftest import BLOCK_BUDGETS, FAMILY_DRAWS, block_budget, brute_average, cubes_of
+from conftest import (
+    BLOCK_BUDGETS,
+    FAMILY_DRAWS,
+    block_budget,
+    brute_average,
+    cubes_of,
+    per_input_sweep,
+    per_side_cell_max,
+)
 
 
 def test_domain_geometry():
@@ -309,17 +318,8 @@ def test_family_primitives_match_cube_loop(data):
     sweep blocks of one side and of several."""
     policy, rooted = data.draw(st.sampled_from(FAMILY_DRAWS))
     dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 3))
-    level = data.draw(st.integers(1, 3 if dim == 3 else 4))
-    dom = Domain(dim, 4.0, level)
-    root = None
-    if rooted or (rooted is None and data.draw(st.booleans())):
-        if policy == DYADIC_GRID_OF:
-            side = 1 << data.draw(st.integers(0, level))
-        else:
-            side = data.draw(st.integers(1, dom.n))
-        anchor = tuple(data.draw(st.integers(0, dom.n - side)) for _ in range(dim))
-        root = Cube(dom, anchor, side)
-    fam = CubeFamily(dom, policy, root)
+    fam = _drawn_family(data, policy, rooted, dim, data.draw(st.integers(1, 3 if dim == 3 else 4)))
+    dom = fam.domain
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     vals = rng.normal(size=dom.shape)
     budget = data.draw(st.sampled_from(BLOCK_BUDGETS))
@@ -375,6 +375,77 @@ def test_family_primitives_match_cube_loop(data):
                 assert np.array_equal(row, vals[Q.slices()].ravel())
     assert np.array_equal(got, want)
     assert np.array_equal(got_stack, alone)
+
+
+def _drawn_family(data, policy, rooted, dim, level):
+    """A family on Domain(dim, 4.0, level), rooted at a drawn cube when
+    rooted is True (or, for rooted None, when a drawn bool says so)."""
+    dom = Domain(dim, 4.0, level)
+    root = None
+    if rooted or (rooted is None and data.draw(st.booleans())):
+        if policy == DYADIC_GRID_OF:
+            side = 1 << data.draw(st.integers(0, level))
+        else:
+            side = data.draw(st.integers(1, dom.n))
+        anchor = tuple(data.draw(st.integers(0, dom.n - side)) for _ in range(dim))
+        root = Cube(dom, anchor, side)
+    return CubeFamily(dom, policy, root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_interval_spreads_match_the_per_side_oracle(data):
+    """Both interval spread kernels, and cell_max's choice between them,
+    give the per-side loop's floats bit for bit: on stacks of 1, 3 and 17
+    functions, rooted families and every block budget, with garbage (inf,
+    NaN, huge) in the padding, and through m_rho_sigma_stack's images."""
+    level = data.draw(st.integers(1, 6))
+    fam = _drawn_family(data, ALL_CELL_ALIGNED, None, 1, level)
+    batch = data.draw(st.sampled_from([1, 3, 17]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    stack = np.exp(rng.normal(size=(batch,) + fam.domain.shape))
+    outs = {name: _cell_floor(fam, batch) for name in ("chosen", "block", "sides", "oracle")}
+    with block_budget(data.draw(st.sampled_from(BLOCK_BUDGETS))):
+        for sides, _anchors, (avg,) in fam.sweep(stack):
+            pad = fam.padding(sides, avg.shape[-1])
+            garbage = rng.choice([np.inf, np.nan, 1e300, -1e300], size=avg.shape)
+            scores = np.where(pad, garbage, avg)
+            fam.cell_max(scores.copy(), sides, outs["chosen"])
+            region = (Ellipsis,) + fam.root.slices()
+            rhomix.grid._spread_block(outs["block"][region], scores.copy(), pad)
+            rhomix.grid._spread_sides(outs["sides"][region], scores.copy(), sides)
+            per_side_cell_max(fam, scores.copy(), sides, outs["oracle"])
+        images = m_rho_sigma_stack(stack, RhoSpec.classical(), 0.0, 1.0, fam)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CubeFamily, "cell_max", per_side_cell_max)
+            oracle_images = m_rho_sigma_stack(stack, RhoSpec.classical(), 0.0, 1.0, fam)
+    for name in ("chosen", "block", "sides"):
+        assert outs[name].tobytes() == outs["oracle"].tobytes(), name
+    assert images.tobytes() == oracle_images.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_sweep_matches_the_per_input_oracle(data):
+    """One table for every input of a sweep gives the floats of one table
+    per input, bit for bit, in dims 1-3, on rooted families, with a batch
+    axis or none, under every block budget."""
+    policy, rooted = data.draw(st.sampled_from(FAMILY_DRAWS))
+    dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 3))
+    fam = _drawn_family(data, policy, rooted, dim, data.draw(st.integers(1, 3 if dim == 3 else 5)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lead = data.draw(st.sampled_from([(), (2,)]))
+    inputs = [
+        np.exp(rng.normal(0, 3, size=lead + fam.domain.shape))
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    with block_budget(data.draw(st.sampled_from(BLOCK_BUDGETS))):
+        got = list(fam.sweep(*inputs))
+        want = list(per_input_sweep(fam, *inputs))
+    assert len(got) == len(want)
+    for (sides, anchors, avgs), (w_sides, w_anchors, w_avgs) in zip(got, want):
+        assert np.array_equal(sides, w_sides) and np.array_equal(anchors, w_anchors)
+        assert [a.tobytes() for a in avgs] == [a.tobytes() for a in w_avgs]
 
 
 def test_sweep_temporaries_stay_bounded():

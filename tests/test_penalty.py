@@ -26,8 +26,9 @@ from rhomix import (
     m_rho_sigma,
 )
 from rhomix.critical import _libm_pow
+from rhomix.suite import ANALYTIC_RHO
 
-from conftest import BLOCK_BUDGETS, block_budget, cubes_of, oscillator
+from conftest import BLOCK_BUDGETS, block_budget, cubes_of, oscillator, row_by_row_fold
 from test_maximal import brute_m_cubes
 from test_weights import ainf_epsilon_form_ref, brute_ap
 
@@ -144,6 +145,41 @@ def test_every_site_raises_penalties_by_libm_pow(exponent):
         if root is not None:
             want = ainf_epsilon_form_ref(w, theta, rho, cubes_of(dom, fam))
             assert ainf_epsilon_form(w, theta, rho, fam) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    level=st.integers(1, 9),
+    rooted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    rho_name=st.sampled_from(["inv_one_plus_dist", "sqrt_one_plus_dist", "constant"]),
+    exponents=st.lists(
+        st.sampled_from([0.5, 1.0, 2.0, 4.0, -1.0, -0.37, 1.25, 3.3]),
+        min_size=1, max_size=3, unique=True,
+    ),
+    ratio=st.booleans(),
+)
+def test_fold_matches_the_row_by_row_oracle(level, rooted, seed, rho_name, exponents, ratio):
+    """Each exponent's fold, built a chunk of rows at a time, holds the
+    floats of the fold built row by row: every span and root, exponents of
+    either sign, both ratio kinds, several exponents on one table."""
+    dom = Domain(1, 8.0, level)
+    root = None
+    if rooted:
+        rng = np.random.default_rng(seed)
+        side = int(rng.integers(1, dom.n + 1))
+        root = Cube(dom, (int(rng.integers(0, dom.n - side + 1)),), side)
+    fam = CubeFamily(dom, ALL_CELL_ALIGNED, root)
+    if rho_name == "constant":
+        rho = RhoSpec.constant(0.3)
+    else:
+        rho = RhoSpec.analytic(ANALYTIC_RHO[rho_name], name=rho_name)
+    table = rho.penalty_table(fam)
+    for exponent in exponents:
+        lower, upper = table._fold(exponent, ratio)
+        want_lower, want_upper = row_by_row_fold(table, exponent, ratio)
+        assert lower.tobytes() == want_lower.tobytes()
+        assert upper.tobytes() == want_upper.tobytes()
 
 
 def test_theta_ladder_matches_the_per_cube_reference():

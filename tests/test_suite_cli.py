@@ -32,7 +32,8 @@ import rhomix.experiments
 import rhomix.extrapolation
 import rhomix.suite
 from rhomix.cli import _build_parser, main
-from rhomix.suite import ANALYTIC_RHO, _tame, _validated_weight, rho_to_json
+from rhomix.suite import _CHAR_CAP, ANALYTIC_RHO, _tame, _validated_weight, rho_to_json
+from rhomix.weights import _ap_range_clears
 from rhomix.weights import RH_LADDER, THETA_LADDER
 
 from conftest import counted_s_stacks, counted_sweeps
@@ -187,6 +188,111 @@ def test_class_check_lets_other_errors_through_at_once(monkeypatch):
         _validated_weight(Domain(1, 8.0, 4), {"kind": "constant"},
                           np.random.default_rng(7), RhoSpec.classical(), 1.0, 0.0)
     assert len(calls) == 1
+
+
+def _sweep_accepts(w, p, theta, rho, fam):
+    """The class check's decision from the sweep alone."""
+    try:
+        char = ap_characteristic(w, p, theta, rho, fam).value
+    except SumOverflowError:
+        return False
+    return math.isfinite(char) and char < _CHAR_CAP
+
+
+def test_range_decision_is_the_sweeps_on_random_weights():
+    """Wherever w's range clears the cap the sweep accepts w too, on
+    lognormal weights of every spread up to the cap and past it, in dims
+    1-3, classical and analytic rho, 1 <= p < inf and theta >= 0; the
+    range never decides p = inf or theta < 0.  Both outcomes occur."""
+    rng = np.random.default_rng(2207)
+    analytic = RhoSpec.analytic(ANALYTIC_RHO["inv_one_plus_dist"], name="inv_one_plus_dist")
+    outcomes = set()
+    for dim, level in ((1, 6), (1, 8), (2, 4), (3, 3)):
+        dom = Domain(dim, 8.0, level)
+        fam = default_family(dom)
+        for _ in range(12):
+            # spreads from flat to a few times the cap
+            logs = rng.normal(size=dom.shape)
+            logs *= rng.uniform(0.0, 16.0) / max(np.ptp(logs), 1e-300)
+            w = GridFunction(dom, np.exp(logs))
+            for rho in (RhoSpec.classical(), analytic):
+                for p in (1.0, 1.01, 2.0, 7.5, math.inf):
+                    for theta in (-0.5, 0.0, 1.0, 4.0):
+                        clears = _ap_range_clears(w, p, theta, fam, _CHAR_CAP)
+                        if p == math.inf or theta < 0:
+                            assert not clears
+                        elif clears:
+                            assert _sweep_accepts(w, p, theta, rho, fam)
+                        outcomes.add(clears)
+    assert outcomes == {True, False}
+
+
+def test_range_decision_on_degenerate_weights():
+    """The range check sends every degenerate weight to the sweep, with
+    no warning: a subnormal cell, whose 1/w overflows; root sums of w and
+    of w^(1-p') past 1e308; the spike whose prefix sums cancel to 0/0; a
+    power of w that underflows on every cell; and a flat weight at p = inf
+    or at a theta that is negative or not finite (which the sweep
+    refuses)."""
+    dom = Domain(1, 8.0, 4)
+    subnormal = np.ones(dom.shape)
+    subnormal[3] = 5e-324
+    spike = np.ones(dom.shape)
+    spike[5] = 1e40
+    flat = GridFunction(dom, np.ones(dom.shape))
+    cases = [
+        (GridFunction(dom, subnormal), 1.0, 1.0),
+        (GridFunction(dom, subnormal), 2.0, 1.0),
+        (GridFunction(dom, np.full(dom.shape, 1e308)), 1.0, 0.0),
+        # w^(1 - p') = 1e307 on each of 64 cells
+        (GridFunction(Domain(1, 8.0, 6), np.full(64, 1e-307)), 2.0, 0.0),
+        (GridFunction(dom, spike), 2.0, 0.0),
+        # w^(1 - p') underflows to 0 on every cell, so S is 0/0
+        (GridFunction(dom, np.full(dom.shape, 1e300)), 1.01, 0.0),
+        (flat, 1.0, -1.0),
+        (flat, 1.0, math.nan),
+        (flat, 1.0, math.inf),
+        (flat, math.inf, 1.0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w, p, theta in cases:
+            fam = default_family(w.domain)
+            assert not _ap_range_clears(w, p, theta, fam, _CHAR_CAP), (p, theta)
+    assert _ap_range_clears(flat, 2.0, 0.0, default_family(dom), _CHAR_CAP)
+
+
+def _bundle_bytes(bundle):
+    pairs = [(p.u.values.tobytes(), p.v.values.tobytes(), p.label, p.retries)
+             for p in bundle.pairs]
+    return pairs, [f.values.tobytes() for f in bundle.fs], bundle.retries_total
+
+
+def test_generate_suite_is_the_sweep_only_suite(monkeypatch):
+    """Suites built with the range shortcut equal, byte for byte, the ones
+    the sweep alone builds (values, labels, retries), since the shortcut
+    accepts only what the sweep accepts and draws nothing: standard specs
+    in dims 1-3 at seeds 1-20, and wild weights that need retries."""
+    wild = [{"kind": "power", "alpha": 6.0}, {"kind": "smooth_random", "amp": 9.0},
+            {"kind": "two_banded", "c": 1e7}]
+    specs = []
+    for dim, level in ((1, 6), (2, 4), (3, 3)):
+        specs += [standard_suite_spec(dim=dim, level=level, seed=s) for s in range(1, 21)]
+        for s in range(1, 4):
+            spec = standard_suite_spec(dim=dim, level=level, seed=s)
+            spec.update(weights=wild, rho={"kind": "analytic", "name": "inv_one_plus_dist"})
+            specs.append(spec)
+    cleared = []
+    clears = rhomix.suite._ap_range_clears
+    monkeypatch.setattr(
+        rhomix.suite, "_ap_range_clears", lambda *a: cleared.append(clears(*a)) or cleared[-1]
+    )
+    fast = [_bundle_bytes(generate_suite(spec)) for spec in specs]
+    monkeypatch.setattr(rhomix.suite, "_ap_range_clears", lambda *a: False)
+    slow = [_bundle_bytes(generate_suite(spec)) for spec in specs]
+    assert fast == slow
+    assert any(cleared) and not all(cleared)
+    assert any(retries > 0 for _pairs, _fs, retries in slow)
 
 
 def test_generate_suite_appends_factor_pair():
