@@ -9,10 +9,16 @@ band) carry the level-set mass.  Principal cubes with a doubling stopping
 rule turn the per-cube sums into majorants h1/h2 that the claim audits
 compare against the weight u.
 
-All set inclusions used by the verifier are exact at the cell level: one
-dyadic_average_tree per function and root yields every average, M_dyadic and
-each level's stopping cubes, so the proof's comparisons see identical floats;
-classify reads v's averages alone, from dyadic_averages, the tree's own.
+All set inclusions used by the verifier are exact at the cell level: every
+cube mass and average it reads comes off one dyadic_sum_pyramid per function
+over R, so the proof's comparisons see identical floats.  g's tree yields
+M_dyadic and each level's stopping cubes; v's averages band the cubes, and
+the slice of v's tree under a band -1 cube yields its pieces (the floats
+cz_on_cube would compute); u's pyramid yields the node averages, the piece
+and level-cube masses and term II; one pyramid of u 1_{E_k} per band k,
+built band by band, yields term I.  _cube_sums reads a list of cubes
+off a pyramid with one fancy index per side.
+
 The cubes of R's bisection tree nest or are disjoint, so tree relations are
 read off owner arrays (one cube index per cell of R): principal_select
 paints its nodes largest first, and the double-sum audit keeps one owner
@@ -33,9 +39,10 @@ from .grid import (
     DYADIC_GRID_OF,
     DomainMismatchError,
     GridFunction,
-    average,
+    _average_tree,
     dyadic_average_tree,
     dyadic_averages,
+    dyadic_sum_pyramid,
     integrate,
     require_same_domain,
     weighted_measure,
@@ -101,7 +108,7 @@ def _pow_or_inf(a: float, j: int) -> float:
 def _floor_band(x: float, a: float) -> int:
     """j with a^j <= x < a^(j+1) (left-closed bands for the v averages)."""
     j = math.floor(math.log(x) / math.log(a))
-    while a ** (j + 1) <= x:
+    while _pow_or_inf(a, j + 1) <= x:
         j += 1
     while a**j > x:
         j -= 1
@@ -122,8 +129,22 @@ def _stopping_cubes(tree, R: Cube, lam: float) -> list[Cube]:
     """Blocks of R's tree with above <= lam < avg, in (side, anchor) order."""
     out: list[Cube] = []
     for j, (avg, above) in enumerate(tree):
-        hits = np.argwhere((above <= lam) & (avg > lam)) * (1 << j) + R.anchor
-        out.extend(Cube(R.domain, tuple(c), 1 << j) for c in hits.tolist())
+        stop = (above <= lam) & (avg > lam)
+        if stop.any():  # most levels hold none; skip their index arithmetic
+            hits = np.argwhere(stop) * (1 << j) + R.anchor
+            out.extend(Cube(R.domain, tuple(c), 1 << j) for c in hits.tolist())
+    return out
+
+
+def _cube_sums(levels: list[np.ndarray], R: Cube, cubes: list[Cube]) -> np.ndarray:
+    """Entries of a per-level pyramid over R (dyadic_sum_pyramid's sums or
+    dyadic_averages') for cubes of R's bisection tree, in the cubes' order:
+    one fancy index per side."""
+    out = np.empty(len(cubes))
+    for s in {Q.side_cells for Q in cubes}:
+        at = [i for i, Q in enumerate(cubes) if Q.side_cells == s]
+        rel = (np.array([cubes[i].anchor for i in at]) - R.anchor) // s
+        out[at] = levels[s.bit_length() - 1][tuple(rel.T)]
     return out
 
 
@@ -162,7 +183,8 @@ def level_decomposition(g: GridFunction, R: Cube, a: float | None = None) -> Lev
     k0 is the unique integer with a^(k0-1) < avg(g, R) <= a^k0; levels run
     upward until the level set empties, all read off one dyadic_average_tree
     of g over R.  g identically zero on R yields an empty decomposition
-    with a flag rather than an error; a negative g or a non-finite a raises.
+    with a flag rather than an error; a negative g, a non-finite a or a peak
+    of g past the largest finite power of a raises ValueError.
     """
     dim = g.domain.dim
     if a is None:
@@ -176,17 +198,22 @@ def level_decomposition(g: GridFunction, R: Cube, a: float | None = None) -> Lev
     block_avg = float(tree[-1][0].ravel()[0])
     if block_avg == 0.0:
         return LevelDecomposition(g, R, a, 0, {}, mdy, empty=True)
-    k0 = math.ceil(math.log(block_avg) / math.log(a))
-    while a ** (k0 - 1) >= block_avg:
-        k0 -= 1
-    while a**k0 < block_avg:
-        k0 += 1
     peak = float(mdy.values[R.slices()].max())
+    k0 = math.ceil(math.log(block_avg) / math.log(a))
     levels: dict[int, list[Cube]] = {}
-    k = k0
-    while a**k < peak:
-        levels[k] = _stopping_cubes(tree, R, a**k)
-        k += 1
+    try:
+        while a ** (k0 - 1) >= block_avg:
+            k0 -= 1
+        while a**k0 < block_avg:
+            k0 += 1
+        k = k0
+        while a**k < peak:
+            levels[k] = _stopping_cubes(tree, R, a**k)
+            k += 1
+    except OverflowError:  # Python's pow: a^k past the float range
+        raise ValueError(
+            f"the peak of g ({peak}) passes the largest finite power of a = {a}"
+        ) from None
     return LevelDecomposition(g, R, a, k0, levels, mdy, empty=False)
 
 
@@ -213,7 +240,8 @@ def classify(decomp: LevelDecomposition, v: GridFunction) -> ClassifiedLevels:
     A cube at level k lands in band ell >= 0 when avg(v, Q) lies in
     [a^(k+ell), a^(k+ell+1)), or in band -1 when avg(v, Q) < a^k; band -1
     cubes are re-decomposed against v at level a^k.  The averages of v are
-    read from its dyadic tree over R, the floats cz_on_cube checks.  Gamma keeps
+    read from its dyadic tree over R, the floats cz_on_cube checks, and each
+    band -1 cube's pieces from that tree's slice under it.  Gamma keeps
     the cubes meeting the cell band {a^k < v <= a^(k+1)}, and E_k is that
     band intersected with {M_dyadic g > v} (the t = 1 normalization).
     """
@@ -233,28 +261,25 @@ def classify(decomp: LevelDecomposition, v: GridFunction) -> ClassifiedLevels:
     kcell = _band_index(require_pos, a)
     band_masks: dict[int, np.ndarray] = {}
     e_masks: dict[int, np.ndarray] = {}
-    exceed = decomp.mdy.values[R.slices()] > require_pos
+    exceed = decomp.mdy.values > v.values
     for k in range(int(kcell.min()), int(kcell.max()) + 1):
-        local = kcell == k
-        if not local.any():
-            continue
-        full = np.zeros(v.domain.shape, dtype=bool)
-        full[R.slices()] = local
-        band_masks[k] = full
-        efull = np.zeros(v.domain.shape, dtype=bool)
-        efull[R.slices()] = local & exceed
-        e_masks[k] = efull
+        if (local := kcell == k).any():
+            band_masks[k] = np.zeros(v.domain.shape, dtype=bool)
+            band_masks[k][R.slices()] = local
+            e_masks[k] = band_masks[k] & exceed
 
     v_avgs = dyadic_averages(require_pos)
     for k, cubes in decomp.levels.items():
         bmask = band_masks.get(k)
-        for Q in cubes:
-            s = Q.side_cells
-            rel = tuple((q - r) // s for q, r in zip(Q.anchor, R.anchor))
-            avg_v = float(v_avgs[s.bit_length() - 1][rel])
+        for Q, avg_v in zip(cubes, _cube_sums(v_avgs, R, cubes).tolist()):
             if avg_v < a**k:
                 minus1.setdefault(k, []).append(Q)
-                for W in cz_on_cube(v, Q, a**k):
+                # cz_on_cube(v, Q, a^k) off the slice of v's tree under Q:
+                # child sums are local, so these are the floats over Q
+                rel = _relative_slices(Q, R)
+                sub = [avg[tuple(slice(c.start >> j, c.stop >> j) for c in rel)]
+                       for j, avg in enumerate(v_avgs[: Q.side_cells.bit_length()])]
+                for W in _stopping_cubes(_average_tree(sub), Q, a**k):
                     secondary.setdefault(k, []).append((W, Q))
                     if bmask is not None and bmask[W.slices()].any():
                         gamma_minus1.setdefault(k, []).append((W, Q))
@@ -337,18 +362,16 @@ def principal_select(
             delta = eps / 2.0
         if not (0 < delta < eps):
             raise ValueError(f"delta must lie in (0, eps = {eps}), got {delta}")
-        nodes = []
-        parent_of = {}
-        for k, pairs in sorted(classified.gamma_minus1.items()):
-            for W, Q in pairs:
-                nodes.append((W, k))
-                parent_of[W] = Q
+        low = sorted(classified.gamma_minus1.items())
+        nodes = [(W, k) for k, pairs in low for W, _Q in pairs]
+        parent_of = {W: Q for _k, pairs in low for W, Q in pairs}
 
     nodes.sort(key=lambda qk: (-qk[0].side_cells, qk[1], qk[0].anchor))
-    avg_u = {Q: average(u, Q) for Q, _ in nodes}
+    level_of = dict(nodes)
+    sum_u = dict(zip(level_of, _cube_sums(_u_sums(u, R), R, [*level_of]).tolist()))
+    avg_u = {Q: sum_u[Q] / Q.cell_count for Q in sum_u}
     generations: dict[Cube, int] = {}
     assignment: dict[Cube, Cube] = {}
-    level_of = dict(nodes)
     # owner[cell] is the last node painted over the cell; nodes nest or are
     # disjoint and come largest first, so a node's anchor cell holds its
     # nearest strict ancestor among the nodes until it paints itself
@@ -374,13 +397,9 @@ def principal_select(
             assignment[Q] = prin
 
     hvals = np.zeros(u.domain.shape)
-    if ell >= 0:
-        for Q in generations:
-            hvals[Q.slices()] += avg_u[Q]
-    else:
-        for W in generations:
-            P = parent_of[W]
-            hvals[P.slices()] += integrate(u, W) / P.volume
+    for Q in generations:  # h1 spreads avg(u, Q) over Q, h2 u(W) / |P| over W's P
+        P = parent_of.get(Q, Q)
+        hvals[P.slices()] += sum_u[Q] / P.cell_count
     return PrincipalForest(
         ell=ell,
         nodes=tuple(nodes),
@@ -390,6 +409,13 @@ def principal_select(
         delta=delta if ell < 0 else None,
         primary_parent=parent_of,
     )
+
+
+def _u_sums(u: GridFunction, R: Cube) -> list[np.ndarray]:
+    """u's dyadic_sum_pyramid over R, the one source of u's cube masses."""
+    if R.domain != u.domain:
+        raise DomainMismatchError("root cube on a different domain")
+    return dyadic_sum_pyramid(u.values[R.slices()])
 
 
 def _restrict_weight(w: GridFunction, R: Cube) -> GridFunction:
@@ -488,11 +514,12 @@ def _double_sum_audit(forest, classified: ClassifiedLevels, u: GridFunction):
         return None
     decomp = classified.decomp
     R = decomp.R
+    u_sums = _u_sums(u, R)     # masses in cell units: only their ratios count
     level_of = dict(forest.nodes)
     piece_mass: dict[tuple[int, Cube], float] = {}
-    for W in forest.generations:
+    for W, m in zip(forest.generations, _cube_sums(u_sums, R, [*forest.generations]).tolist()):
         key = (level_of[W], forest.primary_parent[W])
-        piece_mass[key] = piece_mass.get(key, 0.0) + integrate(u, W)
+        piece_mass[key] = piece_mass.get(key, 0.0) + m
     opened = np.full(R.cell_count, -np.inf)     # every u average beats -inf
     bracket = np.zeros(R.cell_count)
     best = 0.0
@@ -500,8 +527,8 @@ def _double_sum_audit(forest, classified: ClassifiedLevels, u: GridFunction):
         owner = np.full((R.side_cells,) * R.domain.dim, -1, dtype=np.int64)
         for i, Q in enumerate(cubes):
             owner[_relative_slices(Q, R)] = i
-        iu = np.array([integrate(u, Q) for Q in cubes])
-        avg = iu / np.array([Q.volume for Q in cubes])
+        iu = _cube_sums(u_sums, R, cubes)
+        avg = iu / np.array([Q.cell_count for Q in cubes])
         inner = np.array([piece_mass.get((k, Q), 0.0) for Q in cubes])
         share = np.divide(inner, iu, out=np.zeros_like(iu), where=iu > 0)
         cells = np.flatnonzero(owner >= 0)
@@ -576,22 +603,24 @@ def mixed_verify_dyadic(
     tail_sum = sum(m for k, m in uv_mass.items() if k < k0)
     total = sum(uv_mass.values())
 
+    # u(E_k cap Q) off one pyramid of u 1_{E_k} over R per band k, built
+    # band by band, so at most two are alive at once
+    pieces: dict[tuple[int, int], float] = {}
+    for k in sorted({k for _ell, k in classified.gamma}):
+        eu_sums = dyadic_sum_pyramid(np.where(classified.e_masks[k], u.values, 0.0)[R.slices()])
+        for (ell, kk), cubes in classified.gamma.items():
+            if kk == k:
+                pieces[ell, k] = sum((_cube_sums(eu_sums, R, cubes) * h_d).tolist())
     term_I = 0.0
     rows: list[dict] = []
-    for (ell, k), cubes in sorted(classified.gamma.items()):
-        emask = classified.e_masks.get(k)
-        piece = 0.0
-        for Q in cubes:
-            if emask is None:
-                continue
-            sub = emask[Q.slices()]
-            piece += float(u.values[Q.slices()][sub].sum()) * h_d
+    for (ell, k), piece in sorted(pieces.items()):
         term_I += a ** (k + 1) * piece
-        rows.append({"kind": "gamma", "ell": ell, "k": k, "cubes": len(cubes),
-                     "u_mass": piece})
+        rows.append({"kind": "gamma", "ell": ell, "k": k,
+                     "cubes": len(classified.gamma[ell, k]), "u_mass": piece})
     term_II = 0.0
+    u_sums = _u_sums(u, R) if classified.gamma_minus1 else []
     for k, pairs in sorted(classified.gamma_minus1.items()):
-        piece = sum(integrate(u, W) for W, _ in pairs)
+        piece = sum((_cube_sums(u_sums, R, [W for W, _ in pairs]) * h_d).tolist())
         term_II += a ** (k + 1) * piece
         rows.append({"kind": "gamma_minus1", "ell": -1, "k": k,
                      "cubes": len(pairs), "u_mass": piece})

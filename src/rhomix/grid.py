@@ -745,23 +745,29 @@ def dyadic_sum_pyramid(values: np.ndarray) -> list[np.ndarray]:
     levels[j] has shape (m/2^j,)*dim and entry = sum over the corresponding
     2^j-wide block.  dyadic_average_tree reads every dyadic and stopping-time
     average from it, so the comparisons the proofs chain together see
-    bit-identical floats.
+    bit-identical floats.  Pairwise child sums are local: the slice of the
+    pyramid under a block is that block's own pyramid.  Finite values whose
+    sum over some block overflows are refused with SumOverflowError.
     """
     arr = np.asarray(values, dtype=np.float64)
     m = arr.shape[0]
     if any(s != m for s in arr.shape) or m & (m - 1):
         raise ValueError("pyramid needs a cubical power-of-two array")
     levels = [arr]
-    while m > 1:
-        cur = levels[-1]
-        nxt = cur
-        for ax in range(arr.ndim):
-            shape = list(nxt.shape)
-            shape[ax] = shape[ax] // 2
-            shape.insert(ax + 1, 2)
-            nxt = nxt.reshape(shape).sum(axis=ax + 1)
-        levels.append(nxt)
-        m //= 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m > 1:
+            nxt = levels[-1]
+            for ax in range(arr.ndim):
+                pick = (slice(None),) * ax
+                nxt = nxt[pick + (slice(0, None, 2),)] + nxt[pick + (slice(1, None, 2),)]
+            levels.append(nxt)
+            m //= 2
+    # an overflowed block sum is inf, and so are (or nan) its ancestors'
+    if not np.isfinite(levels[-1]).all() and np.isfinite(arr).all():
+        raise SumOverflowError(
+            "a dyadic block sum of finite values overflows, so its average "
+            "would read inf"
+        )
     return levels
 
 
@@ -777,7 +783,12 @@ def dyadic_average_tree(values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray
     M_dyadic is max(avg_0, above_0), and a block is a stopping cube at lam
     exactly when above <= lam < avg.
     """
-    avgs = dyadic_averages(values)
+    return _average_tree(dyadic_averages(values))
+
+
+def _average_tree(avgs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """dyadic_average_tree of a dyadic_averages list (or of its slice under
+    one block): each block's largest strict-ancestor average, -inf at the top."""
     above = [np.full_like(avgs[-1], -np.inf)]
     for avg in avgs[:0:-1]:
         up = np.maximum(above[-1], avg)

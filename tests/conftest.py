@@ -11,8 +11,8 @@ import rhomix.extrapolation
 import rhomix.grid
 import rhomix.weights
 from rhomix import (
-    ALL_CELL_ALIGNED, DYADIC_GRID_OF, BoxSums, Cube, Domain, GridFunction, average,
-    dyadic_sum_pyramid, integrate,
+    ALL_CELL_ALIGNED, DYADIC_GRID_OF, BoxSums, Cube, Domain, GridFunction,
+    dyadic_sum_pyramid,
 )
 from rhomix.critical import _libm_pow, _penalty_base
 
@@ -165,12 +165,23 @@ def brute_average(f: GridFunction, cube: Cube) -> float:
     return float(np.mean(f.values[cube.slices()]))
 
 
-def pyramid_average(g: GridFunction, R: Cube, Q: Cube) -> float:
-    """avg(g, Q) for Q in the bisection tree of R, read off the pairwise
-    child-sum pyramid of g over R: the float every stopping rule compares."""
+def pyramid_sum(g: GridFunction, R: Cube, Q: Cube) -> float:
+    """The cell sum of g over Q, for Q in the bisection tree of R, read off
+    the pairwise child-sum pyramid of g over R."""
     j = Q.side_cells.bit_length() - 1
     idx = tuple((q - r) // Q.side_cells for q, r in zip(Q.anchor, R.anchor))
-    return float(dyadic_sum_pyramid(g.values[R.slices()])[j][idx]) / Q.cell_count
+    return float(dyadic_sum_pyramid(g.values[R.slices()])[j][idx])
+
+
+def pyramid_average(g: GridFunction, R: Cube, Q: Cube) -> float:
+    """avg(g, Q) off pyramid_sum: the float every stopping rule compares."""
+    return pyramid_sum(g, R, Q) / Q.cell_count
+
+
+def slice_sum(g: GridFunction, R: Cube, Q: Cube) -> float:
+    """The cell sum of g over Q by numpy's sum of Q's slice, which groups
+    the terms otherwise than the pyramid."""
+    return float(g.values[Q.slices()].sum())
 
 
 def random_pow2_cube(domain, rng) -> Cube:
@@ -234,10 +245,11 @@ def _ancestor_in(node_map, R, cube):
     return None
 
 
-def walk_forest(classified, u, ell, delta):
+def walk_forest(classified, u, ell, delta, read=pyramid_sum):
     """Oracle for principal_select at a given delta: each node finds its
     nearest ancestor among the nodes by walking up R's bisection tree one
-    dict lookup per side.  Returns (nodes, generations, assignment, h)."""
+    dict lookup per side, and u's cube sums come one cube at a time from
+    read(u, R, Q).  Returns (nodes, generations, assignment, h)."""
     R = classified.decomp.R
     a = classified.a
     if ell >= 0:
@@ -249,7 +261,8 @@ def walk_forest(classified, u, ell, delta):
         parent_of = {W: Q for pairs in classified.gamma_minus1.values() for W, Q in pairs}
     nodes.sort(key=lambda qk: (-qk[0].side_cells, qk[1], qk[0].anchor))
     node_map = {(Q.anchor, Q.side_cells): (Q, k) for Q, k in nodes}
-    avg_u = {Q: average(u, Q) for Q, _ in nodes}
+    sum_u = {Q: read(u, R, Q) for Q, _ in nodes}
+    avg_u = {Q: sum_u[Q] / Q.cell_count for Q, _ in nodes}
     level_of = dict(nodes)
     generations, assignment = {}, {}
     for Q, k in nodes:
@@ -274,13 +287,14 @@ def walk_forest(classified, u, ell, delta):
             h[Q.slices()] += avg_u[Q]
         else:
             P = parent_of[Q]
-            h[P.slices()] += integrate(u, Q) / P.volume
+            h[P.slices()] += sum_u[Q] / P.cell_count
     return tuple(nodes), generations, assignment, h
 
 
-def cell_chain_double_sum(forest, classified, u):
+def cell_chain_double_sum(forest, classified, u, read=pyramid_sum):
     """Oracle for the -1 branch's double sum: each cell's chain of stopping
-    cubes walked on its own, one level after the other."""
+    cubes walked on its own, one level after the other, with u's cube sums
+    from read(u, R, Q)."""
     decomp = classified.decomp
     R = decomp.R
     shape = (R.side_cells,) * R.domain.dim
@@ -295,8 +309,8 @@ def cell_chain_double_sum(forest, classified, u):
     level_of = dict(forest.nodes)
     for W in forest.generations:
         key = (level_of[W], forest.primary_parent[W])
-        piece_mass[key] = piece_mass.get(key, 0.0) + integrate(u, W)
-    iu = {Q: integrate(u, Q) for cubes in decomp.levels.values() for Q in cubes}
+        piece_mass[key] = piece_mass.get(key, 0.0) + read(u, R, W)
+    iu = {Q: read(u, R, Q) for cubes in decomp.levels.values() for Q in cubes}
     best = 0.0
     for cell in np.ndindex(*shape):
         chain = [(k, decomp.levels[k][owners[k][cell]])
@@ -304,7 +318,7 @@ def cell_chain_double_sum(forest, classified, u):
         cur_avg = None
         bracket = 0.0
         for k, Q in chain:
-            aq = iu[Q] / Q.volume
+            aq = iu[Q] / Q.cell_count
             if cur_avg is None or aq > 2.0 * cur_avg:
                 best = max(best, bracket)
                 bracket = 0.0
@@ -313,6 +327,21 @@ def cell_chain_double_sum(forest, classified, u):
                 bracket += piece_mass.get((k, Q), 0.0) / iu[Q]
         best = max(best, bracket)
     return best
+
+
+def slice_sum_terms(classified, u):
+    """Oracle for mixed_verify_dyadic's terms I and II read one cube at a
+    time by numpy's slice sums: u(E_k cap Q) as a masked slice sum per Gamma
+    cube, u(W) as a slice sum per band -1 piece.  Returns (I, II)."""
+    a, h_d = classified.a, u.domain.cell_volume
+    term_I = term_II = 0.0
+    for (_ell, k), cubes in sorted(classified.gamma.items()):
+        emask = classified.e_masks[k]
+        piece = sum(float(u.values[Q.slices()][emask[Q.slices()]].sum()) * h_d for Q in cubes)
+        term_I += a ** (k + 1) * piece
+    for k, pairs in sorted(classified.gamma_minus1.items()):
+        term_II += a ** (k + 1) * sum(float(u.values[W.slices()].sum()) * h_d for W, _ in pairs)
+    return term_I, term_II
 
 
 def oscillator(domain):

@@ -18,6 +18,7 @@ from rhomix import (
     DomainMismatchError,
     GridFunction,
     RhoSpec,
+    SumOverflowError,
     build_forests,
     classify,
     claim_audits,
@@ -44,6 +45,8 @@ from conftest import (
     oscillator,
     pyramid_average,
     random_pow2_cube,
+    slice_sum,
+    slice_sum_terms,
     split_domains,
     walk_forest,
 )
@@ -193,7 +196,12 @@ def test_level_decomposition_rejects_negative_g(vals):
 
 def test_level_decomposition_builds_one_pyramid(monkeypatch):
     # the tree of g over R gives mdy, k0 and every level; m_dyadic and
-    # cz_on_cube would each build one more pyramid
+    # cz_on_cube would each build one more pyramid.  A whole corona run
+    # then builds one pyramid of v (classify), one of u 1_{E_k} per band k
+    # with Gamma cubes and one of u (term II) in mixed_verify_dyadic, one of
+    # u per forest and one of u for the double sum: a count of bands and
+    # forests, where a pyramid per band -1 cube (cz_on_cube's) grew with
+    # the cubes
     builds = []
     real = rhomix.grid.dyadic_sum_pyramid
 
@@ -208,6 +216,15 @@ def test_level_decomposition_builds_one_pyramid(monkeypatch):
     dec = level_decomposition(g, R)
     assert len(dec.levels) >= 2
     assert builds == [g.domain.shape]
+
+    g, u, v, R = _low_band_instance(1, 2, False)
+    builds.clear()
+    rep = mixed_verify_dyadic(GridFunction(g.domain, g.values / v.values), u, v, R)
+    forests = build_forests(rep.classified, u)
+    claim_audits(forests, rep.classified, u)
+    bands = len({k for _ell, k in rep.classified.gamma})
+    assert -1 in forests and sum(map(len, rep.classified.minus1.values())) == 9
+    assert builds == [g.domain.shape] * (4 + bands + len(forests))
 
 
 @settings(max_examples=30, deadline=None)
@@ -230,6 +247,36 @@ def test_level_decomposition_matches_oracles_property(seed, dim):
         top = dec.k0 + len(dec.levels)
         assert sorted(dec.levels) == list(range(dec.k0, top))
         assert brute_cz(g, R, dec.a ** top) == []
+
+
+def test_level_decomposition_refuses_a_peak_past_the_powers_of_a():
+    # a peak of g past a's largest finite power (4^511 at the default a = 4)
+    # raised a bare OverflowError from Python's pow, here and in
+    # mixed_verify_dyadic; a peak on that power still decomposes
+    dom = Domain(1, 8.0, 3)
+    R = Cube.box(dom)
+    one = GridFunction.constant(dom, 1.0)
+    g = GridFunction(dom, np.array([1.5e308] + [1.0] * 7))
+    msg = r"peak of g \(1\.5e\+308\) passes the largest finite power of a = 4\.0"
+    with pytest.raises(ValueError, match=msg):
+        level_decomposition(g, R)
+    with pytest.raises(ValueError, match=msg):
+        mixed_verify_dyadic(g, one, one, R)
+    top = level_decomposition(GridFunction(dom, np.array([4.0**511] + [1.0] * 7)), R)
+    assert max(top.levels) == 510
+
+
+def test_corona_refuses_an_overflowed_block_sum():
+    # two finite cells whose sum overflows warned, then m_dyadic and
+    # level_decomposition failed on "grid function values must be finite"
+    # and cz_on_cube on "avg over the root (inf) exceeds the level"
+    dom = Domain(1, 8.0, 3)
+    R = Cube.box(dom)
+    g = GridFunction(dom, np.array([1e308, 1e308] + [1.0] * 6))
+    for run in (lambda: m_dyadic(g, R), lambda: level_decomposition(g, R),
+                lambda: cz_on_cube(g, R, 1e300)):
+        with pytest.raises(SumOverflowError, match="block sum of finite values overflows"):
+            run()
 
 
 def test_stopping_time_root_on_another_domain_is_a_domain_mismatch():
@@ -327,6 +374,19 @@ def test_band_index_reads_the_powers_of_a_from_pythons_pow():
     assert rhomix.corona._band_index(x, 2.09).tolist() == [-44]
 
 
+def test_classify_bands_a_v_average_past_the_powers_of_a():
+    # a v average past a's largest finite power (4^511) raised a bare
+    # OverflowError from Python's pow while _floor_band banded it
+    dom = Domain(1, 8.0, 3)
+    R = Cube.box(dom)
+    f = GridFunction(dom, np.array([1e-300] + [1.0] * 7))
+    v = GridFunction(dom, np.array([1.5e308] + [1.0] * 7))
+    rep = mixed_verify_dyadic(f, GridFunction.constant(dom, 1.0), v, R)
+    assert rep.classified.bands == {(498, 13): [Cube(dom, (0,), 2)]}
+    assert rep.upper_le_terms and rep.tail_ok
+    assert rhomix.corona._floor_band(1.5e308, 4.0) == 511
+
+
 def test_classify_band_masks_and_e_sets():
     f, v, g, R = _spiky_instance()
     dec = level_decomposition(g, R)
@@ -413,15 +473,16 @@ def _low_band_instance(seed, dim, sub):
     stays under 1 but for scattered high cells, so the stopping cubes
     around the spikes often average v below their level.  Draws repeat
     from the seed's rng until band -1 populates (classify yields
-    gamma_minus1 cubes), so every seed gives an instance.  sub roots the
-    build at a half-side cube of the box."""
+    gamma_minus1 cubes), so every seed gives an instance; dim 3 under a
+    half-side root takes the most draws, at most 256 on seeds 0-599.  sub
+    roots the build at a half-side cube of the box."""
     rng = np.random.default_rng(seed)
     dom = Domain(dim, 8.0, {1: 6, 2: 4, 3: 3}[dim])
     R = Cube.box(dom)
     if sub:
         half = dom.n // 2
         R = Cube(dom, tuple(int(c) * half for c in rng.integers(0, 2, dim)), half)
-    for _ in range(200):
+    for _ in range(1000):
         v = 10 ** rng.uniform(-2, 0, dom.shape)
         flat = v.reshape(-1)
         spots = rng.integers(0, flat.size, int(rng.integers(2, 3 * dom.n)))
@@ -434,7 +495,7 @@ def _low_band_instance(seed, dim, sub):
         dec = level_decomposition(g, R)
         if not dec.empty and classify(dec, v).gamma_minus1:
             return g, u, v, R
-    raise AssertionError(f"band -1 stayed empty on 200 draws of seed {seed}")
+    raise AssertionError(f"band -1 stayed empty on 1000 draws of seed {seed}")
 
 
 def _check_walk_oracles(g, u, v, R):
@@ -462,6 +523,73 @@ def _check_walk_oracles(g, u, v, R):
 )
 def test_forests_and_double_sum_match_the_walk_oracles_property(seed, dim, sub):
     _check_walk_oracles(*_low_band_instance(seed, dim, sub))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    dim=st.integers(min_value=1, max_value=3),
+    sub=st.booleans(),
+)
+def test_band_minus1_pieces_are_cz_on_cube_property(seed, dim, sub):
+    """classify reads each band -1 cube's pieces off the slice of v's tree
+    under it: the cubes cz_on_cube(v, Q, a^k) returns, in its order (term
+    II sums them in pair order)."""
+    g, u, v, R = _low_band_instance(seed, dim, sub)
+    cl = classify(level_decomposition(g, R), v)
+    secondary, gamma = {}, {}
+    for k, cubes in cl.minus1.items():
+        for Q in cubes:
+            for W in cz_on_cube(v, Q, cl.a**k):
+                secondary.setdefault(k, []).append((W, Q))
+                if k in cl.band_masks and cl.band_masks[k][W.slices()].any():
+                    gamma.setdefault(k, []).append((W, Q))
+    assert cl.secondary == secondary
+    assert cl.gamma_minus1 == gamma
+
+
+def _instance_sets():
+    """(f, u, v, R) of the standard corona-run suites (dims 1-3, seed 7),
+    the spiky instance and band -1 instances (dims 1-3, box and half-side
+    roots)."""
+    for dim, level in ((1, 6), (2, 4), (3, 3)):
+        bundle = rhomix.experiments._suite(default_config("corona-run", dim, level, seed=7))
+        R = Cube.box(bundle.domain)
+        for pair in bundle.pairs:
+            for f in bundle.fs[:4]:
+                yield f, pair.u, pair.v, R
+    f, v, _g, R = _spiky_instance()
+    yield f, GridFunction(v.domain, np.exp(np.random.default_rng(78).normal(0, 0.4, 64))), v, R
+    for seed in range(4):
+        for dim in (1, 2, 3):
+            g, u, v, R = _low_band_instance(seed, dim, seed % 2 == 1)
+            yield GridFunction(g.domain, g.values / v.values), u, v, R
+
+
+def test_pyramid_reads_of_u_stay_within_1e13_of_the_slice_sums():
+    """Terms I and II, h1, h2 and the double sum read u off pyramids over R;
+    numpy's slice sums group the terms otherwise, so the floats may move in
+    the last bits, never further, and no forest changes shape."""
+    low = 0
+    for f, u, v, R in _instance_sets():
+        rep = mixed_verify_dyadic(f, u, v, R)
+        if rep.empty:
+            continue
+        cl = rep.classified
+        term_I, term_II = slice_sum_terms(cl, u)
+        assert rep.term_I == pytest.approx(term_I, rel=1e-13, abs=0)
+        assert rep.term_II == pytest.approx(term_II, rel=1e-13, abs=0)
+        forests = build_forests(cl, u)
+        for ell, forest in forests.items():
+            nodes, generations, assignment, h = walk_forest(cl, u, ell, forest.delta, slice_sum)
+            assert (forest.nodes, forest.generations, forest.assignment) == (
+                nodes, generations, assignment)
+            assert np.allclose(forest.h.values, h, rtol=1e-13, atol=0)
+        if -1 in forests:
+            low += 1
+            assert claim_audits(forests, cl, u).double_sum_max == pytest.approx(
+                cell_chain_double_sum(forests[-1], cl, u, slice_sum), rel=1e-13, abs=0)
+    assert low >= 12
 
 
 def test_forests_and_double_sum_match_the_walk_oracles_dim3():

@@ -21,6 +21,7 @@ from rhomix import (
     GridFunction,
     InvalidWeightError,
     RhoSpec,
+    SumOverflowError,
     THETA_LADDER,
     ap_ladder,
     average,
@@ -526,6 +527,49 @@ def test_pyramid_matches_recursive_halving():
     for j in range(1, 4):
         cur = halve(cur)
         assert np.array_equal(levels[j], cur)
+
+
+def _overflowing(shape, cells, big):
+    """Ones but for big on the given flat cells."""
+    vals = np.ones(shape)
+    vals.reshape(-1)[cells] = big
+    return vals
+
+
+@pytest.mark.parametrize("vals", [
+    _overflowing(8, [0, 1], 1e308),
+    _overflowing(8, [0, 1, 2, 3], [1e308, 1e308, -1e308, -1e308]),  # then inf - inf
+    _overflowing((4, 4), [0, 4], 1e308),
+    _overflowing((2, 2, 2), [3, 7], -1e308),
+])
+def test_pyramid_refuses_an_overflowed_block_sum(vals):
+    # a block sum past the float range used to warn and come back inf (and
+    # inf - inf as nan one level up); warnings are errors here, so a stray
+    # one fails
+    with pytest.raises(SumOverflowError, match="block sum of finite values overflows"):
+        dyadic_sum_pyramid(vals)
+
+
+def test_pyramid_of_a_non_finite_input_is_not_an_overflow():
+    vals = np.array([np.inf, 1.0, 2.0, 3.0])
+    assert dyadic_sum_pyramid(vals)[-1][0] == np.inf
+
+
+def test_pyramid_slices_are_the_pyramids_of_their_blocks():
+    """Pairwise child sums are local: the slice of the pyramid under a
+    dyadic block is that block's own pyramid, float for float (corona reads
+    band -1 pieces off the slice of v's tree)."""
+    rng = np.random.default_rng(11)
+    for shape in ((32,), (16, 16), (8, 8, 8)):
+        vals = rng.lognormal(size=shape)
+        levels = dyadic_sum_pyramid(vals)
+        for top in range(len(levels)):
+            at = [int(i) for i in rng.integers(0, shape[0] >> top, len(shape))]
+            block = tuple(slice(i << top, (i + 1) << top) for i in at)
+            own = dyadic_sum_pyramid(vals[block])
+            for j in range(top + 1):
+                sub = tuple(slice(i << (top - j), (i + 1) << (top - j)) for i in at)
+                assert np.array_equal(levels[j][sub], own[j])
 
 
 def test_dyadic_averages_are_the_tree_averages():

@@ -525,6 +525,24 @@ def test_cli_corona_run_rejects_non_finite_base(saved_inputs):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cmd", ["run", "dump-forest"])
+def test_cli_corona_refuses_a_peak_past_the_powers_of_a(tmp_path, cmd, capsys):
+    # a peak of |f| v past a's largest finite power raised a bare
+    # OverflowError from Python's pow, and the CLI printed its traceback
+    dom = Domain(1, 8.0, 3)
+    paths = {}
+    for name, vals in (("f", [1.5e308] + [1.0] * 7), ("u", [1.0] * 8), ("v", [1.0] * 8)):
+        paths[name] = str(tmp_path / name)
+        save_grid_function(GridFunction(dom, np.array(vals)), paths[name])
+    rc = main([
+        "corona", cmd, "--f", paths["f"], "--u", paths["u"], "--v", paths["v"],
+        "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert "passes the largest finite power of a = 4.0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("R", ["5", "[1.5, 4]", "[0]", "[0, 4, 4]", "[true, 4]", '"[0, 4]"'])
 def test_cli_corona_run_rejects_a_malformed_cube_regression(saved_inputs, R, capsys):
     # --R 5 died with a TypeError traceback and exit 1 (a failed
