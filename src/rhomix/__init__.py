@@ -72,7 +72,6 @@ from .grid import (
     GridFunction,
     InvalidWeightError,
     SumOverflowError,
-    average,
     dyadic_average_tree,
     dyadic_averages,
     dyadic_sum_pyramid,

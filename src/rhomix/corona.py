@@ -12,27 +12,37 @@ compare against the weight u.
 All set inclusions used by the verifier are exact at the cell level: every
 cube mass and average it reads comes off one dyadic_sum_pyramid per function
 over R, so the proof's comparisons see identical floats.  g's tree yields
-M_dyadic and each level's stopping cubes; v's averages band the cubes, and
+M_dyadic and each level's stopping cubes, one comparison per level over
+the whole tree; v's sums give the cube averages that band the cubes, and
 the slice of v's tree under a band -1 cube yields its pieces (the floats
 cz_on_cube would compute); u's pyramid yields the node averages, the piece
 and level-cube masses and term II; one pyramid of u 1_{E_k} per band k,
-built band by band, yields term I.  _cube_sums reads a list of cubes
-off a pyramid with one fancy index per side.
+built band by band, yields term I.  _read gathers a list of cubes off a
+pyramid with one fancy index over its levels laid end to end.
+
+classify works on every level's stopping cubes at once: one gather of
+their v averages, one comparison for band -1, one vectorised left-closed
+band for the rest, and one gate per level against the level's cell band,
+read off an integer count table of that band (exact counts by
+inclusion-exclusion, a fixed number of calls however many cubes).
 
 The cubes of R's bisection tree nest or are disjoint, so tree relations are
 read off owner arrays (one cube index per cell of R): principal_select
-paints its nodes largest first, and the double-sum audit keeps one owner
-array per level and runs every cell's bracket chain at once.
+walks its nodes one tree level (side) at a time, largest first, reading
+each side's ancestors off the owner array at once before the side paints
+itself, and the double-sum audit keeps one owner array per level and runs
+every cell's bracket chain at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critical import RhoSpec, audit_admissibility, critical_covering
+from .critical import RhoSpec, _libm_pow, audit_admissibility, critical_covering
 from .grid import (
     Cube,
     CubeFamily,
@@ -41,7 +51,6 @@ from .grid import (
     GridFunction,
     _average_tree,
     dyadic_average_tree,
-    dyadic_averages,
     dyadic_sum_pyramid,
     integrate,
     require_same_domain,
@@ -74,27 +83,36 @@ __all__ = [
 def _band_index(x: np.ndarray, a: float) -> np.ndarray:
     """Largest-k grid of bands a^k < x <= a^(k+1), elementwise exact.
 
-    Uses log as a first guess, then repairs the edges by comparison so a
+    The k is read by comparison against a table of the powers of a, so a
     value sitting exactly on a power of a lands in the lower band.  The
-    powers of a come from Python's pow, the C library's, as _floor_band
-    and level_decomposition take them: numpy's vectorised power can round
-    a^k to the neighbouring float when a is not a power of two.
+    powers come from Python's pow, the C library's, as _floor_band and
+    level_decomposition take them: numpy's vectorised power can round a^k
+    to the neighbouring float when a is not a power of two.
     """
+    return _power_band(x, a, "left")
+
+
+def _floor_band(x: np.ndarray, a: float) -> np.ndarray:
+    """j with a^j <= x < a^(j+1) elementwise (left-closed bands for the v
+    averages), exact as _band_index is."""
+    return _power_band(x, a, "right")
+
+
+def _power_band(x, a: float, side: str) -> np.ndarray:
+    """The band of each x > 0 among the powers of a: its searchsorted
+    position (side as numpy's) in a table of the powers spanning x, less
+    one, offset by the table's first exponent."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if (x <= 0).any():
         raise ValueError("band index needs positive values")
+    if x.size == 0:
+        return np.zeros(x.shape, dtype=np.int64)
     a = float(a)
-    k = np.ceil(np.log(x) / math.log(a)).astype(np.int64) - 1
-    # the repairs below move k by at most 4 either way
-    lo = int(k.min()) - 4
-    powers = np.array([_pow_or_inf(a, j) for j in range(lo, int(k.max()) + 6)])
-    for _ in range(4):
-        too_high = powers[k - lo] >= x
-        too_low = powers[k + 1 - lo] < x
-        if not (too_high.any() or too_low.any()):
-            break
-        k = k - too_high.astype(np.int64) + too_low.astype(np.int64)
-    return k
+    # the log guesses are within one band of the exact ones
+    lo = math.floor(math.log(float(x.min())) / math.log(a)) - 2
+    hi = math.floor(math.log(float(x.max())) / math.log(a)) + 3
+    powers = [_pow_or_inf(a, k) for k in range(lo, hi + 1)]
+    return np.searchsorted(powers, x, side=side) + (lo - 1)
 
 
 def _pow_or_inf(a: float, j: int) -> float:
@@ -103,16 +121,6 @@ def _pow_or_inf(a: float, j: int) -> float:
         return a**j
     except OverflowError:
         return math.inf
-
-
-def _floor_band(x: float, a: float) -> int:
-    """j with a^j <= x < a^(j+1) (left-closed bands for the v averages)."""
-    j = math.floor(math.log(x) / math.log(a))
-    while _pow_or_inf(a, j + 1) <= x:
-        j += 1
-    while a**j > x:
-        j -= 1
-    return j
 
 
 def _root_tree(g: GridFunction, R: Cube):
@@ -125,27 +133,66 @@ def _root_tree(g: GridFunction, R: Cube):
     return dyadic_average_tree(g.values[R.slices()])
 
 
-def _stopping_cubes(tree, R: Cube, lam: float) -> list[Cube]:
-    """Blocks of R's tree with above <= lam < avg, in (side, anchor) order."""
-    out: list[Cube] = []
-    for j, (avg, above) in enumerate(tree):
-        stop = (above <= lam) & (avg > lam)
-        if stop.any():  # most levels hold none; skip their index arithmetic
-            hits = np.argwhere(stop) * (1 << j) + R.anchor
-            out.extend(Cube(R.domain, tuple(c), 1 << j) for c in hits.tolist())
+def _stopping_cubes(tree, R: Cube, lams) -> list[list[Cube]]:
+    """Per level lam of lams, the blocks of R's tree with above <= lam <
+    avg, in (side, anchor) order: one comparison per lam over the whole
+    tree, laid out level by level, each level in anchor order."""
+    avg = np.concatenate([avg.ravel() for avg, _above in tree])
+    above = np.concatenate([above.ravel() for _avg, above in tree])
+    starts = np.cumsum([0] + [avg.size for avg, _above in tree])
+    out = []
+    for lam in lams:
+        at = np.flatnonzero((above <= lam) & (avg > lam))
+        j = np.searchsorted(starts, at, side="right") - 1
+        at -= starts[j]
+        width = R.side_cells >> j
+        idx = np.empty((at.size, R.domain.dim), dtype=np.int64)
+        for ax in range(R.domain.dim - 1, -1, -1):
+            at, idx[:, ax] = np.divmod(at, width)
+        anchors = (idx << j[:, None]) + R.anchor
+        out.append([
+            Cube(R.domain, tuple(c), s)
+            for c, s in zip(anchors.tolist(), (1 << j).tolist())
+        ])
     return out
 
 
 def _cube_sums(levels: list[np.ndarray], R: Cube, cubes: list[Cube]) -> np.ndarray:
     """Entries of a per-level pyramid over R (dyadic_sum_pyramid's sums or
-    dyadic_averages') for cubes of R's bisection tree, in the cubes' order:
-    one fancy index per side."""
-    out = np.empty(len(cubes))
-    for s in {Q.side_cells for Q in cubes}:
-        at = [i for i, Q in enumerate(cubes) if Q.side_cells == s]
-        rel = (np.array([cubes[i].anchor for i in at]) - R.anchor) // s
-        out[at] = levels[s.bit_length() - 1][tuple(rel.T)]
-    return out
+    dyadic_averages') for cubes of R's bisection tree, in the cubes' order."""
+    return _read(levels, *_tree_coords(R, cubes))
+
+
+def _tree_coords(R: Cube, cubes: list[Cube]) -> tuple[np.ndarray, np.ndarray]:
+    """(j, idx) of cubes of R's bisection tree: side 2^j, and the (n, dim)
+    block index at level j of the pyramid over R."""
+    dim = R.domain.dim
+    j = np.fromiter((Q.side_cells.bit_length() - 1 for Q in cubes), np.int64, len(cubes))
+    anchors = np.fromiter(
+        itertools.chain.from_iterable(Q.anchor for Q in cubes), np.int64, len(cubes) * dim
+    ).reshape(-1, dim)
+    return j, (anchors - R.anchor) >> j[:, None]
+
+
+def _read(levels: list[np.ndarray], j: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """levels[j[i]][idx[i]] for every i: one gather from the levels laid
+    end to end."""
+    flat = np.concatenate([level.ravel() for level in levels])
+    start = np.fromiter(itertools.accumulate((lv.size for lv in levels), initial=0), np.int64)
+    width = len(levels[0]) >> j
+    at = idx[:, 0]
+    for ax in range(1, idx.shape[1]):
+        at = at * width + idx[:, ax]
+    return flat[start[j] + at]
+
+
+def _blocks(a: np.ndarray, j: int, idx: np.ndarray):
+    """A view of a cubical array a cut into 2^j-wide blocks, and the fancy
+    index of the blocks at block indices idx: view[cells] has shape
+    (len(idx), 2^j, ...)."""
+    s = 1 << j
+    view = a.reshape(sum(((m // s, s) for m in a.shape), ()))
+    return view, sum(((c, slice(None)) for c in idx.T), ())
 
 
 def cz_on_cube(g: GridFunction, R: Cube, lam: float) -> list[Cube]:
@@ -163,7 +210,7 @@ def cz_on_cube(g: GridFunction, R: Cube, lam: float) -> list[Cube]:
         raise ValueError(
             f"avg over the root ({top_avg}) exceeds the level ({lam})"
         )
-    return _stopping_cubes(tree, R, lam)
+    return _stopping_cubes(tree, R, [lam])[0]
 
 
 @dataclass(frozen=True)
@@ -200,7 +247,6 @@ def level_decomposition(g: GridFunction, R: Cube, a: float | None = None) -> Lev
         return LevelDecomposition(g, R, a, 0, {}, mdy, empty=True)
     peak = float(mdy.values[R.slices()].max())
     k0 = math.ceil(math.log(block_avg) / math.log(a))
-    levels: dict[int, list[Cube]] = {}
     try:
         while a ** (k0 - 1) >= block_avg:
             k0 -= 1
@@ -208,12 +254,13 @@ def level_decomposition(g: GridFunction, R: Cube, a: float | None = None) -> Lev
             k0 += 1
         k = k0
         while a**k < peak:
-            levels[k] = _stopping_cubes(tree, R, a**k)
             k += 1
     except OverflowError:  # Python's pow: a^k past the float range
         raise ValueError(
             f"the peak of g ({peak}) passes the largest finite power of a = {a}"
         ) from None
+    ks = range(k0, k)
+    levels = dict(zip(ks, _stopping_cubes(tree, R, [a**k for k in ks])))
     return LevelDecomposition(g, R, a, k0, levels, mdy, empty=False)
 
 
@@ -248,7 +295,7 @@ def classify(decomp: LevelDecomposition, v: GridFunction) -> ClassifiedLevels:
     a = decomp.a
     R = decomp.R
     require_pos = v.values[R.slices()]
-    if np.any(require_pos <= 0):
+    if (require_pos <= 0).any():
         raise ValueError("v must be strictly positive on R")
 
     bands: dict[tuple[int, int], list[Cube]] = {}
@@ -268,26 +315,57 @@ def classify(decomp: LevelDecomposition, v: GridFunction) -> ClassifiedLevels:
             band_masks[k][R.slices()] = local
             e_masks[k] = band_masks[k] & exceed
 
-    v_avgs = dyadic_averages(require_pos)
-    for k, cubes in decomp.levels.items():
-        bmask = band_masks.get(k)
-        for Q, avg_v in zip(cubes, _cube_sums(v_avgs, R, cubes).tolist()):
-            if avg_v < a**k:
-                minus1.setdefault(k, []).append(Q)
-                # cz_on_cube(v, Q, a^k) off the slice of v's tree under Q:
-                # child sums are local, so these are the floats over Q
-                rel = _relative_slices(Q, R)
-                sub = [avg[tuple(slice(c.start >> j, c.stop >> j) for c in rel)]
-                       for j, avg in enumerate(v_avgs[: Q.side_cells.bit_length()])]
-                for W in _stopping_cubes(_average_tree(sub), Q, a**k):
-                    secondary.setdefault(k, []).append((W, Q))
-                    if bmask is not None and bmask[W.slices()].any():
-                        gamma_minus1.setdefault(k, []).append((W, Q))
-            else:
-                ell = _floor_band(avg_v, a) - k
-                bands.setdefault((ell, k), []).append(Q)
-                if bmask is not None and bmask[Q.slices()].any():
-                    gamma.setdefault((ell, k), []).append(Q)
+    # every level's cubes at once: v averages, bands and gates
+    ks = list(decomp.levels)
+    sizes = [len(decomp.levels[k]) for k in ks]
+    cubes = [Q for k in ks for Q in decomp.levels[k]]
+    v_sums = dyadic_sum_pyramid(require_pos)
+    j, idx = _tree_coords(R, cubes)
+    # dyadic_averages' floats: each block sum over its cell count
+    avg_v = _read(v_sums, j, idx) / (1 << j) ** R.domain.dim
+    level = np.repeat(np.array(ks, dtype=np.int64), sizes)
+    low = avg_v < np.repeat([a**k for k in ks], sizes)
+    ell = _floor_band(avg_v, a) - level
+    # a cube of level k meets the cell band k when it holds a cell counted
+    # by that band's count table
+    counts: dict[int, np.ndarray] = {}
+    gate = np.zeros(len(cubes), dtype=bool)
+    end = 0
+    for k, size in zip(ks, sizes):
+        start, end = end, end + size
+        if k in band_masks:
+            counts[k] = _count_table(kcell == k)
+            gate[start:end] = _meets(counts[k], j[start:end], idx[start:end])
+    high = np.flatnonzero(~low)
+    span = int(ell.max(initial=0)) + 1
+    groups = list(_first_seen(level[high] * span + ell[high], high))
+    gate = gate.tolist()
+    for key, at in groups:
+        bands[key % span, key // span] = [cubes[i] for i in at]
+    # Gamma's bands in the order their first gated cube comes
+    for at, key in sorted(([i for i in at if gate[i]], key) for key, at in groups):
+        if at:
+            gamma[key % span, key // span] = [cubes[i] for i in at]
+
+    low = np.flatnonzero(low)
+    for k, at in _first_seen(level[low], low):
+        minus1[k] = [cubes[i] for i in at]
+    for k, lows in minus1.items():
+        # cz_on_cube(v, Q, a^k) off the slice of v's tree under Q: child
+        # sums are local, so these are the floats over Q
+        pairs = []
+        for Q in lows:
+            rel = _relative_slices(Q, R)
+            sub = [sums[tuple(slice(c.start >> lev, c.stop >> lev) for c in rel)]
+                   / float((1 << lev) ** R.domain.dim)
+                   for lev, sums in enumerate(v_sums[: Q.side_cells.bit_length()])]
+            pairs += [(W, Q) for W in _stopping_cubes(_average_tree(sub), Q, [a**k])[0]]
+        if pairs:
+            secondary[k] = pairs
+        if k in counts:
+            met = _meets(counts[k], *_tree_coords(R, [W for W, _Q in pairs]))
+            if met.any():
+                gamma_minus1[k] = [pair for pair, m in zip(pairs, met.tolist()) if m]
     return ClassifiedLevels(
         decomp, v, bands, minus1, secondary, gamma, gamma_minus1,
         band_masks, e_masks,
@@ -310,6 +388,42 @@ class PrincipalForest:
     @property
     def principal_count(self) -> int:
         return len(self.generations)
+
+
+def _count_table(mask: np.ndarray) -> np.ndarray:
+    """Summed-area table of a boolean array over R: entry (i1, ..., id)
+    counts the True cells of [0, i1) x ... x [0, id), in exact integers."""
+    table = np.zeros(tuple(m + 1 for m in mask.shape), dtype=np.int64)
+    inner = table[(slice(1, None),) * mask.ndim]
+    np.cumsum(mask, axis=0, out=inner)
+    for ax in range(1, mask.ndim):
+        np.cumsum(inner, axis=ax, out=inner)
+    return table
+
+
+def _meets(table: np.ndarray, j: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Whether each cube of R's tree (side 2^j, block index idx) holds a
+    cell that the count table counts: its count by inclusion-exclusion
+    over the 2^dim corners is positive."""
+    dim = idx.shape[1]
+    corners = np.array(list(itertools.product((0, 1), repeat=dim)))
+    sign = (-1) ** (dim - corners.sum(axis=1))
+    strides = [math.prod(table.shape[ax + 1 :]) for ax in range(table.ndim)]
+    return sign @ table.ravel()[((idx + corners[:, None]) << j[:, None]) @ strides] > 0
+
+
+def _first_seen(keys: np.ndarray, at: np.ndarray):
+    """(key, the entries of at under it in order) per distinct key, keys in
+    order of first appearance, as setdefault appends would group them; at
+    must increase."""
+    srt = np.argsort(keys, kind="stable")
+    keys = keys[srt]
+    cut = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), keys.size]
+    at = at[srt].tolist()
+    groups = [(at[lo:hi], lo) for lo, hi in zip(cut[:-1], cut[1:]) if hi > lo]
+    keys = keys.tolist()
+    for group, lo in sorted(groups):
+        yield keys[lo], group
 
 
 def _relative_slices(Q: Cube, R: Cube) -> tuple[slice, ...]:
@@ -340,17 +454,35 @@ def principal_select(
     The majorant h sums avg(u, Q) over principal cubes for ell >= 0; for
     ell = -1 it spreads u(W)/|primary| over each principal piece's primary.
     """
-    decomp = classified.decomp
-    R = decomp.R
-    a = classified.a
+    return _forest(classified, u, _u_sums(u, classified.decomp.R), ell, delta)
+
+
+def _forest(classified, u, u_sums, ell, delta) -> PrincipalForest:
+    """principal_select off u's sum pyramid over R.
+
+    No cube is a node twice.  In a band ell >= 0 a cube's level is its
+    v-average band minus ell.  A band -1 piece W of level k' averages v
+    above a^k' >= a a^k > 2^dim a^k for every k < k', so W's parent
+    averages v above a^k, while every cube between a level-k piece and its
+    primary averages v at most a^k: W is a piece of no lower level.  The
+    nodes go one tree level (side) at a time, largest first,
+    over an owner array of R's cells holding the last node painted over
+    each cell.  The nodes of one side are disjoint cubes, so each one's
+    nearest strict ancestor is the owner of its anchor cell, read for the
+    whole side at once before the side paints itself.
+
+    A sentinel node n owns the cells no node has painted; its average -inf
+    makes every root fire.  A principal cube's h1 value is its principal
+    ancestor's plus its own u average (a root's is its average, 0.0 plus
+    it), the per-cell adds of h1 in their order, and each cell reads the
+    value of the principal over its owner (the sentinel's is 0.0).
+    """
+    R = classified.decomp.R
+    dim = R.domain.dim
     if ell >= 0:
-        nodes = [
-            (Q, k)
-            for (l, k), cubes in sorted(classified.gamma.items())
-            if l == ell
-            for Q in cubes
-        ]
-        parent_of: dict[Cube, Cube] = {}
+        nodes = [(Q, k, Q) for (l, k), cubes in sorted(classified.gamma.items())
+                 if l == ell for Q in cubes]
+        parent_of = {}
     else:
         eps = ainf_epsilon(
             _restrict_weight(classified.v, R),
@@ -362,49 +494,63 @@ def principal_select(
             delta = eps / 2.0
         if not (0 < delta < eps):
             raise ValueError(f"delta must lie in (0, eps = {eps}), got {delta}")
-        low = sorted(classified.gamma_minus1.items())
-        nodes = [(W, k) for k, pairs in low for W, _Q in pairs]
-        parent_of = {W: Q for _k, pairs in low for W, Q in pairs}
-
-    nodes.sort(key=lambda qk: (-qk[0].side_cells, qk[1], qk[0].anchor))
-    level_of = dict(nodes)
-    sum_u = dict(zip(level_of, _cube_sums(_u_sums(u, R), R, [*level_of]).tolist()))
-    avg_u = {Q: sum_u[Q] / Q.cell_count for Q in sum_u}
-    generations: dict[Cube, int] = {}
-    assignment: dict[Cube, Cube] = {}
-    # owner[cell] is the last node painted over the cell; nodes nest or are
-    # disjoint and come largest first, so a node's anchor cell holds its
-    # nearest strict ancestor among the nodes until it paints itself
-    owner = np.full((R.side_cells,) * R.domain.dim, -1, dtype=np.int64)
-    for i, (Q, k) in enumerate(nodes):
-        rel = _relative_slices(Q, R)
-        anc = int(owner[tuple(s.start for s in rel)])
-        owner[rel] = i
-        if anc < 0:
-            generations[Q] = 0
-            assignment[Q] = Q
-            continue
-        prin = assignment[nodes[anc][0]]
+        nodes = [(W, k, Q) for k, pairs in sorted(classified.gamma_minus1.items())
+                 for W, Q in pairs]
+        parent_of = {W: Q for W, _k, Q in nodes}
+    nodes.sort(key=lambda node: (-node[0].side_cells, node[1], node[0].anchor))
+    n = len(nodes)
+    cubes = [Q for Q, _k, _P in nodes]
+    sides = [Q.side_cells for Q in cubes]
+    idx = _tree_coords(R, cubes)[1]
+    if ell < 0:
+        level = np.append(np.fromiter((k for _Q, k, _P in nodes), np.int64, n), 0)
+    sums = np.empty(n)
+    avg = np.empty(n + 1)
+    avg[n] = -np.inf
+    node = np.arange(n + 1)
+    assign = np.full(n + 1, n)
+    fired = np.zeros(n, dtype=bool)
+    # a root's generation and h1 value; a nested principal's come from its
+    # principal ancestor's
+    gen = np.zeros(n + 1, dtype=np.int64)
+    h1 = np.empty(n + 1)
+    h1[n] = 0.0
+    owner = np.full((R.side_cells,) * dim, n)
+    cut = [0, *(i for i in range(1, n) if sides[i] != sides[i - 1]), n]
+    for lo, hi in zip(cut[:-1], cut[1:]) if n else ():
+        lev = sides[lo].bit_length() - 1
+        blocks = idx[lo:hi]
+        sums[lo:hi] = u_sums[lev][tuple(blocks.T)]
+        avg[lo:hi] = h1[lo:hi] = sums[lo:hi] / sides[lo] ** dim
+        prin = assign[owner[tuple((blocks << lev).T)]]
         if ell >= 0:
-            fire = avg_u[Q] > 2.0 * avg_u[prin]
+            fire = avg[lo:hi] > 2.0 * avg[prin]
         else:
-            t = level_of[prin]
-            fire = avg_u[Q] > a ** ((k - t) * delta) * avg_u[prin]
-        if fire:
-            generations[Q] = generations[prin] + 1
-            assignment[Q] = Q
-        else:
-            assignment[Q] = prin
+            bar = _libm_pow(np.full(hi - lo, classified.a), (level[lo:hi] - level[prin]) * delta)
+            fire = (avg[lo:hi] > bar * avg[prin]) | (prin == n)
+        fired[lo:hi] = fire
+        nested = fire & (prin < n)
+        if nested.any():
+            won, over = node[lo:hi][nested], prin[nested]
+            gen[won] = gen[over] + 1
+            h1[won] = h1[over] + avg[won]
+        assign[lo:hi] = np.where(fire, node[lo:hi], prin)
+        view, cells = _blocks(owner, lev, blocks)
+        view[cells] = node[lo:hi].reshape((-1,) + (1,) * dim)
 
+    principal = np.flatnonzero(fired).tolist()
     hvals = np.zeros(u.domain.shape)
-    for Q in generations:  # h1 spreads avg(u, Q) over Q, h2 u(W) / |P| over W's P
-        P = parent_of.get(Q, Q)
-        hvals[P.slices()] += sum_u[Q] / P.cell_count
+    if ell >= 0:
+        hvals[R.slices()] = h1[assign[owner]]
+    else:  # h2: u(W) / |P| over W's primary P, in the per-node order
+        for i in principal:
+            P = nodes[i][2]
+            hvals[P.slices()] += sums[i] / P.cell_count
     return PrincipalForest(
         ell=ell,
-        nodes=tuple(nodes),
-        generations=generations,
-        assignment=assignment,
+        nodes=tuple((Q, k) for Q, k, _P in nodes),
+        generations=dict(zip([cubes[i] for i in principal], gen[principal].tolist())),
+        assignment=dict(zip(cubes, [cubes[p] for p in assign[:n].tolist()])),
         h=GridFunction(u.domain, hvals),
         delta=delta if ell < 0 else None,
         primary_parent=parent_of,
@@ -430,12 +576,13 @@ def build_forests(
     u: GridFunction,
     delta: float | None = None,
 ) -> dict[int, PrincipalForest]:
-    """Principal forests for every nonempty band, including -1."""
+    """Principal forests for every nonempty band, including -1, all read
+    off one sum pyramid of u over R."""
     ells = sorted({l for (l, _k) in classified.gamma})
-    out = {l: principal_select(classified, u, l) for l in ells}
     if classified.gamma_minus1:
-        out[-1] = principal_select(classified, u, -1, delta=delta)
-    return out
+        ells.append(-1)
+    u_sums = _u_sums(u, classified.decomp.R) if ells else []
+    return {l: _forest(classified, u, u_sums, l, delta) for l in ells}
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +755,14 @@ def mixed_verify_dyadic(
     pieces: dict[tuple[int, int], float] = {}
     for k in sorted({k for _ell, k in classified.gamma}):
         eu_sums = dyadic_sum_pyramid(np.where(classified.e_masks[k], u.values, 0.0)[R.slices()])
-        for (ell, kk), cubes in classified.gamma.items():
-            if kk == k:
-                pieces[ell, k] = sum((_cube_sums(eu_sums, R, cubes) * h_d).tolist())
+        # every Gamma cube of band k in one read, summed band by band
+        keys = [key for key in classified.gamma if key[1] == k]
+        cubes = [Q for key in keys for Q in classified.gamma[key]]
+        masses = (_cube_sums(eu_sums, R, cubes) * h_d).tolist()
+        end = 0
+        for key in keys:
+            start, end = end, end + len(classified.gamma[key])
+            pieces[key] = sum(masses[start:end])
     term_I = 0.0
     rows: list[dict] = []
     for (ell, k), piece in sorted(pieces.items()):

@@ -33,7 +33,7 @@ from .grid import Domain, GridFunction, integrate, require_same_domain, require_
 from .lorentz import WeightedMeasure, lorentz_norm, rearrangement, weak_norm
 from .maximal import default_family, m_rho_sigma, m_rho_sigma_stack
 from .weights import (
-    THETA_LADDER, ainf_epsilon, ap_characteristic, ap_ladder, characteristics,
+    THETA_LADDER, _ainf_epsilon, ap_characteristic, ap_ladder, characteristics,
 )
 
 __all__ = [
@@ -149,20 +149,24 @@ def estimate_K0(
     which v and every f of the suite must share with u.
 
     p0 = 1 + 2(t - 1)/eps comes from v's measured ladder: t is the smallest
-    dual exponent of T_LADDER whose characteristic has stabilized (every
-    rung read off one sweep of v), eps v's A_infty flatness exponent at the
-    ladder's theta, from weights.ainf_epsilon (in dims 1 and 2 one RH_infty
-    sweep, the pack fit only when that bound cannot decide it; in dim 3
-    the fit).  S runs once, over the whole suite in one sweep.
+    dual exponent of T_LADDER whose characteristic has stabilized, eps v's
+    A_infty flatness exponent at the ladder's theta, from
+    weights.ainf_epsilon (in dims 1 and 2 its RH_infty bound, the pack fit
+    only when that bound cannot decide it; in dim 3 the fit).  Every rung
+    of the dual ladder and the RH_infty bound are read off one sweep of v,
+    after ladder_exponent's.  S runs once, over the whole suite in one
+    sweep.
     """
     if not f_suite:
         raise ValueError("empty suite")
     require_same_domain(u, v, *f_suite)
     fam = default_family(u.domain)
     theta = ladder_exponent(v, rho)
-    rungs = [("ap", tt, theta) for tt in T_LADDER]
-    t = _first_stable(T_LADDER, [c.value for c in characteristics(v, rungs, rho, fam)])
-    eps = ainf_epsilon(v, theta, rho, fam)
+    # the dual ladder and ainf_epsilon's RH_infty bound off one sweep of v
+    rungs = [("ap", tt, theta) for tt in T_LADDER] + [("rh", math.inf, theta)]
+    *ladder, rh_inf = characteristics(v, rungs, rho, fam)
+    t = _first_stable(T_LADDER, [c.value for c in ladder])
+    eps = _ainf_epsilon(v, theta, rho, fam, rh_inf.value)
     p0 = 1.0 + 2.0 * (t - 1.0) / eps
     q = 2.0 * p0
     uv = WeightedMeasure(GridFunction(u.domain, u.values * v.values))

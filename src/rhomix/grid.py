@@ -45,7 +45,6 @@ __all__ = [
     "GridFunction",
     "InvalidWeightError",
     "SumOverflowError",
-    "average",
     "dyadic_average_tree",
     "dyadic_averages",
     "dyadic_sum_pyramid",
@@ -258,12 +257,6 @@ def integrate(f: GridFunction, cube: Cube | None = None) -> float:
     if cube.domain != f.domain:
         raise DomainMismatchError("cube on a different domain")
     return float(f.values[cube.slices()].sum()) * f.domain.cell_volume
-
-
-def average(f: GridFunction, cube: Cube) -> float:
-    if cube.domain != f.domain:
-        raise DomainMismatchError("cube on a different domain")
-    return float(f.values[cube.slices()].sum()) / cube.cell_count
 
 
 def weighted_measure(w: GridFunction, cells: np.ndarray) -> float:

@@ -385,15 +385,22 @@ def _ap_range_clears(
 
 
 def _rh_bound_clears(
-    w: GridFunction, theta: float, rho: RhoSpec, cubes: CubeFamily
+    w: GridFunction,
+    theta: float,
+    rho: RhoSpec,
+    cubes: CubeFamily,
+    bound: float | None = None,
 ) -> bool:
     """True when w's RH_infty bound, with its rounding margin, is within
     the fit's cap, so the fit keeps eps = 1 (see ainf_epsilon).  Sound on
-    every family."""
+    every family.  bound is rh_characteristic(w, inf, theta, rho,
+    cubes).value when the caller's sweep scored it; otherwise it is swept
+    here, and only when the margin is finite."""
     margin = _fit_margin(w, cubes)
     if not math.isfinite(margin):
         return False
-    bound = rh_characteristic(w, math.inf, theta, rho, cubes).value
+    if bound is None:
+        bound = rh_characteristic(w, math.inf, theta, rho, cubes).value
     return bound * (1.0 + margin) <= _C_CAP
 
 
@@ -453,9 +460,22 @@ def ainf_epsilon(
     host), so there the bound could save only part of one fit and the fit
     runs directly.
     """
+    return _ainf_epsilon(w, theta, rho, cubes, None)
+
+
+def _ainf_epsilon(
+    w: GridFunction,
+    theta: float,
+    rho: RhoSpec,
+    cubes: CubeFamily,
+    rh_inf: float | None,
+) -> float:
+    """ainf_epsilon, its bound test reading rh_inf, w's RH_infty
+    characteristic at theta over cubes, when the caller's sweep of w scored
+    that rung (None: the test sweeps it)."""
     require_weight(w)
     _require_theta(theta)
-    if cubes.domain.dim <= 2 and _rh_bound_clears(w, theta, rho, cubes):
+    if cubes.domain.dim <= 2 and _rh_bound_clears(w, theta, rho, cubes, rh_inf):
         return 1.0
     return ainf_epsilon_form(w, theta, rho, cubes).eps
 

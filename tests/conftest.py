@@ -11,9 +11,11 @@ import rhomix.extrapolation
 import rhomix.grid
 import rhomix.weights
 from rhomix import (
-    ALL_CELL_ALIGNED, DYADIC_GRID_OF, BoxSums, Cube, Domain, GridFunction,
-    dyadic_sum_pyramid,
+    ALL_CELL_ALIGNED, DYADIC_GRID_OF, BoxSums, Cube, CubeFamily, Domain,
+    GridFunction, InterpolationReport, RearrangementTable, RhoSpec, ainf_epsilon,
+    cz_on_cube, dyadic_averages, dyadic_sum_pyramid,
 )
+from rhomix.corona import ClassifiedLevels, PrincipalForest
 from rhomix.critical import _libm_pow, _penalty_base
 
 #: (policy, rooted) as the family property tests draw them: dim-1 intervals
@@ -158,11 +160,6 @@ def cubes_of(domain, fam):
         for anchor in fam.anchors(s):
             out.append(Cube(domain, tuple(int(a) for a in anchor), s))
     return out
-
-
-def brute_average(f: GridFunction, cube: Cube) -> float:
-    """Independent cube average: plain numpy mean over the cube's cells."""
-    return float(np.mean(f.values[cube.slices()]))
 
 
 def pyramid_sum(g: GridFunction, R: Cube, Q: Cube) -> float:
@@ -342,6 +339,207 @@ def slice_sum_terms(classified, u):
     for k, pairs in sorted(classified.gamma_minus1.items()):
         term_II += a ** (k + 1) * sum(float(u.values[W.slices()].sum()) * h_d for W, _ in pairs)
     return term_I, term_II
+
+
+def row_level_table(level: np.ndarray, mu) -> RearrangementTable:
+    """Oracle for the level-set tables: one row's table on its own, the
+    default sort with a stable re-sort on a positive tie, one running sum
+    of the density in that order, read at the last cell of each tie group
+    and scaled by the cell volume, mu-null steps dropped."""
+    a = level.ravel()
+    order = np.argsort(-a)
+    keys = a[order]
+    pos = np.count_nonzero(keys > 0)
+    top = keys[:pos]
+    if np.any(top[1:] == top[:-1]):
+        order = np.argsort(-a, kind="stable")
+    elif pos < a.size:
+        order[pos:] = np.flatnonzero(a == 0)
+    keys[pos:] = a[order[pos:]]
+    cum = np.cumsum(mu.density.values.ravel()[order])
+    vol = mu.domain.cell_volume
+    peak = float(keys[0])
+    keys = keys[:pos]
+    last = np.ones(pos, dtype=bool)
+    last[:-1] = keys[1:] != keys[:-1]
+    masses = cum[:pos][last] * vol
+    keep = np.diff(masses, prepend=0.0) > 0
+    return RearrangementTable(keys[last][keep], masses[keep], float(cum[-1]) * vol, peak)
+
+
+def row_by_row_audit(T, p0, p, mu, f_suite, C0=None, C1=None) -> InterpolationReport:
+    """Oracle for interpolation_audit: the pool built f by f, one T call,
+    then one row_level_table per pool row and per image, each read on its
+    own.  A member of norm 0 with a nonzero image has ratio inf: it fails
+    its hypothesis for every constant and is left out of the measured
+    constants; an f of norm 0 with a nonzero image fails the conclusion."""
+    def ratio(num, den):
+        return num / den if den > 0 else (math.inf if num > 0 else 0.0)
+
+    def safe(num, den):
+        return num / den if den > 0 else 0.0
+
+    blocks, f_norms, offset = [], {}, 0
+    for f in f_suite:
+        table = row_level_table(np.abs(f.values), mu)
+        f_norms[offset] = (table.lorentz_norm(p0, 1.0), table.lorentz_norm(p, 1.0))
+        below = np.abs(f.values) <= table.values.reshape((-1,) + (1,) * f.values.ndim)
+        low = np.where(below, f.values, 0.0)
+        splits = np.stack([low, f.values - low], axis=1).reshape((-1,) + f.values.shape)
+        blocks.append(np.concatenate([f.values[None], splits]))
+        offset += len(blocks[-1])
+    pool = np.concatenate(blocks) if blocks else np.zeros((0,) + mu.domain.shape)
+    images = np.asarray(T(pool), dtype=np.float64)
+    weak, sup, f_images = [], [], []
+    for i, (g, Tg) in enumerate(zip(pool, images)):
+        image_table = row_level_table(np.abs(Tg), mu)
+        if i in f_norms:
+            g_norm, f_norm = f_norms[i]
+            f_images.append((image_table.lorentz_norm(p, 1.0), f_norm))
+        else:
+            g_norm = row_level_table(np.abs(g), mu).lorentz_norm(p0, 1.0)
+        weak.append((ratio(image_table.weak_norm(p0), g_norm), g_norm))
+        g_sup = float(np.abs(g).max())
+        sup.append((ratio(float(np.abs(Tg).max()), g_sup), g_sup))
+    if C0 is None:
+        C0 = max((r for r, norm in weak if norm > 0), default=0.0)
+    if C1 is None:
+        C1 = max((r for r, norm in sup if norm > 0), default=0.0)
+    hyp = sum(r > C0 * (1 + 1e-12) for r, _ in weak)
+    hyp += sum(r > C1 * (1 + 1e-12) for r, _ in sup)
+    hyp_max = max(safe(max((r for r, _ in weak), default=0.0), C0),
+                  safe(max((r for r, _ in sup), default=0.0), C1))
+    bound = 2.0 ** (1.0 / p) * (C0 / (1.0 / p0 - 1.0 / p) + C1)
+    violations, max_ratio = 0, 0.0
+    for lhs, f_norm in f_images:
+        rhs = bound * f_norm
+        if f_norm == 0.0 and lhs > 0.0:
+            violations += 1
+            max_ratio = math.inf
+        if rhs == 0.0:
+            continue
+        max_ratio = max(max_ratio, lhs / rhs)
+        violations += lhs > rhs * (1 + 1e-12)
+    return InterpolationReport(
+        p0, p, float(C0), float(C1), float(bound), violations, hyp,
+        float(max_ratio), float(hyp_max), len(f_suite),
+    )
+
+
+def _scalar_floor_band(x: float, a: float) -> int:
+    """j with a^j <= x < a^(j+1), by Python's pow one power at a time."""
+    j = math.floor(math.log(x) / math.log(a))
+    while _pow_or_inf(a, j + 1) <= x:
+        j += 1
+    while a**j > x:
+        j -= 1
+    return j
+
+
+def _scalar_cell_band(x: float, a: float) -> int:
+    """k with a^k < x <= a^(k+1), the right-closed band of one cell."""
+    j = _scalar_floor_band(x, a)
+    return j - 1 if _pow_or_inf(a, j) == x else j
+
+
+def _pow_or_inf(a: float, j: int) -> float:
+    try:
+        return a**j
+    except OverflowError:
+        return math.inf
+
+
+def cube_by_cube_classify(decomp, v) -> ClassifiedLevels:
+    """Oracle for classify: every stopping cube banded and gated on its
+    own, its v average off dyadic_averages over R, its band by Python's
+    pow, its gate by one slice any() of its level's cell band, and a band
+    -1 cube's pieces by cz_on_cube(v, Q, a^k)."""
+    a, R = decomp.a, decomp.R
+    vals = v.values[R.slices()]
+    kcell = np.vectorize(lambda x: _scalar_cell_band(x, a))(vals)
+    band_masks, e_masks = {}, {}
+    exceed = decomp.mdy.values > v.values
+    for k in range(int(kcell.min()), int(kcell.max()) + 1):
+        if (local := kcell == k).any():
+            band_masks[k] = np.zeros(v.domain.shape, dtype=bool)
+            band_masks[k][R.slices()] = local
+            e_masks[k] = band_masks[k] & exceed
+    avgs = dyadic_averages(vals)
+    bands, minus1, secondary, gamma, gamma_minus1 = {}, {}, {}, {}, {}
+    for k, cubes in decomp.levels.items():
+        bmask = band_masks.get(k)
+        for Q in cubes:
+            rel = tuple((q - r) // Q.side_cells for q, r in zip(Q.anchor, R.anchor))
+            avg_v = float(avgs[Q.side_cells.bit_length() - 1][rel])
+            if avg_v < a**k:
+                minus1.setdefault(k, []).append(Q)
+                for W in cz_on_cube(v, Q, a**k):
+                    secondary.setdefault(k, []).append((W, Q))
+                    if bmask is not None and bmask[W.slices()].any():
+                        gamma_minus1.setdefault(k, []).append((W, Q))
+            else:
+                ell = _scalar_floor_band(avg_v, a) - k
+                bands.setdefault((ell, k), []).append(Q)
+                if bmask is not None and bmask[Q.slices()].any():
+                    gamma.setdefault((ell, k), []).append(Q)
+    return ClassifiedLevels(decomp, v, bands, minus1, secondary, gamma,
+                            gamma_minus1, band_masks, e_masks)
+
+
+def node_by_node_forest(classified, u, ell, delta=None) -> PrincipalForest:
+    """Oracle for principal_select: the nodes walked one at a time, largest
+    first, each one's nearest ancestor read off an owner array at its
+    anchor cell before it paints itself, u's node sums off one pyramid over
+    R, and h added principal by principal."""
+    R, a = classified.decomp.R, classified.a
+    if ell >= 0:
+        nodes = [(Q, k) for (l, k), cubes in sorted(classified.gamma.items())
+                 if l == ell for Q in cubes]
+        parent_of = {}
+    else:
+        eps = ainf_epsilon(
+            GridFunction(R.domain, np.where(R.mask(), classified.v.values, 1.0)),
+            0.0, RhoSpec.classical(), CubeFamily(R.domain, DYADIC_GRID_OF, R),
+        )
+        delta = eps / 2.0 if delta is None else delta
+        low = sorted(classified.gamma_minus1.items())
+        nodes = [(W, k) for k, pairs in low for W, _Q in pairs]
+        parent_of = {W: Q for _k, pairs in low for W, Q in pairs}
+    nodes.sort(key=lambda qk: (-qk[0].side_cells, qk[1], qk[0].anchor))
+    sums = dyadic_sum_pyramid(u.values[R.slices()])
+    level_of = dict(nodes)
+    sum_u = {}
+    for Q, _k in nodes:
+        rel = tuple((q - r) // Q.side_cells for q, r in zip(Q.anchor, R.anchor))
+        sum_u[Q] = float(sums[Q.side_cells.bit_length() - 1][rel])
+    avg_u = {Q: sum_u[Q] / Q.cell_count for Q in sum_u}
+    generations, assignment = {}, {}
+    owner = np.full((R.side_cells,) * R.domain.dim, -1, dtype=np.int64)
+    for i, (Q, k) in enumerate(nodes):
+        rel = tuple(slice(q - r, q - r + Q.side_cells) for q, r in zip(Q.anchor, R.anchor))
+        anc = int(owner[tuple(s.start for s in rel)])
+        owner[rel] = i
+        if anc < 0:
+            generations[Q] = 0
+            assignment[Q] = Q
+            continue
+        prin = assignment[nodes[anc][0]]
+        if ell >= 0:
+            fire = avg_u[Q] > 2.0 * avg_u[prin]
+        else:
+            fire = avg_u[Q] > a ** ((k - level_of[prin]) * delta) * avg_u[prin]
+        if fire:
+            generations[Q] = generations[prin] + 1
+            assignment[Q] = Q
+        else:
+            assignment[Q] = prin
+    hvals = np.zeros(u.domain.shape)
+    for Q in generations:
+        P = parent_of.get(Q, Q)
+        hvals[P.slices()] += sum_u[Q] / P.cell_count
+    return PrincipalForest(ell, tuple(nodes), generations, assignment,
+                           GridFunction(u.domain, hvals),
+                           delta if ell < 0 else None, parent_of)
 
 
 def oscillator(domain):

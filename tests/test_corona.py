@@ -42,6 +42,8 @@ from conftest import (
     brute_cz,
     brute_m_dyadic,
     cell_chain_double_sum,
+    cube_by_cube_classify,
+    node_by_node_forest,
     oscillator,
     pyramid_average,
     random_pow2_cube,
@@ -199,9 +201,9 @@ def test_level_decomposition_builds_one_pyramid(monkeypatch):
     # cz_on_cube would each build one more pyramid.  A whole corona run
     # then builds one pyramid of v (classify), one of u 1_{E_k} per band k
     # with Gamma cubes and one of u (term II) in mixed_verify_dyadic, one of
-    # u per forest and one of u for the double sum: a count of bands and
-    # forests, where a pyramid per band -1 cube (cz_on_cube's) grew with
-    # the cubes
+    # u for all the forests and one of u for the double sum: a count of
+    # bands, where a pyramid per band -1 cube (cz_on_cube's) grew with the
+    # cubes and one per forest with the forests
     builds = []
     real = rhomix.grid.dyadic_sum_pyramid
 
@@ -224,7 +226,7 @@ def test_level_decomposition_builds_one_pyramid(monkeypatch):
     claim_audits(forests, rep.classified, u)
     bands = len({k for _ell, k in rep.classified.gamma})
     assert -1 in forests and sum(map(len, rep.classified.minus1.values())) == 9
-    assert builds == [g.domain.shape] * (4 + bands + len(forests))
+    assert builds == [g.domain.shape] * (5 + bands)
 
 
 @settings(max_examples=30, deadline=None)
@@ -824,3 +826,84 @@ def test_cz_union_and_window_property(seed):
         assert lam < avg <= 2 * lam
         union[Q.slices()] = True
     assert np.array_equal(union, m_dyadic(g, R).values > lam)
+
+
+# ---------------------------------------------------------------------------
+# classify and the forests against the cube-by-cube and node-by-node oracles
+
+
+def _same_classified(got, want):
+    """Every dict of two ClassifiedLevels equal, key order included, and
+    their cell-band and E masks equal cell for cell."""
+    for name in ("bands", "minus1", "secondary", "gamma", "gamma_minus1"):
+        assert list(getattr(got, name).items()) == list(getattr(want, name).items()), name
+    for name in ("band_masks", "e_masks"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert list(g) == list(w)
+        assert all(np.array_equal(g[k], w[k]) for k in g), name
+
+
+def _same_forest(got, want):
+    assert got.ell == want.ell and got.delta == want.delta
+    assert got.nodes == want.nodes
+    assert list(got.generations.items()) == list(want.generations.items())
+    assert list(got.assignment.items()) == list(want.assignment.items())
+    assert list(got.primary_parent.items()) == list(want.primary_parent.items())
+    assert got.h.values.tobytes() == want.h.values.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    dim=st.integers(min_value=1, max_value=3),
+    sub=st.booleans(),
+)
+def test_classify_and_forests_are_the_per_cube_oracles_property(seed, dim, sub):
+    """classify's level-at-once banding and gating gives the cube-by-cube
+    classify's dicts, and every forest, band -1 included, is the
+    node-by-node walk's, float for float, in dims 1-3."""
+    g, u, v, R = _low_band_instance(seed, dim, sub)
+    decomp = level_decomposition(g, R)
+    cl = classify(decomp, v)
+    _same_classified(cl, cube_by_cube_classify(decomp, v))
+    forests = build_forests(cl, u)
+    assert -1 in forests
+    for ell, forest in forests.items():
+        _same_forest(forest, node_by_node_forest(cl, u, ell))
+
+
+def test_classify_and_forests_on_the_instance_sets_are_the_per_cube_oracles():
+    """The standard corona-run suites in dims 1-3, the spiky instance and
+    band -1 instances: the same dicts and forests as the oracles."""
+    for f, u, v, R in _instance_sets():
+        g = GridFunction(f.domain, np.abs(f.values) * v.values)
+        decomp = level_decomposition(g, R)
+        if decomp.empty:
+            continue
+        cl = classify(decomp, v)
+        _same_classified(cl, cube_by_cube_classify(decomp, v))
+        for ell, forest in build_forests(cl, u).items():
+            _same_forest(forest, node_by_node_forest(cl, u, ell))
+            _same_forest(principal_select(cl, u, ell), forest)
+
+
+def test_forests_read_one_u_pyramid_however_many_forests(monkeypatch):
+    """build_forests reads every forest off one sum pyramid of u over R,
+    so a corona call's u pyramids do not grow with its forests."""
+    builds = []
+    real = rhomix.corona.dyadic_sum_pyramid
+    monkeypatch.setattr(
+        rhomix.corona, "dyadic_sum_pyramid", lambda values: builds.append(1) or real(values)
+    )
+    counted = 0
+    for f, u, v, R in _instance_sets():
+        g = GridFunction(f.domain, np.abs(f.values) * v.values)
+        decomp = level_decomposition(g, R)
+        if decomp.empty:
+            continue
+        cl = classify(decomp, v)
+        builds.clear()
+        forests = build_forests(cl, u)
+        assert len(builds) == (1 if forests else 0)
+        counted += len(forests) >= 2
+    assert counted >= 5

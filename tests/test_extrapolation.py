@@ -20,9 +20,11 @@ from rhomix import (
     K0TooSmallError,
     RhoSpec,
     SCZOKernel,
+    ainf_epsilon,
     ainf_epsilon_form,
     ap_characteristic,
     audit_kernel_conditions,
+    characteristics,
     coifman_check,
     default_family,
     estimate_K0,
@@ -33,6 +35,7 @@ from rhomix import (
     run_experiment,
     rdf_audit,
     rdf_iterate,
+    rh_characteristic,
     s_operator,
     sczo_apply,
     standard_suite_spec,
@@ -135,16 +138,38 @@ def test_estimate_k0_takes_eps_from_the_rh_bound_without_the_fit():
 
 
 def test_estimate_k0_sweeps_v_once_for_the_dual_ladder():
-    """estimate_K0 sweeps v three times: ladder_exponent's A_1 theta
-    ladder (w alone), every T_LADDER rung at once (w and its five
-    w^(1-p')), and ainf_epsilon's RH_infty bound (w alone).  The dual
-    ladder took one sweep per p, five in all."""
+    """estimate_K0 sweeps v twice: ladder_exponent's A_1 theta ladder (w
+    alone), then every T_LADDER rung and ainf_epsilon's RH_infty bound at
+    once (w and its five w^(1-p'); the bound reads w's own averages and
+    cube maxima).  The dual ladder took one sweep per p, five in all, and
+    the bound one more sweep of w alone."""
     dom, u, v, suite = _setup(level=6)
     rho = RhoSpec.constant(0.5)
     with counted_sweeps() as calls:
-        estimate_K0(u, v, rho, 0.0, suite)
+        state = estimate_K0(u, v, rho, 0.0, suite)
     of_v = [len(values) for values in calls if values[0] is v.values]
-    assert of_v == [1, 1 + len(T_LADDER), 1]
+    assert of_v == [1, 1 + len(T_LADDER)]
+    theta = ladder_exponent(v, rho)
+    assert state.eps == ainf_epsilon(v, theta, rho, default_family(dom))
+
+
+@pytest.mark.parametrize("dim, level", [(1, 6), (2, 4)])
+@pytest.mark.parametrize("kind", ["two_banded", "power", "smooth_random"])
+def test_rh_rung_beside_the_dual_ladder_is_the_lone_rung(dim, level, kind):
+    """The RH_infty rung scored in the dual ladder's sweep is the float
+    rh_characteristic reads off a sweep of w alone, the value ainf_epsilon
+    tests against its cap."""
+    rng = np.random.default_rng(level)
+    dom = Domain(dim, 8.0, level)
+    spec = {"two_banded": {"c": 3.0}, "power": {"alpha": 1.5}, "smooth_random": {"amp": 0.6}}
+    v = make_weight(dom, {"kind": kind, **spec[kind]}, rng)
+    fam = default_family(dom)
+    for rho in (RhoSpec.classical(), RhoSpec.constant(0.5)):
+        theta = ladder_exponent(v, rho)
+        rungs = [("ap", t, theta) for t in T_LADDER] + [("rh", math.inf, theta)]
+        shared = characteristics(v, rungs, rho, fam)[-1]
+        alone = rh_characteristic(v, math.inf, theta, rho, fam)
+        assert shared.value == alone.value
 
 
 def test_estimate_k0_refuses_mixed_domains():

@@ -24,7 +24,6 @@ from rhomix import (
     SumOverflowError,
     THETA_LADDER,
     ap_ladder,
-    average,
     characteristics,
     dyadic_average_tree,
     dyadic_averages,
@@ -43,8 +42,6 @@ from conftest import (
     BLOCK_BUDGETS,
     FAMILY_DRAWS,
     block_budget,
-    brute_average,
-    cubes_of,
     per_input_sweep,
     per_side_cell_max,
 )
@@ -587,12 +584,11 @@ def test_dyadic_averages_are_the_tree_averages():
             assert np.array_equal(avg, dyadic_sum_pyramid(vals)[j] / block)
 
 
-def test_integrate_and_average():
+def test_integrate():
     dom = Domain(1, 8.0, 3)
     f = GridFunction(dom, np.arange(8, dtype=float))
     assert integrate(f) == pytest.approx(np.arange(8).sum() * dom.cell_volume)
     Q = Cube(dom, (2,), 4)
-    assert average(f, Q) == pytest.approx(np.mean([2, 3, 4, 5]))
     assert integrate(f, Q) == pytest.approx(np.sum([2, 3, 4, 5]) * 1.0)
 
 
@@ -614,7 +610,7 @@ def test_grid_function_constructors():
 def test_domain_mismatch_rejected():
     a = GridFunction(Domain(1, 4.0, 2), np.zeros(4))
     with pytest.raises(DomainMismatchError):
-        average(a, Cube(Domain(1, 8.0, 2), (0,), 2))
+        integrate(a, Cube(Domain(1, 8.0, 2), (0,), 2))
 
 
 def test_require_weight():
@@ -662,12 +658,3 @@ def test_box_sum_child_additivity(level, side_pick, seed):
     parts = sum(bs.box_sum(np.array([k.anchor]), k.side_cells)[0] for k in kids)
     assert total == pytest.approx(parts, rel=1e-12)
 
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-def test_average_matches_brute_force(seed):
-    rng = np.random.default_rng(seed)
-    dom = Domain(2, 4.0, 2)
-    f = GridFunction(dom, rng.normal(size=dom.shape))
-    for Q in cubes_of(dom, CubeFamily(dom, DYADIC_GRID_OF)):
-        assert average(f, Q) == pytest.approx(brute_average(f, Q), rel=1e-12, abs=1e-12)

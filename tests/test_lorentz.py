@@ -1,6 +1,7 @@
 """Rearrangements and Lorentz norms over weighted measures."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rhomix.experiments
+import rhomix.grid
 import rhomix.lorentz
 from rhomix import (
     ALL_CELL_ALIGNED,
@@ -35,6 +38,9 @@ from rhomix import (
     t_grid_sup,
     weak_norm,
 )
+from rhomix.maximal import default_family
+
+from conftest import BLOCK_BUDGETS, block_budget, row_by_row_audit, row_level_table
 
 
 def _f312():
@@ -530,3 +536,166 @@ def test_mixed_checks_build_the_table_of_T_once(counted_tables):
     counted_tables.clear()
     mixed_for_T(f.abs(), u, v, SCZOKernel("odd_inverse"))
     assert len(counted_tables) == len(set(counted_tables)) == 2
+
+
+# ---------------------------------------------------------------------------
+# stacked level tables and the chunked audit against the row-by-row oracles
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _stack_and_measure(data):
+    """A (B, N) stack of level rows over a small grid, each row tied or
+    distinct, with zeros of either sign, and a density with mu-null cells."""
+    dim, level = data.draw(st.sampled_from([(1, 3), (1, 5), (2, 2), (2, 3), (3, 2)]))
+    dom = Domain(dim, 8.0, level)
+    n = math.prod(dom.shape)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 9))):
+        distinct = data.draw(st.sampled_from([None, 1, 2, 5]))
+        row = rng.exponential(1.0, n) if distinct is None else rng.choice(rng.exponential(1.0, distinct), n)
+        row[rng.random(n) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+        row[(row == 0) & (rng.random(n) < 0.5)] = -0.0
+        rows.append(row)
+    dens = rng.uniform(0.25, 4.0, n)
+    dens[rng.random(n) < data.draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    return np.array(rows), WeightedMeasure(GridFunction(dom, dens.reshape(dom.shape)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_stacked_level_tables_are_the_row_tables(data):
+    """Every row of a stacked table, and its weak and Lorentz norms, are the
+    floats of that row's own table, ties, zeros of either sign and mu-null
+    cells included."""
+    stack, mu = _stack_and_measure(data)
+    p = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.7]))
+    q = data.draw(st.sampled_from([0.7, 1.0, 2.0]))
+    tables = rhomix.lorentz._level_tables(stack, mu)
+    want = [row_level_table(row, mu) for row in stack]
+    for r, table in enumerate(want):
+        got = tables.row(r)
+        assert _bits(got.values) == _bits(table.values)
+        assert _bits(got.masses) == _bits(table.masses)
+        assert _bits(got.domain_mass) == _bits(table.domain_mass)
+        assert _bits(got.peak) == _bits(table.peak)
+    assert _bits(tables.weak_norms(p)) == _bits([t.weak_norm(p) for t in want])
+    rows = range(len(stack))
+    assert _bits(tables.lorentz_norms(p, q, rows)) == _bits([t.lorentz_norm(p, q) for t in want])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_descending_order_of_a_stack_is_each_rows_stable_argsort(data):
+    """The stacked sort re-sorts stably only the rows with a positive tie,
+    and every row's order is its stable argsort's, signed zeros and all."""
+    stack, _mu = _stack_and_measure(data)
+    order, keys = rhomix.lorentz._descending(stack)
+    want = np.argsort(-stack, axis=1, kind="stable")
+    assert np.array_equal(order, want)
+    assert keys.tobytes() == np.take_along_axis(stack, want, axis=1).tobytes()
+
+
+def _maximal(fam):
+    return lambda stack: m_rho_sigma_stack(stack, RhoSpec.classical(), 0.0, 1.0, fam)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.sampled_from([(1, 4), (1, 5), (2, 2), (2, 3)]),
+    budget=st.sampled_from(BLOCK_BUDGETS),
+)
+def test_interpolation_audit_is_the_row_by_row_audit(seed, shape, budget):
+    """One chunk of rows at a time (down to one row per chunk), the audit
+    reports the row-by-row oracle's floats, measured constants and
+    understated ones alike."""
+    rng = np.random.default_rng(seed)
+    dom = Domain(shape[0], 8.0, shape[1])
+    dens = rng.uniform(0.5, 2.0, dom.shape)
+    dens[rng.random(dom.shape) < 0.2] = 0.0
+    mu = WeightedMeasure(GridFunction(dom, dens))
+    fs = [make_function(dom, {"kind": kind}, rng) for kind in ("random", "spike", "indicator")]
+    T = _maximal(default_family(dom))
+    with block_budget(budget):
+        for C0, C1 in ((None, None), (0.5, 0.5)):
+            got = interpolation_audit(T, 1.0, 2.0, mu, fs, C0=C0, C1=C1)
+            assert got == row_by_row_audit(T, 1.0, 2.0, mu, fs, C0=C0, C1=C1)
+
+
+def test_interpolation_audit_builds_no_table_per_row(monkeypatch):
+    """The audit reads the pool's norms off stacked tables, two builds (pool
+    rows and images) per chunk of rows: the only one-row tables are the
+    suite's own, one per f for the steps its splits are cut at."""
+    rng = np.random.default_rng(83)
+    dom = Domain(1, 8.0, 5)
+    mu = WeightedMeasure(GridFunction(dom, rng.uniform(0.5, 2.0, dom.shape)))
+    fs = [make_function(dom, {"kind": "random"}, rng) for _ in range(3)]
+    one, stacked = [], []
+    build, build_stack = rhomix.lorentz._level_table, rhomix.lorentz._level_tables
+    monkeypatch.setattr(rhomix.lorentz, "_level_table", lambda *a: one.append(1) or build(*a))
+    monkeypatch.setattr(
+        rhomix.lorentz, "_level_tables", lambda level, mu: stacked.append(len(level)) or build_stack(level, mu)
+    )
+    with block_budget(4 * 32):  # four rows of 32 cells per chunk
+        interpolation_audit(lambda s: np.abs(s), 1.0, 2.0, mu, fs)
+    assert len(one) == len(fs)
+    pool_builds = stacked[len(fs):]
+    members = sum(pool_builds) // 2
+    assert members > 20 * len(fs)
+    assert len(pool_builds) == 2 * -(-members // 4)
+    assert all(rows <= 4 for rows in pool_builds)
+
+
+def test_interpolation_counts_a_zero_norm_member_with_a_nonzero_image():
+    """T(s) = s + 1 maps the all-zero top split to 1, so ||Tg|| > 0 = C ||g||
+    breaks both hypotheses for every C; a ratio over a norm of 0 used to
+    read 0 and pass even at C0 = C1 = 1e9.  An f of norm 0 with a nonzero
+    image breaks the conclusion the same way."""
+    dom = Domain(1, 8.0, 4)
+    mu = WeightedMeasure.lebesgue(dom)
+    f = GridFunction(dom, np.arange(16.0) - 5.0)
+    T = lambda s: s + 1.0
+    for C in (None, 1e9):
+        rep = interpolation_audit(T, 1.0, 2.0, mu, [f], C0=C, C1=C)
+        # the top step's high split is the one zero member: two failures
+        assert rep.hypothesis_violations == 2
+        assert rep.hyp_max_ratio == math.inf
+    zero = GridFunction.constant(dom, 0.0)
+    rep = interpolation_audit(T, 1.0, 2.0, mu, [zero], C0=1e9, C1=1e9)
+    assert rep.violations == 1 and rep.max_ratio == math.inf
+    assert rep.hypothesis_violations == 2
+
+
+def test_interpolation_measures_the_constants_over_members_of_positive_norm():
+    """C0 and C1 are the maxima over the members of positive norm; a
+    zero-norm member adds nothing to them."""
+    dom = Domain(1, 8.0, 4)
+    mu = WeightedMeasure.lebesgue(dom)
+    f = GridFunction(dom, np.arange(16.0) - 5.0)
+    rep = interpolation_audit(lambda s: 2.0 * s + 1.0, 1.0, 2.0, mu, [f])
+    assert math.isfinite(rep.C0) and math.isfinite(rep.C1) and rep.C1 > 0
+
+
+def test_interpolation_audit_peak_memory_is_one_chunk_of_tables():
+    """At d1 L9 the pool and its images take 2 x 8 B per member cell; the
+    audit holds at most a few chunk-sized tables beyond them at any time
+    (traced), never tables of the whole pool."""
+    bundle = rhomix.experiments._suite(default_config("interpolation", 1, 9, seed=7))
+    mu = WeightedMeasure(bundle.pairs[0].u)
+    fs = list(bundle.fs)
+    cells = math.prod(mu.domain.shape)
+    members = sum(1 + 2 * rearrangement(f, mu).values.size for f in fs)
+    stacks = 2 * members * cells * 8
+    chunk = rhomix.grid.BLOCK_ELEMENTS * 8
+    tracemalloc.start()
+    try:
+        interpolation_audit(lambda s: np.abs(s), 1.0, 2.0, mu, fs)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert members * cells > 40 * rhomix.grid.BLOCK_ELEMENTS  # a pool of many chunks
+    assert peak - stacks <= 16 * chunk
