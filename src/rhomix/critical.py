@@ -14,7 +14,8 @@ rho(x) = sup { r > 0 : r^(2-d) * integral of V over B(x, r) <= 1 }).
 
 Each rho keeps one PenaltyTable per cube family, the one place cube
 penalties are raised to a power (by the C library's pow through
-np.float_power, memoised), and its admissibility and covering reports.
+np.float_power, held within grid.PENALTY_BYTES), and its admissibility
+and covering reports.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ import functools
 import inspect
 import math
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import grid
 from .grid import DYADIC_GRID_OF, Domain, GridFunction
 
 __all__ = [
@@ -205,15 +208,22 @@ def growth_factor(spec: RhoSpec, centers: np.ndarray, radius) -> np.ndarray:
     return 1.0 + np.asarray(radius, dtype=float) / rho_values(spec, pts)
 
 
-def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
+def _libm_pow(base: np.ndarray, exponent: float, out=None) -> np.ndarray:
     """base ** exponent per element by the C library's pow, as Python's
     float pow computes it: np.float_power calls libm's pow per element,
     while numpy's SIMD power can differ from it in the last bit depending
     on the CPU.  As with Python's pow, a finite base whose power overflows
-    raises OverflowError; an inf base gives what libm's pow gives."""
+    raises OverflowError; an inf base gives what libm's pow gives.  The
+    powers go to out when it is given.  A float exponent of 1 takes no
+    pow: libm's pow(b, 1) is b, bit for bit."""
     base = np.asarray(base, dtype=np.float64)
+    if isinstance(exponent, float) and exponent == 1.0:
+        if out is None:
+            return base
+        np.copyto(out, base)
+        return out
     with np.errstate(over="ignore", under="ignore"):
-        out = np.float_power(base, exponent)
+        out = np.float_power(base, exponent, out=out)
     over = np.isinf(out)
     if over.any() and np.isfinite(base[over]).any():
         raise OverflowError(f"a finite base raised to {exponent} overflows")
@@ -236,7 +246,7 @@ class PenaltyTable:
     (k, W) arrays laid out as CubeFamily.sweep's avgs, whose padded
     entries carry no meaning.
 
-    DYADIC_GRID_OF blocks are single sides, kept per side.  On
+    DYADIC_GRID_OF blocks are single sides, held per side.  On
     ALL_CELL_ALIGNED over a root of m cells, rho is kept at the 2m - 1
     half-cell points that are interval centers (2a + s half cells from the
     root's start), so a block's rho is one strided view.  Each exponent's
@@ -245,17 +255,38 @@ class PenaltyTable:
     copy of side i + 1's at the middle of an odd m).  A block of sides up
     to (m + 1) // 2 is rows of the fold read left to right, a block above
     it rows read right to left, each one strided view; sweep blocks never
-    span the two.  The memo keeps every exponent's fold and never evicts.
+    span the two.
+
+    Each exponent's powers are held, exponent 1 taking no pow (libm's
+    pow(b, 1) is b).  The held arrays take at most grid.PENALTY_BYTES, the
+    least recently used evicted first; a fold past an eighth of that is
+    never held, each block's powers then raised as the block asks for them.
     """
 
     def __init__(self, rho: RhoSpec, family) -> None:
         # a weak reference: the rho owns the table
         self._rho, self.family, self._memo = weakref.ref(rho), family, {}
+        # the held powers, least recently used first, and their bytes
+        self._held, self._held_bytes = OrderedDict(), 0
 
     def _cached(self, key, build):
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
+
+    def _hold(self, key, build):
+        """The held tuple under key, whose first array counts its bytes;
+        a miss builds and holds it, then evicts the least recently used
+        tuples past grid.PENALTY_BYTES, never the one just built."""
+        held = self._held
+        if key in held:
+            held.move_to_end(key)
+            return held[key]
+        value = held[key] = build()
+        self._held_bytes += value[0].nbytes
+        while self._held_bytes > grid.PENALTY_BYTES and len(held) > 1:
+            self._held_bytes -= held.popitem(last=False)[1][0].nbytes
+        return value
 
     def _half_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """rho at the root's half-cell points t, at index t (t = 1..2m-1 are
@@ -289,21 +320,27 @@ class PenaltyTable:
         return self._half_cells()[1][s : s + len(sides), :width], radius
 
     def power(self, sides, exponent: float, ratio: bool = False):
-        """Memoised (1 + r/rho)^exponent per cube of a block of sides, or
-        with ratio (rho/r)^exponent, 1 where r <= rho; 1.0 at exponent 0 or
+        """(1 + r/rho)^exponent per cube of a block of sides, or with ratio
+        (rho/r)^exponent, 1 where r <= rho; 1.0 at exponent 0 or
         CLASSICAL."""
         if exponent == 0 or self._rho().is_classical:
             return 1.0
         sides = np.asarray(sides)
-        key = (float(exponent), ratio)
+        exponent = float(exponent)
         s, k = int(sides[0]), len(sides)
         if self.family.policy == DYADIC_GRID_OF:
-            return self._cached(
-                (s,) + key,
-                lambda: _libm_pow(_penalty_base(*self.rho(sides), ratio), key[0]),
-            )
-        lower, upper = self._cached(key, lambda: self._fold(*key))
+            def build():
+                return (_libm_pow(_penalty_base(*self.rho(sides), ratio), exponent),)
+
+            return self._hold((s, exponent, ratio), build)[0]
         span = self.family.root.side_cells
+        fold_bytes = 8 * ((span + 1) // 2) * (span + 1)
+        if (exponent, ratio) not in self._held and fold_bytes > grid.PENALTY_BYTES // 8:
+            base = _penalty_base(*self.rho(sides), ratio)
+            # padded entries get base 1, so only the block's cubes can overflow
+            np.copyto(base, 1.0, where=self.family.padding(sides, base.shape[-1]))
+            return _libm_pow(base, exponent)
+        lower, upper = self._fold(exponent, ratio)
         width = span - s + 1
         if s <= (span + 1) // 2:
             return lower[s - 1 : s - 1 + k, :width]
@@ -311,17 +348,20 @@ class PenaltyTable:
         return upper[q : q - k : -1, :width]
 
     def _fold(self, exponent: float, ratio: bool) -> tuple[np.ndarray, np.ndarray]:
-        """One exponent's powers on the fold, as two window views of it:
-        lower[s - 1] starts side s's row for s <= (m + 1) // 2, and
+        """One exponent's held powers on the fold, as two window views of
+        it: lower[s - 1] starts side s's row for s <= (m + 1) // 2, and
         upper[m + 1 - s] for the sides above, whose row (m - (m + 1) // 2
-        wide at most) runs on into the next fold row.
+        wide at most) runs on into the next fold row."""
+        return self._hold((exponent, ratio), lambda: self._build_fold(exponent, ratio))[1:]
 
-        Built _FOLD_CHUNK entries at a time: fold row i, entry c is side
-        i + 1 at anchor c, whose center is half-cell point 2c + i + 1, or
-        from c = m - i on side m - i at anchor c - (m - i), whose center is
-        2c - (m - i); each chunk's penalty bases (_penalty_base) are raised
-        to the exponent as they are made, so no fold-sized array but the
-        fold itself is ever held."""
+    def _build_fold(self, exponent: float, ratio: bool):
+        """The flat fold and _fold's two views of it, built _FOLD_CHUNK
+        entries at a time: fold row i, entry c is side i + 1 at anchor c,
+        whose center is half-cell point 2c + i + 1, or from c = m - i on
+        side m - i at anchor c - (m - i), whose center is 2c - (m - i);
+        each chunk's penalty bases (_penalty_base) are raised to the
+        exponent straight into the fold as they are made, so no fold-sized
+        array but the fold itself is ever held."""
         span = self.family.root.side_cells
         half = (span + 1) // 2
         rv = self._half_cells()[0]
@@ -339,12 +379,11 @@ class PenaltyTable:
                 upper, root_dim * (span - row) * h / 2.0, root_dim * (row + 1) * h / 2.0
             )
             base = _penalty_base(rv[center], radius, ratio)
-            flat[top * (span + 1) : (top + len(row)) * (span + 1)] = (
-                _libm_pow(base, exponent).reshape(-1)
-            )
+            out = flat[top * (span + 1) : (top + len(row)) * (span + 1)]
+            _libm_pow(base, exponent, out=out.reshape(base.shape))
         lower = sliding_window_view(flat, span)[:: span + 1]
         upper = sliding_window_view(flat, max(span - half, 1))[::span]
-        return lower, upper
+        return flat, lower, upper
 
 
 def _kept_on_rho(fn):

@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .critical import RhoSpec, rho_values
-from .grid import Domain, GridFunction, integrate, require_same_domain, require_weight
+from .grid import (
+    Domain, GridFunction, SumOverflowError, integrate, require_same_domain, require_weight,
+)
 from .lorentz import WeightedMeasure, lorentz_norm, rearrangement, weak_norm
 from .maximal import default_family, m_rho_sigma, m_rho_sigma_stack
 from .weights import (
@@ -202,10 +204,17 @@ def _iterate(h, u, rho, sigma, K0, depth) -> tuple[GridFunction, GridFunction]:
     first_sup = float(h.values.max())
     scale = 1.0
     last_sup = first_sup
-    for _ in range(depth):
+    for k in range(1, depth + 1):
         term = s_operator(term, u, rho, sigma)
         scale /= 2.0 * K0
-        total += term.values * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += term.values * scale
+        if not np.isfinite(total).all():
+            raise SumOverflowError(
+                f"the majorant sum leaves the float range at depth {k} of "
+                f"{depth}: (2 K0)^-k or the running sum passes the largest "
+                f"float, with K0 = {K0!r}"
+            )
         last_sup = float(term.values.max()) * scale
     if first_sup > 0 and last_sup > first_sup:
         raise K0TooSmallError((last_sup / first_sup) ** (1.0 / depth))

@@ -291,6 +291,13 @@ DYADIC_GRID_OF = "dyadic_grid_of"
 #: over all inputs, and a one-input level-8 interval sweep takes two blocks
 BLOCK_ELEMENTS = 1 << 15
 
+#: most bytes of penalty powers one critical.PenaltyTable holds, least
+#: recently used evicted first: 15 folds of the level-12 interval family
+#: (4m(m + 1) bytes at m = 4096) fit, all a d1 L12 mixed-M raises, and a fold
+#: past an eighth of it (level 13 and up) is never held but raised block by
+#: block, so a sweep of up to eight exponents never evicts its own folds
+PENALTY_BYTES = 1 << 30
+
 
 @dataclass(frozen=True)
 class CubeFamily:

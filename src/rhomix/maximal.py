@@ -130,7 +130,9 @@ def m_rho_sigma_stack(
     table = rho.penalty_table(cubes)
     out = _cell_floor(cubes, len(stack))
     for sides, _anchors, (avg,) in cubes.sweep(powered):
-        np.multiply(avg, table.power(sides, -sigma), out=avg)
+        penalty = table.power(sides, -sigma)
+        if not np.isscalar(penalty):  # 1.0: avg * 1.0 is avg
+            np.multiply(avg, penalty, out=avg)
         cubes.cell_max(avg, sides, out)
     return out ** (1.0 / q) if q != 1.0 else out
 

@@ -189,16 +189,20 @@ def characteristics(
                 raw = _raw(*key, avgs[0], avgs[slot], cubes, vals, sides)
             if pad is not None:
                 np.copyto(raw, -np.inf, where=pad)
+            unpenalized = None  # raw's argmax, shared by every theta whose penalty is 1
             for theta in thetas[key]:
                 penalty = table.power(sides, theta)
+                # argmax picks the first NaN, so its pick shows any NaN
                 if np.isscalar(penalty):  # 1.0: raw / 1.0 is raw
                     ratio = raw
+                    if unpenalized is None:
+                        unpenalized = int(np.argmax(raw))
+                    i = unpenalized
                 else:
                     if ratios is None:
                         ratios = np.empty_like(raw)
                     ratio = np.divide(raw, penalty, out=ratios)
-                # argmax picks the first NaN, so its pick shows any NaN
-                i = int(np.argmax(ratio))
+                    i = int(np.argmax(ratio))
                 if math.isnan(ratio.flat[i]):
                     raise SumOverflowError(
                         f"the cube averages of the {key[0]} rung at {key[1]} "

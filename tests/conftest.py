@@ -37,6 +37,21 @@ def block_budget(budget: int):
         yield
 
 
+#: penalty budgets the table tests draw: 0 holds only the array just
+#: built (power then raises every fold block by block), 2^16 holds the
+#: folds of roots up to 44 cells and evicts past 64 KB, and the default
+#: holds every fold of these levels
+PENALTY_BUDGETS = [0, 1 << 16, rhomix.grid.PENALTY_BYTES]
+
+
+@contextlib.contextmanager
+def penalty_budget(budget: int):
+    """Hold penalty powers with rhomix.grid.PENALTY_BYTES set to budget."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rhomix.grid, "PENALTY_BYTES", budget)
+        yield
+
+
 @contextlib.contextmanager
 def counted_fits():
     """Count the ainf_epsilon_form calls made through rhomix.weights (the

@@ -20,6 +20,7 @@ from rhomix import (
     K0TooSmallError,
     RhoSpec,
     SCZOKernel,
+    SumOverflowError,
     ainf_epsilon,
     ainf_epsilon_form,
     ap_characteristic,
@@ -227,6 +228,21 @@ def test_rdf_iterate_flags_small_k0():
     with pytest.raises(K0TooSmallError) as info:
         rdf_iterate(h, u, RhoSpec.classical(), 0.0, 0.05, 8)
     assert info.value.growth > 1.0
+
+
+@pytest.mark.parametrize("dim, level, seed", [(3, 2, 1), (2, 2, 7), (3, 2, 7)])
+def test_rdf_sum_past_the_float_range_is_refused(dim, level, seed):
+    """On a box of side 1e4 under the analytic rho, K0 comes out near 1e-27
+    and (2 K0)^-12 passes the largest float: the RdF sum is refused with
+    SumOverflowError naming the depth reached and K0 (the suite's warnings
+    are errors, so it also raises no RuntimeWarning on the way), where it
+    used to fail as a bare non-finite grid function or as K0TooSmallError
+    with an inf growth factor."""
+    config = default_config("rdf", dim, level, seed)
+    config["suite"]["domain"]["side"] = 1e4
+    config["suite"]["rho"] = {"kind": "analytic", "name": "inv_one_plus_dist"}
+    with pytest.raises(SumOverflowError, match=r"at depth 12 of 12: .* K0 = \d\.\d+e-2\d"):
+        run_experiment(config)
 
 
 def test_rdf_iterate_validation():

@@ -1,8 +1,13 @@
 """Cube penalties: every power of a growth factor or of rho/r comes from the
-rho's PenaltyTable, by libm's pow (the function Python's float pow calls),
-once per (family, side, exponent)."""
+rho's PenaltyTable, by libm's pow (the function Python's float pow calls).
+A table raises each exponent of a family once while it holds the powers,
+holds at most grid.PENALTY_BYTES, least recently used evicted first, and
+raises a fold too large to hold block by block.  Every path gives the same floats
+as one pow of each cube's own factor."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from hypothesis import strategies as st
 import rhomix.critical
 from rhomix import (
     ALL_CELL_ALIGNED,
+    DYADIC_GRID_OF,
     Cube,
     CubeFamily,
     Domain,
@@ -26,13 +32,27 @@ from rhomix import (
     m_rho_sigma,
 )
 from rhomix.critical import _libm_pow
+from rhomix.experiments import default_config, run_experiment
 from rhomix.suite import ANALYTIC_RHO
 
-from conftest import BLOCK_BUDGETS, block_budget, cubes_of, oscillator, row_by_row_fold
+from conftest import (
+    BLOCK_BUDGETS, FAMILY_DRAWS, PENALTY_BUDGETS, block_budget, cubes_of, oscillator,
+    penalty_budget, row_by_row_fold,
+)
+from test_grid import _drawn_family
 from test_maximal import brute_m_cubes
 from test_weights import ainf_epsilon_form_ref, brute_ap
 
 INV_DIST = lambda pts: 1.0 / (1.0 + np.linalg.norm(pts, axis=1))
+
+
+def _cube_penalty(rv, r, exponent, ratio=False):
+    """A cube's (1 + r/rho)^exponent, or with ratio (rho/r)^exponent capped
+    at 1, from its rho rv and radius r, by one Python float pow (libm's
+    pow) of its own factor."""
+    if ratio:
+        return 1.0 if r <= rv else (rv / r) ** exponent
+    return (1.0 + r / rv) ** exponent
 
 
 def _per_cube_reference(f, w, rho, fam, sigma, theta):
@@ -51,14 +71,13 @@ def _per_cube_reference(f, w, rho, fam, sigma, theta):
             for i, anchor in enumerate(fam.anchors(s).tolist()):
                 cube = Cube(dom, tuple(anchor), s)
                 rv, r = eval_rho(rho, cube.center()), cube.radius
-                fac = 1.0 + r / rv
                 sl = cube.slices()
-                m[sl] = np.maximum(m[sl], avg[i] * fac ** -sigma)
+                m[sl] = np.maximum(m[sl], avg[i] * _cube_penalty(rv, r, -sigma))
                 if r <= rv:
                     loc[sl] = np.maximum(loc[sl], avg[i])
                 else:
-                    glob[sl] = np.maximum(glob[sl], avg[i] * (rv / r) ** sigma)
-                ratio = score[i] / fac**theta
+                    glob[sl] = np.maximum(glob[sl], avg[i] * _cube_penalty(rv, r, sigma, True))
+                ratio = score[i] / _cube_penalty(rv, r, theta)
                 key = (-ratio, s, cube.anchor)
                 if witness is None or key < best_key:
                     best, witness, best_key = ratio, cube, key
@@ -158,11 +177,15 @@ def test_every_site_raises_penalties_by_libm_pow(exponent):
         min_size=1, max_size=3, unique=True,
     ),
     ratio=st.booleans(),
+    budget=st.sampled_from(PENALTY_BUDGETS),
 )
-def test_fold_matches_the_row_by_row_oracle(level, rooted, seed, rho_name, exponents, ratio):
-    """Each exponent's fold, built a chunk of rows at a time, holds the
-    floats of the fold built row by row: every span and root, exponents of
-    either sign, both ratio kinds, several exponents on one table."""
+def test_fold_matches_the_row_by_row_oracle(
+    level, rooted, seed, rho_name, exponents, ratio, budget
+):
+    """Each exponent's fold, built a chunk of rows at a time from rho,
+    holds the floats of the fold built row by row: every span and root, exponents of either sign, both
+    ratio kinds, several exponents on one table, which evicts folds past
+    its budget."""
     dom = Domain(1, 8.0, level)
     root = None
     if rooted:
@@ -175,17 +198,21 @@ def test_fold_matches_the_row_by_row_oracle(level, rooted, seed, rho_name, expon
     else:
         rho = RhoSpec.analytic(ANALYTIC_RHO[rho_name], name=rho_name)
     table = rho.penalty_table(fam)
-    for exponent in exponents:
-        lower, upper = table._fold(exponent, ratio)
-        want_lower, want_upper = row_by_row_fold(table, exponent, ratio)
-        assert lower.tobytes() == want_lower.tobytes()
-        assert upper.tobytes() == want_upper.tobytes()
+    with penalty_budget(budget):
+        for exponent in exponents:
+            lower, upper = table._fold(exponent, ratio)
+            want_lower, want_upper = row_by_row_fold(table, exponent, ratio)
+            assert lower.tobytes() == want_lower.tobytes()
+            assert upper.tobytes() == want_upper.tobytes()
+            fold_bytes = 8 * ((fam.root.side_cells + 1) // 2) * (fam.root.side_cells + 1)
+            assert table._held_bytes <= max(budget, fold_bytes)
 
 
 def test_theta_ladder_matches_the_per_cube_reference():
     """Every theta of one ap_ladder sweep is, value and witness, exactly the
     per-cube reference's sup at that theta alone, with sweep blocks of one
-    side and of several."""
+    side and of several, and with penalty budgets that hold the folds or
+    hold none, each block's powers then raised as the block asks."""
     dom = Domain(1, 8.0, 6)
     rho = RhoSpec.analytic(INV_DIST)
     rng = np.random.default_rng(63)
@@ -196,8 +223,9 @@ def test_theta_ladder_matches_the_per_cube_reference():
         fam = CubeFamily(dom, ALL_CELL_ALIGNED, root)
         ladders = []
         for budget in BLOCK_BUDGETS:
-            with block_budget(budget):
-                ladders.append(ap_ladder(w, 1.0, thetas, rho, fam))
+            for held in PENALTY_BUDGETS:
+                with block_budget(budget), penalty_budget(held):
+                    ladders.append(ap_ladder(w, 1.0, thetas, rho, fam))
         for t, theta in enumerate(thetas):
             *_, best, witness = _per_cube_reference(f, w, rho, fam, 0.0, theta)
             for ladder in ladders:
@@ -229,3 +257,128 @@ def test_shen_rho_through_the_operators_is_computed_once(monkeypatch):
     assert np.array_equal(m_rho_sigma(f, rho, 1.5, cubes=fam).values, got)
     assert ap_characteristic(w, 2.0, 1.0, rho, fam).value == char
     assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_block_power_is_the_per_cube_power(data):
+    """After any sequence of exponents and ratio kinds, each under a drawn
+    budget, so that folds and sides are held, evicted between steps, or
+    raised block by block, every block of
+    power(sides, exponent, ratio) holds each cube's own power, bit for bit,
+    on both policies."""
+    policy, rooted = data.draw(st.sampled_from(FAMILY_DRAWS))
+    dim = 1 if policy == ALL_CELL_ALIGNED else data.draw(st.integers(1, 2))
+    fam = _drawn_family(data, policy, rooted, dim, data.draw(st.integers(1, 5 if dim == 1 else 3)))
+    rho = RhoSpec.analytic(ANALYTIC_RHO["inv_one_plus_dist"], name="inv_one_plus_dist")
+    table = rho.penalty_table(fam)
+    steps = data.draw(st.lists(
+        st.tuples(
+            st.sampled_from([0.5, 1.0, 2.0, -1.0, -0.37, 3.3]),
+            st.booleans(),
+            st.sampled_from(PENALTY_BUDGETS),
+        ),
+        min_size=1, max_size=10,
+    ))
+    blocks = [sides for sides, _, _ in fam.sweep(np.zeros(fam.domain.shape))]
+    cubes = {}  # side -> (rho at the center, radius) per cube, in anchor order
+    for s in np.concatenate(blocks).tolist():
+        each = (Cube(fam.domain, tuple(a), s) for a in fam.anchors(s).tolist())
+        cubes[s] = [(eval_rho(rho, c.center()), c.radius) for c in each]
+    largest = 0  # a hit evicts nothing, so the held bytes answer to earlier budgets
+    for exponent, ratio, budget in steps:
+        largest = max(largest, budget)
+        with penalty_budget(budget):
+            for sides in blocks:
+                got = table.power(sides, exponent, ratio)
+                for j, s in enumerate(sides.tolist()):
+                    want = [_cube_penalty(rv, r, exponent, ratio) for rv, r in cubes[s]]
+                    assert got[j, : len(want)].tolist() == want
+            newest = max((v[0].nbytes for v in table._held.values()), default=0)
+            assert table._held_bytes <= max(largest, newest)
+
+
+def test_block_powers_never_overflow_on_padding():
+    """Raised block by block, a block's padded entries take base 1: under
+    rho(x) = e^-x at exponent 90 every cube's power is finite (the largest
+    factor is about 1100), while the padded entries pair large radii with
+    rho near the right end, bases up to about 4400, whose 90th power
+    passes the float range."""
+    dom = Domain(1, 8.0, 3)
+    rho = RhoSpec.analytic(lambda pts: np.exp(-pts[:, 0]))
+    fam = default_family(dom)
+    table = rho.penalty_table(fam)
+    with penalty_budget(0):
+        for sides, _, _ in fam.sweep(np.zeros(dom.shape)):
+            got = table.power(sides, 90.0)
+            for j, s in enumerate(sides.tolist()):
+                each = (Cube(dom, (a,), s) for a in range(dom.n - s + 1))
+                want = [_cube_penalty(eval_rho(rho, c.center()), c.radius, 90.0) for c in each]
+                assert got[j, : len(want)].tolist() == want
+
+
+def test_folds_are_evicted_least_recently_used_first():
+    """With room for two folds and not three, a table keeps the two
+    exponents used last, the one just built among them."""
+    rho = RhoSpec.analytic(INV_DIST)  # the table holds its rho weakly
+    table = rho.penalty_table(default_family(Domain(1, 8.0, 5)))
+    fold_bytes = 8 * 16 * 33
+    with penalty_budget(2 * fold_bytes):
+        for exponent in (0.5, 2.0, 0.5, 4.0):
+            table._fold(exponent, False)
+    assert list(table._held) == [(0.5, False), (4.0, False)]
+    assert table._held_bytes == 2 * fold_bytes
+
+
+def test_exponent_one_is_the_bases_themselves():
+    """_libm_pow serves exponent 1 with no pow, so the exponent-1 powers
+    are the tables' bases: libm's pow(b, 1) (np.float_power) is b bit for
+    bit on every base of the tables here, on bases that are powers of two
+    (a constant rho of 0.5 over cells of width 1 gives 1 + r/rho = 1 + s
+    and rho/r = 1/s) and on every power of two."""
+    dom = Domain(1, 8.0, 3)
+    bases = []
+    for rho in (RhoSpec.constant(0.5), RhoSpec.analytic(INV_DIST)):
+        for policy in (ALL_CELL_ALIGNED, DYADIC_GRID_OF):
+            table = rho.penalty_table(CubeFamily(dom, policy))
+            for ratio in (False, True):
+                for sides, _, _ in table.family.sweep(np.zeros(dom.shape)):
+                    bases.append(np.ravel(table.power(sides, 1.0, ratio)))
+    bases = np.concatenate(bases + [np.ldexp(1.0, np.arange(-1074, 1024))])
+    assert {2.0, 4.0, 8.0, 0.5, 0.25}.issubset(bases.tolist())
+    assert np.float_power(bases, 1.0).tobytes() == bases.tobytes()
+    assert _libm_pow(bases, 1.0).tobytes() == bases.tobytes()
+
+
+def test_penalty_memo_after_mixed_m_is_bounded(monkeypatch):
+    """With grid.PENALTY_BYTES cut to 40 MiB, what the penalty tables of a
+    d1 L10 mixed-M run under the analytic rho hold, as tracemalloc counts
+    it, is within that budget: the level-10 table evicts folds (the
+    default budget holds twelve, 48 MiB) and the level-11 table holds none
+    (each too large to hold).  The report is byte for byte the one the
+    default budget gives."""
+    tables = []
+    kept = RhoSpec.penalty_table
+    monkeypatch.setattr(
+        RhoSpec, "penalty_table", lambda rho, fam: tables.append(kept(rho, fam)) or tables[-1]
+    )
+    cfg = default_config("mixed-M", 1, 10, 7)
+    cfg["suite"]["rho"] = {"kind": "analytic", "name": "inv_one_plus_dist"}
+    want = run_experiment(cfg).canonical_json()
+    budget = 40 << 20
+    tables.clear()
+    with penalty_budget(budget):
+        tracemalloc.start()
+        try:
+            got = run_experiment(cfg).canonical_json()
+            gc.collect()
+            held = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, rhomix.critical.__file__)]
+            ).statistics("filename")
+        finally:
+            tracemalloc.stop()
+    assert got == want
+    distinct = {id(t): t for t in tables}.values()
+    assert [t.family.domain.level for t in distinct if t._held] == [10]
+    traced = sum(stat.size for stat in held)
+    assert sum(t._held_bytes for t in distinct) <= traced <= budget

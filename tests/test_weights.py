@@ -311,6 +311,38 @@ def test_characteristics_equal_one_rung_calls(data):
             assert math.isfinite(c.value)
 
 
+def test_classical_ladder_shares_one_argmax_per_exponent(monkeypatch):
+    """Under the classical rho every theta's penalty is 1: a ladder of
+    every (kind, exponent) at every theta of THETA_LADDER gives, rung by
+    rung, the value and witness of the one-rung call, and takes no more
+    argmax calls than the same (kind, exponent)s at one theta, on both
+    families and with sweep blocks of one side and of several."""
+    rng = np.random.default_rng(64)
+    dom1, dom2 = Domain(1, 4.0, 5), Domain(2, 4.0, 3)
+    calls = [0]
+    argmax = np.argmax
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return argmax(*args, **kwargs)
+
+    for fam in (_fam(dom1), CubeFamily(dom2, DYADIC_GRID_OF)):
+        w = GridFunction(fam.domain, np.exp(rng.normal(0, 0.8, fam.domain.shape)))
+        for budget in BLOCK_BUDGETS:
+            with block_budget(budget), monkeypatch.context() as patch:
+                patch.setattr(np, "argmax", counting)
+                calls[0] = 0
+                got = characteristics(w, _RUNGS, CL, fam)
+                ladder_calls = calls[0]
+                calls[0] = 0
+                characteristics(w, [r for r in _RUNGS if r[2] == 0.0], CL, fam)
+            assert ladder_calls == calls[0]
+            for (kind, x, theta), c in zip(_RUNGS, got):
+                one_rung = ap_characteristic if kind == "ap" else rh_characteristic
+                one = one_rung(w, x, theta, CL, fam)
+                assert (c.value, c.witness, c.theta) == (one.value, one.witness, theta)
+
+
 def test_an_overflowed_power_leaves_the_other_rungs_alone():
     """w^8 overflows on one cell: the s = 8 rungs read inf at that cell,
     the rungs that read other powers of the same call keep the values of
