@@ -54,6 +54,7 @@ from .grid import (
     dyadic_sum_pyramid,
     integrate,
     require_same_domain,
+    require_weight,
     weighted_measure,
 )
 from .extrapolation import ladder_exponent
@@ -804,15 +805,12 @@ def mixed_verify_dyadic(
 class MixedGlobalReport:
     sigma: float
     theta: float
-    N0: int
-    N1: float
     constant_exact: float            # sup_t t uv({M(fv)/v > t}) / int |f|uv
     constant_grid: float             # same sup restricted to the t grid
     loc_constant: float
     glob_constant: float
     integral: float
     t_grid: tuple[float, ...]
-    covering_cubes: int
 
 
 def mixed_verify_global(
@@ -825,32 +823,28 @@ def mixed_verify_global(
 ) -> MixedGlobalReport:
     """End-to-end mixed weak-type constant of M[sigma] against (u, v).
 
-    When sigma is not pinned it follows the recipe sigma = (N1 + theta + 1)
-    * (N0 + 1): N1 from the critical covering's overlap fit, N0 from the
+    Only when sigma is not given does it follow a recipe: 0 under the
+    classical rho, and otherwise sigma = (N1 + theta + 1) * (N0 + 1), N1
+    (floored at 0) from the critical covering's overlap fit, N0 from the
     admissibility ladder (the decay rate of supercritical cubes scales like
-    1/(N0 + 1)), theta from u's growth ladder.  The constant is the exact
-    sup over t of t * uv({M(fv)/v > t}) / int |f| u v, reported next to its
-    restriction to the default t grid of t_grid_sup and to the local/global
-    split pieces, all over the default cube family of the domain, which f,
-    u and v must share.
+    1/(N0 + 1)), theta from u's growth ladder; those audits' reports stay
+    kept on the rho.  A given sigma runs neither audit.  The constant is
+    the exact sup over t of t * uv({M(fv)/v > t}) / int |f| u v, reported
+    next to its restriction to the default t grid of t_grid_sup and to the
+    local/global split pieces, all over the default cube family of the
+    domain, which f and the weights u and v must share.
     """
     require_same_domain(f, u, v)
+    require_weight(u)
+    require_weight(v)
     if theta is None:
         theta = ladder_exponent(u, rho)
-    if rho.is_classical:
-        n0 = 1
-        n1 = 0.0
-        cover_count = 0
-        if sigma is None:
-            sigma = 0.0
-    else:
-        adm = audit_admissibility(rho, f.domain, pair_sample_size=2000)
-        cover = critical_covering(rho, f.domain)
-        n0 = adm.N0
-        n1 = max(cover.N1, 0.0)
-        cover_count = int(len(cover.centers))
-        if sigma is None:
-            sigma = (n1 + theta + 1.0) * (n0 + 1)
+    if sigma is None and rho.is_classical:
+        sigma = 0.0
+    elif sigma is None:
+        n0 = audit_admissibility(rho, f.domain, pair_sample_size=2000).N0
+        n1 = max(critical_covering(rho, f.domain).N1, 0.0)
+        sigma = (n1 + theta + 1.0) * (n0 + 1)
 
     fv = GridFunction(f.domain, f.values * v.values)
     split = loc_glob_split(fv, rho, sigma, default_family(f.domain))
@@ -866,22 +860,17 @@ def mixed_verify_global(
     grid_sup, t_grid = table.t_grid_sup()
     grid_const = grid_sup / integral if integral > 0 else math.inf
 
-    with np.errstate(invalid="ignore"):
-        loc_T = GridFunction(f.domain, split.loc.values / v.values)
-        glob_T = GridFunction(f.domain, split.glob.values / v.values)
+    loc_T = GridFunction(f.domain, split.loc.values / v.values)
+    glob_T = GridFunction(f.domain, split.glob.values / v.values)
     loc_c = weak_norm(loc_T, uv) / integral if integral > 0 else math.inf
     glob_c = weak_norm(glob_T, uv) / integral if integral > 0 else math.inf
     return MixedGlobalReport(
         sigma=float(sigma),
         theta=float(theta),
-        N0=n0,
-        N1=float(n1),
         constant_exact=float(exact),
         constant_grid=float(grid_const),
         loc_constant=float(loc_c),
         glob_constant=float(glob_c),
         integral=float(integral),
         t_grid=t_grid,
-        covering_cubes=cover_count,
     )
-

@@ -435,6 +435,8 @@ def audit_admissibility(
     By construction the report has max_violation = 0 for the returned pair;
     CLASSICAL is admissible with C0 = 1 trivially.
     """
+    if pair_sample_size < 1:
+        raise ValueError(f"pair_sample_size must be at least 1, got {pair_sample_size}")
     if spec.is_classical:
         return AdmissibilityReport(1.0, N0_LADDER[0], 0.0, None, {})
     rng = np.random.default_rng(seed)

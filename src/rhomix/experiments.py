@@ -41,6 +41,7 @@ from .lorentz import WeightedMeasure, interpolation_audit, rearrangement
 from .maximal import default_family, loc_glob_split_stack, m_rho_sigma_stack
 from .suite import (
     SuiteBundle,
+    WeightPair,
     domain_from_json,
     generate_suite,
     make_function,
@@ -199,6 +200,12 @@ def _kernel_from_json(obj: dict) -> SCZOKernel:
 def _suite(config: dict) -> SuiteBundle:
     spec = _require(config, "suite", dict)
     return generate_suite(spec, int(config.get("seed", spec.get("seed", 0))))
+
+
+def _first_pair(bundle: SuiteBundle) -> WeightPair:
+    if not bundle.pairs:
+        raise UsageError("config.suite.pair_count must be at least 1 for this kind")
+    return bundle.pairs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +391,7 @@ def _exp_coifman(config):
     theta = float(config.get("theta", 1.0))
     p = float(config.get("p", 2.0))
     tol = config.get("tolerances", {}).get("refinement", 0.5)
-    w = bundle.pairs[0].u
+    w = _first_pair(bundle).u
     rep = coifman_check(kernel, w, p, theta, list(bundle.fs))
     rep2 = coifman_check(
         kernel, _refine(w), p, theta, [_refine(f) for f in bundle.fs]
@@ -405,7 +412,7 @@ def _exp_coifman(config):
 def _exp_rdf(config):
     bundle = _suite(config)
     depth = int(config.get("depth", 12))
-    pair = bundle.pairs[0]
+    pair = _first_pair(bundle)
     sigma = ladder_exponent(pair.u, bundle.rho)
     fs = [f.abs() for f in bundle.fs if float(np.max(np.abs(f.values))) > 0]
     state = estimate_K0(pair.u, pair.v, bundle.rho, sigma, fs)
@@ -455,7 +462,7 @@ def _exp_lorentz(config):
 def _exp_interpolation(config):
     bundle = _suite(config)
     fam = default_family(bundle.domain)
-    mu = WeightedMeasure(bundle.pairs[0].u)
+    mu = WeightedMeasure(_first_pair(bundle).u)
 
     def T(stack):
         return m_rho_sigma_stack(stack, RhoSpec.classical(), 0.0, 1.0, fam)

@@ -86,18 +86,6 @@ def rho_from_json(obj: dict) -> RhoSpec:
     raise ValueError(f"unknown rho kind {kind!r}")
 
 
-def rho_to_json(spec: RhoSpec) -> dict:
-    if spec.kind == "analytic":
-        if spec.name is None:
-            raise ValueError("only registry-named analytic rho serialize")
-        return {"kind": "analytic", "name": spec.name}
-    if spec.kind == "constant":
-        return {"kind": "constant", "c": spec.c}
-    if spec.kind == "classical":
-        return {"kind": "classical"}
-    raise ValueError(f"rho kind {spec.kind!r} does not serialize inline")
-
-
 def domain_from_json(obj: dict) -> Domain:
     return Domain(int(obj["dim"]), float(obj["side"]), int(obj["level"]))
 

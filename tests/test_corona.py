@@ -3,6 +3,7 @@
 import math
 
 import rhomix.corona
+import rhomix.critical
 import rhomix.experiments
 import rhomix.grid
 import rhomix.maximal
@@ -17,6 +18,7 @@ from rhomix import (
     Domain,
     DomainMismatchError,
     GridFunction,
+    InvalidWeightError,
     RhoSpec,
     SumOverflowError,
     build_forests,
@@ -33,6 +35,7 @@ from rhomix import (
     mixed_verify_dyadic,
     mixed_verify_global,
     principal_select,
+    rho_from_json,
     run_experiment,
     shen_rho,
     tree_a1,
@@ -736,21 +739,89 @@ def test_mixed_global_constants_finite_and_grid_below_exact():
     assert math.isfinite(rep.constant_exact) and rep.constant_exact > 0
     assert rep.constant_grid <= rep.constant_exact * (1 + 1e-9)
     assert rep.sigma == 0.0  # classical collapses the exponent recipe
-    assert rep.N0 == 1 and rep.N1 == 0.0
     assert math.isfinite(rep.loc_constant) and math.isfinite(rep.glob_constant)
 
 
-def test_mixed_global_sigma_recipe_nonclassical():
+def _recipe_sigma(rho, dom, theta):
+    """The sigma recipe off the audits' reports kept on rho."""
+    adm = rhomix.critical.audit_admissibility(rho, dom, pair_sample_size=2000)
+    cover = rhomix.critical.critical_covering(rho, dom)
+    return (max(cover.N1, 0.0) + theta + 1.0) * (adm.N0 + 1.0), adm, cover
+
+
+def test_mixed_global_sigma_recipe_nonclassical(monkeypatch):
     rng = np.random.default_rng(80)
     dom = Domain(1, 8.0, 5)
     f = make_function(dom, {"kind": "spike", "count": 2}, rng)
     u = make_weight(dom, {"kind": "constant", "value": 1.0}, rng)
     v = make_weight(dom, {"kind": "constant", "value": 1.0}, rng)
     rho = RhoSpec.analytic(lambda pts: 1.0 / (1.0 + np.linalg.norm(pts, axis=1)))
+    used = []
+
+    def spy(audit):
+        def call(*args, **kwargs):
+            used.append(audit(*args, **kwargs))
+            return used[-1]
+        return call
+
+    for name in ("audit_admissibility", "critical_covering"):
+        monkeypatch.setattr(rhomix.corona, name, spy(getattr(rhomix.critical, name)))
     rep = mixed_verify_global(f, u, v, rho, theta=1.0)
-    assert rep.sigma == pytest.approx((rep.N1 + rep.theta + 1.0) * (rep.N0 + 1.0))
+    sigma, adm, cover = _recipe_sigma(rho, dom, rep.theta)
+    assert len(used) == 2 and used[0] is adm and used[1] is cover
+    assert rep.sigma == sigma
     assert math.isfinite(rep.constant_exact)
-    assert rep.covering_cubes >= 1
+
+
+@pytest.mark.parametrize("dim,level", [(1, 6), (2, 4)])
+def test_pinned_mixed_global_runs_no_audit(monkeypatch, dim, level):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pinned sigma needs no audit")
+
+    monkeypatch.setattr(rhomix.corona, "audit_admissibility", refuse)
+    monkeypatch.setattr(rhomix.corona, "critical_covering", refuse)
+    rng = np.random.default_rng(84)
+    dom = Domain(dim, 8.0, level)
+    f = make_function(dom, {"kind": "spike", "count": 3}, rng)
+    u = make_weight(dom, {"kind": "smooth_random", "amp": 0.4}, rng)
+    v = make_weight(dom, {"kind": "smooth_random", "amp": 0.4}, rng)
+    rho = rho_from_json({"kind": "analytic", "name": "inv_one_plus_dist"})
+    rep = mixed_verify_global(f, u, v, rho, sigma=3.0)
+    assert rep.sigma == 3.0
+    assert math.isfinite(rep.constant_exact) and rep.constant_exact > 0
+    # the sweep's penalties still refuse a bad rho without the audits
+    bad = RhoSpec.analytic(lambda pts: -np.ones(pts.shape[0]))
+    with pytest.raises(ValueError, match="non-positive"):
+        mixed_verify_global(f, u, v, bad, sigma=3.0, theta=1.0)
+
+
+def test_mixed_m_covers_no_refined_level(monkeypatch):
+    # the refinement call pins sigma, so only the suite's own level is covered
+    levels = []
+    covering = rhomix.critical.critical_covering
+    monkeypatch.setattr(
+        rhomix.corona, "critical_covering",
+        lambda rho, dom: levels.append(dom.level) or covering(rho, dom),
+    )
+    config = default_config("mixed-M", 1, 6)
+    config["suite"]["rho"] = {"kind": "analytic", "name": "inv_one_plus_dist"}
+    run_experiment(config)
+    assert levels and set(levels) == {6}
+
+
+@pytest.mark.parametrize("weight", ["u", "v"])
+@pytest.mark.parametrize("cell", [0.0, -1.0])
+def test_mixed_global_refuses_non_weights(weight, cell):
+    rng = np.random.default_rng(85)
+    dom = Domain(1, 8.0, 5)
+    f = make_function(dom, {"kind": "spike", "count": 2}, rng)
+    w = {name: make_weight(dom, {"kind": "smooth_random", "amp": 0.4}, rng)
+         for name in ("u", "v")}
+    bad = w[weight].values.copy()
+    bad[3] = cell
+    w[weight] = GridFunction(dom, bad)
+    with pytest.raises(InvalidWeightError):
+        mixed_verify_global(f, w["u"], w["v"], RhoSpec.classical())
 
 
 def test_mixed_global_with_the_oscillator_shen_rho():
@@ -775,8 +846,7 @@ def test_mixed_global_with_the_oscillator_shen_rho():
     assert math.isfinite(rep.constant_exact) and rep.constant_exact > 0
     assert rep.constant_grid <= rep.constant_exact * (1 + 1e-9)
     assert math.isfinite(rep.loc_constant) and math.isfinite(rep.glob_constant)
-    assert rep.sigma == pytest.approx((rep.N1 + rep.theta + 1.0) * (rep.N0 + 1.0))
-    assert rep.covering_cubes >= 1
+    assert rep.sigma == _recipe_sigma(rho, dom, rep.theta)[0]
 
 
 def test_mixed_verify_dyadic_refuses_mixed_domains():

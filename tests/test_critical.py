@@ -218,6 +218,15 @@ def test_covering_needs_two_distinct_positive_finite_sigmas():
     assert set(critical_covering(spec, dom, (1.0, 1.0, 2.0)).overlap) == {1.0, 2.0}
 
 
+def test_admissibility_needs_one_pair():
+    # 0 used to fail in numpy's argmax of an empty sequence, and -3 in
+    # numpy's "negative dimensions are not allowed"
+    for spec in (RhoSpec.analytic(INV_DIST), RhoSpec.classical()):
+        for size in (0, -3):
+            with pytest.raises(ValueError, match="pair_sample_size must be at least 1"):
+                audit_admissibility(spec, Domain(1, 8.0, 4), size)
+
+
 def test_shen_lower_bracket_climbs_to_a_passing_radius_regression():
     # the coverage ramp gives a point's own cell half its mass as r -> 0, so
     # the predicate failed at cell_width/16 on 32 of these 512 centers

@@ -21,6 +21,7 @@ from rhomix import (
     make_weight,
     generate_suite,
     rho_from_json,
+    rho_values,
     standard_suite_spec,
     save_grid_function,
     run_experiment,
@@ -32,7 +33,7 @@ import rhomix.experiments
 import rhomix.extrapolation
 import rhomix.suite
 from rhomix.cli import _build_parser, main
-from rhomix.suite import _CHAR_CAP, ANALYTIC_RHO, _tame, _validated_weight, rho_to_json
+from rhomix.suite import _CHAR_CAP, ANALYTIC_RHO, _tame, _validated_weight
 from rhomix.weights import _ap_range_clears
 from rhomix.weights import RH_LADDER, THETA_LADDER
 
@@ -43,18 +44,16 @@ from conftest import counted_s_stacks, counted_sweeps
 # generators and serialization
 
 def test_rho_json_round_trips():
-    for obj in (
-        {"kind": "classical"},
-        {"kind": "constant", "c": 2.5},
-        {"kind": "analytic", "name": "inv_one_plus_dist"},
-    ):
-        spec = rho_from_json(obj)
-        again = rho_from_json(rho_to_json(spec))
-        assert again.kind == spec.kind
-        if spec.kind == "constant":
-            assert again.c == spec.c
-        if spec.kind == "analytic":
-            assert again.name == spec.name
+    classical = rho_from_json({"kind": "classical"})
+    assert classical.kind == "classical" and classical.is_classical
+    constant = rho_from_json({"kind": "constant", "c": 2.5})
+    assert constant.kind == "constant" and constant.c == 2.5
+    analytic = rho_from_json({"kind": "analytic", "name": "inv_one_plus_dist"})
+    assert analytic.kind == "analytic" and analytic.name == "inv_one_plus_dist"
+    pts = np.array([[0.0], [3.0]])
+    assert np.array_equal(
+        rho_values(analytic, pts), ANALYTIC_RHO["inv_one_plus_dist"](pts)
+    )
 
 
 def test_rho_json_rejects_unknowns():
@@ -71,16 +70,6 @@ def test_shen_rho_loads_potential_from_disk(tmp_path):
     save_grid_function(V, base)
     spec = rho_from_json({"kind": "shen", "potential": base})
     assert spec.kind == "shen"
-    with pytest.raises(ValueError):
-        rho_to_json(spec)  # grid-backed specs have no inline form
-
-
-def test_unnamed_analytic_rho_does_not_serialize():
-    from rhomix import RhoSpec
-
-    spec = RhoSpec.analytic(lambda pts: np.ones(pts.shape[0]))
-    with pytest.raises(ValueError):
-        rho_to_json(spec)
 
 
 def test_analytic_registry_values_are_positive():
@@ -672,6 +661,24 @@ def test_cli_usage_errors_exit_two(saved_inputs):
     assert main(["lorentz", "norm", "--f", "/no/such/file", "--mu", paths["u"]]) == 2
     assert main(["weights", "char", "--w", paths["u"], "--cubes", "bogus"]) == 2
     assert main(["run", "--config", '{"kind": "unheard-of"}']) == 2
+
+
+def test_cli_rho_audit_refuses_zero_pairs(capsys):
+    spec = '{"kind": "analytic", "name": "inv_one_plus_dist"}'
+    dom = '{"dim": 1, "side": 8.0, "level": 4}'
+    assert main(["rho", "audit", "--spec", spec, "--domain", dom, "--pairs", "0"]) == 2
+    assert "pair_sample_size must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["rdf", "coifman", "interpolation"])
+def test_first_pair_kinds_refuse_zero_pairs(kind, capsys):
+    # each used to die on an IndexError from bundle.pairs[0] and exit 1
+    config = default_config(kind, 1, 5)
+    config["suite"]["pair_count"] = 0
+    with pytest.raises(UsageError, match="config.suite.pair_count"):
+        run_experiment(config)
+    assert main(["run", "--config", json.dumps(config)]) == 2
+    assert "config.suite.pair_count" in capsys.readouterr().err
 
 
 def test_cli_tree_family_is_gone_and_bad_exponents_exit_two(saved_inputs):
