@@ -14,8 +14,8 @@ rho(x) = sup { r > 0 : r^(2-d) * integral of V over B(x, r) <= 1 }).
 
 Each rho keeps one PenaltyTable per cube family, the one place cube
 penalties are raised to a power (by the C library's pow through
-np.float_power, held within grid.PENALTY_BYTES), and its admissibility
-and covering reports.
+np.float_power; the table holds its rho arrays and powers within
+grid.PENALTY_BYTES), and its admissibility and covering reports.
 """
 
 from __future__ import annotations
@@ -257,22 +257,18 @@ class PenaltyTable:
     it rows read right to left, each one strided view; sweep blocks never
     span the two.
 
-    Each exponent's powers are held, exponent 1 taking no pow (libm's
-    pow(b, 1) is b).  The held arrays take at most grid.PENALTY_BYTES, the
-    least recently used evicted first; a fold past an eighth of that is
-    never held, each block's powers then raised as the block asks for them.
+    The rho arrays (the half-cell points, or one per tree side) and each
+    exponent's powers are held, exponent 1 taking no pow (libm's pow(b, 1)
+    is b).  The held arrays take at most grid.PENALTY_BYTES, the least
+    recently used evicted first; a fold past an eighth of that is never
+    held, each block's powers then raised as the block asks for them.
     """
 
     def __init__(self, rho: RhoSpec, family) -> None:
         # a weak reference: the rho owns the table
-        self._rho, self.family, self._memo = weakref.ref(rho), family, {}
-        # the held powers, least recently used first, and their bytes
+        self._rho, self.family = weakref.ref(rho), family
+        # the held rho arrays and powers, least recently used first, and their bytes
         self._held, self._held_bytes = OrderedDict(), 0
-
-    def _cached(self, key, build):
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
 
     def _hold(self, key, build):
         """The held tuple under key, whose first array counts its bytes;
@@ -302,7 +298,7 @@ class PenaltyTable:
             rv = np.pad(rv, (1, span - 1), mode="edge")
             return rv, sliding_window_view(rv, 2 * span - 1)[:, ::2]
 
-        return self._cached("half", build)
+        return self._hold("half", build)
 
     def rho(self, sides) -> tuple[np.ndarray, np.ndarray]:
         """rho at the centers of a block's cubes, (k, W), and their radius,
@@ -313,9 +309,9 @@ class PenaltyTable:
         radius = math.sqrt(domain.dim) * sides[:, None] * h / 2.0
         if self.family.policy == DYADIC_GRID_OF:
             def build():
-                return rho_values(self._rho(), (self.family.anchors(s) + s / 2.0) * h)
+                return (rho_values(self._rho(), (self.family.anchors(s) + s / 2.0) * h),)
 
-            return self._cached(s, build)[None, :], radius
+            return self._hold(s, build)[0][None, :], radius
         width = self.family.root.side_cells - s + 1
         return self._half_cells()[1][s : s + len(sides), :width], radius
 

@@ -41,7 +41,6 @@ from .lorentz import WeightedMeasure, interpolation_audit, rearrangement
 from .maximal import default_family, loc_glob_split_stack, m_rho_sigma_stack
 from .suite import (
     SuiteBundle,
-    WeightPair,
     domain_from_json,
     generate_suite,
     make_function,
@@ -197,15 +196,16 @@ def _kernel_from_json(obj: dict) -> SCZOKernel:
     )
 
 
-def _suite(config: dict) -> SuiteBundle:
+def _suite(config: dict, *parts: str) -> SuiteBundle:
+    """The config's suite, refused when one of the parts ("pairs", "fs")
+    the kind reads is empty."""
     spec = _require(config, "suite", dict)
-    return generate_suite(spec, int(config.get("seed", spec.get("seed", 0))))
-
-
-def _first_pair(bundle: SuiteBundle) -> WeightPair:
-    if not bundle.pairs:
-        raise UsageError("config.suite.pair_count must be at least 1 for this kind")
-    return bundle.pairs[0]
+    bundle = generate_suite(spec, int(config.get("seed", spec.get("seed", 0))))
+    for part in parts:
+        if not getattr(bundle, part):
+            count = "pair_count" if part == "pairs" else "f_count"
+            raise UsageError(f"config.suite.{count} must be at least 1 for this kind")
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def _exp_rho_audit(config):
 
 
 def _exp_weights_char(config):
-    bundle = _suite(config)
+    bundle = _suite(config, "pairs")
     fam = default_family(bundle.domain)
     measured, passes, tables = {}, {}, []
     worst = 0.0
@@ -261,7 +261,7 @@ def _exp_weights_char(config):
 
 
 def _exp_maximal_eval(config):
-    bundle = _suite(config)
+    bundle = _suite(config, "fs")
     fam = default_family(bundle.domain)
     sigma = float(config.get("sigma", 0.0))
     q = float(config.get("q", 1.0))
@@ -286,7 +286,7 @@ def _exp_maximal_eval(config):
 
 
 def _exp_corona_run(config):
-    bundle = _suite(config)
+    bundle = _suite(config, "pairs", "fs")
     R = Cube.box(bundle.domain)
     a = float(config.get("a", 2 ** (bundle.domain.dim + 1)))
     measured, passes, tables = {}, {}, []
@@ -332,7 +332,7 @@ def _refine(g: GridFunction) -> GridFunction:
 
 
 def _exp_mixed_m(config):
-    bundle = _suite(config)
+    bundle = _suite(config, "pairs", "fs")
     tol = config.get("tolerances", {}).get("refinement", 0.25)
     measured, passes, tables = {}, {}, []
     deltas = {}
@@ -366,7 +366,7 @@ def _exp_mixed_m(config):
 
 
 def _exp_mixed_t(config):
-    bundle = _suite(config)
+    bundle = _suite(config, "pairs", "fs")
     kernel = _kernel_from_json(_require(config, "kernel", dict))
     measured, passes, tables = {}, {}, []
     finite = True
@@ -386,12 +386,12 @@ def _exp_mixed_t(config):
 
 
 def _exp_coifman(config):
-    bundle = _suite(config)
+    bundle = _suite(config, "pairs", "fs")
     kernel = _kernel_from_json(_require(config, "kernel", dict))
     theta = float(config.get("theta", 1.0))
     p = float(config.get("p", 2.0))
     tol = config.get("tolerances", {}).get("refinement", 0.5)
-    w = _first_pair(bundle).u
+    w = bundle.pairs[0].u
     rep = coifman_check(kernel, w, p, theta, list(bundle.fs))
     rep2 = coifman_check(
         kernel, _refine(w), p, theta, [_refine(f) for f in bundle.fs]
@@ -410,9 +410,9 @@ def _exp_coifman(config):
 
 
 def _exp_rdf(config):
-    bundle = _suite(config)
+    bundle = _suite(config, "pairs", "fs")
     depth = int(config.get("depth", 12))
-    pair = _first_pair(bundle)
+    pair = bundle.pairs[0]
     sigma = ladder_exponent(pair.u, bundle.rho)
     fs = [f.abs() for f in bundle.fs if float(np.max(np.abs(f.values))) > 0]
     state = estimate_K0(pair.u, pair.v, bundle.rho, sigma, fs)
@@ -460,9 +460,9 @@ def _exp_lorentz(config):
 
 
 def _exp_interpolation(config):
-    bundle = _suite(config)
+    bundle = _suite(config, "pairs", "fs")
     fam = default_family(bundle.domain)
-    mu = WeightedMeasure(_first_pair(bundle).u)
+    mu = WeightedMeasure(bundle.pairs[0].u)
 
     def T(stack):
         return m_rho_sigma_stack(stack, RhoSpec.classical(), 0.0, 1.0, fam)

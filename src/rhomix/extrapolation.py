@@ -424,6 +424,12 @@ def audit_kernel_conditions(
     Smoothness: C = max |K(x,y) - K(x,y0)| |x-y|^(dim+delta) / |y-y0|^delta
     over triples with |x - y| > 2 |y - y0|.
     """
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be at least 1, got {sample_size}")
+    if domain.dim != kernel.dim:
+        raise ValueError(
+            f"kernel profile is {kernel.dim}-dimensional, domain is {domain.dim}"
+        )
     rng = np.random.default_rng(seed)
     dim = kernel.dim
     x = rng.uniform(0, domain.side, size=(sample_size, dim))

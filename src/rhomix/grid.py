@@ -23,7 +23,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -291,11 +290,12 @@ DYADIC_GRID_OF = "dyadic_grid_of"
 #: over all inputs, and a one-input level-8 interval sweep takes two blocks
 BLOCK_ELEMENTS = 1 << 15
 
-#: most bytes of penalty powers one critical.PenaltyTable holds, least
-#: recently used evicted first: 15 folds of the level-12 interval family
-#: (4m(m + 1) bytes at m = 4096) fit, all a d1 L12 mixed-M raises, and a fold
-#: past an eighth of it (level 13 and up) is never held but raised block by
-#: block, so a sweep of up to eight exponents never evicts its own folds
+#: most bytes of rho arrays and penalty powers one critical.PenaltyTable
+#: holds, least recently used evicted first: 15 folds of the level-12
+#: interval family (4m(m + 1) bytes at m = 4096) fit with its rho arrays,
+#: all a d1 L12 mixed-M raises, and a fold past an eighth of it (level 13
+#: and up) is never held but raised block by block, so a sweep of up to
+#: eight exponents never evicts its own folds
 PENALTY_BYTES = 1 << 30
 
 
@@ -341,11 +341,7 @@ class CubeFamily:
     cell_max() spreads a block whole or side by side, whichever its shape
     makes cheaper.
 
-    anchors(s) is a bare arange on ALL_CELL_ALIGNED.  On DYADIC_GRID_OF it
-    is memoised per (root, side), so per family and side, and read-only;
-    the memo keeps the most recent _ANCHOR_MEMO_SIZE arrays, since corona
-    builds one rooted family per cube R.  count() is closed-form and reads
-    no anchors.
+    count() is closed-form and reads no anchors.
     """
 
     domain: Domain
@@ -372,12 +368,24 @@ class CubeFamily:
         return [1 << k for k in range(span.bit_length())]
 
     def anchors(self, side_cells: int) -> np.ndarray:
-        """(m, dim) int array of anchors for this side, lexicographic order.
-        On DYADIC_GRID_OF the array is memoised and read-only."""
-        if self.policy == DYADIC_GRID_OF:
-            return _tree_anchors(self.root.anchor, self.root.side_cells, side_cells)
-        lo = self.root.anchor[0]
-        return np.arange(lo, lo + self.root.side_cells - side_cells + 1)[:, None]
+        """(m, dim) int array of anchors for this side, lexicographic order:
+        on DYADIC_GRID_OF the meshgrid of root.anchor + k side_cells per axis."""
+        root = self.root
+        if self.policy == ALL_CELL_ALIGNED:
+            lo = root.anchor[0]
+            return np.arange(lo, lo + root.side_cells - side_cells + 1)[:, None]
+        per_axis = [np.arange(a, a + root.side_cells, side_cells) for a in root.anchor]
+        mesh = np.meshgrid(*per_axis, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def anchor(self, side_cells: int, index: int) -> tuple[int, ...]:
+        """tuple(anchors(side_cells)[index]) for an index in range, by index
+        arithmetic alone."""
+        root = self.root
+        if self.policy == ALL_CELL_ALIGNED:
+            return (root.anchor[0] + index,)
+        offsets = np.unravel_index(index, (root.side_cells // side_cells,) * self.domain.dim)
+        return tuple(a + side_cells * int(k) for a, k in zip(root.anchor, offsets))
 
     def count(self) -> int:
         """Number of cubes in the family, in closed form."""
@@ -420,14 +428,14 @@ class CubeFamily:
         return _view(run, 0, (k, width), (1, 1))
 
     def sweep(self, *values: np.ndarray):
-        """Per block of sides, largest sides first: (sides, anchors, avgs).
+        """Per block of sides, largest sides first: (sides, avgs).
 
         Each input is (..., *grid): any leading axes are a batch of
         functions (one function is a bare grid array, or the batch of one).
-        sides is the block's ascending (k,) int array and anchors the (W,
-        dim) anchors of its smallest side.  avgs holds one (..., k, W)
-        array per input: entry [..., j, a] is the average of the function
-        over the cube of side sides[j] at anchors[a], read from one BoxSums
+        sides is the block's ascending (k,) int array.  avgs holds one (...,
+        k, W) array per input: entry [..., j, a] is the average of the
+        function over the cube of side sides[j] at anchor(sides[0], a), the
+        a-th anchor of the block's smallest side, read from one BoxSums
         table of the root for every input (the inputs share one shape);
         entries that padding() marks are clipped cubes.  An input whose
         cells are finite but whose running sum over the root overflows is
@@ -459,7 +467,7 @@ class CubeFamily:
                 sums = table._corner_sums([(0, s, span // s)] * dim, s)
                 np.divide(sums, s**dim, out=sums)
                 sums = sums.reshape(sums.shape[:-dim] + (1, -1))
-            yield sides, self.anchors(s), list(sums)
+            yield sides, list(sums)
 
     def _tiles(self, region: np.ndarray, s: int) -> np.ndarray:
         """View of a (..., *grid) region as (tile, cell-in-tile) axis pairs,
@@ -625,24 +633,6 @@ def _view(arr: np.ndarray, start: int, shape: tuple, strides: tuple) -> np.ndarr
     return view
 
 
-#: most (root, side) anchor arrays the DYADIC_GRID_OF memo keeps; corona
-#: builds one rooted family per cube R, so the memo evicts the least recent
-_ANCHOR_MEMO_SIZE = 64
-
-
-@functools.lru_cache(maxsize=_ANCHOR_MEMO_SIZE)
-def _tree_anchors(root_anchor: tuple, span: int, side_cells: int) -> np.ndarray:
-    """The read-only anchors of one side of the bisection tree of the root
-    [root_anchor, + span): the meshgrid of root_anchor + k * side_cells per
-    axis, rows in lexicographic order.  Keyed by the root alone, which fixes
-    the anchors and hashes faster than the family."""
-    per_axis = [np.arange(a, a + span, side_cells) for a in root_anchor]
-    mesh = np.meshgrid(*per_axis, indexing="ij")
-    out = np.stack([m.ravel() for m in mesh], axis=-1)
-    out.setflags(write=False)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # fast cube sums
 
@@ -799,10 +789,10 @@ def _average_tree(avgs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]
 
 
 def require_stack(values, domain: Domain) -> np.ndarray:
-    """values as a (B, *grid) float stack of B functions on domain; any
-    other shape is rejected."""
+    """values as a (B, *grid) float stack of B >= 1 functions on domain;
+    any other shape is rejected."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != domain.dim + 1 or arr.shape[1:] != domain.shape:
+    if arr.ndim != domain.dim + 1 or arr.shape[1:] != domain.shape or len(arr) < 1:
         raise ValueError(
             f"expected a (B, {', '.join(map(str, domain.shape))}) stack of grid "
             f"values, got shape {arr.shape}"

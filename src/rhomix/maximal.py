@@ -129,7 +129,7 @@ def m_rho_sigma_stack(
     powered = _powered(stack, q)
     table = rho.penalty_table(cubes)
     out = _cell_floor(cubes, len(stack))
-    for sides, _anchors, (avg,) in cubes.sweep(powered):
+    for sides, (avg,) in cubes.sweep(powered):
         penalty = table.power(sides, -sigma)
         if not np.isscalar(penalty):  # 1.0: avg * 1.0 is avg
             np.multiply(avg, penalty, out=avg)
@@ -177,10 +177,11 @@ def m_localized(f: GridFunction, R: Cube) -> GridFunction:
         out[R.slices()] = np.mean(np.abs(f.values[R.slices()]))
     lo = np.asarray(R.anchor)
     family = CubeFamily(domain, DYADIC_GRID_OF)
-    for sides, anchors, (avg,) in family.sweep(np.abs(f.values)):
+    for sides, (avg,) in family.sweep(np.abs(f.values)):
         s = int(sides[0])
         if s > R.side_cells:
             continue
+        anchors = family.anchors(s)
         inside = np.all((anchors >= lo) & (anchors + s <= lo + R.side_cells), axis=1)
         family.cell_max(np.where(inside, avg, -np.inf), sides, out)
     return GridFunction(domain, out)
@@ -235,7 +236,7 @@ def loc_glob_split_stack(
     domain = cubes.domain
     m_vals, loc_vals, glob_vals = (_cell_floor(cubes, len(stack)) for _ in range(3))
     sub_count = sup_count = 0
-    for sides, _anchors, (avg,) in cubes.sweep(powered):
+    for sides, (avg,) in cubes.sweep(powered):
         cubes.cell_max(avg * table.power(sides, -sigma), sides, m_vals)
         rv, radius = table.rho(sides)
         sub = radius <= rv

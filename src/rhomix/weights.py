@@ -180,7 +180,7 @@ def characteristics(
             inputs.append(power)
     sups.update({key + (t,): (-math.inf, None) for key in slots for t in thetas[key]})
     table = rho.penalty_table(cubes)
-    for sides, anchors, avgs in cubes.sweep(*inputs) if slots else ():
+    for sides, avgs in cubes.sweep(*inputs) if slots else ():
         # a one-side block has no padding
         pad = cubes.padding(sides, avgs[0].shape[-1]) if len(sides) > 1 else None
         ratios = None  # one buffer per block for every rung's penalized ratios
@@ -215,8 +215,7 @@ def characteristics(
                 # attains the sup
                 if ratio.flat[i] >= sups[key + (theta,)][0]:
                     j, a = divmod(i, ratio.shape[-1])
-                    anchor = tuple(int(v) for v in anchors[a])
-                    witness = Cube(cubes.domain, anchor, int(sides[j]))
+                    witness = Cube(cubes.domain, cubes.anchor(int(sides[0]), a), int(sides[j]))
                     sups[key + (theta,)] = (float(ratio.flat[i]), witness)
     return tuple(
         WeightCharacteristic(*sups[kind, x, theta], x, theta) for kind, x, theta in rungs

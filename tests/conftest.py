@@ -155,7 +155,7 @@ def per_input_sweep(family, *values):
                 sums = t._corner_sums([(0, s, span // s)] * dim, s)
                 np.divide(sums, s**dim, out=sums)
                 avgs.append(sums.reshape(sums.shape[:-dim] + (1, -1)))
-        yield sides, family.anchors(s), avgs
+        yield sides, avgs
 
 
 def split_domains():

@@ -27,6 +27,7 @@ from rhomix import (
     cz_on_cube,
     default_config,
     dyadic_sum_pyramid,
+    generate_suite,
     integrate,
     level_decomposition,
     m_dyadic,
@@ -858,6 +859,35 @@ def test_mixed_verify_dyadic_refuses_mixed_domains():
         mixed_verify_dyadic(
             f, GridFunction(v.domain, u.values), GridFunction(f.domain, v.values), R
         )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    dim_level=st.sampled_from([(1, 5), (1, 6), (2, 3), (2, 4)]),
+    rho_json=st.sampled_from(
+        [{"kind": "classical"}, {"kind": "analytic", "name": "inv_one_plus_dist"}]
+    ),
+    seed=st.integers(1, 5),
+)
+def test_refinement_never_lowers_the_pinned_mixed_constant(dim_level, rho_json, seed):
+    """With sigma and theta pinned, the constant on the refined grid is at
+    least the coarse one, up to rounding: the finer family holds every
+    coarse cube with the same center, radius and average, and the uv
+    measure of a cell's children sums to the cell's.  So mixed-M's
+    refinement drift only ever measures a rise."""
+    dim, level = dim_level
+    spec = default_config("mixed-M", dim, level, seed)["suite"]
+    spec.update(pair_count=3, f_count=3, rho=rho_json)
+    bundle = generate_suite(spec, seed)
+    refine = rhomix.experiments._refine
+    for pair in bundle.pairs[:3]:
+        for f in bundle.fs:
+            coarse = mixed_verify_global(f, pair.u, pair.v, bundle.rho, theta=1.0)
+            fine = mixed_verify_global(
+                refine(f), refine(pair.u), refine(pair.v), bundle.rho,
+                sigma=coarse.sigma, theta=coarse.theta,
+            )
+            assert fine.constant_exact >= coarse.constant_exact * (1 - 1e-12)
 
 
 def test_mixed_verify_global_refuses_mixed_domains():

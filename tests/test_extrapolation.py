@@ -486,6 +486,17 @@ def test_kernel_condition_constants():
     assert rep.worst_size is not None and rep.worst_smooth is not None
 
 
+def test_kernel_condition_audit_refuses_bad_inputs():
+    # numpy's empty-argmax and negative-dimensions errors, and a dim-2
+    # domain sampled in dim 1, before
+    dom = Domain(1, 8.0, 4)
+    for size in (0, -2):
+        with pytest.raises(ValueError, match="sample_size must be at least 1"):
+            audit_kernel_conditions(SCZOKernel("odd_inverse"), dom, sample_size=size)
+    with pytest.raises(ValueError, match="1-dimensional, domain is 2"):
+        audit_kernel_conditions(SCZOKernel("odd_inverse"), Domain(2, 8.0, 3))
+
+
 def test_coifman_check_ratios():
     rng = np.random.default_rng(34)
     dom = Domain(1, 8.0, 7)

@@ -139,10 +139,10 @@ def test_box_sums_batch_axis_and_lattice_contract():
             bs.box_sum(np.array(bad), 1)
 
 
-def test_family_counts():
+def test_family_counts(monkeypatch):
     """count() is m(m+1)/2 intervals over a root of m cells and the sum of
     (span/s)^dim over a tree's sides, the number of anchors the family
-    enumerates, and it reads no anchors: the tree memo sees no call."""
+    enumerates, and it reads no anchors: it runs with anchors() raising."""
     dom = Domain(1, 8.0, 3)
     n = dom.n
     fam = CubeFamily(dom, ALL_CELL_ALIGNED)
@@ -161,11 +161,15 @@ def test_family_counts():
         families.append(CubeFamily(cube_dom, DYADIC_GRID_OF))
         families.append(CubeFamily(cube_dom, DYADIC_GRID_OF, Cube(cube_dom, (2,) * dim, 2)))
     assert families[-1].count() == 8 + 1
+    anchors = CubeFamily.anchors
+
+    def no_anchors(self, side_cells):
+        raise AssertionError("count() read anchors")
+
     for family in families:
-        before = rhomix.grid._tree_anchors.cache_info()
+        monkeypatch.setattr(CubeFamily, "anchors", no_anchors)
         count = family.count()
-        after = rhomix.grid._tree_anchors.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
+        monkeypatch.setattr(CubeFamily, "anchors", anchors)
         assert count == sum(len(family.anchors(s)) for s in family.side_cells_list())
 
 
@@ -196,7 +200,8 @@ def test_sweep_matches_box_sum_oracle(data):
     oracle = BoxSums(region, dim)
     lo = np.asarray(fam.root.anchor)
     seen = 0
-    for sides, anchors, (avg,) in fam.sweep(vals):
+    for sides, (avg,) in fam.sweep(vals):
+        anchors = fam.anchors(int(sides[0]))
         assert avg.shape == batch + (len(sides), len(anchors))
         for j, s in enumerate(sides.tolist()):
             count = len(fam.anchors(s))
@@ -238,35 +243,32 @@ def test_prefix_table_is_the_padded_cumsum_table(shape, dim):
 
 
 def test_tree_anchor_memo_contract():
-    """Bisection-tree anchors are memoised per (family, side), read-only,
-    the same across sweeps, the meshgrid of root.anchor + k s, and the
-    memo stays within its bound however many rooted families sweep."""
+    """Bisection-tree anchors are the meshgrid of root.anchor + k s in
+    lexicographic order, and anchor(s, i) is tuple(anchors(s)[i]) for
+    every side and index: both policies, box-rooted and rooted families,
+    dims 1-3."""
+    families = []
+    for dim, level in ((1, 4), (2, 3), (3, 2)):
+        dom = Domain(dim, 8.0, level)
+        families.append(CubeFamily(dom, DYADIC_GRID_OF))
+        root = Cube(dom, (dom.n // 4,) + (0,) * (dim - 1), dom.n // 2)
+        families.append(CubeFamily(dom, DYADIC_GRID_OF, root))
+        if dim == 1:
+            families.append(CubeFamily(dom, ALL_CELL_ALIGNED))
+            families.append(CubeFamily(dom, ALL_CELL_ALIGNED, Cube(dom, (5,), 7)))
     dom = Domain(2, 8.0, 4)
-    R = Cube(dom, (4, 8), 8)
-    tree = CubeFamily(dom, DYADIC_GRID_OF, R)
-    a = tree.anchors(2)
-    with pytest.raises(ValueError):
-        a[0, 0] = 1
-    assert tree.anchors(2) is a
-    vals = np.random.default_rng(12).normal(size=dom.shape)
-    first = [anchors for _sides, anchors, _avgs in tree.sweep(vals)]
-    second = [anchors for _sides, anchors, _avgs in tree.sweep(vals)]
-    assert len(first) == len(second) == len(tree.side_cells_list())
-    assert all(np.array_equal(x, y) for x, y in zip(first, second))
-    for s in tree.side_cells_list():
-        axes = [R.anchor[ax] + s * np.arange(R.side_cells // s) for ax in range(2)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        assert np.array_equal(tree.anchors(s), np.stack([m.ravel() for m in mesh], axis=-1))
-    # ALL_CELL_ALIGNED keeps a fresh arange per call
-    line = CubeFamily(Domain(1, 8.0, 4), ALL_CELL_ALIGNED)
-    assert line.anchors(3).flags.writeable
-    bound = rhomix.grid._tree_anchors.cache_info().maxsize
-    roots = [Cube(dom, (x, y), 2) for x in range(dom.n - 1) for y in range(0, dom.n - 1, 2)]
-    assert 2 * len(roots) > bound  # two sides per family
-    for root in roots:
-        for _ in CubeFamily(dom, DYADIC_GRID_OF, root).sweep(vals):
-            pass
-        assert rhomix.grid._tree_anchors.cache_info().currsize <= bound
+    families.append(CubeFamily(dom, DYADIC_GRID_OF, Cube(dom, (4, 8), 8)))
+    for fam in families:
+        R = fam.root
+        for s in fam.side_cells_list():
+            anchors = fam.anchors(s)
+            if fam.policy == DYADIC_GRID_OF:
+                axes = [a + s * np.arange(R.side_cells // s) for a in R.anchor]
+                mesh = np.meshgrid(*axes, indexing="ij")
+                assert np.array_equal(anchors, np.stack([m.ravel() for m in mesh], axis=-1))
+            got = [fam.anchor(s, i) for i in range(len(anchors))]
+            assert got == [tuple(a) for a in anchors.tolist()]
+            assert all(type(x) is int for a in got for x in a)
 
 
 def test_unrooted_family_is_the_box_rooted_family():
@@ -327,7 +329,7 @@ def test_family_primitives_match_cube_loop(data):
         by_side.setdefault(Q.side_cells, []).append(Q)
     assert sorted(by_side) == fam.side_cells_list()
     with block_budget(budget):
-        blocks = [(sides, anchors) for sides, anchors, _avgs in fam.sweep(vals)]
+        blocks = [(sides, fam.anchors(int(sides[0]))) for sides, _avgs in fam.sweep(vals)]
     # cell_max takes the sides in sweep order, largest first: blocks come
     # largest first, each block's sides ascending
     order = [int(s) for sides, _anchors in blocks for s in sides[::-1]]
@@ -404,7 +406,7 @@ def test_interval_spreads_match_the_per_side_oracle(data):
     stack = np.exp(rng.normal(size=(batch,) + fam.domain.shape))
     outs = {name: _cell_floor(fam, batch) for name in ("chosen", "block", "sides", "oracle")}
     with block_budget(data.draw(st.sampled_from(BLOCK_BUDGETS))):
-        for sides, _anchors, (avg,) in fam.sweep(stack):
+        for sides, (avg,) in fam.sweep(stack):
             pad = fam.padding(sides, avg.shape[-1])
             garbage = rng.choice([np.inf, np.nan, 1e300, -1e300], size=avg.shape)
             scores = np.where(pad, garbage, avg)
@@ -441,8 +443,8 @@ def test_stacked_sweep_matches_the_per_input_oracle(data):
         got = list(fam.sweep(*inputs))
         want = list(per_input_sweep(fam, *inputs))
     assert len(got) == len(want)
-    for (sides, anchors, avgs), (w_sides, w_anchors, w_avgs) in zip(got, want):
-        assert np.array_equal(sides, w_sides) and np.array_equal(anchors, w_anchors)
+    for (sides, avgs), (w_sides, w_avgs) in zip(got, want):
+        assert np.array_equal(sides, w_sides)
         assert [a.tobytes() for a in avgs] == [a.tobytes() for a in w_avgs]
 
 
@@ -485,9 +487,9 @@ def test_sweep_blocks_count_every_input(monkeypatch):
     sweep = CubeFamily.sweep
 
     def recorded(self, *values):
-        for sides, anchors, avgs in sweep(self, *values):
+        for sides, avgs in sweep(self, *values):
             blocks.append((len(avgs), len(sides), avgs[0].shape[-1]))
-            yield sides, anchors, avgs
+            yield sides, avgs
 
     monkeypatch.setattr(CubeFamily, "sweep", recorded)
     characteristics(w, [("ap", t, 0.0) for t in T_LADDER], RhoSpec.classical(), fam)

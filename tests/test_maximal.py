@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -404,6 +405,19 @@ def test_stacks_of_the_wrong_shape_are_rejected():
             m_rho_sigma_stack(bad, CL, 0.0, 1.0, fam)
         with pytest.raises(ValueError, match="stack"):
             loc_glob_split_stack(bad, CL, 0.0, fam)
+
+
+def test_empty_stacks_are_rejected_naming_the_shape():
+    """A (0, *grid) stack is refused with a ValueError naming its shape
+    (the interval sweep used to die on a bare ZeroDivisionError)."""
+    for dom in (Domain(1, 8.0, 4), Domain(2, 4.0, 2)):
+        empty = np.ones((0,) + dom.shape)
+        shape = re.escape(str(empty.shape))
+        for fam in (default_family(dom), CubeFamily(dom, DYADIC_GRID_OF)):
+            with pytest.raises(ValueError, match=shape):
+                m_rho_sigma_stack(empty, CL, 0.0, 1.0, fam)
+            with pytest.raises(ValueError, match=shape):
+                loc_glob_split_stack(empty, CL, 0.0, fam)
 
 
 def test_overflowing_powers_of_f_are_rejected_up_front():

@@ -339,7 +339,7 @@ def test_weights_char_sweeps_each_weight_once(monkeypatch):
     one sweep; it took four (the theta ladder, then one per s)."""
     cfg = default_config("weights-char", dim=1, level=6, seed=7)
     bundle = rhomix.experiments._suite(cfg)
-    monkeypatch.setattr(rhomix.experiments, "_suite", lambda _config: bundle)
+    monkeypatch.setattr(rhomix.experiments, "_suite", lambda _config, *_parts: bundle)
     with counted_sweeps() as calls:
         rep = run_experiment(cfg)
     weights = [w.values for pair in bundle.pairs for w in (pair.u, pair.v)]
@@ -679,6 +679,39 @@ def test_first_pair_kinds_refuse_zero_pairs(kind, capsys):
         run_experiment(config)
     assert main(["run", "--config", json.dumps(config)]) == 2
     assert "config.suite.pair_count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, count", [
+    ("weights-char", "pair_count"),
+    ("corona-run", "pair_count"),
+    ("mixed-M", "pair_count"),
+    ("mixed-T", "pair_count"),
+    ("maximal-eval", "f_count"),
+    ("corona-run", "f_count"),
+    ("mixed-M", "f_count"),
+    ("mixed-T", "f_count"),
+    ("coifman", "f_count"),
+    ("rdf", "f_count"),
+    ("interpolation", "f_count"),
+])
+def test_kinds_refuse_an_empty_suite_part(kind, count, capsys):
+    # each used to pass every flag on zero rows, or (maximal-eval and
+    # interpolation without fs) die on a ZeroDivisionError in the sweep
+    config = default_config(kind, 1, 5, 1)
+    config["suite"][count] = 0
+    with pytest.raises(UsageError, match=f"config.suite.{count}"):
+        run_experiment(config)
+    assert main(["run", "--config", json.dumps(config)]) == 2
+    assert f"config.suite.{count}" in capsys.readouterr().err
+
+
+def test_kinds_that_read_no_fs_or_pairs_run_without_them():
+    for kind, empty in (("weights-char", ("f_count",)),
+                        ("lorentz", ("pair_count", "f_count")),
+                        ("rho-audit", ("pair_count", "f_count"))):
+        config = default_config(kind, 1, 5, 1)
+        config["suite"].update(dict.fromkeys(empty, 0))
+        assert run_experiment(config).ok, kind
 
 
 def test_cli_tree_family_is_gone_and_bad_exponents_exit_two(saved_inputs):
