@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .corona import (
+    _row_cubes,
     build_forests,
     classify,
     level_decomposition,
@@ -206,18 +207,17 @@ def _cmd_corona_dump_forest(args) -> int:
     forests = build_forests(cls, u, delta=delta)
     out = {}
     for ell, forest in forests.items():
-        nodes = []
-        for Q, k in forest.nodes:
-            prin = forest.assignment[Q]
-            nodes.append({
-                "anchor": list(Q.anchor),
-                "side_cells": Q.side_cells,
-                "k": k,
-                "principal": Q in forest.generations,
-                "generation": forest.generations.get(Q),
-                "assigned_anchor": list(prin.anchor),
-                "assigned_side_cells": prin.side_cells,
-            })
+        cubes = _row_cubes(R, forest.nodes)
+        nodes = [{
+            "anchor": list(Q.anchor),
+            "side_cells": Q.side_cells,
+            "k": k,
+            "principal": gen >= 0,
+            "generation": gen if gen >= 0 else None,
+            "assigned_anchor": list(cubes[p].anchor),
+            "assigned_side_cells": cubes[p].side_cells,
+        } for Q, k, p, gen in zip(cubes, forest.k.tolist(), forest.assignment.tolist(),
+                                  forest.generations.tolist())]
         out[str(ell)] = {
             "delta": forest.delta,
             "principal_count": forest.principal_count,

@@ -9,6 +9,13 @@ band) carry the level-set mass.  Principal cubes with a doubling stopping
 rule turn the per-cube sums into majorants h1/h2 that the claim audits
 compare against the weight u.
 
+Every cube the verifier handles is in R's bisection tree and is held as a
+row: a list of n cubes is one int64 array of shape (n, 1 + dim), column 0
+the j of the side 2^j cells, the others the block index at level j of the
+pyramid over R (anchor = R's anchor + idx 2^j).  A band -1 list of
+(piece, primary) pairs is two such arrays of equal length.  Only
+cz_on_cube and the CLI's forest dump turn rows into Cubes (_row_cubes).
+
 All set inclusions used by the verifier are exact at the cell level: every
 cube mass and average it reads comes off one dyadic_sum_pyramid per function
 over R, so the proof's comparisons see identical floats.  g's tree yields
@@ -17,8 +24,8 @@ the whole tree; v's sums give the cube averages that band the cubes, and
 the slice of v's tree under a band -1 cube yields its pieces (the floats
 cz_on_cube would compute); u's pyramid yields the node averages, the piece
 and level-cube masses and term II; one pyramid of u 1_{E_k} per band k,
-built band by band, yields term I.  _read gathers a list of cubes off a
-pyramid with one fancy index over its levels laid end to end.
+built band by band, yields term I.  _read gathers rows off a pyramid with
+one fancy index over its levels laid end to end.
 
 classify works on every level's stopping cubes at once: one gather of
 their v averages, one comparison for band -1, one vectorised left-closed
@@ -134,57 +141,43 @@ def _root_tree(g: GridFunction, R: Cube):
     return dyadic_average_tree(g.values[R.slices()])
 
 
-def _stopping_cubes(tree, R: Cube, lams) -> list[list[Cube]]:
-    """Per level lam of lams, the blocks of R's tree with above <= lam <
-    avg, in (side, anchor) order: one comparison per lam over the whole
-    tree, laid out level by level, each level in anchor order."""
+def _stopping_cubes(tree, lams) -> list[np.ndarray]:
+    """Per level lam of lams, the rows of the tree's blocks with above <=
+    lam < avg, in (side, anchor) order: one comparison per lam over the
+    whole tree, laid out level by level, each level in anchor order."""
     avg = np.concatenate([avg.ravel() for avg, _above in tree])
     above = np.concatenate([above.ravel() for _avg, above in tree])
     starts = np.cumsum([0] + [avg.size for avg, _above in tree])
+    side, dim = len(tree[0][0]), tree[0][0].ndim
     out = []
     for lam in lams:
         at = np.flatnonzero((above <= lam) & (avg > lam))
-        j = np.searchsorted(starts, at, side="right") - 1
+        rows = np.empty((at.size, 1 + dim), dtype=np.int64)
+        rows[:, 0] = j = np.searchsorted(starts, at, side="right") - 1
         at -= starts[j]
-        width = R.side_cells >> j
-        idx = np.empty((at.size, R.domain.dim), dtype=np.int64)
-        for ax in range(R.domain.dim - 1, -1, -1):
-            at, idx[:, ax] = np.divmod(at, width)
-        anchors = (idx << j[:, None]) + R.anchor
-        out.append([
-            Cube(R.domain, tuple(c), s)
-            for c, s in zip(anchors.tolist(), (1 << j).tolist())
-        ])
+        width = side >> j
+        for ax in range(dim, 0, -1):
+            at, rows[:, ax] = np.divmod(at, width)
+        out.append(rows)
     return out
 
 
-def _cube_sums(levels: list[np.ndarray], R: Cube, cubes: list[Cube]) -> np.ndarray:
-    """Entries of a per-level pyramid over R (dyadic_sum_pyramid's sums or
-    dyadic_averages') for cubes of R's bisection tree, in the cubes' order."""
-    return _read(levels, *_tree_coords(R, cubes))
+def _row_cubes(R: Cube, rows: np.ndarray) -> list[Cube]:
+    """The Cubes of rows (j, idx) of R's tree, in the rows' order."""
+    anchors = ((rows[:, 1:] << rows[:, :1]) + R.anchor).tolist()
+    return [Cube(R.domain, tuple(c), s) for c, s in zip(anchors, (1 << rows[:, 0]).tolist())]
 
 
-def _tree_coords(R: Cube, cubes: list[Cube]) -> tuple[np.ndarray, np.ndarray]:
-    """(j, idx) of cubes of R's bisection tree: side 2^j, and the (n, dim)
-    block index at level j of the pyramid over R."""
-    dim = R.domain.dim
-    j = np.fromiter((Q.side_cells.bit_length() - 1 for Q in cubes), np.int64, len(cubes))
-    anchors = np.fromiter(
-        itertools.chain.from_iterable(Q.anchor for Q in cubes), np.int64, len(cubes) * dim
-    ).reshape(-1, dim)
-    return j, (anchors - R.anchor) >> j[:, None]
-
-
-def _read(levels: list[np.ndarray], j: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """levels[j[i]][idx[i]] for every i: one gather from the levels laid
-    end to end."""
+def _read(levels: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """levels[j][idx] for every row (j, idx): one gather from the levels
+    laid end to end."""
     flat = np.concatenate([level.ravel() for level in levels])
     start = np.fromiter(itertools.accumulate((lv.size for lv in levels), initial=0), np.int64)
-    width = len(levels[0]) >> j
-    at = idx[:, 0]
-    for ax in range(1, idx.shape[1]):
-        at = at * width + idx[:, ax]
-    return flat[start[j] + at]
+    width = len(levels[0]) >> rows[:, 0]
+    at = rows[:, 1]
+    for ax in range(2, rows.shape[1]):
+        at = at * width + rows[:, ax]
+    return flat[start[rows[:, 0]] + at]
 
 
 def _blocks(a: np.ndarray, j: int, idx: np.ndarray):
@@ -211,7 +204,7 @@ def cz_on_cube(g: GridFunction, R: Cube, lam: float) -> list[Cube]:
         raise ValueError(
             f"avg over the root ({top_avg}) exceeds the level ({lam})"
         )
-    return _stopping_cubes(tree, R, [lam])[0]
+    return _row_cubes(R, _stopping_cubes(tree, [lam])[0])
 
 
 @dataclass(frozen=True)
@@ -220,7 +213,7 @@ class LevelDecomposition:
     R: Cube
     a: float
     k0: int
-    levels: dict[int, list[Cube]]       # k -> stopping cubes of {M > a^k}
+    levels: dict[int, np.ndarray]       # k -> rows of the stopping cubes of {M > a^k}
     mdy: GridFunction                   # dyadic maximal of g over R
     empty: bool
 
@@ -261,7 +254,7 @@ def level_decomposition(g: GridFunction, R: Cube, a: float | None = None) -> Lev
             f"the peak of g ({peak}) passes the largest finite power of a = {a}"
         ) from None
     ks = range(k0, k)
-    levels = dict(zip(ks, _stopping_cubes(tree, R, [a**k for k in ks])))
+    levels = dict(zip(ks, _stopping_cubes(tree, [a**k for k in ks])))
     return LevelDecomposition(g, R, a, k0, levels, mdy, empty=False)
 
 
@@ -269,11 +262,11 @@ def level_decomposition(g: GridFunction, R: Cube, a: float | None = None) -> Lev
 class ClassifiedLevels:
     decomp: LevelDecomposition
     v: GridFunction
-    bands: dict[tuple[int, int], list[Cube]]            # (ell >= 0, k)
-    minus1: dict[int, list[Cube]]                       # k -> low-average cubes
-    secondary: dict[int, list[tuple[Cube, Cube]]]       # k -> (piece, primary)
-    gamma: dict[tuple[int, int], list[Cube]]            # band-meeting cubes
-    gamma_minus1: dict[int, list[tuple[Cube, Cube]]]
+    bands: dict[tuple[int, int], np.ndarray]            # (ell >= 0, k) -> rows
+    minus1: dict[int, np.ndarray]                       # k -> low-average rows
+    secondary: dict[int, tuple[np.ndarray, np.ndarray]]  # k -> (pieces, primaries)
+    gamma: dict[tuple[int, int], np.ndarray]            # band-meeting rows
+    gamma_minus1: dict[int, tuple[np.ndarray, np.ndarray]]
     band_masks: dict[int, np.ndarray]                   # a^k < v <= a^(k+1) on R
     e_masks: dict[int, np.ndarray]                      # E_k at t = 1
 
@@ -299,11 +292,8 @@ def classify(decomp: LevelDecomposition, v: GridFunction) -> ClassifiedLevels:
     if (require_pos <= 0).any():
         raise ValueError("v must be strictly positive on R")
 
-    bands: dict[tuple[int, int], list[Cube]] = {}
-    minus1: dict[int, list[Cube]] = {}
-    secondary: dict[int, list[tuple[Cube, Cube]]] = {}
-    gamma: dict[tuple[int, int], list[Cube]] = {}
-    gamma_minus1: dict[int, list[tuple[Cube, Cube]]] = {}
+    dim = R.domain.dim
+    bands, minus1, secondary, gamma, gamma_minus1 = {}, {}, {}, {}, {}
 
     # cell bands of v over R, then E_k
     kcell = _band_index(require_pos, a)
@@ -319,54 +309,55 @@ def classify(decomp: LevelDecomposition, v: GridFunction) -> ClassifiedLevels:
     # every level's cubes at once: v averages, bands and gates
     ks = list(decomp.levels)
     sizes = [len(decomp.levels[k]) for k in ks]
-    cubes = [Q for k in ks for Q in decomp.levels[k]]
+    rows = np.concatenate([np.empty((0, 1 + dim), dtype=np.int64), *decomp.levels.values()])
     v_sums = dyadic_sum_pyramid(require_pos)
-    j, idx = _tree_coords(R, cubes)
     # dyadic_averages' floats: each block sum over its cell count
-    avg_v = _read(v_sums, j, idx) / (1 << j) ** R.domain.dim
+    avg_v = _read(v_sums, rows) / (1 << rows[:, 0]) ** dim
     level = np.repeat(np.array(ks, dtype=np.int64), sizes)
     low = avg_v < np.repeat([a**k for k in ks], sizes)
     ell = _floor_band(avg_v, a) - level
     # a cube of level k meets the cell band k when it holds a cell counted
     # by that band's count table
     counts: dict[int, np.ndarray] = {}
-    gate = np.zeros(len(cubes), dtype=bool)
+    gate = np.zeros(len(rows), dtype=bool)
     end = 0
     for k, size in zip(ks, sizes):
         start, end = end, end + size
         if k in band_masks:
             counts[k] = _count_table(kcell == k)
-            gate[start:end] = _meets(counts[k], j[start:end], idx[start:end])
+            gate[start:end] = _meets(counts[k], rows[start:end])
     high = np.flatnonzero(~low)
     span = int(ell.max(initial=0)) + 1
     groups = list(_first_seen(level[high] * span + ell[high], high))
     gate = gate.tolist()
     for key, at in groups:
-        bands[key % span, key // span] = [cubes[i] for i in at]
+        bands[key % span, key // span] = rows[at]
     # Gamma's bands in the order their first gated cube comes
     for at, key in sorted(([i for i in at if gate[i]], key) for key, at in groups):
         if at:
-            gamma[key % span, key // span] = [cubes[i] for i in at]
+            gamma[key % span, key // span] = rows[at]
 
     low = np.flatnonzero(low)
     for k, at in _first_seen(level[low], low):
-        minus1[k] = [cubes[i] for i in at]
+        minus1[k] = rows[at]
     for k, lows in minus1.items():
-        # cz_on_cube(v, Q, a^k) off the slice of v's tree under Q: child
-        # sums are local, so these are the floats over Q
-        pairs = []
-        for Q in lows:
-            rel = _relative_slices(Q, R)
-            sub = [sums[tuple(slice(c.start >> lev, c.stop >> lev) for c in rel)]
-                   / float((1 << lev) ** R.domain.dim)
-                   for lev, sums in enumerate(v_sums[: Q.side_cells.bit_length()])]
-            pairs += [(W, Q) for W in _stopping_cubes(_average_tree(sub), Q, [a**k])[0]]
-        if pairs:
+        # cz_on_cube(v, Q, a^k) off the slice of v's tree under Q (child sums
+        # are local: the floats over Q), each piece's index shifted by Q's
+        pieces = []
+        for jq, *q in lows.tolist():
+            sub = [sums[tuple(slice(c << (jq - lev), (c + 1) << (jq - lev)) for c in q)]
+                   / float((1 << lev) ** dim)
+                   for lev, sums in enumerate(v_sums[: jq + 1])]
+            w = _stopping_cubes(_average_tree(sub), [a**k])[0]
+            w[:, 1:] += np.array(q) << (jq - w[:, :1])
+            pieces.append(w)
+        pairs = np.concatenate(pieces), np.repeat(lows, [len(w) for w in pieces], axis=0)
+        if len(pairs[0]):
             secondary[k] = pairs
         if k in counts:
-            met = _meets(counts[k], *_tree_coords(R, [W for W, _Q in pairs]))
+            met = _meets(counts[k], pairs[0])
             if met.any():
-                gamma_minus1[k] = [pair for pair, m in zip(pairs, met.tolist()) if m]
+                gamma_minus1[k] = pairs[0][met], pairs[1][met]
     return ClassifiedLevels(
         decomp, v, bands, minus1, secondary, gamma, gamma_minus1,
         band_masks, e_masks,
@@ -378,17 +369,18 @@ def classify(decomp: LevelDecomposition, v: GridFunction) -> ClassifiedLevels:
 
 @dataclass(frozen=True)
 class PrincipalForest:
-    ell: int                                  # band, -1 for the low branch
-    nodes: tuple[tuple[Cube, int], ...]       # (cube, level k)
-    generations: dict[Cube, int]              # principal cubes only
-    assignment: dict[Cube, Cube]              # every node -> its principal
-    h: GridFunction                           # majorant h1 (or h2 for ell=-1)
+    ell: int                          # band, -1 for the low branch
+    nodes: np.ndarray                 # rows, in (-side, k, anchor) order
+    k: np.ndarray                     # each node's level
+    assignment: np.ndarray            # each node's principal, as a node index
+    generations: np.ndarray           # a principal node's generation, else -1
+    h: GridFunction                   # majorant h1 (or h2 for ell=-1)
     delta: float | None = None
-    primary_parent: dict[Cube, Cube] = field(default_factory=dict)
+    primary_parent: np.ndarray | None = None  # band -1: each node's primary row
 
     @property
     def principal_count(self) -> int:
-        return len(self.generations)
+        return int(np.count_nonzero(self.generations >= 0))
 
 
 def _count_table(mask: np.ndarray) -> np.ndarray:
@@ -402,10 +394,11 @@ def _count_table(mask: np.ndarray) -> np.ndarray:
     return table
 
 
-def _meets(table: np.ndarray, j: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Whether each cube of R's tree (side 2^j, block index idx) holds a
-    cell that the count table counts: its count by inclusion-exclusion
-    over the 2^dim corners is positive."""
+def _meets(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether each cube of R's tree (row (j, idx): side 2^j, block index
+    idx) holds a cell that the count table counts: its count by
+    inclusion-exclusion over the 2^dim corners is positive."""
+    j, idx = rows[:, 0], rows[:, 1:]
     dim = idx.shape[1]
     corners = np.array(list(itertools.product((0, 1), repeat=dim)))
     sign = (-1) ** (dim - corners.sum(axis=1))
@@ -425,13 +418,6 @@ def _first_seen(keys: np.ndarray, at: np.ndarray):
     keys = keys.tolist()
     for group, lo in sorted(groups):
         yield keys[lo], group
-
-
-def _relative_slices(Q: Cube, R: Cube) -> tuple[slice, ...]:
-    """Q's cells as slices of an array over R's cells."""
-    return tuple(
-        slice(q - r, q - r + Q.side_cells) for q, r in zip(Q.anchor, R.anchor)
-    )
 
 
 def principal_select(
@@ -466,9 +452,9 @@ def _forest(classified, u, u_sums, ell, delta) -> PrincipalForest:
     above a^k' >= a a^k > 2^dim a^k for every k < k', so W's parent
     averages v above a^k, while every cube between a level-k piece and its
     primary averages v at most a^k: W is a piece of no lower level.  The
-    nodes go one tree level (side) at a time, largest first,
-    over an owner array of R's cells holding the last node painted over
-    each cell.  The nodes of one side are disjoint cubes, so each one's
+    nodes, in (-side, k, anchor) order by one lexsort, go one tree level
+    (side) at a time over an owner array of R's cells holding the last
+    node painted over each cell.  The nodes of one side are disjoint cubes, so each one's
     nearest strict ancestor is the owner of its anchor cell, read for the
     whole side at once before the side paints itself.
 
@@ -480,10 +466,10 @@ def _forest(classified, u, u_sums, ell, delta) -> PrincipalForest:
     """
     R = classified.decomp.R
     dim = R.domain.dim
+    none = np.empty((0, 1 + dim), dtype=np.int64)
     if ell >= 0:
-        nodes = [(Q, k, Q) for (l, k), cubes in sorted(classified.gamma.items())
-                 if l == ell for Q in cubes]
-        parent_of = {}
+        parts = [(k, rows) for (l, k), rows in sorted(classified.gamma.items()) if l == ell]
+        primary = None
     else:
         eps = ainf_epsilon(
             _restrict_weight(classified.v, R),
@@ -495,16 +481,16 @@ def _forest(classified, u, u_sums, ell, delta) -> PrincipalForest:
             delta = eps / 2.0
         if not (0 < delta < eps):
             raise ValueError(f"delta must lie in (0, eps = {eps}), got {delta}")
-        nodes = [(W, k, Q) for k, pairs in sorted(classified.gamma_minus1.items())
-                 for W, Q in pairs]
-        parent_of = {W: Q for W, _k, Q in nodes}
-    nodes.sort(key=lambda node: (-node[0].side_cells, node[1], node[0].anchor))
-    n = len(nodes)
-    cubes = [Q for Q, _k, _P in nodes]
-    sides = [Q.side_cells for Q in cubes]
-    idx = _tree_coords(R, cubes)[1]
-    if ell < 0:
-        level = np.append(np.fromiter((k for _Q, k, _P in nodes), np.int64, n), 0)
+        low = sorted(classified.gamma_minus1.items())
+        parts = [(k, W) for k, (W, _Q) in low]
+        primary = np.concatenate([none, *(Q for _k, (_W, Q) in low)])
+    rows = np.concatenate([none, *(r for _k, r in parts)])
+    level = np.repeat(np.array([k for k, _r in parts], dtype=np.int64),
+                      [len(r) for _k, r in parts])
+    order = np.lexsort((*rows[:, :0:-1].T, level, -rows[:, 0]))
+    rows, level = rows[order], np.append(level[order], 0)
+    n = len(rows)
+    j, idx = rows[:, 0], rows[:, 1:]
     sums = np.empty(n)
     avg = np.empty(n + 1)
     avg[n] = -np.inf
@@ -517,12 +503,12 @@ def _forest(classified, u, u_sums, ell, delta) -> PrincipalForest:
     h1 = np.empty(n + 1)
     h1[n] = 0.0
     owner = np.full((R.side_cells,) * dim, n)
-    cut = [0, *(i for i in range(1, n) if sides[i] != sides[i - 1]), n]
+    cut = [0, *(np.flatnonzero(j[1:] != j[:-1]) + 1).tolist(), n]
     for lo, hi in zip(cut[:-1], cut[1:]) if n else ():
-        lev = sides[lo].bit_length() - 1
+        lev = int(j[lo])
         blocks = idx[lo:hi]
         sums[lo:hi] = u_sums[lev][tuple(blocks.T)]
-        avg[lo:hi] = h1[lo:hi] = sums[lo:hi] / sides[lo] ** dim
+        avg[lo:hi] = h1[lo:hi] = sums[lo:hi] / (1 << lev) ** dim
         prin = assign[owner[tuple((blocks << lev).T)]]
         if ell >= 0:
             fire = avg[lo:hi] > 2.0 * avg[prin]
@@ -539,22 +525,25 @@ def _forest(classified, u, u_sums, ell, delta) -> PrincipalForest:
         view, cells = _blocks(owner, lev, blocks)
         view[cells] = node[lo:hi].reshape((-1,) + (1,) * dim)
 
-    principal = np.flatnonzero(fired).tolist()
     hvals = np.zeros(u.domain.shape)
     if ell >= 0:
         hvals[R.slices()] = h1[assign[owner]]
     else:  # h2: u(W) / |P| over W's primary P, in the per-node order
-        for i in principal:
-            P = nodes[i][2]
-            hvals[P.slices()] += sums[i] / P.cell_count
+        primary = primary[order]
+        over_R = hvals[R.slices()]
+        for i in np.flatnonzero(fired).tolist():
+            jp, *p = primary[i].tolist()
+            s = 1 << jp
+            over_R[tuple(slice(c * s, (c + 1) * s) for c in p)] += sums[i] / s**dim
     return PrincipalForest(
         ell=ell,
-        nodes=tuple((Q, k) for Q, k, _P in nodes),
-        generations=dict(zip([cubes[i] for i in principal], gen[principal].tolist())),
-        assignment=dict(zip(cubes, [cubes[p] for p in assign[:n].tolist()])),
+        nodes=rows,
+        k=level[:n],
+        assignment=assign[:n],
+        generations=np.where(fired, gen[:n], -1),
         h=GridFunction(u.domain, hvals),
         delta=delta if ell < 0 else None,
-        primary_parent=parent_of,
+        primary_parent=primary,
     )
 
 
@@ -662,22 +651,29 @@ def _double_sum_audit(forest, classified: ClassifiedLevels, u: GridFunction):
         return None
     decomp = classified.decomp
     R = decomp.R
+    dim = R.domain.dim
     u_sums = _u_sums(u, R)     # masses in cell units: only their ratios count
-    level_of = dict(forest.nodes)
-    piece_mass: dict[tuple[int, Cube], float] = {}
-    for W, m in zip(forest.generations, _cube_sums(u_sums, R, [*forest.generations]).tolist()):
-        key = (level_of[W], forest.primary_parent[W])
-        piece_mass[key] = piece_mass.get(key, 0.0) + m
+    won = forest.generations >= 0
+    piece_k = forest.k[won]
+    piece_mass = _read(u_sums, forest.nodes[won])
+    primary = forest.primary_parent[won]
     opened = np.full(R.cell_count, -np.inf)     # every u average beats -inf
     bracket = np.zeros(R.cell_count)
     best = 0.0
-    for k, cubes in sorted(decomp.levels.items()):
-        owner = np.full((R.side_cells,) * R.domain.dim, -1, dtype=np.int64)
-        for i, Q in enumerate(cubes):
-            owner[_relative_slices(Q, R)] = i
-        iu = _cube_sums(u_sums, R, cubes)
-        avg = iu / np.array([Q.cell_count for Q in cubes])
-        inner = np.array([piece_mass.get((k, Q), 0.0) for Q in cubes])
+    for k, rows in sorted(decomp.levels.items()):
+        owner = np.full((R.side_cells,) * dim, -1, dtype=np.int64)   # disjoint cubes
+        for lev in np.unique(rows[:, 0]).tolist():
+            at = np.flatnonzero(rows[:, 0] == lev)
+            view, cells = _blocks(owner, lev, rows[at, 1:])
+            view[cells] = at.reshape((-1,) + (1,) * dim)
+        iu = _read(u_sums, rows)
+        avg = iu / (1 << rows[:, 0]) ** dim
+        # each principal piece's mass to its primary (owning its own anchor)
+        here = piece_k == k
+        inner = np.bincount(
+            owner[tuple((primary[here, 1:] << primary[here, :1]).T)],
+            weights=piece_mass[here], minlength=len(rows),
+        )
         share = np.divide(inner, iu, out=np.zeros_like(iu), where=iu > 0)
         cells = np.flatnonzero(owner >= 0)
         q = owner.ravel()[cells]
@@ -758,8 +754,8 @@ def mixed_verify_dyadic(
         eu_sums = dyadic_sum_pyramid(np.where(classified.e_masks[k], u.values, 0.0)[R.slices()])
         # every Gamma cube of band k in one read, summed band by band
         keys = [key for key in classified.gamma if key[1] == k]
-        cubes = [Q for key in keys for Q in classified.gamma[key]]
-        masses = (_cube_sums(eu_sums, R, cubes) * h_d).tolist()
+        rows = np.concatenate([classified.gamma[key] for key in keys])
+        masses = (_read(eu_sums, rows) * h_d).tolist()
         end = 0
         for key in keys:
             start, end = end, end + len(classified.gamma[key])
@@ -772,11 +768,11 @@ def mixed_verify_dyadic(
                      "cubes": len(classified.gamma[ell, k]), "u_mass": piece})
     term_II = 0.0
     u_sums = _u_sums(u, R) if classified.gamma_minus1 else []
-    for k, pairs in sorted(classified.gamma_minus1.items()):
-        piece = sum((_cube_sums(u_sums, R, [W for W, _ in pairs]) * h_d).tolist())
+    for k, (pieces, _primaries) in sorted(classified.gamma_minus1.items()):
+        piece = sum((_read(u_sums, pieces) * h_d).tolist())
         term_II += a ** (k + 1) * piece
         rows.append({"kind": "gamma_minus1", "ell": -1, "k": k,
-                     "cubes": len(pairs), "u_mass": piece})
+                     "cubes": len(pieces), "u_mass": piece})
 
     if u_char is None:
         u_char = tree_a1(u, R)

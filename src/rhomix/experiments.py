@@ -198,13 +198,15 @@ def _kernel_from_json(obj: dict) -> SCZOKernel:
 
 def _suite(config: dict, *parts: str) -> SuiteBundle:
     """The config's suite, refused when one of the parts ("pairs", "fs")
-    the kind reads is empty."""
+    the kind reads is empty, or the kind reads fs and every f is zero."""
     spec = _require(config, "suite", dict)
     bundle = generate_suite(spec, int(config.get("seed", spec.get("seed", 0))))
     for part in parts:
         if not getattr(bundle, part):
             count = "pair_count" if part == "pairs" else "f_count"
             raise UsageError(f"config.suite.{count} must be at least 1 for this kind")
+    if "fs" in parts and not any(f.values.any() for f in bundle.fs):
+        raise UsageError("config.suite.f gives only zero test functions for this kind")
     return bundle
 
 
@@ -338,9 +340,11 @@ def _exp_mixed_m(config):
     deltas = {}
     finite = True
     first = None
+    # a zero f has no constant: the first four nonzero fs run, rows by suite index
+    fs = [(j, f) for j, f in enumerate(bundle.fs) if f.values.any()][:4]
     for i, pair in enumerate(bundle.pairs):
         theta = ladder_exponent(pair.u, bundle.rho)
-        for j, f in enumerate(bundle.fs[:4]):
+        for j, f in fs:
             rep = mixed_verify_global(f, pair.u, pair.v, bundle.rho, theta=theta)
             finite &= math.isfinite(rep.constant_exact)
             tables.append({
@@ -414,7 +418,7 @@ def _exp_rdf(config):
     depth = int(config.get("depth", 12))
     pair = bundle.pairs[0]
     sigma = ladder_exponent(pair.u, bundle.rho)
-    fs = [f.abs() for f in bundle.fs if float(np.max(np.abs(f.values))) > 0]
+    fs = [f.abs() for f in bundle.fs if f.values.any()]
     state = estimate_K0(pair.u, pair.v, bundle.rho, sigma, fs)
     audit = rdf_audit(fs[0], pair.u, bundle.rho, sigma, state.K0, depth)
     measured = {

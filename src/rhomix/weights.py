@@ -115,13 +115,10 @@ def _power(vals: np.ndarray, kind: str, x: float):
 
 def _first_unbounded(cubes: CubeFamily, power: np.ndarray):
     """The first cell of the root, in anchor order, where power is not
-    finite (it overflowed), as a side-1 cube; else None."""
+    finite (it overflowed), as a side-1 pick (1, its index among the
+    family's side-1 anchors, 1); else None."""
     bad = ~np.isfinite(power[cubes.root.slices()])
-    if not bad.any():
-        return None
-    cell = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    anchor = tuple(int(a + c) for a, c in zip(cubes.root.anchor, cell))
-    return Cube(cubes.domain, anchor, 1)
+    return (1, int(np.argmax(bad)), 1) if bad.any() else None
 
 
 def _raw(kind, x, avg, avg_power, cubes: CubeFamily, vals, sides) -> np.ndarray:
@@ -167,7 +164,7 @@ def characteristics(
     vals = w.values
     inputs = [vals]
     slots = {}  # (kind, exponent) -> the index of its power's averages
-    sups = {}  # (kind, exponent, theta) -> (value, witness)
+    sups = {}  # (kind, exponent, theta) -> (value, pick (first side, anchor index, side))
     for key in thetas:
         power = _power(vals, *key)
         unbounded = None if power is None else _first_unbounded(cubes, power)
@@ -215,10 +212,12 @@ def characteristics(
                 # attains the sup
                 if ratio.flat[i] >= sups[key + (theta,)][0]:
                     j, a = divmod(i, ratio.shape[-1])
-                    witness = Cube(cubes.domain, cubes.anchor(int(sides[0]), a), int(sides[j]))
-                    sups[key + (theta,)] = (float(ratio.flat[i]), witness)
+                    sups[key + (theta,)] = (float(ratio.flat[i]), (int(sides[0]), a, int(sides[j])))
+    # a rung's witness Cube is named once, off its last pick
+    picks = [(*sups[kind, x, theta], x, theta) for kind, x, theta in rungs]
     return tuple(
-        WeightCharacteristic(*sups[kind, x, theta], x, theta) for kind, x, theta in rungs
+        WeightCharacteristic(v, at and Cube(cubes.domain, cubes.anchor(*at[:2]), at[2]), x, t)
+        for v, at, x, t in picks
     )
 
 

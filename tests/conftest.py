@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from rhomix import (
     GridFunction, InterpolationReport, RearrangementTable, RhoSpec, ainf_epsilon,
     cz_on_cube, dyadic_averages, dyadic_sum_pyramid,
 )
-from rhomix.corona import ClassifiedLevels, PrincipalForest
+from rhomix.corona import _row_cubes
 from rhomix.critical import _libm_pow, _penalty_base
 
 #: (policy, rooted) as the family property tests draw them: dim-1 intervals
@@ -257,6 +258,49 @@ def _ancestor_in(node_map, R, cube):
     return None
 
 
+def cube_lists(classified):
+    """classify's rows as the Cube lists the oracles build: every dict of
+    ClassifiedLevels (and decomp.levels) in its order, a band -1 (pieces,
+    primaries) row pair as a list of (piece, primary) Cube pairs."""
+    R = classified.decomp.R
+
+    def cubes(rows):
+        return _row_cubes(R, rows)
+
+    def pairs(two):
+        return list(zip(cubes(two[0]), cubes(two[1])))
+
+    return SimpleNamespace(
+        levels={k: cubes(r) for k, r in classified.decomp.levels.items()},
+        bands={key: cubes(r) for key, r in classified.bands.items()},
+        minus1={k: cubes(r) for k, r in classified.minus1.items()},
+        secondary={k: pairs(two) for k, two in classified.secondary.items()},
+        gamma={key: cubes(r) for key, r in classified.gamma.items()},
+        gamma_minus1={k: pairs(two) for k, two in classified.gamma_minus1.items()},
+        band_masks=classified.band_masks,
+        e_masks=classified.e_masks,
+    )
+
+
+def cube_forest(forest, R):
+    """A PrincipalForest's rows as the Cube form the oracles build: nodes
+    as (cube, k) in node order, and dicts keyed by cube in node order:
+    principal -> generation, node -> its principal, band -1 piece -> its
+    primary."""
+    cubes = _row_cubes(R, forest.nodes)
+    gens = forest.generations.tolist()
+    primary = [] if forest.primary_parent is None else _row_cubes(R, forest.primary_parent)
+    return SimpleNamespace(
+        ell=forest.ell,
+        delta=forest.delta,
+        h=forest.h,
+        nodes=tuple(zip(cubes, forest.k.tolist())),
+        generations={Q: g for Q, g in zip(cubes, gens) if g >= 0},
+        assignment={Q: cubes[p] for Q, p in zip(cubes, forest.assignment.tolist())},
+        primary_parent=dict(zip(cubes, primary)),
+    )
+
+
 def walk_forest(classified, u, ell, delta, read=pyramid_sum):
     """Oracle for principal_select at a given delta: each node finds its
     nearest ancestor among the nodes by walking up R's bisection tree one
@@ -264,6 +308,7 @@ def walk_forest(classified, u, ell, delta, read=pyramid_sum):
     read(u, R, Q).  Returns (nodes, generations, assignment, h)."""
     R = classified.decomp.R
     a = classified.a
+    classified = cube_lists(classified)
     if ell >= 0:
         nodes = [(Q, k) for (l, k), cubes in sorted(classified.gamma.items())
                  if l == ell for Q in cubes]
@@ -307,11 +352,12 @@ def cell_chain_double_sum(forest, classified, u, read=pyramid_sum):
     """Oracle for the -1 branch's double sum: each cell's chain of stopping
     cubes walked on its own, one level after the other, with u's cube sums
     from read(u, R, Q)."""
-    decomp = classified.decomp
-    R = decomp.R
+    R = classified.decomp.R
+    levels = cube_lists(classified).levels
+    forest = cube_forest(forest, R)
     shape = (R.side_cells,) * R.domain.dim
     owners = {}
-    for k, cubes in decomp.levels.items():
+    for k, cubes in levels.items():
         owner = np.full(shape, -1, dtype=np.int64)
         for i, Q in enumerate(cubes):
             owner[tuple(slice(q - r, q - r + Q.side_cells)
@@ -322,11 +368,11 @@ def cell_chain_double_sum(forest, classified, u, read=pyramid_sum):
     for W in forest.generations:
         key = (level_of[W], forest.primary_parent[W])
         piece_mass[key] = piece_mass.get(key, 0.0) + read(u, R, W)
-    iu = {Q: read(u, R, Q) for cubes in decomp.levels.values() for Q in cubes}
+    iu = {Q: read(u, R, Q) for cubes in levels.values() for Q in cubes}
     best = 0.0
     for cell in np.ndindex(*shape):
-        chain = [(k, decomp.levels[k][owners[k][cell]])
-                 for k in sorted(decomp.levels) if owners[k][cell] >= 0]
+        chain = [(k, levels[k][owners[k][cell]])
+                 for k in sorted(levels) if owners[k][cell] >= 0]
         cur_avg = None
         bracket = 0.0
         for k, Q in chain:
@@ -346,6 +392,7 @@ def slice_sum_terms(classified, u):
     time by numpy's slice sums: u(E_k cap Q) as a masked slice sum per Gamma
     cube, u(W) as a slice sum per band -1 piece.  Returns (I, II)."""
     a, h_d = classified.a, u.domain.cell_volume
+    classified = cube_lists(classified)
     term_I = term_II = 0.0
     for (_ell, k), cubes in sorted(classified.gamma.items()):
         emask = classified.e_masks[k]
@@ -464,11 +511,12 @@ def _pow_or_inf(a: float, j: int) -> float:
         return math.inf
 
 
-def cube_by_cube_classify(decomp, v) -> ClassifiedLevels:
+def cube_by_cube_classify(decomp, v):
     """Oracle for classify: every stopping cube banded and gated on its
     own, its v average off dyadic_averages over R, its band by Python's
     pow, its gate by one slice any() of its level's cell band, and a band
-    -1 cube's pieces by cz_on_cube(v, Q, a^k)."""
+    -1 cube's pieces by cz_on_cube(v, Q, a^k).  Returns the fields of
+    ClassifiedLevels as cube_lists gives them."""
     a, R = decomp.a, decomp.R
     vals = v.values[R.slices()]
     kcell = np.vectorize(lambda x: _scalar_cell_band(x, a))(vals)
@@ -481,9 +529,9 @@ def cube_by_cube_classify(decomp, v) -> ClassifiedLevels:
             e_masks[k] = band_masks[k] & exceed
     avgs = dyadic_averages(vals)
     bands, minus1, secondary, gamma, gamma_minus1 = {}, {}, {}, {}, {}
-    for k, cubes in decomp.levels.items():
+    for k, rows in decomp.levels.items():
         bmask = band_masks.get(k)
-        for Q in cubes:
+        for Q in _row_cubes(R, rows):
             rel = tuple((q - r) // Q.side_cells for q, r in zip(Q.anchor, R.anchor))
             avg_v = float(avgs[Q.side_cells.bit_length() - 1][rel])
             if avg_v < a**k:
@@ -497,23 +545,26 @@ def cube_by_cube_classify(decomp, v) -> ClassifiedLevels:
                 bands.setdefault((ell, k), []).append(Q)
                 if bmask is not None and bmask[Q.slices()].any():
                     gamma.setdefault((ell, k), []).append(Q)
-    return ClassifiedLevels(decomp, v, bands, minus1, secondary, gamma,
-                            gamma_minus1, band_masks, e_masks)
+    return SimpleNamespace(bands=bands, minus1=minus1, secondary=secondary, gamma=gamma,
+                           gamma_minus1=gamma_minus1, band_masks=band_masks,
+                           e_masks=e_masks)
 
 
-def node_by_node_forest(classified, u, ell, delta=None) -> PrincipalForest:
+def node_by_node_forest(classified, u, ell, delta=None):
     """Oracle for principal_select: the nodes walked one at a time, largest
     first, each one's nearest ancestor read off an owner array at its
     anchor cell before it paints itself, u's node sums off one pyramid over
-    R, and h added principal by principal."""
-    R, a = classified.decomp.R, classified.a
+    R, and h added principal by principal.  Returns the forest as
+    cube_forest gives it."""
+    R, a, v = classified.decomp.R, classified.a, classified.v
+    classified = cube_lists(classified)
     if ell >= 0:
         nodes = [(Q, k) for (l, k), cubes in sorted(classified.gamma.items())
                  if l == ell for Q in cubes]
         parent_of = {}
     else:
         eps = ainf_epsilon(
-            GridFunction(R.domain, np.where(R.mask(), classified.v.values, 1.0)),
+            GridFunction(R.domain, np.where(R.mask(), v.values, 1.0)),
             0.0, RhoSpec.classical(), CubeFamily(R.domain, DYADIC_GRID_OF, R),
         )
         delta = eps / 2.0 if delta is None else delta
@@ -552,9 +603,11 @@ def node_by_node_forest(classified, u, ell, delta=None) -> PrincipalForest:
     for Q in generations:
         P = parent_of.get(Q, Q)
         hvals[P.slices()] += sum_u[Q] / P.cell_count
-    return PrincipalForest(ell, tuple(nodes), generations, assignment,
-                           GridFunction(u.domain, hvals),
-                           delta if ell < 0 else None, parent_of)
+    return SimpleNamespace(
+        ell=ell, delta=delta if ell < 0 else None, h=GridFunction(u.domain, hvals),
+        nodes=tuple(nodes), generations=generations, assignment=assignment,
+        primary_parent=parent_of,
+    )
 
 
 def oscillator(domain):

@@ -41,12 +41,15 @@ from rhomix import (
     shen_rho,
     tree_a1,
 )
+from rhomix.corona import PrincipalForest, _row_cubes
 
 from conftest import (
     brute_cz,
     brute_m_dyadic,
     cell_chain_double_sum,
     cube_by_cube_classify,
+    cube_forest,
+    cube_lists,
     node_by_node_forest,
     oscillator,
     pyramid_average,
@@ -133,10 +136,10 @@ def test_level_decomposition_k0_and_unions():
     avg = pyramid_average(g, R, R)
     assert a ** (dec.k0 - 1) < avg <= a ** dec.k0
     mdy = m_dyadic(g, R).values
-    for k, cubes in dec.levels.items():
+    for k, rows in dec.levels.items():
         assert k >= dec.k0
         union = np.zeros(dom.shape, dtype=bool)
-        for Q in cubes:
+        for Q in _row_cubes(R, rows):
             union[Q.slices()] = True
         assert np.array_equal(union, mdy > a ** k)
     # levels run contiguously upward from k0 while nonempty
@@ -184,10 +187,11 @@ def test_classify_band_gate_reads_the_pyramid():
     R = Cube(dom, (0,), dom.n)
     dec = level_decomposition(GridFunction(dom, np.repeat([6.0, 0.0], 16)), R)
     Q = Cube(dom, (0,), 16)
-    assert dec.a == 4.0 and dec.levels == {1: [Q]}
+    assert dec.a == 4.0 and list(dec.levels) == [1]
+    assert dec.levels[1].tolist() == [[4, 0]] and _row_cubes(R, dec.levels[1]) == [Q]
     v = GridFunction(dom, np.concatenate([_SPLIT_V, np.ones(16)]))
     cl = classify(dec, v)
-    assert cl.bands == {(0, 1): [Q]} and cl.minus1 == {}
+    assert cube_lists(cl).bands == {(0, 1): [Q]} and cl.minus1 == {}
 
 
 @pytest.mark.parametrize("vals", [[5, -5, 0, 0, 0, 0, 0, 0], [5, -6, 0, 0, 0, 0, 0, 0]])
@@ -246,8 +250,8 @@ def test_level_decomposition_matches_oracles_property(seed, dim):
     g = GridFunction(dom, np.where(zeros, 0.0, rng.uniform(0, 1, dom.shape) ** 3))
     dec = level_decomposition(g, R)
     assert np.allclose(dec.mdy.values, brute_m_dyadic(g, R), rtol=1e-12, atol=0)
-    for k, cubes in dec.levels.items():
-        assert _keys(cubes) == _keys(brute_cz(g, R, dec.a ** k))
+    for k, rows in dec.levels.items():
+        assert _keys(_row_cubes(R, rows)) == _keys(brute_cz(g, R, dec.a ** k))
     if not dec.empty:
         # the first level past the last one is empty
         top = dec.k0 + len(dec.levels)
@@ -343,16 +347,17 @@ def test_classify_partitions_every_level_cube():
     dec = level_decomposition(g, R)
     cl = classify(dec, v)
     a = cl.a
-    for k, cubes in dec.levels.items():
+    lists = cube_lists(cl)
+    for k, cubes in lists.levels.items():
         for Q in cubes:
             key = (Q.anchor, Q.side_cells)
             avg_v = pyramid_average(v, R, Q)
             in_minus1 = any(
-                (P.anchor, P.side_cells) == key for P in cl.minus1.get(k, [])
+                (P.anchor, P.side_cells) == key for P in lists.minus1.get(k, [])
             )
             banded = [
                 ell
-                for (ell, kk), lst in cl.bands.items()
+                for (ell, kk), lst in lists.bands.items()
                 if kk == k and any((P.anchor, P.side_cells) == key for P in lst)
             ]
             if avg_v < a ** k:
@@ -388,7 +393,7 @@ def test_classify_bands_a_v_average_past_the_powers_of_a():
     f = GridFunction(dom, np.array([1e-300] + [1.0] * 7))
     v = GridFunction(dom, np.array([1.5e308] + [1.0] * 7))
     rep = mixed_verify_dyadic(f, GridFunction.constant(dom, 1.0), v, R)
-    assert rep.classified.bands == {(498, 13): [Cube(dom, (0,), 2)]}
+    assert cube_lists(rep.classified).bands == {(498, 13): [Cube(dom, (0,), 2)]}
     assert rep.upper_le_terms and rep.tail_ok
     assert rhomix.corona._floor_band(1.5e308, 4.0) == 511
 
@@ -418,13 +423,14 @@ def test_classify_secondary_cubes_obey_their_stopping_rule():
     assert cl.gamma, "band family should populate on this frozen seed"
     assert cl.gamma_minus1, "low-band family should populate on this frozen seed"
     dim = v.domain.dim
-    for k, pairs in cl.secondary.items():
+    lists = cube_lists(cl)
+    for k, pairs in lists.secondary.items():
         for W, Q in pairs:
             assert Q.contains_cube(W)
             avg_w = pyramid_average(v, R, W)
             assert a ** k < avg_w <= (2 ** dim) * a ** k
     # the kept pairs are exactly those meeting the cell band
-    for k, pairs in cl.gamma_minus1.items():
+    for k, pairs in lists.gamma_minus1.items():
         bmask = cl.band_masks[k]
         for W, Q in pairs:
             assert bmask[W.slices()].any()
@@ -450,6 +456,7 @@ def test_principal_forest_doubling_rule():
     assert forests, "expected at least one forest"
     assert -1 in forests
     for ell, forest in forests.items():
+        forest = cube_forest(forest, R)
         avg_u = {
             Q: float(u.values[Q.slices()].sum()) / Q.cell_count
             for Q, _k in forest.nodes
@@ -512,6 +519,7 @@ def _check_walk_oracles(g, u, v, R):
     assert -1 in forests
     for ell, forest in forests.items():
         nodes, generations, assignment, h = walk_forest(cl, u, ell, forest.delta)
+        forest = cube_forest(forest, R)
         assert forest.nodes == nodes
         assert list(forest.generations.items()) == list(generations.items())
         assert list(forest.assignment.items()) == list(assignment.items())
@@ -544,14 +552,15 @@ def test_band_minus1_pieces_are_cz_on_cube_property(seed, dim, sub):
     g, u, v, R = _low_band_instance(seed, dim, sub)
     cl = classify(level_decomposition(g, R), v)
     secondary, gamma = {}, {}
-    for k, cubes in cl.minus1.items():
+    lists = cube_lists(cl)
+    for k, cubes in lists.minus1.items():
         for Q in cubes:
             for W in cz_on_cube(v, Q, cl.a**k):
                 secondary.setdefault(k, []).append((W, Q))
                 if k in cl.band_masks and cl.band_masks[k][W.slices()].any():
                     gamma.setdefault(k, []).append((W, Q))
-    assert cl.secondary == secondary
-    assert cl.gamma_minus1 == gamma
+    assert lists.secondary == secondary
+    assert lists.gamma_minus1 == gamma
 
 
 def _instance_sets():
@@ -588,7 +597,8 @@ def test_pyramid_reads_of_u_stay_within_1e13_of_the_slice_sums():
         forests = build_forests(cl, u)
         for ell, forest in forests.items():
             nodes, generations, assignment, h = walk_forest(cl, u, ell, forest.delta, slice_sum)
-            assert (forest.nodes, forest.generations, forest.assignment) == (
+            cubes = cube_forest(forest, R)
+            assert (cubes.nodes, cubes.generations, cubes.assignment) == (
                 nodes, generations, assignment)
             assert np.allclose(forest.h.values, h, rtol=1e-13, atol=0)
         if -1 in forests:
@@ -620,7 +630,7 @@ def test_low_band_piece_nested_in_a_piece_matches_the_oracles():
     forests = _check_walk_oracles(
         GridFunction(dom, g), GridFunction(dom, u), GridFunction(dom, v), R
     )
-    low = forests[-1]
+    low = cube_forest(forests[-1], R)
     outer, inner = Cube(dom, (0,), 4), Cube(dom, (1,), 1)
     assert low.nodes == ((outer, 1), (inner, 2))
     assert low.generations == {outer: 0, inner: 1}
@@ -933,8 +943,10 @@ def test_cz_union_and_window_property(seed):
 
 
 def _same_classified(got, want):
-    """Every dict of two ClassifiedLevels equal, key order included, and
-    their cell-band and E masks equal cell for cell."""
+    """Every dict of a ClassifiedLevels, as cube_lists gives it, equal to
+    the oracle's, key order included, and their cell-band and E masks equal
+    cell for cell."""
+    got = cube_lists(got)
     for name in ("bands", "minus1", "secondary", "gamma", "gamma_minus1"):
         assert list(getattr(got, name).items()) == list(getattr(want, name).items()), name
     for name in ("band_masks", "e_masks"):
@@ -943,12 +955,19 @@ def _same_classified(got, want):
         assert all(np.array_equal(g[k], w[k]) for k in g), name
 
 
-def _same_forest(got, want):
+def _same_forest(got, want, R):
+    """A forest, as cube_forest gives it, equal to the oracle's (or to
+    another forest's), node order and dict orders included; the primaries
+    are compared as a mapping, the forest holding them in node order and the
+    oracle in pair order."""
+    got = cube_forest(got, R)
+    if isinstance(want, PrincipalForest):
+        want = cube_forest(want, R)
     assert got.ell == want.ell and got.delta == want.delta
     assert got.nodes == want.nodes
     assert list(got.generations.items()) == list(want.generations.items())
     assert list(got.assignment.items()) == list(want.assignment.items())
-    assert list(got.primary_parent.items()) == list(want.primary_parent.items())
+    assert got.primary_parent == want.primary_parent
     assert got.h.values.tobytes() == want.h.values.tobytes()
 
 
@@ -969,7 +988,7 @@ def test_classify_and_forests_are_the_per_cube_oracles_property(seed, dim, sub):
     forests = build_forests(cl, u)
     assert -1 in forests
     for ell, forest in forests.items():
-        _same_forest(forest, node_by_node_forest(cl, u, ell))
+        _same_forest(forest, node_by_node_forest(cl, u, ell), R)
 
 
 def test_classify_and_forests_on_the_instance_sets_are_the_per_cube_oracles():
@@ -983,8 +1002,8 @@ def test_classify_and_forests_on_the_instance_sets_are_the_per_cube_oracles():
         cl = classify(decomp, v)
         _same_classified(cl, cube_by_cube_classify(decomp, v))
         for ell, forest in build_forests(cl, u).items():
-            _same_forest(forest, node_by_node_forest(cl, u, ell))
-            _same_forest(principal_select(cl, u, ell), forest)
+            _same_forest(forest, node_by_node_forest(cl, u, ell), R)
+            _same_forest(principal_select(cl, u, ell), forest, R)
 
 
 def test_forests_read_one_u_pyramid_however_many_forests(monkeypatch):
@@ -1007,3 +1026,31 @@ def test_forests_read_one_u_pyramid_however_many_forests(monkeypatch):
         assert len(builds) == (1 if forests else 0)
         counted += len(forests) >= 2
     assert counted >= 5
+
+
+def test_the_verifier_builds_no_cube(monkeypatch):
+    """mixed_verify_dyadic, build_forests and claim_audits keep every cube
+    as a (j, idx) row: on the d2 L5 corona-run suite, where no band -1
+    forest forms (its ainf_epsilon names weight witnesses, which are
+    Cubes), none of them builds a Cube once [u] is given.  Band -1 cubes
+    still come up, so classify's pieces run too."""
+    bundle = rhomix.experiments._suite(default_config("corona-run", 2, 5, seed=7))
+    R = Cube.box(bundle.domain)
+    chars = [tree_a1(pair.u, R) for pair in bundle.pairs]
+
+    def refuse(cube):
+        raise AssertionError(f"the verifier built {cube}")
+
+    monkeypatch.setattr(Cube, "__post_init__", refuse)
+    lows = forests_seen = 0
+    for pair, u_char in zip(bundle.pairs, chars):
+        for f in bundle.fs[:4]:
+            rep = mixed_verify_dyadic(f, pair.u, pair.v, R, u_char=u_char)
+            if rep.empty:
+                continue
+            forests = build_forests(rep.classified, pair.u)
+            claim_audits(forests, rep.classified, pair.u, u_char)
+            assert -1 not in forests
+            lows += bool(rep.classified.minus1)
+            forests_seen += len(forests)
+    assert lows >= 2 and forests_seen >= 20

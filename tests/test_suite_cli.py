@@ -11,12 +11,17 @@ import numpy as np
 import pytest
 
 from rhomix import (
+    Cube,
     Domain,
     GridFunction,
     RhoSpec,
     SumOverflowError,
     ap_characteristic,
+    build_forests,
+    classify,
     default_family,
+    level_decomposition,
+    load_grid_function,
     make_function,
     make_weight,
     generate_suite,
@@ -37,7 +42,7 @@ from rhomix.suite import _CHAR_CAP, ANALYTIC_RHO, _tame, _validated_weight
 from rhomix.weights import _ap_range_clears
 from rhomix.weights import RH_LADDER, THETA_LADDER
 
-from conftest import counted_s_stacks, counted_sweeps
+from conftest import counted_s_stacks, counted_sweeps, cube_forest
 
 
 # ---------------------------------------------------------------------------
@@ -567,20 +572,72 @@ def test_cli_corona_run_takes_an_integer_cube(saved_inputs):
     assert json.loads((out / "corona-run.json").read_text())["a"] > 1
 
 
-def test_cli_corona_dump_forest(saved_inputs):
+def _forest_inputs(name):
+    """(f, u, v) of a dump-forest case: "bands" holds a band 0 forest with
+    a node that is not principal beside a band -1 forest, "nested" a band
+    -1 forest with a generation-1 piece nested in a principal piece."""
+    if name == "bands":
+        rng = np.random.default_rng(95)
+        dom = Domain(1, 8.0, 6)
+        v = 10 ** rng.uniform(-2, 0, dom.shape)
+        spots = rng.integers(0, dom.n, 3 * dom.n)
+        v[spots] = 10 ** rng.uniform(0, 3, spots.size)
+        g = np.zeros(dom.shape)
+        cells = rng.integers(0, dom.n, 5)
+        g[cells] = 10 ** rng.uniform(1, 5, 5)
+        u = np.exp(rng.normal(0, 1.5, dom.shape))
+    else:
+        dom = Domain(1, 8.0, 4)
+        v = np.full(16, 0.01)
+        v[1], v[2] = 24.0, 7.6
+        g = np.zeros(16)
+        g[0] = 48.0
+        u = np.ones(16)
+        u[1] = 50.0
+    return (GridFunction(dom, g / v), GridFunction(dom, u), GridFunction(dom, v))
+
+
+def _forest_nodes(forest, R):
+    """build_forests' nodes as dump-forest prints them."""
+    cubes = cube_forest(forest, R)
+    return [{
+        "anchor": list(Q.anchor), "side_cells": Q.side_cells, "k": k,
+        "principal": Q in cubes.generations, "generation": cubes.generations.get(Q),
+        "assigned_anchor": list(cubes.assignment[Q].anchor),
+        "assigned_side_cells": cubes.assignment[Q].side_cells,
+    } for Q, k in cubes.nodes]
+
+
+@pytest.mark.parametrize("name, delta", [("saved", "auto"), ("bands", "0.3"), ("nested", "0.3")])
+def test_cli_corona_dump_forest(saved_inputs, name, delta):
+    """Every node's cube, level, principal flag, generation and assigned
+    principal as build_forests gives them on the same inputs."""
     tmp_path, paths = saved_inputs
-    out = tmp_path / "forestout"
+    if name != "saved":
+        for key, grid in zip("fuv", _forest_inputs(name)):
+            save_grid_function(grid, paths[key] + name)
+            paths[key] += name
+    out = tmp_path / ("forestout" + name)
     rc = main([
         "corona", "dump-forest", "--f", paths["f"], "--u", paths["u"],
-        "--v", paths["v"], "--out", str(out),
+        "--v", paths["v"], "--delta", delta, "--out", str(out),
     ])
     assert rc == 0
     payload = json.loads((out / "corona-forest.json").read_text())
     assert not payload["empty"]
-    for forest in payload["forests"].values():
-        for node in forest["nodes"]:
-            assert isinstance(node["anchor"], list)
-            assert node["side_cells"] >= 1
+    f, u, v = (load_grid_function(paths[key]) for key in "fuv")
+    R = Cube.box(f.domain)
+    forests = build_forests(
+        classify(level_decomposition(f.abs() * v, R), v), u,
+        None if delta == "auto" else float(delta),
+    )
+    assert sorted(payload["forests"]) == sorted(str(ell) for ell in forests)
+    for ell, forest in forests.items():
+        got = payload["forests"][str(ell)]
+        assert got["delta"] == forest.delta and got["principal_count"] == forest.principal_count
+        assert got["nodes"] == _forest_nodes(forest, R)
+    kinds = {"saved": [0], "bands": [-1, 0], "nested": [-1]}[name]
+    assert sorted(forests) == kinds
 
 
 def test_cli_extrap_rdf(saved_inputs):
@@ -712,6 +769,42 @@ def test_kinds_that_read_no_fs_or_pairs_run_without_them():
         config = default_config(kind, 1, 5, 1)
         config["suite"].update(dict.fromkeys(empty, 0))
         assert run_experiment(config).ok, kind
+
+
+_ZERO_F = {"kind": "spike", "count": 0}
+
+
+@pytest.mark.parametrize(
+    "kind", ["maximal-eval", "corona-run", "mixed-M", "mixed-T", "coifman", "rdf", "interpolation"]
+)
+def test_kinds_refuse_only_zero_test_functions(kind):
+    # rdf died on estimate_K0's bare "empty suite", mixed-M failed
+    # all_finite, and the others passed every flag on constants of 0.0
+    config = default_config(kind, 1, 5, 1)
+    config["suite"]["f"] = [_ZERO_F]
+    with pytest.raises(UsageError, match=r"config\.suite\.f gives only zero test functions"):
+        run_experiment(config)
+
+
+def test_cli_run_refuses_only_zero_test_functions(capsys):
+    config = default_config("corona-run", 1, 5, 1)
+    config["suite"]["f"] = [_ZERO_F]
+    assert main(["run", "--config", json.dumps(config)]) == 2
+    assert "config.suite.f gives only zero test functions" in capsys.readouterr().err
+
+
+def test_mixed_m_skips_a_zero_test_function():
+    # a zero f beside nonzero ones read an inf constant (all_finite false)
+    # and, as the first f, was the one refined (refinement_stable false)
+    config = default_config("mixed-M", 1, 5, 1)
+    config["suite"]["f"] = [_ZERO_F, {"kind": "random"}]
+    rep = run_experiment(config)
+    assert rep.passes == {"refinement_stable": True, "all_finite": True}
+    bundle = rhomix.experiments._suite(config)
+    assert not bundle.fs[0].values.any() and bundle.fs[1].values.any()
+    # the first four nonzero fs, each row under its suite index
+    assert [row["f"] for row in rep.tables[:4]] == [1, 3, 5, 7]
+    assert all(math.isfinite(row["constant"]) for row in rep.tables)
 
 
 def test_cli_tree_family_is_gone_and_bad_exponents_exit_two(saved_inputs):

@@ -24,8 +24,10 @@ from rhomix import (
     ap_characteristic,
     ap_ladder,
     characteristics,
+    default_family,
     factor_build,
     growth_factor,
+    make_weight,
     rh_characteristic,
     weighted_measure,
 )
@@ -712,3 +714,25 @@ def test_characteristic_scale_invariance(seed, p):
     a = ap_characteristic(w, p, 0.0, CL, fam).value
     b = ap_characteristic(GridFunction(dom, 7.5 * w.values), p, 0.0, CL, fam).value
     assert a == pytest.approx(b, rel=1e-10)
+
+
+def test_characteristics_names_each_witness_once(monkeypatch):
+    """A rung's sup improves on many sweep blocks; each improvement keeps
+    its pick as ints, and the witness Cube is named once per rung when
+    characteristics returns: one CubeFamily.anchor call per rung."""
+    calls = []
+    anchor = CubeFamily.anchor
+    monkeypatch.setattr(
+        CubeFamily, "anchor", lambda fam, s, i: calls.append(s) or anchor(fam, s, i)
+    )
+    rng = np.random.default_rng(86)
+    rungs = tuple(("ap", p, t) for p in (1.0, 2.0, math.inf) for t in (0.0, 1.0))
+    rungs += (("rh", 2.0, 0.5),)
+    for dim, level in ((1, 8), (2, 5)):
+        dom = Domain(dim, 8.0, level)
+        w = make_weight(dom, {"kind": "smooth_random", "amp": 0.9}, rng)
+        for fam in (CubeFamily(dom, DYADIC_GRID_OF), default_family(dom)):
+            calls.clear()
+            out = characteristics(w, rungs, RhoSpec.constant(0.3), fam)
+            assert len(calls) == len(rungs)
+            assert all(isinstance(c.witness, Cube) for c in out)
