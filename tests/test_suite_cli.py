@@ -608,8 +608,7 @@ def _forest_nodes(forest, R):
     } for Q, k in cubes.nodes]
 
 
-@pytest.mark.parametrize("name, delta", [("saved", "auto"), ("bands", "0.3"), ("nested", "0.3")])
-def test_cli_corona_dump_forest(saved_inputs, name, delta):
+def _check_dump_forest(saved_inputs, name, delta):
     """Every node's cube, level, principal flag, generation and assigned
     principal as build_forests gives them on the same inputs."""
     tmp_path, paths = saved_inputs
@@ -638,6 +637,15 @@ def test_cli_corona_dump_forest(saved_inputs, name, delta):
         assert got["nodes"] == _forest_nodes(forest, R)
     kinds = {"saved": [0], "bands": [-1, 0], "nested": [-1]}[name]
     assert sorted(forests) == kinds
+
+
+def test_cli_corona_dump_forest(saved_inputs):
+    _check_dump_forest(saved_inputs, "saved", "auto")
+
+
+@pytest.mark.parametrize("name", ["bands", "nested"])
+def test_cli_corona_dump_forest_matches_build_forests(saved_inputs, name):
+    _check_dump_forest(saved_inputs, name, "0.3")
 
 
 def test_cli_extrap_rdf(saved_inputs):
